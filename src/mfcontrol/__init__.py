@@ -11,7 +11,6 @@ hypothesis_check sampling certificates for the standing conditions (H4)-(H6)
 smp_control      adjoints, Hamiltonian gradients, projected descent
 games            two-player non-zero-sum games via damped best response
 lq_examples      linear-quadratic reference fixtures and verification pipelines
-cli              command-line front end
 """
 
 from mfcontrol.core import (

@@ -20,12 +20,12 @@ Three solver routes are provided:
   coupling; serves as the baseline and as the final polish of the
   continuation.
 * :func:`solve_continuation` — homotopy in the blend parameter alpha from
-  the canonical pair to the target model, with warm starts, per-segment
-  step halving, and an inner source iteration whose fixed point solves the
-  next blend level.  Each inner solve freezes the weighted difference
-  between the model and the canonical pair as additive sources and applies
-  the linear seed, so the stiff canonical core is always handled
-  constructively.
+  the canonical pair to the target model (the method of continuation),
+  with warm starts and per-segment step halving.  Each blend level is one
+  seed-preconditioned fixed point: every sweep freezes the weighted
+  difference between the model and the canonical pair at the current
+  iterate as additive sources and applies the linear seed, so the stiff
+  canonical core is always handled constructively.
 
 The blend family (see :func:`homotopy_coefficients`):
 
@@ -375,16 +375,6 @@ def negate_forward_model(model: CoupledModel) -> CoupledModel:
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class _Sources:
-    """Materialized additive sources threaded through a Picard solve."""
-
-    drift: Optional[np.ndarray] = None  # [M, N], added to the drift
-    diffusion: Optional[np.ndarray] = None  # [M, N], added to the diffusion
-    driver: Optional[np.ndarray] = None  # [M, N], SUBTRACTED in the integrand
-    terminal: Optional[np.ndarray] = None  # [N], added to the terminal value
-
-
 class _AndersonMixer:
     """Type-II Anderson mixing on the flattened backward pair (Y, Z).
 
@@ -421,79 +411,82 @@ class _AndersonMixer:
         return g - d_g @ gamma
 
 
-def _forward_sweep(model, grid, dw, y_cur, z_cur, control, sources, guard, seed):
+def _level_views(tri: SolutionTriple, k: int, control):
+    u_k = None if control is None else (control[k] if k < control.shape[0] else control[-1])
+    own = StateView(x=tri.x[k], y=tri.y[k], z=tri.z[k], u=u_k)
+    law = StateView(
+        x=float(tri.x[k].mean()),
+        y=float(tri.y[k].mean()),
+        z=float(tri.z[k].mean()),
+        u=None if u_k is None else float(u_k.mean()),
+    )
+    return own, law
+
+
+def _check_guard(row: np.ndarray, k: int, guard: float) -> None:
+    """Raise :class:`DivergenceError` if node ``k`` of a state path leaves
+    the guard region (non-finite values count as leaving it)."""
+    if not (np.abs(row).max() <= guard):
+        i = int(np.abs(row).argmax())
+        raise DivergenceError(k, i, row[i], guard)
+
+
+def _check_path(x: np.ndarray, guard: float) -> None:
+    for k, row in enumerate(x):
+        _check_guard(row, k, guard)
+
+
+def _forward_sweep(model, grid, dw, y_cur, z_cur, control, guard, seed):
     dt = grid.dt
     m, n = dw.shape
     x = np.empty((m + 1, n))
     x[0] = resolve_initial(model.initial, n, seed)
+    path = SolutionTriple(x=x, y=y_cur, z=z_cur)  # x filled in node by node
     for k in range(m):
-        u_k = None if control is None else control[k]
-        own = StateView(x=x[k], y=y_cur[k], z=z_cur[k], u=u_k)
-        law = StateView(
-            x=float(x[k].mean()),
-            y=float(y_cur[k].mean()),
-            z=float(z_cur[k].mean()),
-            u=None if u_k is None else float(u_k.mean()),
-        )
+        own, law = _level_views(path, k, control)
         t = k * dt
         b = model.drift(t, law, own)
         s = model.diffusion(t, law, own)
-        if sources is not None:
-            if sources.drift is not None:
-                b = b + sources.drift[k]
-            if sources.diffusion is not None:
-                s = s + sources.diffusion[k]
         x[k + 1] = x[k] + b * dt + s * dw[k]
-        peak = np.abs(x[k + 1]).max()
-        if not (peak <= guard):
-            i = int(np.abs(x[k + 1]).argmax())
-            raise DivergenceError(k + 1, i, x[k + 1][i], guard)
+        _check_guard(x[k + 1], k + 1, guard)
     return x
 
 
-def _backward_sweep(model, grid, noise, x_path, control, sources, basis, carrier=None):
-    base_driver = model.driver
-
-    driver = base_driver
-    if sources is not None and sources.driver is not None:
-        dsrc = sources.driver
-
-        def driver(t, law, own):  # noqa: F811
-            val = 0.0 if base_driver is None else base_driver(t, law, own)
-            return val - dsrc[grid.node_index(t)]
-
-    def terminal(x_last):
-        vals = _apply_terminal(model.terminal_map, x_last)
-        if sources is not None and sources.terminal is not None:
-            vals = vals + sources.terminal
-        return vals
-
-    return solve_mf_bsde(
-        BackwardModel(driver=driver, terminal=terminal),
-        grid,
-        noise,
-        x_path,
-        basis=basis,
-        control=control,
-        carrier=carrier,
-    )
-
-
-def _picard(
+def solve_picard(
     model: CoupledModel,
     grid: TimeGrid,
     noise: BrownianPaths,
-    tol: float,
-    max_iter: int,
-    initial_guess: Optional[SolutionTriple],
-    damping: float,
-    accel_memory: int,
-    control: Optional[np.ndarray],
-    basis: Optional[RegressionBasis],
-    sources: Optional[_Sources],
-    guard: float,
+    tol: float = 1e-6,
+    max_iter: int = 50,
+    initial_guess: Optional[SolutionTriple] = None,
+    damping: float = 1.0,
+    accel_memory: int = 0,
+    control: Optional[np.ndarray] = None,
+    basis: Optional[RegressionBasis] = None,
+    guard: float = DEFAULT_GUARD,
     conditioning: Optional[np.ndarray] = None,
 ):
+    """Decoupling (Picard) iteration for a coupled model.
+
+    Each sweep simulates X forward with (Y, Z) frozen at the current
+    iterate, then re-solves the backward pair on the new state path; the
+    iteration stops when the triple-RMS change is at most ``tol``.  A
+    decoupled model therefore converges in exactly two sweeps (the second
+    only certifies the first), and an all-zero model in one.
+
+    ``damping`` < 1 relaxes the update; ``accel_memory`` > 0 switches on
+    Anderson mixing of the backward pair (used by the continuation polish;
+    both defaults leave the plain scheme untouched).  ``conditioning``
+    supplies an external regression carrier for the backward sweeps
+    (default: the current forward path); systems whose data are exogenous
+    functionals of another state path need this to avoid a carrier-feedback
+    noise floor.
+
+    Returns ``(SolutionTriple, history)`` where history is the list of
+    change norms; raises :class:`NonConvergenceError` (carrying the history
+    and last iterate) on budget exhaustion and :class:`DivergenceError` if
+    a forward sweep leaves the guard region.
+    """
     dw = noise.scalar()
     m, n = dw.shape
     if m != grid.steps:
@@ -507,16 +500,14 @@ def _picard(
         )
     else:
         cur = initial_guess
-
+    backward = BackwardModel(driver=model.driver, terminal=model.terminal_map)
     mixer = _AndersonMixer(accel_memory) if accel_memory > 0 else None
     history: list = []
     out = cur
     for _ in range(max_iter):
-        x_new = _forward_sweep(
-            model, grid, dw, cur.y, cur.z, control, sources, guard, noise.seed
-        )
-        y_new, z_new = _backward_sweep(
-            model, grid, noise, x_new, control, sources, basis, carrier=conditioning
+        x_new = _forward_sweep(model, grid, dw, cur.y, cur.z, control, guard, noise.seed)
+        y_new, z_new = solve_mf_bsde(
+            backward, grid, noise, x_new, basis=basis, control=control, carrier=conditioning
         )
         out = SolutionTriple(x=x_new, y=y_new, z=z_new)
         change = _triple_rms(out, cur)
@@ -548,58 +539,6 @@ def _picard(
     )
 
 
-def solve_picard(
-    model: CoupledModel,
-    grid: TimeGrid,
-    noise: BrownianPaths,
-    tol: float = 1e-6,
-    max_iter: int = 50,
-    initial_guess: Optional[SolutionTriple] = None,
-    damping: float = 1.0,
-    accel_memory: int = 0,
-    control: Optional[np.ndarray] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
-    conditioning: Optional[np.ndarray] = None,
-):
-    """Decoupling (Picard) iteration for a coupled model.
-
-    Each sweep simulates X forward with (Y, Z) frozen at the current
-    iterate, then re-solves the backward pair on the new state path; the
-    iteration stops when the triple-RMS change is at most ``tol``.  A
-    decoupled model therefore converges in exactly two sweeps (the second
-    only certifies the first), and an all-zero model in one.
-
-    ``damping`` < 1 relaxes the update; ``accel_memory`` > 0 switches on
-    Anderson mixing of the backward pair (used by the continuation driver;
-    both defaults leave the plain scheme untouched).  ``conditioning``
-    supplies an external regression carrier for the backward sweeps
-    (default: the current forward path); systems whose data are exogenous
-    functionals of another state path need this to avoid a carrier-feedback
-    noise floor.
-
-    Returns ``(SolutionTriple, history)`` where history is the list of
-    change norms; raises :class:`NonConvergenceError` (carrying the history
-    and last iterate) on budget exhaustion and :class:`DivergenceError` if
-    a forward sweep leaves the guard region.
-    """
-    return _picard(
-        model,
-        grid,
-        noise,
-        tol=tol,
-        max_iter=max_iter,
-        initial_guess=initial_guess,
-        damping=damping,
-        accel_memory=accel_memory,
-        control=control,
-        basis=basis,
-        sources=None,
-        guard=guard,
-        conditioning=conditioning,
-    )
-
-
 # ======================================================================
 # Continuation in the blend parameter
 # ======================================================================
@@ -609,18 +548,17 @@ def solve_picard(
 class ContinuationSchedule:
     """Homotopy schedule.
 
-    ``step`` is the blend increment (checkpoints hit 1 exactly);
-    ``inner_tol`` / ``inner_max_iter`` govern the source iteration at each
-    level; a failing segment is retried with its step halved, at most
-    ``max_halvings`` times across the whole run.  ``picard_tol`` /
-    ``picard_max_iter`` / ``accel_memory`` tune the seed-preconditioned
-    sweeps inside each level.  ``polish_max_iter`` caps the final plain
-    decoupling polish at full blend (0 disables it).
+    ``step`` is the blend increment (checkpoints hit 1 exactly).  Each
+    level is one seed-preconditioned fixed point, run to ``picard_tol``
+    within ``picard_max_iter`` sweeps with ``accel_memory`` Anderson
+    history vectors; a failing segment is retried with its step halved, at
+    most ``max_halvings`` times across the whole run.  ``inner_tol`` is the
+    tolerance of the final plain decoupling polish at full blend and
+    ``polish_max_iter`` caps its sweeps (0 disables it).
     """
 
     step: float = 0.1
     inner_tol: float = 1e-6
-    inner_max_iter: int = 60
     max_halvings: int = 4
     picard_tol: float = 1e-8
     picard_max_iter: int = 120
@@ -632,7 +570,7 @@ class ContinuationSchedule:
             raise ConfigError(f"continuation step must lie in (0, 1], got {self.step}")
         if self.inner_tol <= 0 or self.picard_tol <= 0:
             raise ConfigError("tolerances must be positive")
-        if self.inner_max_iter < 1 or self.picard_max_iter < 1:
+        if self.picard_max_iter < 1:
             raise ConfigError("iteration caps must be >= 1")
         if self.max_halvings < 0:
             raise ConfigError("max_halvings must be >= 0")
@@ -640,26 +578,13 @@ class ContinuationSchedule:
             raise ConfigError("polish_max_iter must be >= 0")
 
 
-def _level_views(tri: SolutionTriple, k: int, control, grid):
-    u_k = None if control is None else (control[k] if k < control.shape[0] else control[-1])
-    own = StateView(x=tri.x[k], y=tri.y[k], z=tri.z[k], u=u_k)
-    law = StateView(
-        x=float(tri.x[k].mean()),
-        y=float(tri.y[k].mean()),
-        z=float(tri.z[k].mean()),
-        u=None if u_k is None else float(u_k.mean()),
-    )
-    return own, law
-
-
-def _blend_sources(model, tri, grid, weight, control):
+def _blend_sources(model, tri, grid, weight, control) -> LinearInhomogeneity:
     """Weighted difference between the model and the canonical pair,
     evaluated on a frozen solution triple and packaged as additive sources.
 
     Because  a*coef + (1-a)*canonical = canonical + a*(coef - canonical),
     the a-blend of the model equals the canonical pair driven by these
-    sources at weight a; the same construction at weight delta gives the
-    level-advance sources of the continuation.
+    sources at weight a.
     """
     m = grid.steps
     n = tri.particles
@@ -668,7 +593,7 @@ def _blend_sources(model, tri, grid, weight, control):
     diff_src = np.empty((m, n))
     drv_src = np.empty((m, n))
     for k in range(m):
-        own, law = _level_views(tri, k, control, grid)
+        own, law = _level_views(tri, k, control)
         t = k * dt
         b_full = np.broadcast_to(np.asarray(model.drift(t, law, own), dtype=float), (n,))
         s_full = np.broadcast_to(np.asarray(model.diffusion(t, law, own), dtype=float), (n,))
@@ -681,33 +606,11 @@ def _blend_sources(model, tri, grid, weight, control):
         # enters the integrand as "- driver_source"
         drv_src[k] = -weight * (f_full - tri.x[k].mean() - tri.x[k])
     term_src = weight * (_apply_terminal(model.terminal_map, tri.x[m]) - tri.x[m])
-    return _Sources(drift=drift_src, diffusion=diff_src, driver=drv_src, terminal=term_src)
-
-
-def _combine_sources(a: Optional[_Sources], b: Optional[_Sources]) -> Optional[_Sources]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-
-    def add(u, v):
-        if u is None:
-            return v
-        if v is None:
-            return u
-        return u + v
-
-    return _Sources(
-        drift=add(a.drift, b.drift),
-        diffusion=add(a.diffusion, b.diffusion),
-        driver=add(a.driver, b.driver),
-        terminal=add(a.terminal, b.terminal),
-    )
-
-
-def _zero_triple(m: int, n: int) -> SolutionTriple:
-    return SolutionTriple(
-        x=np.zeros((m + 1, n)), y=np.zeros((m + 1, n)), z=np.zeros((m + 1, n))
+    return LinearInhomogeneity(
+        drift_source=drift_src,
+        diffusion_source=diff_src,
+        driver_source=drv_src,
+        terminal_shift=term_src,
     )
 
 
@@ -716,17 +619,17 @@ def _seed_iteration(
     grid: TimeGrid,
     noise: BrownianPaths,
     weight: float,
-    ext: Optional[_Sources],
-    warm: Optional[SolutionTriple],
+    warm: SolutionTriple,
     tol: float,
     max_iter: int,
     memory: int,
     control: Optional[np.ndarray],
     basis: Optional[RegressionBasis],
+    guard: float,
     conditioning: Optional[np.ndarray] = None,
 ):
-    """Solve the ``weight``-blend of the model (plus external sources) by a
-    seed-preconditioned fixed point.
+    """Solve the ``weight``-blend of the model by a seed-preconditioned
+    fixed point, warm-started at ``warm``.
 
     Each sweep freezes the non-canonical bracket -- the weighted difference
     between the model coefficients and the canonical pair -- at the current
@@ -734,22 +637,15 @@ def _seed_iteration(
     :func:`solve_linear_seed`.  Handling the stiff canonical core implicitly
     keeps the sweep map's spectrum small (it vanishes entirely at weight 0
     and for canonical-equal models); Anderson mixing covers blends whose
-    bracket is not a plain contraction.
+    bracket is not a plain contraction.  Every sweep's state path is
+    checked against ``guard``.
     """
-    dw = noise.scalar()
-    m, n = dw.shape
-    cur = warm if warm is not None else _zero_triple(m, n)
+    cur = warm
     mixer = _AndersonMixer(memory) if memory > 0 else None
     history: list = []
     out = cur
     for _ in range(max_iter):
-        src = _combine_sources(_blend_sources(model, cur, grid, weight, control), ext)
-        inhom = LinearInhomogeneity(
-            drift_source=src.drift,
-            diffusion_source=src.diffusion,
-            driver_source=src.driver,
-            terminal_shift=src.terminal,
-        )
+        inhom = _blend_sources(model, cur, grid, weight, control)
         if conditioning is not None:
             cond = conditioning
         else:
@@ -757,6 +653,7 @@ def _seed_iteration(
         out, _ = solve_linear_seed(
             inhom, grid, noise, x0=model.initial, basis=basis, conditioning=cond
         )
+        _check_path(out.x, guard)
         change = _triple_rms(out, cur)
         history.append(change)
         if not np.isfinite(change):
@@ -789,48 +686,6 @@ def _seed_iteration(
     )
 
 
-def _continuation_step(
-    model, grid, noise, alpha0, delta, start, sched, basis, control, guard,
-    conditioning=None,
-):
-    """Advance the homotopy from alpha0 to alpha0 + delta via the source
-    iteration; returns (solution, inner change history).
-
-    Outer loop: freeze the delta-weighted advance sources at the current
-    iterate.  Inner solve: the alpha0-blend with those sources, via the
-    seed-preconditioned fixed point (exact in one sweep at alpha0 = 0).
-    """
-    cur = start
-    changes: list = []
-    for _ in range(sched.inner_max_iter):
-        sources = _blend_sources(model, cur, grid, delta, control)
-        nxt, _ = _seed_iteration(
-            model,
-            grid,
-            noise,
-            weight=alpha0,
-            ext=sources,
-            warm=cur,
-            tol=sched.picard_tol,
-            max_iter=sched.picard_max_iter,
-            memory=sched.accel_memory,
-            control=control,
-            basis=basis,
-            conditioning=conditioning,
-        )
-        change = _triple_rms(nxt, cur)
-        changes.append(change)
-        cur = nxt
-        if change <= sched.inner_tol:
-            return cur, changes
-    raise NonConvergenceError(
-        f"continuation source iteration stalled at blend {alpha0:.3f} "
-        f"(+{delta:.3f}); last change {changes[-1]:.3e}",
-        history=changes,
-        last=cur,
-    )
-
-
 def solve_continuation(
     model: CoupledModel,
     grid: TimeGrid,
@@ -845,14 +700,22 @@ def solve_continuation(
 
     Starts from the constructive linear seed at blend 0, then repeatedly
     advances the blend by the schedule step, warm-starting each level from
-    the previous solution.  Each advance runs a source iteration whose
-    fixed point solves the next blend level; if it stalls (or a sweep
-    diverges) the failing segment is retried with the step halved, up to
-    ``schedule.max_halvings`` halvings overall.
+    the previous solution.  Each level is solved directly by one
+    seed-preconditioned fixed point at its blend weight (budget:
+    ``picard_tol`` / ``picard_max_iter`` / ``accel_memory``); if it does not
+    converge, or a sweep leaves the guard region, the failing segment is
+    retried with the step halved, up to ``schedule.max_halvings`` halvings
+    overall.  ``step=1`` therefore solves the target in one fixed point and
+    falls back to shorter segments only on failure.
+
+    ``guard`` bounds |X| on the seed solution, on every level sweep and in
+    the polish.  A seed outside it raises :class:`DivergenceError` at once;
+    a breach at a level fails that segment, and once the halvings run out
+    it is the ``__cause__`` of the final :class:`NonConvergenceError`.
 
     After full blend is reached, a decoupling polish (:func:`solve_picard`
     warm-started at the homotopy output with the schedule's Anderson
-    memory, run to the schedule's inner tolerance) is attempted.  Where
+    memory, run to the schedule's ``inner_tol``) is attempted.  Where
     the — possibly accelerated — decoupling map converges, this lands the
     answer on the fixed point of the standard discrete scheme, so the two
     solver routes agree to solver tolerance there (the homotopy acting as
@@ -862,7 +725,7 @@ def solve_continuation(
     diverges outright the polish fails fast and the homotopy
     representation is returned unchanged; the attempt is recorded in the
     log either way.  The polish deliberately does not chase tolerances
-    below the inner tolerance: the decoupling map's regression noise modes
+    below ``inner_tol``: the decoupling map's regression noise modes
     carry a weak feedback instability, so it has a resolution-dependent
     change floor (around 1e-7 at desk scales) below which sweeps no longer
     contract.
@@ -873,27 +736,39 @@ def solve_continuation(
     systems; equations driven by exogenous random data (frozen arrays from
     another trajectory) need the generating path here, since their own
     forward variable cannot explain those data and the carrier-feedback
-    noise floor then sits far above the inner tolerances.
+    noise floor then sits far above the solver tolerances.
 
-    Returns ``(SolutionTriple, log)`` where the log is a list of per-level
-    dicts (blend reached, inner change norms, halving events, polish
-    outcome).
+    Returns ``(SolutionTriple, log)``.  The log is a list of dicts:
+    ``{"alpha": 0.0, "seed": True}``, then ``{"alpha", "changes"}`` per
+    accepted level (its sweep change norms), ``{"alpha", "halved_to"}`` per
+    failed segment, and ``{"alpha": 1.0, "polish"}`` holding the polish
+    change norms or ``"rejected"`` when the polish runs.
     """
     sched = schedule or ContinuationSchedule()
-    seed_sol, seed_log = solve_linear_seed(
+    cur, _ = solve_linear_seed(
         LinearInhomogeneity(), grid, noise, x0=model.initial, basis=basis,
         conditioning=conditioning,
     )
+    _check_path(cur.x, guard)
     log: list = [{"alpha": 0.0, "seed": True}]
-    cur = seed_sol
     alpha = 0.0
     delta = sched.step
     halvings = 0
     while alpha < 1.0 - 1e-12:
         step = min(delta, 1.0 - alpha)
         try:
-            nxt, changes = _continuation_step(
-                model, grid, noise, alpha, step, cur, sched, basis, control, guard,
+            nxt, changes = _seed_iteration(
+                model,
+                grid,
+                noise,
+                weight=alpha + step,
+                warm=cur,
+                tol=sched.picard_tol,
+                max_iter=sched.picard_max_iter,
+                memory=sched.accel_memory,
+                control=control,
+                basis=basis,
+                guard=guard,
                 conditioning=conditioning,
             )
         except (NonConvergenceError, DivergenceError, RegressionError) as exc:
@@ -975,7 +850,7 @@ def residual(
     fwd = np.empty((m, n))
     bwd = np.empty((m, n))
     for k in range(m):
-        own, law = _level_views(sol, k, control, grid)
+        own, law = _level_views(sol, k, control)
         t = k * dt
         b = model.drift(t, law, own)
         s = model.diffusion(t, law, own)

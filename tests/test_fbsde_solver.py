@@ -323,10 +323,54 @@ def test_continuation_fails_cleanly_on_nonmonotone_model():
         initial=0.5,
     )
     sched = ContinuationSchedule(
-        step=0.5, inner_max_iter=5, picard_max_iter=8, max_halvings=2
+        step=0.5, picard_max_iter=8, max_halvings=2
     )
     with pytest.raises((NonConvergenceError, DivergenceError)):
         solve_continuation(bad, g, w, schedule=sched)
+
+
+def test_continuation_recovers_by_halving():
+    # a direct jump to full blend exhausts the sweep budget; the ladder
+    # halves twice and the unpolished level fixed point solves the target
+    g = make_time_grid(1.0, 16)
+    w = sample_brownian(g, EnsembleConfig(particles=256, seed=2))
+    model = _scaled_model()
+    sched = ContinuationSchedule(step=1.0, picard_max_iter=8, polish_max_iter=0)
+    sol, log = solve_continuation(model, g, w, schedule=sched)
+    alphas = [rec["alpha"] for rec in log]
+    assert any("halved_to" in rec for rec in log)
+    assert alphas[-1] == pytest.approx(1.0)
+    assert max(alphas) <= 1.0 + 1e-12
+    rep = residual(model, sol, g, w)
+    assert rep.forward <= 1e-8
+    assert rep.terminal <= 1e-8
+
+
+def test_continuation_guard_checks_seed():
+    g, w = _grid_noise(32)
+    sched = ContinuationSchedule(polish_max_iter=0, max_halvings=0)
+    with pytest.raises(DivergenceError) as err:
+        solve_continuation(_canonical_model(), g, w, guard=1e-3, schedule=sched)
+    assert err.value.step == 0  # |X_0| = 0.3 already breaches the guard
+
+
+def test_continuation_guard_breach_at_level_fails_the_ladder():
+    # the seed stays inside the guard (|X| <= 0.3); the pushed drift
+    # carries the full-blend solution out of it (|X| up to ~0.53)
+    pushed = CoupledModel(
+        drift=lambda t, law, own: 2.0 - law.y - own.y,
+        diffusion=lambda t, law, own: -law.z - own.z,
+        driver=lambda t, law, own: law.x + own.x,
+        terminal_map=lambda xT: xT,
+        initial=0.3,
+    )
+    g, w = _grid_noise(16, n=64)
+    sched = ContinuationSchedule(step=0.5, max_halvings=1)
+    sol, _ = solve_continuation(pushed, g, w, schedule=sched)
+    assert np.abs(sol.x).max() > 0.5
+    with pytest.raises(NonConvergenceError) as err:
+        solve_continuation(pushed, g, w, guard=0.4, schedule=sched)
+    assert isinstance(err.value.__cause__, DivergenceError)
 
 
 def test_schedule_validation():
