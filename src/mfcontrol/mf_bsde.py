@@ -21,10 +21,20 @@ level of Y from the target variance: the integrand estimate then degrades
 with the conditional spread of Y[k+1], not with its magnitude, and a constant
 terminal yields Z = 0 exactly.  The terminal Z node is not identified by the
 scheme and is set to Z[M-1].
+
+Each sweep builds its regression plan before the node loop: the features of
+every node in one ``basis.features`` call on the carrier stack [M, N], the
+Gram stack [M, B, B], and the ridge-escalated normal matrices of every node in
+one batched pass (one batched condition-number evaluation, then re-evaluation
+of only the nodes that still fail the limit).  The node loop hands each node's
+matrix to :func:`regress_conditional_expectation` as ``normal=`` and does only
+the Y solve, the Z solve and the driver.  The plan changes no arithmetic: the
+sweep equals the per-node fits exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -52,12 +62,19 @@ MAX_RIDGE_ESCALATIONS = 8
 COND_LIMIT = 1e12
 
 
+def _check_ridge(value: float, what: str) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ConfigError(f"{what} must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class RegressionBasis:
     """Feature map for conditional-expectation regressions.
 
-    ``features(x)`` maps a conditioning snapshot [N] to a design matrix
-    [N, B].  ``ridge_scale`` sets the ridge weight lambda = ridge_scale * N.
+    ``features(x)`` maps conditioning snapshots [..., N] to design matrices
+    [..., N, B], treating each snapshot along the last axis on its own, so
+    ``features(stack)[k]`` equals ``features(stack[k])``.  ``ridge_scale``
+    (finite, >= 0) sets the ridge weight lambda = ridge_scale * N.
     """
 
     features: Callable[[np.ndarray], np.ndarray]
@@ -65,24 +82,37 @@ class RegressionBasis:
     ridge_scale: float = 1e-8
     name: str = "basis"
 
+    def __post_init__(self):
+        if not self.size >= 1:
+            raise ConfigError(f"basis size must be >= 1, got {self.size}")
+        _check_ridge(self.ridge_scale, "ridge_scale")
+
 
 def default_polynomial_basis(degree: int = 3, ridge_scale: float = 1e-8) -> RegressionBasis:
     """Constant plus polynomials up to ``degree`` in the standardized state.
 
-    Standardizing the conditioning values (same span, better conditioning)
-    keeps the normal equations well-scaled without changing what the basis
-    can represent.
+    Each snapshot (the last axis of ``x``) is standardized by its own mean
+    and spread; a constant snapshot is only centered.  Standardizing keeps
+    the normal equations well-scaled without changing what the basis can
+    represent.
     """
     if degree < 0:
         raise ConfigError(f"degree must be >= 0, got {degree}")
 
     def features(x: np.ndarray) -> np.ndarray:
-        spread = x.std()
-        if spread > 0.0:
-            z = (x - x.mean()) / spread
-        else:
-            z = x - x.mean()
-        return np.polynomial.polynomial.polyvander(z, degree)
+        # x.std() and polyvander(z, degree), written out to skip their
+        # temporaries on a whole carrier stack; the values are the same bits
+        centered = x - x.mean(axis=-1, keepdims=True)
+        spread = np.sqrt(
+            np.add.reduce(centered * centered, axis=-1, keepdims=True) / x.shape[-1]
+        )
+        powers = np.empty((degree + 1,) + x.shape)
+        powers[0] = 1.0
+        if degree:
+            np.divide(centered, np.where(spread > 0.0, spread, 1.0), out=powers[1])
+        for i in range(2, degree + 1):
+            np.multiply(powers[i - 1], powers[1], out=powers[i])
+        return np.moveaxis(powers, 0, -1)
 
     return RegressionBasis(
         features=features,
@@ -92,43 +122,75 @@ def default_polynomial_basis(degree: int = 3, ridge_scale: float = 1e-8) -> Regr
     )
 
 
+def _ridge_escalated_normals(gram: np.ndarray, ridge: float) -> np.ndarray:
+    """Normal matrices gram + lambda I for a Gram stack [..., B, B].
+
+    Every system starts at lambda = ``ridge``; a system whose condition
+    number is non-finite or above ``COND_LIMIT`` has its own lambda
+    multiplied by 10, at most ``MAX_RIDGE_ESCALATIONS`` times, after which a
+    :class:`RegressionError` carries the worst condition number left.
+    """
+    b = gram.shape[-1]
+    stack = gram.reshape(-1, b, b)
+    eye = np.eye(b)
+    lam = np.full(len(stack), float(ridge))
+    normal = stack + lam[:, None, None] * eye
+    cond = np.linalg.cond(normal)
+    todo = np.flatnonzero(~(np.isfinite(cond) & (cond <= COND_LIMIT)))
+    for _ in range(MAX_RIDGE_ESCALATIONS):
+        if todo.size == 0:
+            break
+        lam[todo] = np.maximum(lam[todo], 1e-300) * 10.0
+        normal[todo] = stack[todo] + lam[todo, None, None] * eye
+        cond[todo] = np.linalg.cond(normal[todo])
+        todo = todo[~(np.isfinite(cond[todo]) & (cond[todo] <= COND_LIMIT))]
+    if todo.size:
+        worst = float(cond[todo].max())
+        raise RegressionError(
+            f"conditional-expectation regression ill-conditioned (cond ~ {worst:.3e}) "
+            f"even after {MAX_RIDGE_ESCALATIONS} ridge escalations",
+            condition_number=worst,
+        )
+    return normal.reshape(gram.shape)
+
+
 def regress_conditional_expectation(
     features: np.ndarray,
     targets: np.ndarray,
     ridge: float,
+    normal: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Ridge-regularized least squares, returning basis coefficients.
 
     Solves (F'F + lambda I) c = F' targets; on an ill-conditioned system the
     ridge weight is escalated by factors of 10 (at most
     ``MAX_RIDGE_ESCALATIONS`` times) before a :class:`RegressionError` is
-    raised carrying the offending condition number.
+    raised carrying the offending condition number.  ``ridge`` must be
+    finite and >= 0.
 
     ``targets`` may be [N] or [N, R] for several regressions sharing one
-    design matrix.
+    design matrix.  ``normal`` [B, B], if given, is the escalated matrix
+    F'F + lambda I already built for these features (as a sweep's regression
+    plan builds it); the fit then only forms F' targets and solves, with the
+    same result as without it.
     """
+    _check_ridge(ridge, "ridge")
     f = np.asarray(features, dtype=float)
     if f.ndim != 2:
         raise ConfigError(f"features must be 2-d, got shape {f.shape}")
-    gram = f.T @ f
-    rhs = f.T @ np.asarray(targets, dtype=float)
-    lam = float(ridge)
-    eye = np.eye(f.shape[1])
-    cond = np.inf
-    for _ in range(MAX_RIDGE_ESCALATIONS + 1):
-        g = gram + lam * eye
-        cond = np.linalg.cond(g)
-        if np.isfinite(cond) and cond <= COND_LIMIT:
-            try:
-                return np.linalg.solve(g, rhs)
-            except np.linalg.LinAlgError:
-                pass  # fall through to escalation
-        lam = max(lam, 1e-300) * 10.0
-    raise RegressionError(
-        f"conditional-expectation regression ill-conditioned (cond ~ {cond:.3e}) "
-        f"even after {MAX_RIDGE_ESCALATIONS} ridge escalations",
-        condition_number=cond,
-    )
+    if normal is None:
+        normal = _ridge_escalated_normals(f.T @ f, ridge)
+    elif normal.shape != (f.shape[1], f.shape[1]):
+        raise ConfigError(
+            f"normal has shape {normal.shape}, expected {(f.shape[1], f.shape[1])}"
+        )
+    try:
+        return np.linalg.solve(normal, f.T @ np.asarray(targets, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise RegressionError(
+            f"conditional-expectation regression failed: {exc}",
+            condition_number=np.inf,
+        ) from exc
 
 
 Terminal = Union[np.ndarray, float, Callable[[np.ndarray], np.ndarray]]
@@ -180,7 +242,9 @@ def solve_mf_bsde(
         Adapted path threaded into the driver's ``own.x`` / ``law.x`` slots
         and the terminal map (and regressed on, unless ``carrier`` is given).
     basis : RegressionBasis, optional
-        Defaults to the standardized cubic-polynomial basis.
+        Defaults to the standardized cubic-polynomial basis.  Its
+        ``features`` map receives the carrier nodes 0..M-1 as one stack
+        [M, N].
     control : array [M, N], optional
         Threaded into the driver's ``own.u`` / ``law.u`` slots.
     inner_passes : int
@@ -221,14 +285,27 @@ def solve_mf_bsde(
     z = np.empty((m + 1, n))
     y[m] = _terminal_values(model.terminal, conditioning[m], n)
 
+    # regression plan: every node's features and escalated normal matrix
+    feats = basis.features(carrier[:m])
+    if feats.shape != (m, n, basis.size):
+        raise ConfigError(
+            f"basis {basis.name!r} gave features of shape {feats.shape} for a "
+            f"carrier stack of shape {(m, n)}; expected {(m, n, basis.size)}"
+        )
+    normals = _ridge_escalated_normals(np.swapaxes(feats, -1, -2) @ feats, lam)
+    x_means = conditioning[:m].mean(axis=1)
+    u_means = None if control is None else control.mean(axis=1)
+
     for k in range(m - 1, -1, -1):
-        feats = basis.features(carrier[k])
-        ey = feats @ regress_conditional_expectation(feats, y[k + 1], lam)
+        f_k, normal = feats[k], normals[k]
+        ey = f_k @ regress_conditional_expectation(f_k, y[k + 1], lam, normal=normal)
         # integrand fit on level-centered targets (control variate: the
         # in-span shift leaves the estimand unchanged, kills the Y-level
         # component of the target noise)
-        zfit = regress_conditional_expectation(feats, (y[k + 1] - ey) * dw[k], lam)
-        z[k] = (feats @ zfit) / dt
+        zfit = regress_conditional_expectation(
+            f_k, (y[k + 1] - ey) * dw[k], lam, normal=normal
+        )
+        z[k] = (f_k @ zfit) / dt
 
         if model.driver is None:
             y[k] = ey
@@ -237,9 +314,9 @@ def solve_mf_bsde(
         t = k * dt
         x_k = conditioning[k]
         u_k = None if control is None else control[k]
-        x_mean = float(x_k.mean())
+        x_mean = float(x_means[k])
         z_mean = float(z[k].mean())
-        u_mean = None if u_k is None else float(u_k.mean())
+        u_mean = None if u_means is None else float(u_means[k])
         y_val = y[k + 1]  # predictor: implicit Y evaluated at the k+1 values
         for _ in range(inner_passes + 1):
             law = StateView(x=x_mean, y=float(y_val.mean()), z=z_mean, u=u_mean)

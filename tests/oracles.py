@@ -3,9 +3,15 @@
 Everything here is deliberately implemented with different numerics than the
 package (dense RK4, shooting, augmented least squares, naive python loops),
 so agreement between the two is meaningful evidence and not a tautology.
+The one exception is ``per_node_mf_bsde``: the loop version of the package's
+batched backward sweep, with the same arithmetic, against which the sweep is
+required to agree exactly.
 """
 
 import numpy as np
+
+from mfcontrol.core import StateView
+from mfcontrol.mf_bsde import regress_conditional_expectation
 
 
 # ----------------------------------------------------------------------
@@ -83,6 +89,46 @@ def ridge_lstsq_oracle(features, targets, lam):
     rhs = np.concatenate([t, np.zeros(pad_shape)])
     coef, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
     return coef
+
+
+def per_node_mf_bsde(model, grid, noise, conditioning, basis, control=None,
+                     inner_passes=1, carrier=None):
+    """The least-squares Monte Carlo backward sweep as a plain loop over
+    nodes: each node builds its own features and each fit its own
+    ridge-escalated normal matrix (no shared per-sweep plan).  Returns
+    (Y, Z), arrays [M+1, N]."""
+    dw = noise.scalar()
+    m, n = dw.shape
+    carrier = conditioning if carrier is None else carrier
+    dt = grid.dt
+    lam = basis.ridge_scale * n
+    y = np.empty((m + 1, n))
+    z = np.empty((m + 1, n))
+    terminal = model.terminal
+    if callable(terminal):
+        y[m] = terminal(conditioning[m])
+    else:
+        y[m] = terminal
+    for k in range(m - 1, -1, -1):
+        feats = basis.features(carrier[k])
+        ey = feats @ regress_conditional_expectation(feats, y[k + 1], lam)
+        zfit = regress_conditional_expectation(feats, (y[k + 1] - ey) * dw[k], lam)
+        z[k] = (feats @ zfit) / dt
+        if model.driver is None:
+            y[k] = ey
+            continue
+        x_k = conditioning[k]
+        u_k = None if control is None else control[k]
+        u_mean = None if u_k is None else float(u_k.mean())
+        y_val = y[k + 1]
+        for _ in range(inner_passes + 1):
+            law = StateView(x=float(x_k.mean()), y=float(y_val.mean()),
+                            z=float(z[k].mean()), u=u_mean)
+            own = StateView(x=x_k, y=y_val, z=z[k], u=u_k)
+            y_val = ey + model.driver(k * dt, law, own) * dt
+        y[k] = y_val
+    z[m] = z[m - 1]
+    return y, z
 
 
 def operator_norm(mat):

@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
 
-from mfcontrol.core import EnsembleConfig, RegressionError, make_time_grid, sample_brownian
+from mfcontrol.core import (
+    ConfigError,
+    EnsembleConfig,
+    RegressionError,
+    make_time_grid,
+    sample_brownian,
+)
 from mfcontrol.mf_bsde import (
     BackwardModel,
+    RegressionBasis,
     default_polynomial_basis,
     regress_conditional_expectation,
     solve_mf_bsde,
 )
 
-from oracles import ridge_lstsq_oracle
+from oracles import per_node_mf_bsde, ridge_lstsq_oracle
 
 
 def test_regression_matches_augmented_lstsq_oracle():
@@ -120,3 +127,89 @@ def test_terminal_z_copies_last_interior_node():
     cond = w.cumulative()
     y, z = solve_mf_bsde(BackwardModel(driver=None, terminal=lambda xT: xT), g, w, cond)
     assert np.array_equal(z[-1], z[-2])
+
+
+@pytest.mark.parametrize("ridge", [-1e-3, -0.5, np.nan, np.inf])
+def test_bad_ridge_weights_are_rejected(ridge):
+    with pytest.raises(ConfigError):
+        default_polynomial_basis(ridge_scale=ridge)
+    feats = default_polynomial_basis().features(np.random.default_rng(0).normal(size=400))
+    with pytest.raises(ConfigError):
+        regress_conditional_expectation(feats, np.ones(400), ridge)
+
+
+def test_empty_basis_is_rejected():
+    with pytest.raises(ConfigError):
+        RegressionBasis(features=lambda x: x[..., None], size=0)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3])
+def test_features_of_a_stack_equal_features_of_each_snapshot(degree):
+    basis = default_polynomial_basis(degree)
+    stack = np.random.default_rng(7).normal(size=(5, 300))
+    stack[2] = 0.7  # a constant snapshot is centered, not scaled
+    feats = basis.features(stack)
+    assert feats.shape == (5, 300, basis.size)
+    for k in range(5):
+        assert np.array_equal(feats[k], basis.features(stack[k]))
+        row = stack[k]
+        spread = row.std()
+        z = (row - row.mean()) / spread if spread > 0.0 else row - row.mean()
+        assert np.array_equal(feats[k], np.polynomial.polynomial.polyvander(z, degree))
+
+
+def test_regression_with_precomputed_normal_matrix_is_unchanged():
+    rng = np.random.default_rng(8)
+    feats = default_polynomial_basis().features(rng.normal(size=600))
+    targets = rng.normal(size=600)
+    lam = 1e-8 * 600
+    normal = feats.T @ feats + lam * np.eye(feats.shape[1])
+    assert np.array_equal(
+        regress_conditional_expectation(feats, targets, lam, normal=normal),
+        regress_conditional_expectation(feats, targets, lam),
+    )
+    with pytest.raises(ConfigError):
+        regress_conditional_expectation(feats, targets, lam, normal=normal[:2, :2])
+    with pytest.raises(RegressionError):  # a singular solve fails typed
+        regress_conditional_expectation(feats, targets, lam, normal=np.zeros_like(normal))
+
+
+def _constant_node_path(w):
+    # constant at node 0 (as every LQ fixture's state is) and at node 3
+    path = 0.5 + w.cumulative()
+    path[3] = -1.25
+    return path
+
+
+@pytest.mark.parametrize("ridge_scale", [1e-8, 1e-14])
+@pytest.mark.parametrize("separate_carrier", [False, True])
+def test_sweep_equals_per_node_loop_exactly(ridge_scale, separate_carrier):
+    # at ridge 1e-14 only the constant nodes need ridge escalation, so this
+    # also pins that escalation is decided node by node
+    g, w = _grid_noise(8, 256, seed=9)
+    cond = _constant_node_path(w)
+    carrier = np.cos(cond) + cond if separate_carrier else None
+    u = np.random.default_rng(10).normal(size=(8, 256))
+    model = BackwardModel(
+        driver=lambda t, law, own: 0.3 * law.y - 0.2 * own.y + own.z * law.u
+        + law.x * own.u - 0.1 * own.x * law.z,
+        terminal=lambda xT: np.sin(xT),
+    )
+    basis = default_polynomial_basis(ridge_scale=ridge_scale)
+    kwargs = dict(basis=basis, control=u, inner_passes=1, carrier=carrier)
+    y, z = solve_mf_bsde(model, g, w, cond, **kwargs)
+    y_ref, z_ref = per_node_mf_bsde(model, g, w, cond, **kwargs)
+    assert np.array_equal(y, y_ref)
+    assert np.array_equal(z, z_ref)
+
+
+def test_sweep_without_ridge_fails_typed_on_a_constant_node():
+    g, w = _grid_noise(8, 256, seed=11)
+    basis = default_polynomial_basis(ridge_scale=0.0)
+    with pytest.raises(RegressionError) as err:
+        solve_mf_bsde(
+            BackwardModel(driver=None, terminal=lambda xT: xT), g, w,
+            _constant_node_path(w), basis=basis,
+        )
+    assert np.isfinite(err.value.condition_number)
+    assert err.value.condition_number > 0
