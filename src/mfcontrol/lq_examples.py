@@ -57,6 +57,7 @@ from mfcontrol.core import (
     DivergenceError,
     EnsembleConfig,
     NonConvergenceError,
+    RegressionError,
     StateView,
     TimeGrid,
     make_time_grid,
@@ -76,6 +77,7 @@ from mfcontrol.mf_bsde import RegressionBasis
 from mfcontrol.smp_control import (
     AdjointTriple,
     ControlModel,
+    _rms,
     as_control,
     check_sufficiency,
     cost,
@@ -147,10 +149,6 @@ def _check_sign(name: str, vals: np.ndarray, positive: bool) -> None:
             f"coefficient '{name}' must be < 0 on [0, T]; "
             f"sampled maximum {vals.max():g}"
         )
-
-
-def _rms(a: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(a))))
 
 
 # ======================================================================
@@ -757,8 +755,10 @@ def _solve_state_warm(
     small step away from a solution already in hand, so for coupled
     models an Anderson-accelerated decoupling iteration warm-started
     there is usually enough; the homotopy solver remains the fallback
-    whenever that iteration fails to contract.  Decoupled models just
-    use the sequential solve.
+    whenever that iteration fails with the errors the continuation retries
+    on (no contraction, divergence, a failed regression).  Its Anderson
+    memory is the schedule's.  Decoupled models just use the sequential
+    solve.
     """
 
     if not model.coupled or warm is None:
@@ -773,11 +773,12 @@ def _solve_state_warm(
     try:
         sol, _ = solve_picard(
             encoded, grid, noise, tol=1e-7, max_iter=60,
-            initial_guess=warm, accel_memory=6, control=u,
-            basis=basis, guard=guard,
+            initial_guess=warm,
+            accel_memory=(schedule or ContinuationSchedule()).accel_memory,
+            control=u, basis=basis, guard=guard,
         )
         return sol
-    except (NonConvergenceError, DivergenceError):
+    except (NonConvergenceError, DivergenceError, RegressionError):
         return solve_state(model, u, grid, noise, schedule, basis, guard)
 
 

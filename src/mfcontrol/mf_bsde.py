@@ -122,6 +122,17 @@ def default_polynomial_basis(degree: int = 3, ridge_scale: float = 1e-8) -> Regr
     )
 
 
+def _condition_numbers(stack: np.ndarray) -> np.ndarray:
+    """2-norm condition numbers of a stack [S, B, B]; a system with a
+    non-finite entry (a NaN or inf in its carrier) counts as inf instead of
+    failing the SVD."""
+    cond = np.full(len(stack), np.inf)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if finite.any():
+        cond[finite] = np.linalg.cond(stack[finite])
+    return cond
+
+
 def _ridge_escalated_normals(gram: np.ndarray, ridge: float) -> np.ndarray:
     """Normal matrices gram + lambda I for a Gram stack [..., B, B].
 
@@ -135,14 +146,14 @@ def _ridge_escalated_normals(gram: np.ndarray, ridge: float) -> np.ndarray:
     eye = np.eye(b)
     lam = np.full(len(stack), float(ridge))
     normal = stack + lam[:, None, None] * eye
-    cond = np.linalg.cond(normal)
+    cond = _condition_numbers(normal)
     todo = np.flatnonzero(~(np.isfinite(cond) & (cond <= COND_LIMIT)))
     for _ in range(MAX_RIDGE_ESCALATIONS):
         if todo.size == 0:
             break
         lam[todo] = np.maximum(lam[todo], 1e-300) * 10.0
         normal[todo] = stack[todo] + lam[todo, None, None] * eye
-        cond[todo] = np.linalg.cond(normal[todo])
+        cond[todo] = _condition_numbers(normal[todo])
         todo = todo[~(np.isfinite(cond[todo]) & (cond[todo] <= COND_LIMIT))]
     if todo.size:
         worst = float(cond[todo].max())

@@ -5,7 +5,9 @@ package (dense RK4, shooting, augmented least squares, naive python loops),
 so agreement between the two is meaningful evidence and not a tautology.
 The one exception is ``per_node_mf_bsde``: the loop version of the package's
 batched backward sweep, with the same arithmetic, against which the sweep is
-required to agree exactly.
+required to agree exactly.  ``LstsqAndersonMixer`` is the dense version of
+the package's Gram-updated Anderson mixer: it rebuilds the difference
+matrices every step and solves the tall least-squares problem directly.
 """
 
 import numpy as np
@@ -129,6 +131,45 @@ def per_node_mf_bsde(model, grid, noise, conditioning, basis, control=None,
         y[k] = y_val
     z[m] = z[m - 1]
     return y, z
+
+
+# ----------------------------------------------------------------------
+# Anderson mixing
+# ----------------------------------------------------------------------
+
+
+class LstsqAndersonMixer:
+    """Type-II Anderson mixing with the history kept as a list of
+    (iterate, map output) pairs: every step rebuilds the [L, memory]
+    difference matrices and solves the tall least-squares problem by
+    ``np.linalg.lstsq``.  Same contract as the package mixer: a singular
+    solve or a non-finite gamma returns g."""
+
+    def __init__(self, memory):
+        self.memory = int(memory)
+        self.us = []
+        self.gs = []
+
+    def step(self, u, g):
+        self.us.append(u)
+        self.gs.append(g)
+        if len(self.us) > self.memory + 1:
+            self.us.pop(0)
+            self.gs.pop(0)
+        if len(self.us) < 2:
+            return g
+        res = [gi - ui for ui, gi in zip(self.us, self.gs)]
+        d_res = np.column_stack([res[j + 1] - res[j] for j in range(len(res) - 1)])
+        d_g = np.column_stack(
+            [self.gs[j + 1] - self.gs[j] for j in range(len(self.gs) - 1)]
+        )
+        try:
+            gamma, *_ = np.linalg.lstsq(d_res, res[-1], rcond=None)
+        except np.linalg.LinAlgError:
+            return g
+        if not np.all(np.isfinite(gamma)):
+            return g
+        return g - d_g @ gamma
 
 
 def operator_norm(mat):

@@ -6,6 +6,7 @@ from mfcontrol.core import (
     DivergenceError,
     EnsembleConfig,
     NonConvergenceError,
+    RegressionError,
     StateView,
     make_time_grid,
     sample_brownian,
@@ -15,6 +16,7 @@ from mfcontrol.fbsde_solver import (
     CoupledModel,
     LinearInhomogeneity,
     SolutionTriple,
+    _AndersonMixer,
     homotopy_coefficients,
     negate_forward_model,
     residual,
@@ -25,7 +27,7 @@ from mfcontrol.fbsde_solver import (
 from mfcontrol.forward_mv import ForwardModel, simulate_forward
 from mfcontrol.mf_bsde import BackwardModel, default_polynomial_basis, solve_mf_bsde
 
-from oracles import linear_seed_mean_oracle
+from oracles import LstsqAndersonMixer, linear_seed_mean_oracle
 
 
 def _grid_noise(m=32, n=512, seed=2, horizon=1.0):
@@ -252,6 +254,67 @@ def test_picard_reports_history_on_budget_exhaustion():
         solve_picard(_scaled_model(), g, w, max_iter=3)
     assert len(err.value.history) == 3
     assert err.value.last is not None
+
+
+# ----------------------------------------------------------------------
+# Anderson mixer
+# ----------------------------------------------------------------------
+
+
+def _slow_affine_map(size=300, rate=0.97, seed=5):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(size, size))
+    a *= rate / np.linalg.norm(a, 2)
+    b = rng.normal(size=size)
+    return lambda u: a @ u + b
+
+
+@pytest.mark.parametrize("memory", [1, 4])
+def test_anderson_mixer_matches_lstsq_oracle(memory):
+    # 15 steps through a ring of `memory` slots: the ring wraps, and every
+    # iterate must match the dense tall-lstsq mixer
+    fmap = _slow_affine_map()
+    mixer, oracle = _AndersonMixer(memory), LstsqAndersonMixer(memory)
+    u = v = np.zeros(300)
+    for _ in range(15):
+        u, v = mixer.step(u, fmap(u)), oracle.step(v, fmap(v))
+        assert np.linalg.norm(u - v) <= 1e-10 * np.linalg.norm(v)
+    assert np.linalg.norm(fmap(u) - u) < 1e-3 * np.linalg.norm(fmap(np.zeros(300)))
+
+
+def test_anderson_mixer_repeated_iterate_stays_finite():
+    # a repeated iterate writes a zero difference row: the Gram matrix is
+    # singular, and the min-norm solve must still give finite iterates
+    # that keep matching the oracle
+    fmap = _slow_affine_map(seed=6)
+    mixer, oracle = _AndersonMixer(3), LstsqAndersonMixer(3)
+    u = v = np.zeros(300)
+    for i in range(8):
+        if i == 2:  # the next step sees this iterate a second time
+            mixer.step(u, fmap(u))
+            oracle.step(v, fmap(v))
+        u, v = mixer.step(u, fmap(u)), oracle.step(v, fmap(v))
+        assert np.all(np.isfinite(u))
+        assert np.linalg.norm(u - v) <= 1e-10 * np.linalg.norm(v)
+
+
+def test_anderson_mixer_returns_map_output_on_nonfinite_gamma(monkeypatch):
+    rng = np.random.default_rng(7)
+    u0, g0, u1, g1 = rng.normal(size=(4, 50))
+
+    mixer = _AndersonMixer(3)
+    mixer.step(u0, g0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = mixer.step(u1 * 1e200, g1 * 1e200)  # the Gram system overflows
+    assert np.array_equal(out, g1 * 1e200)
+
+    def nan_lstsq(a, b, rcond=None):
+        return np.full(a.shape[1], np.nan), None, 0, None
+
+    monkeypatch.setattr(np.linalg, "lstsq", nan_lstsq)
+    mixer = _AndersonMixer(3)
+    mixer.step(u0, g0)
+    assert mixer.step(u1, g1) is g1
 
 
 # ----------------------------------------------------------------------

@@ -13,9 +13,11 @@ from mfcontrol.core import (
     ConfigError,
     EnsembleConfig,
     NonConvergenceError,
+    RegressionError,
     make_time_grid,
     sample_brownian,
 )
+from mfcontrol import lq_examples
 from mfcontrol.fbsde_solver import ContinuationSchedule
 from mfcontrol.hypothesis_check import check_H4, check_H5, check_H6
 from mfcontrol.lq_examples import (
@@ -271,6 +273,28 @@ def test_deviation_check_accepts_candidate_rejects_offset():
     bad = deviation_check(model, u + 0.8, grid, noise, n_deviations=6)
     assert not bad.passed
     assert bad.worst_margin < 0.0
+
+
+def test_deviation_check_falls_back_to_continuation_on_regression_error(monkeypatch):
+    # the warm decoupling pass of a coupled deviation fails with a
+    # RegressionError: the continuation must take over, as it does for
+    # non-convergence and divergence, and the pass uses the schedule's memory
+    grid, noise = _grid_noise(4, 256, horizon=0.25, seed=3)
+    model = lq2_model(LQ2Params())
+    schedule = ContinuationSchedule(accel_memory=3)
+    seen = []
+
+    def failing_picard(*args, **kwargs):
+        seen.append(kwargs["accel_memory"])
+        raise RegressionError("ill-conditioned", condition_number=np.inf)
+
+    monkeypatch.setattr(lq_examples, "solve_picard", failing_picard)
+    rep = deviation_check(
+        model, 0.1, grid, noise, n_deviations=2, schedule=schedule
+    )
+    assert seen == [3, 3]
+    assert len(rep.records) == 2
+    assert np.isfinite(rep.worst_margin)
 
 
 def test_variational_margin_flags_suboptimal_control():

@@ -49,6 +49,15 @@ def test_regression_escalates_then_fails_on_rank_deficiency():
     assert err.value.condition_number > 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_regression_fails_typed_on_nonfinite_features(bad):
+    feats = np.random.default_rng(3).normal(size=(64, 3))
+    feats[5, 1] = bad
+    with pytest.raises(RegressionError) as err:
+        regress_conditional_expectation(feats, np.ones(64), 1e-8)
+    assert err.value.condition_number == np.inf
+
+
 def test_constant_targets_reproduced():
     # tower property: a constant sits in the basis span, so the fitted
     # conditional expectation is the constant (up to ridge shrinkage)
@@ -213,3 +222,15 @@ def test_sweep_without_ridge_fails_typed_on_a_constant_node():
         )
     assert np.isfinite(err.value.condition_number)
     assert err.value.condition_number > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sweep_fails_typed_on_nonfinite_carrier(bad):
+    # a NaN (or inf) in the carrier is a failed regression, which a
+    # continuation rung can retry, not a numpy error that ends the solve
+    g, w = _grid_noise(4, 64)
+    cond = w.cumulative()
+    cond[2, 7] = bad
+    with pytest.raises(RegressionError) as err, np.errstate(invalid="ignore"):
+        solve_mf_bsde(BackwardModel(driver=None, terminal=1.0), g, w, cond)
+    assert err.value.condition_number == np.inf
