@@ -181,6 +181,14 @@ def _terminal_array(shift, n: int) -> np.ndarray:
 # ======================================================================
 
 
+def _check_guard(row: np.ndarray, k: int, guard: float) -> None:
+    """Raise :class:`DivergenceError` if node ``k`` of a state path leaves
+    the guard region (non-finite values count as leaving it)."""
+    if not (np.abs(row).max() <= guard):
+        i = int(np.abs(row).argmax())
+        raise DivergenceError(k, i, row[i], guard)
+
+
 def solve_linear_seed(
     inhom: LinearInhomogeneity,
     grid: TimeGrid,
@@ -188,6 +196,7 @@ def solve_linear_seed(
     x0: Initial = 0.0,
     basis: Optional[RegressionBasis] = None,
     conditioning: Optional[np.ndarray] = None,
+    guard: float = DEFAULT_GUARD,
 ):
     """Solve the canonical linear-monotone pair with additive sources.
 
@@ -222,6 +231,10 @@ def solve_linear_seed(
         Regression state for the auxiliary sweep.  Defaults to the running
         Brownian path; continuation passes the current iterate's state path
         (whose fixed point carries the sources' information).
+    guard : float
+        Divergence guard on |X|, checked node by node in the forward pass
+        (node 0 included); the first breach raises :class:`DivergenceError`
+        with its step, particle and value.
 
     Returns
     -------
@@ -262,10 +275,12 @@ def solve_linear_seed(
     dt = grid.dt
     x = np.empty((m + 1, n))
     x[0] = resolve_initial(x0, n, noise.seed)
+    _check_guard(x[0], 0, guard)
     for k in range(m):
         drift = -x[k].mean() - x[k] - y_aux[k].mean() - y_aux[k] + gam[k]
         diff = -z_aux[k].mean() - z_aux[k] + vphi[k]
         x[k + 1] = x[k] + drift * dt + diff * dw[k]
+        _check_guard(x[k + 1], k + 1, guard)
 
     sol = SolutionTriple(x=x, y=y_aux + x, z=z_aux)
     return sol, {"auxiliary_y": y_aux}
@@ -446,19 +461,6 @@ def _level_views(tri: SolutionTriple, k: int, control):
     return own, law
 
 
-def _check_guard(row: np.ndarray, k: int, guard: float) -> None:
-    """Raise :class:`DivergenceError` if node ``k`` of a state path leaves
-    the guard region (non-finite values count as leaving it)."""
-    if not (np.abs(row).max() <= guard):
-        i = int(np.abs(row).argmax())
-        raise DivergenceError(k, i, row[i], guard)
-
-
-def _check_path(x: np.ndarray, guard: float) -> None:
-    for k, row in enumerate(x):
-        _check_guard(row, k, guard)
-
-
 def _forward_sweep(model, grid, dw, y_cur, z_cur, control, guard, seed):
     dt = grid.dt
     m, n = dw.shape
@@ -522,6 +524,11 @@ def solve_picard(
             x=np.zeros((m + 1, n)), y=np.zeros((m + 1, n)), z=np.zeros((m + 1, n))
         )
     else:
+        shapes = [np.shape(a) for a in (initial_guess.x, initial_guess.y, initial_guess.z)]
+        if any(shape != (m + 1, n) for shape in shapes):
+            raise ConfigError(
+                f"initial guess has (x, y, z) shapes {shapes}, expected {(m + 1, n)} each"
+            )
         cur = initial_guess
     backward = BackwardModel(driver=model.driver, terminal=model.terminal_map)
     mixer = _AndersonMixer(accel_memory) if accel_memory > 0 else None
@@ -674,9 +681,9 @@ def _seed_iteration(
         else:
             cond = cur.x if float(np.ptp(cur.x)) > 0.0 else None
         out, _ = solve_linear_seed(
-            inhom, grid, noise, x0=model.initial, basis=basis, conditioning=cond
+            inhom, grid, noise, x0=model.initial, basis=basis, conditioning=cond,
+            guard=guard,
         )
-        _check_path(out.x, guard)
         change = _triple_rms(out, cur)
         history.append(change)
         if not np.isfinite(change):
@@ -770,9 +777,8 @@ def solve_continuation(
     sched = schedule or ContinuationSchedule()
     cur, _ = solve_linear_seed(
         LinearInhomogeneity(), grid, noise, x0=model.initial, basis=basis,
-        conditioning=conditioning,
+        conditioning=conditioning, guard=guard,
     )
-    _check_path(cur.x, guard)
     log: list = [{"alpha": 0.0, "seed": True}]
     alpha = 0.0
     delta = sched.step

@@ -359,11 +359,11 @@ def deviation_test(
 
     For each player, ``n_deviations`` random admissible profile
     deviations of their own control (opponent held fixed) re-solve the
-    shared state and compare costs particle by particle on the common
-    noise.  A deviation clears when mean(cost change) + 3*SE >= 0; the
-    per-player summary records the minimum sampled cost change and the
-    worst margin, and the test passes when every deviation of both
-    players clears.
+    shared state, warm-started from the state at ``controls``, and compare
+    costs particle by particle on the common noise.  A deviation clears
+    when mean(cost change) + 3*SE >= 0; the per-player summary records the
+    minimum sampled cost change and the worst margin, and the test passes
+    when every deviation of both players clears.
     """
 
     u1, u2 = _pair(game, controls, grid, noise.particles)
@@ -382,7 +382,7 @@ def deviation_test(
             v = game.project(i)(u_own + _profile(grid, rng, radius))
             state_v = solve_state(
                 model, v, grid, noise,
-                schedule=schedule, basis=basis, guard=guard,
+                schedule=schedule, basis=basis, guard=guard, warm=base_state,
             )
             pair_v = (v, u2) if i == 1 else (u1, v)
             diff = (

@@ -54,22 +54,15 @@ import numpy as np
 from mfcontrol.core import (
     BrownianPaths,
     ConfigError,
-    DivergenceError,
     EnsembleConfig,
     NonConvergenceError,
-    RegressionError,
     StateView,
     TimeGrid,
     make_time_grid,
     sample_brownian,
     view_means,
 )
-from mfcontrol.fbsde_solver import (
-    ContinuationSchedule,
-    CoupledModel,
-    SolutionTriple,
-    solve_picard,
-)
+from mfcontrol.fbsde_solver import ContinuationSchedule, CoupledModel
 from mfcontrol.forward_mv import DEFAULT_GUARD
 from mfcontrol.games import GameModel
 from mfcontrol.hypothesis_check import check_H4, check_H5, check_H6
@@ -587,6 +580,11 @@ def _candidate_fixed_point(
     ``tol`` in ensemble RMS), which is stricter than the damped step
     size.  ``formula(k, t, adjoint) -> [N]`` evaluates the feedback at
     node k.
+
+    The first iteration solves the state and adjoint cold; each later one
+    warm-starts both from the previous iteration's solutions, one damped
+    step away, so a coupled model runs the continuation's polish instead
+    of a full homotopy (see :func:`mfcontrol.smp_control.solve_state`).
     """
 
     if not (0.0 < damping <= 1.0):
@@ -594,9 +592,12 @@ def _candidate_fixed_point(
     u = np.zeros((grid.steps, noise.particles))
     history: List[dict] = []
     gap = np.inf
+    state = adj = None
     for it in range(max_iter):
-        state = solve_state(model, u, grid, noise, schedule, basis, guard)
-        adj = solve_adjoint(model, u, state, grid, noise, schedule, basis, guard)
+        state = solve_state(model, u, grid, noise, schedule, basis, guard, warm=state)
+        adj = solve_adjoint(
+            model, u, state, grid, noise, schedule, basis, guard, warm=adj
+        )
         proposal = np.empty_like(u)
         for k in range(grid.steps):
             proposal[k] = formula(k, float(grid.nodes[k]), adj)
@@ -739,49 +740,6 @@ def _profile_bank(grid: TimeGrid, rng: np.random.Generator, radius: float):
     return radius * prof[:, None]
 
 
-def _solve_state_warm(
-    model: ControlModel,
-    u: np.ndarray,
-    grid: TimeGrid,
-    noise: BrownianPaths,
-    warm: Optional[SolutionTriple],
-    schedule: Optional[ContinuationSchedule],
-    basis: Optional[RegressionBasis],
-    guard: float,
-) -> SolutionTriple:
-    """State solve that tries a warm accelerated decoupling pass first.
-
-    Deviation sampling re-solves the state dozens of times at controls a
-    small step away from a solution already in hand, so for coupled
-    models an Anderson-accelerated decoupling iteration warm-started
-    there is usually enough; the homotopy solver remains the fallback
-    whenever that iteration fails with the errors the continuation retries
-    on (no contraction, divergence, a failed regression).  Its Anderson
-    memory is the schedule's.  Decoupled models just use the sequential
-    solve.
-    """
-
-    if not model.coupled or warm is None:
-        return solve_state(model, u, grid, noise, schedule, basis, guard)
-    encoded = CoupledModel(
-        drift=model.drift,
-        diffusion=model.diffusion,
-        driver=model.driver,
-        terminal_map=model.terminal_map,
-        initial=model.initial,
-    )
-    try:
-        sol, _ = solve_picard(
-            encoded, grid, noise, tol=1e-7, max_iter=60,
-            initial_guess=warm,
-            accel_memory=(schedule or ContinuationSchedule()).accel_memory,
-            control=u, basis=basis, guard=guard,
-        )
-        return sol
-    except (NonConvergenceError, DivergenceError, RegressionError):
-        return solve_state(model, u, grid, noise, schedule, basis, guard)
-
-
 @dataclass(frozen=True)
 class DeviationReport:
     """Outcome of paired cost-deviation sampling around a candidate."""
@@ -810,9 +768,9 @@ def deviation_check(
 
     Each deviation adds a random deterministic time profile (constant
     plus one Fourier mode, amplitude up to ``radius``) to the candidate,
-    projects back onto the admissible set, re-solves the state, and
-    compares costs *particle by particle* on the shared noise.  The
-    deviation passes when
+    projects back onto the admissible set, re-solves the state (warm-started
+    from the candidate's state), and compares costs *particle by particle*
+    on the shared noise.  The deviation passes when
 
         mean(cost_dev - cost_cand) + 3 * SE >= 0,
 
@@ -831,8 +789,8 @@ def deviation_check(
     for i in range(n_deviations):
         delta = _profile_bank(grid, rng, radius)
         v = model.project(u + delta)
-        state_v = _solve_state_warm(
-            model, v, grid, noise, base_state, schedule, basis, guard
+        state_v = solve_state(
+            model, v, grid, noise, schedule, basis, guard, warm=base_state
         )
         diff = _per_particle_cost(model, v, state_v, grid) - base_j
         mean = float(diff.mean())

@@ -45,6 +45,9 @@ import numpy as np
 from mfcontrol.core import (
     BrownianPaths,
     ConfigError,
+    DivergenceError,
+    NonConvergenceError,
+    RegressionError,
     StateView,
     TimeGrid,
     view_means,
@@ -59,6 +62,7 @@ from mfcontrol.fbsde_solver import (
     _apply_terminal,
     negate_forward_model,
     solve_continuation,
+    solve_picard,
 )
 
 __all__ = [
@@ -289,6 +293,46 @@ def _rms(a: np.ndarray) -> float:
 # ======================================================================
 
 
+def _solve_coupled(
+    model: CoupledModel,
+    grid: TimeGrid,
+    noise: BrownianPaths,
+    schedule: Optional[ContinuationSchedule],
+    basis: Optional[RegressionBasis],
+    guard: float,
+    warm: Optional[SolutionTriple],
+    control: Optional[np.ndarray] = None,
+    conditioning: Optional[np.ndarray] = None,
+) -> SolutionTriple:
+    """Coupled solve, warm-started when a nearby solution is in hand.
+
+    The continuation is what makes the solve converge from a cold start;
+    from ``warm`` only its final polish is needed: the same
+    Anderson-accelerated :func:`solve_picard` call (``inner_tol``,
+    ``polish_max_iter``, ``accel_memory``), so both routes land on the same
+    discrete fixed point.  If that pass fails with an error the
+    continuation retries on, the continuation runs from its seed.  With
+    ``polish_max_iter == 0`` the cold route returns the unpolished homotopy
+    solution, which a warm pass would not reproduce, so ``warm`` is unused.
+    """
+    sched = schedule or ContinuationSchedule()
+    if warm is not None and sched.polish_max_iter > 0:
+        try:
+            sol, _ = solve_picard(
+                model, grid, noise, tol=sched.inner_tol, max_iter=sched.polish_max_iter,
+                initial_guess=warm, accel_memory=sched.accel_memory, control=control,
+                basis=basis, guard=guard, conditioning=conditioning,
+            )
+            return sol
+        except (NonConvergenceError, DivergenceError, RegressionError):
+            pass
+    sol, _ = solve_continuation(
+        model, grid, noise, schedule=schedule, basis=basis, control=control,
+        guard=guard, conditioning=conditioning,
+    )
+    return sol
+
+
 def solve_state(
     model: ControlModel,
     u,
@@ -297,6 +341,7 @@ def solve_state(
     schedule: Optional[ContinuationSchedule] = None,
     basis: Optional[RegressionBasis] = None,
     guard: float = DEFAULT_GUARD,
+    warm: Optional[SolutionTriple] = None,
 ) -> SolutionTriple:
     """Solve the controlled state system for an admissible control.
 
@@ -318,6 +363,16 @@ def solve_state(
         Conditional-expectation basis for backward passes.
     guard : float
         Divergence guard radius.
+    warm : SolutionTriple, optional
+        State solution at a nearby control on the same noise.  A coupled
+        solve then runs only the continuation's polish from there (an
+        Anderson-accelerated decoupling iteration to ``inner_tol``) and
+        falls back to the full continuation if that fails to converge,
+        diverges or hits a failed regression.  ``warm`` is unused for
+        decoupled models, which the sequential pass solves exactly, and
+        when ``schedule.polish_max_iter == 0``, where the cold route
+        returns the unpolished homotopy solution.  Its arrays must be
+        [M+1, N] (:class:`ConfigError` otherwise).
 
     Returns
     -------
@@ -334,10 +389,7 @@ def solve_state(
             terminal_map=model.terminal_map,
             initial=model.initial,
         )
-        sol, _ = solve_continuation(
-            cm, grid, noise, schedule=schedule, basis=basis, control=u, guard=guard
-        )
-        return sol
+        return _solve_coupled(cm, grid, noise, schedule, basis, guard, warm, control=u)
     fwd = ForwardModel(drift=model.drift, diffusion=model.diffusion, initial=model.initial)
     x = simulate_forward(fwd, grid, noise, control=u, guard=guard)
     y, z = solve_mf_bsde(
@@ -402,6 +454,7 @@ def solve_adjoint(
     basis: Optional[RegressionBasis] = None,
     guard: float = DEFAULT_GUARD,
     certify: bool = False,
+    warm: Optional[AdjointTriple] = None,
 ) -> AdjointTriple:
     """Solve the adjoint system (p, q, Q) along a solved trajectory.
 
@@ -435,6 +488,13 @@ def solve_adjoint(
         Coupled-route solver knobs.
     certify : bool
         Run the monotonicity probe (off by default).
+    warm : AdjointTriple, optional
+        Adjoint at a nearby control (or along a nearby state) on the same
+        noise.  As in :func:`solve_state`, a coupled solve then runs only
+        the continuation's polish from it, with the continuation as the
+        fallback; it is unused for decoupled models (solved exactly by the
+        forward Q pass and one backward pass) and when
+        ``schedule.polish_max_iter == 0``.
 
     Returns
     -------
@@ -565,13 +625,9 @@ def solve_adjoint(
             warning = f"adjoint monotonicity probe found pairing ratio {worst:.3e}"
     # the adjoint's data are exogenous functionals of the state trajectory,
     # so the state path carries the regressions
-    sol, _ = solve_continuation(
-        negate_forward_model(adj_model),
-        grid,
-        noise,
-        schedule=schedule,
-        basis=basis,
-        guard=guard,
+    guess = None if warm is None else SolutionTriple(x=-warm.Q, y=warm.p, z=warm.q)
+    sol = _solve_coupled(
+        negate_forward_model(adj_model), grid, noise, schedule, basis, guard, guess,
         conditioning=state.x,
     )
     return AdjointTriple(p=sol.y, q=sol.z, Q=-sol.x, warning=warning)
@@ -811,7 +867,9 @@ def projected_gradient_descent(
     ``J(candidate) <= J(u) - slope * <grad, u - candidate>``.  Because the
     noise is frozen, the cost is a deterministic function of the control,
     so the history is genuinely monotone.  Step-size underflow stops the
-    run with a ``"stagnated"`` status entry instead of raising.
+    run with a ``"stagnated"`` status entry instead of raising.  Coupled
+    solves are warm-started: every Armijo trial's state from the current
+    state, and each iteration's adjoint from the previous iteration's.
 
     Parameters
     ----------
@@ -843,9 +901,11 @@ def projected_gradient_descent(
     state = solve_state(model, u, grid, noise, schedule=schedule, basis=basis, guard=guard)
     value = cost(model, u, grid, noise, state=state)
     history: list = []
+    adjoint = None
     for it in range(steps):
         adjoint = solve_adjoint(
-            model, u, state, grid, noise, schedule=schedule, basis=basis, guard=guard
+            model, u, state, grid, noise, schedule=schedule, basis=basis, guard=guard,
+            warm=adjoint,
         )
         grad = smp_gradient(
             model, u, grid, noise, state=state, adjoint=adjoint,
@@ -869,7 +929,8 @@ def projected_gradient_descent(
             candidate = np.asarray(model.project(u - eta * grad), dtype=float)
             decrease = slope * _pairing(grid, grad, u - candidate)
             cand_state = solve_state(
-                model, candidate, grid, noise, schedule=schedule, basis=basis, guard=guard
+                model, candidate, grid, noise, schedule=schedule, basis=basis, guard=guard,
+                warm=state,
             )
             cand_value = cost(model, candidate, grid, noise, state=cand_state)
             if cand_value <= value - decrease:

@@ -8,12 +8,15 @@ batched backward sweep, with the same arithmetic, against which the sweep is
 required to agree exactly.  ``LstsqAndersonMixer`` is the dense version of
 the package's Gram-updated Anderson mixer: it rebuilds the difference
 matrices every step and solves the tall least-squares problem directly.
+``cold_candidate_fixed_point`` is the candidate loop with every state and
+adjoint solved cold, the reference for the warm-started package loop.
 """
 
 import numpy as np
 
 from mfcontrol.core import StateView
 from mfcontrol.mf_bsde import regress_conditional_expectation
+from mfcontrol.smp_control import solve_adjoint, solve_state
 
 
 # ----------------------------------------------------------------------
@@ -170,6 +173,34 @@ class LstsqAndersonMixer:
         if not np.all(np.isfinite(gamma)):
             return g
         return g - d_g @ gamma
+
+
+# ----------------------------------------------------------------------
+# Candidate fixed point
+# ----------------------------------------------------------------------
+
+
+def cold_candidate_fixed_point(model, formula, grid, noise, damping=0.5, tol=1e-6,
+                               max_iter=200, schedule=None):
+    """Damped iteration u <- (1-damping) u + damping * formula(adjoints(u))
+    from u = 0, with the state and the adjoint of every iteration solved
+    cold (a full continuation for coupled models).  Stops on the undamped
+    gap |formula(u) - u| <= tol.  Returns (u, gaps); raises AssertionError
+    when ``max_iter`` runs out."""
+    u = np.zeros((grid.steps, noise.particles))
+    gaps = []
+    for _ in range(max_iter):
+        state = solve_state(model, u, grid, noise, schedule=schedule)
+        adj = solve_adjoint(model, u, state, grid, noise, schedule=schedule)
+        proposal = np.stack(
+            [formula(k, float(grid.nodes[k]), adj) for k in range(grid.steps)]
+        )
+        proposal = model.project(proposal)
+        gaps.append(float(np.sqrt(np.mean(np.square(proposal - u)))))
+        u = (1.0 - damping) * u + damping * proposal
+        if gaps[-1] <= tol:
+            return u, gaps
+    raise AssertionError(f"cold candidate loop did not converge: last gap {gaps[-1]:.3e}")
 
 
 def operator_norm(mat):

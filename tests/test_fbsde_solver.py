@@ -130,6 +130,19 @@ def test_seed_rejects_bad_source_shape():
         )
 
 
+@pytest.mark.parametrize("source", [1e14, 1e307], ids=["finite", "overflowing"])
+def test_seed_guard_stops_a_runaway_forward_pass(source):
+    # a drift source of 1e14 pushes X past the default guard (1e12) in the
+    # first step; one of 1e307 overflows the auxiliary backward sweep, and
+    # without the guard the seed returned that NaN path
+    g, w = _grid_noise(8, n=64)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+        solve_linear_seed(LinearInhomogeneity(drift_source=source), g, w)
+    assert err.value.step == 1
+    assert 0 <= err.value.particle < 64
+    assert not (abs(err.value.value) <= err.value.guard)
+
+
 # ----------------------------------------------------------------------
 # homotopy blends
 # ----------------------------------------------------------------------
@@ -254,6 +267,16 @@ def test_picard_reports_history_on_budget_exhaustion():
         solve_picard(_scaled_model(), g, w, max_iter=3)
     assert len(err.value.history) == 3
     assert err.value.last is not None
+
+
+@pytest.mark.parametrize("shape", [(5, 65), (4, 64), (5, 1)])
+def test_picard_rejects_misshaped_initial_guess(shape):
+    # [M+1, N+1] and [M, N] used to fail inside numpy's broadcasting, and
+    # [M+1, 1] broadcast silently into a wrong first sweep
+    g, w = _grid_noise(4, n=64)
+    guess = SolutionTriple(x=np.zeros(shape), y=np.zeros(shape), z=np.zeros(shape))
+    with pytest.raises(ConfigError, match=r"\(5, 64\)"):
+        solve_picard(_canonical_model(), g, w, initial_guess=guess)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from mfcontrol.core import (
     make_time_grid,
     sample_brownian,
 )
-from mfcontrol import lq_examples
+from mfcontrol import smp_control
 from mfcontrol.fbsde_solver import ContinuationSchedule
 from mfcontrol.hypothesis_check import check_H4, check_H5, check_H6
 from mfcontrol.lq_examples import (
@@ -36,6 +36,8 @@ from mfcontrol.lq_examples import (
     verify_example,
 )
 from mfcontrol.smp_control import cost, smp_gradient, solve_state
+
+from oracles import cold_candidate_fixed_point
 
 
 def _grid_noise(m, n, horizon=1.0, seed=7):
@@ -121,6 +123,25 @@ def test_lq2_candidate_vanishes_without_control_coupling():
     u, history = lq2_candidate(params, grid, noise)
     assert np.all(u == 0.0)
     assert len(history) == 1
+
+
+def test_lq2_candidate_matches_cold_loop():
+    # the warm-started candidate loop against the loop that solves every
+    # iteration's state and adjoint cold (the default parameters are
+    # constants: controls 0.1, control weight 1)
+    params = replace(LQ2Params(), horizon=0.25)
+    grid, noise = _grid_noise(8, 256, horizon=0.25, seed=3)
+    model = lq2_model(params)
+
+    def formula(k, t, adj):
+        return -0.1 * (adj.p[k] + adj.q[k] - adj.Q[k])
+
+    ref, ref_gaps = cold_candidate_fixed_point(model, formula, grid, noise)
+    u, history = lq2_candidate(params, grid, noise)
+    assert len(history) == len(ref_gaps)
+    assert np.sqrt(np.mean((u - ref) ** 2)) <= 1e-6
+    j, j_ref = cost(model, u, grid, noise), cost(model, ref, grid, noise)
+    assert abs(j - j_ref) <= 1e-8 * abs(j_ref)
 
 
 def test_lq2_candidate_formula_scales_with_control_weight():
@@ -288,7 +309,7 @@ def test_deviation_check_falls_back_to_continuation_on_regression_error(monkeypa
         seen.append(kwargs["accel_memory"])
         raise RegressionError("ill-conditioned", condition_number=np.inf)
 
-    monkeypatch.setattr(lq_examples, "solve_picard", failing_picard)
+    monkeypatch.setattr(smp_control, "solve_picard", failing_picard)
     rep = deviation_check(
         model, 0.1, grid, noise, n_deviations=2, schedule=schedule
     )

@@ -7,8 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcontrol.core import ConfigError, EnsembleConfig, StateView, make_time_grid, sample_brownian
-from mfcontrol.fbsde_solver import SolutionTriple
+from mfcontrol import smp_control
+from mfcontrol.core import (
+    ConfigError,
+    DivergenceError,
+    EnsembleConfig,
+    NonConvergenceError,
+    RegressionError,
+    StateView,
+    make_time_grid,
+    sample_brownian,
+)
+from mfcontrol.fbsde_solver import ContinuationSchedule, SolutionTriple
+from mfcontrol.lq_examples import LQ2Params, lq2_model
 from mfcontrol.forward_mv import ForwardModel, simulate_forward
 from mfcontrol.mf_bsde import BackwardModel, solve_mf_bsde
 from mfcontrol.smp_control import (
@@ -326,6 +337,113 @@ def test_coupled_and_decoupled_adjoints_agree():
     adj_c = solve_adjoint(cpl, u, state_d, grid, noise)
     for a, b in ((adj_d.p, adj_c.p), (adj_d.q, adj_c.q), (adj_d.Q, adj_c.Q)):
         assert np.allclose(a, b, atol=1e-10)
+
+
+# ======================================================================
+# warm-started state and adjoint solves
+# ======================================================================
+
+
+def _rms(a):
+    return float(np.sqrt(np.mean(np.square(a))))
+
+
+def _lq2_pair(seed=3):
+    """The coupled LQ2 model on a short grid, its state and adjoint solved
+    cold at u = 0.3 (the warm start) and u = 0.35 (the target)."""
+    grid, noise = _grid_noise(m=8, n=256, horizon=0.25, seed=seed)
+    model = lq2_model(LQ2Params(horizon=0.25))
+    state0 = solve_state(model, 0.3, grid, noise)
+    adj0 = solve_adjoint(model, 0.3, state0, grid, noise)
+    state1 = solve_state(model, 0.35, grid, noise)
+    adj1 = solve_adjoint(model, 0.35, state1, grid, noise)
+    return grid, noise, model, (state0, adj0), (state1, adj1)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("unexpected solver call")
+
+
+def test_warm_coupled_solves_agree_with_cold(monkeypatch):
+    # The warm pass and the continuation's polish stop at the same change
+    # tolerance (inner_tol = 1e-6) from different sides of the fixed point.
+    # Measured over noise seeds 0-5: the solutions differ by at most 2.9e-7
+    # RMS (state) and 3.2e-8 RMS (adjoint), while the 0.05 control step
+    # moves them by ~2.6e-3 and ~4.5e-3.
+    grid, noise, model, (state0, adj0), (state1, adj1) = _lq2_pair()
+    monkeypatch.setattr(smp_control, "solve_continuation", _must_not_run)
+    state = solve_state(model, 0.35, grid, noise, warm=state0)
+    adj = solve_adjoint(model, 0.35, state1, grid, noise, warm=adj0)
+    for warm, cold in ((state.x, state1.x), (state.y, state1.y), (state.z, state1.z)):
+        assert _rms(warm - cold) <= 1e-6
+    for warm, cold in ((adj.p, adj1.p), (adj.q, adj1.q), (adj.Q, adj1.Q)):
+        assert _rms(warm - cold) <= 3e-7
+    assert _rms(state1.y - state0.y) > 1e-3  # the warm start is not the answer
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        NonConvergenceError("no contraction", history=[1.0]),
+        DivergenceError(3, 0, 1e13, 1e12),
+        RegressionError("ill-conditioned", condition_number=np.inf),
+    ],
+    ids=["nonconvergence", "divergence", "regression"],
+)
+def test_failed_warm_start_falls_back_to_cold_continuation(monkeypatch, error):
+    grid, noise, model, (state0, adj0), (state1, adj1) = _lq2_pair()
+    calls = []
+
+    def failing_picard(*args, **kwargs):
+        calls.append(kwargs["initial_guess"])
+        raise error
+
+    monkeypatch.setattr(smp_control, "solve_picard", failing_picard)
+    state = solve_state(model, 0.35, grid, noise, warm=state0)
+    adj = solve_adjoint(model, 0.35, state1, grid, noise, warm=adj0)
+    assert len(calls) == 2
+    for warm, cold in ((state.x, state1.x), (state.y, state1.y), (state.z, state1.z),
+                       (adj.p, adj1.p), (adj.q, adj1.q), (adj.Q, adj1.Q)):
+        assert np.array_equal(warm, cold)
+
+
+def test_warm_start_unused_without_polish(monkeypatch):
+    # polish_max_iter = 0: the cold route returns the unpolished homotopy
+    # solution, so a warm pass would land elsewhere; it must not run
+    grid, noise, model, (state0, adj0), _ = _lq2_pair()
+    sched = ContinuationSchedule(polish_max_iter=0)
+    cold = solve_state(model, 0.35, grid, noise, schedule=sched)
+    adj_cold = solve_adjoint(model, 0.35, cold, grid, noise, schedule=sched)
+    monkeypatch.setattr(smp_control, "solve_picard", _must_not_run)
+    state = solve_state(model, 0.35, grid, noise, schedule=sched, warm=state0)
+    adj = solve_adjoint(model, 0.35, cold, grid, noise, schedule=sched, warm=adj0)
+    for a, b in ((state.x, cold.x), (state.y, cold.y), (state.z, cold.z),
+                 (adj.p, adj_cold.p), (adj.q, adj_cold.q), (adj.Q, adj_cold.Q)):
+        assert np.array_equal(a, b)
+
+
+def test_warm_start_changes_nothing_for_decoupled_models():
+    grid, noise = _grid_noise(m=8, n=128, seed=5)
+    model = _affine_model()
+    state0 = solve_state(model, 0.1, grid, noise)
+    adj0 = solve_adjoint(model, 0.1, state0, grid, noise)
+    cold = solve_state(model, 0.4, grid, noise)
+    adj_cold = solve_adjoint(model, 0.4, cold, grid, noise)
+    state = solve_state(model, 0.4, grid, noise, warm=state0)
+    adj = solve_adjoint(model, 0.4, cold, grid, noise, warm=adj0)
+    for a, b in ((state.x, cold.x), (state.y, cold.y), (state.z, cold.z),
+                 (adj.p, adj_cold.p), (adj.q, adj_cold.q), (adj.Q, adj_cold.Q)):
+        assert np.array_equal(a, b)
+
+
+def test_warm_state_of_wrong_shape_fails_typed():
+    # a [M+1, 1] warm start would broadcast silently inside the decoupling
+    # pass; solve_picard's shape check reaches the caller as ConfigError
+    grid, noise = _grid_noise(m=8, n=256, horizon=0.25, seed=3)
+    model = lq2_model(LQ2Params(horizon=0.25))
+    bad = SolutionTriple(x=np.zeros((9, 1)), y=np.zeros((9, 1)), z=np.zeros((9, 1)))
+    with pytest.raises(ConfigError, match=r"\(9, 256\)"):
+        solve_state(model, 0.3, grid, noise, warm=bad)
 
 
 # ======================================================================
