@@ -17,7 +17,6 @@ from mfcontrol.core import (
     ConfigError,
     DivergenceError,
     NonConvergenceError,
-    NumericalDomainError,
     RegressionError,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "ConfigError",
     "DivergenceError",
     "NonConvergenceError",
-    "NumericalDomainError",
     "RegressionError",
     "__version__",
 ]

@@ -1,11 +1,12 @@
-"""Shared infrastructure: time grids, particle ensembles, Brownian drivers.
+"""Shared infrastructure: typed errors, time grids, Brownian drivers and the
+state views through which coefficients read the ensemble.
 
 Conventions used across the package
 -----------------------------------
 * Uniform time grid with ``M`` steps on ``[0, T]``; node ``k`` is ``k*dt``.
 * A path process is a plain numpy array of shape ``[M+1, N]`` (node-major,
-  one column per particle).  Brownian increments have shape ``[M, N]`` for a
-  scalar driver (``[M, N, d]`` in general).
+  one column per particle).  Brownian increments have shape ``[M, N, d]``;
+  the solver stack requires d = 1 and reads them as ``[M, N]``.
 * Mean-field ("law") arguments are realized as snapshot statistics of the
   particle ensemble: coefficient callables receive ``(t, law, own)`` where
   ``law`` is a :class:`StateView` of empirical means and ``own`` is a
@@ -16,8 +17,8 @@ Conventions used across the package
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Any, Optional
 
 import numpy as np
 
@@ -26,7 +27,6 @@ __all__ = [
     "DivergenceError",
     "NonConvergenceError",
     "RegressionError",
-    "NumericalDomainError",
     "TimeGrid",
     "make_time_grid",
     "EnsembleConfig",
@@ -34,9 +34,6 @@ __all__ = [
     "sample_brownian",
     "StateView",
     "view_means",
-    "EnsembleSnapshot",
-    "PathProcess",
-    "empirical_mean_field",
 ]
 
 
@@ -50,16 +47,26 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """A simulated path left the numerical guard region."""
+    """A simulated path left the numerical guard region.
 
-    def __init__(self, step: int, particle: int, value: float, guard: float):
+    ``blend`` is the continuation weight being solved when it happened: 0.0
+    for the seed, the rung's target weight on a rung, else ``None``.
+    """
+
+    def __init__(self, step: int, particle: int, value: float, guard: float,
+                 blend: Optional[float] = None):
         self.step = int(step)
         self.particle = int(particle)
         self.value = float(value)
         self.guard = float(guard)
-        super().__init__(
-            f"path diverged at step {step}, particle {particle}: "
-            f"|{value:.3e}| > guard {guard:.1e}"
+        self.blend = blend
+        super().__init__(self.step, self.particle, self.value, self.guard)
+
+    def __str__(self) -> str:
+        at = "" if self.blend is None else f" at blend weight {self.blend:.3f}"
+        return (
+            f"path diverged{at} at step {self.step}, particle {self.particle}: "
+            f"|{self.value:.3e}| > guard {self.guard:.1e}"
         )
 
 
@@ -78,10 +85,6 @@ class RegressionError(RuntimeError):
     def __init__(self, message: str, condition_number: float = float("nan")):
         self.condition_number = float(condition_number)
         super().__init__(message)
-
-
-class NumericalDomainError(RuntimeError):
-    """Non-finite values encountered where finite numbers are required."""
 
 
 # ======================================================================
@@ -237,73 +240,3 @@ def view_means(own: StateView) -> StateView:
         return None if v is None else float(np.mean(v))
 
     return StateView(x=m(own.x), y=m(own.y), z=m(own.z), u=m(own.u))
-
-
-@dataclass(frozen=True)
-class EnsembleSnapshot:
-    """One time-slice of the ensemble: per-particle values plus the node time."""
-
-    t: float
-    values: np.ndarray  # [N] or [N, c] for tuple-valued states
-
-    @property
-    def particles(self) -> int:
-        return self.values.shape[0]
-
-    def mean(self):
-        return self.values.mean(axis=0)
-
-
-# A path process is just an array [M+1, N]; the alias documents intent in
-# signatures without wrapping numpy.
-PathProcess = np.ndarray
-
-
-# ======================================================================
-# Empirical mean-field operator
-# ======================================================================
-
-
-def empirical_mean_field(
-    snapshot: EnsembleSnapshot,
-    kernel: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
-    own: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Empirical independent-copy average of a two-argument kernel.
-
-    For each own-value ``own[i]`` computes ``mean_j kernel(t, values[j], own[i])``
-    — the particle discretization of E'[phi(t, X', x)] at x = own[i].  The
-    self term j = i is included (O(1/N) bias, accepted).
-
-    Parameters
-    ----------
-    snapshot : EnsembleSnapshot
-        Primed-slot ensemble (values [N] or [N, c]).
-    kernel : callable
-        Vectorized ``phi(t, primed, own)``; must broadcast over a leading
-        primed axis and a trailing own axis.
-    own : array or None
-        Own-slot values [K]; defaults to the snapshot's own values.
-
-    Returns
-    -------
-    ndarray, shape [K]
-
-    Notes
-    -----
-    This is the general O(N*K) two-slot form.  The solver stack normally uses
-    the cheaper statistics form (coefficients of the empirical mean) instead;
-    see the module docstring.
-    """
-    if own is None:
-        own = snapshot.values
-    primed = snapshot.values
-    # broadcast primed on axis 0, own on axis 1
-    vals = kernel(snapshot.t, primed[:, None], own[None, :])
-    out = np.asarray(vals).mean(axis=0)
-    if not np.all(np.isfinite(out)):
-        bad = int(np.flatnonzero(~np.isfinite(out))[0])
-        raise NumericalDomainError(
-            f"empirical mean-field average is non-finite at own index {bad}"
-        )
-    return out

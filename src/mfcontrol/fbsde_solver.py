@@ -739,9 +739,10 @@ def solve_continuation(
     falls back to shorter segments only on failure.
 
     ``guard`` bounds |X| on the seed solution, on every level sweep and in
-    the polish.  A seed outside it raises :class:`DivergenceError` at once;
-    a breach at a level fails that segment, and once the halvings run out
-    it is the ``__cause__`` of the final :class:`NonConvergenceError`.
+    the polish.  A seed outside it raises :class:`DivergenceError` (``blend``
+    0.0) at once; a breach at a level fails that segment, and once the
+    halvings run out it is the ``__cause__`` of the final
+    :class:`NonConvergenceError`, with ``blend`` the weight last attempted.
 
     After full blend is reached, a decoupling polish (:func:`solve_picard`
     warm-started at the homotopy output with the schedule's Anderson
@@ -775,10 +776,14 @@ def solve_continuation(
     change norms or ``"rejected"`` when the polish runs.
     """
     sched = schedule or ContinuationSchedule()
-    cur, _ = solve_linear_seed(
-        LinearInhomogeneity(), grid, noise, x0=model.initial, basis=basis,
-        conditioning=conditioning, guard=guard,
-    )
+    try:
+        cur, _ = solve_linear_seed(
+            LinearInhomogeneity(), grid, noise, x0=model.initial, basis=basis,
+            conditioning=conditioning, guard=guard,
+        )
+    except DivergenceError as exc:
+        exc.blend = 0.0
+        raise
     log: list = [{"alpha": 0.0, "seed": True}]
     alpha = 0.0
     delta = sched.step
@@ -801,6 +806,8 @@ def solve_continuation(
                 conditioning=conditioning,
             )
         except (NonConvergenceError, DivergenceError, RegressionError) as exc:
+            if isinstance(exc, DivergenceError):
+                exc.blend = alpha + step
             halvings += 1
             if halvings > sched.max_halvings:
                 raise NonConvergenceError(

@@ -37,19 +37,17 @@ from typing import Callable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from mfcontrol.core import (
-    BrownianPaths,
-    ConfigError,
-    StateView,
-    TimeGrid,
-    view_means,
-)
+from mfcontrol.core import BrownianPaths, ConfigError, TimeGrid
 from mfcontrol.fbsde_solver import ContinuationSchedule
 from mfcontrol.forward_mv import DEFAULT_GUARD
 from mfcontrol.mf_bsde import RegressionBasis
 from mfcontrol.smp_control import (
     AdjointTriple,
     ControlModel,
+    _check_sampling,
+    _paired_deviations,
+    _per_particle_cost,
+    _profile,
     as_control,
     identity_projection,
     projected_gradient_descent,
@@ -141,7 +139,7 @@ def _check_player(i: int) -> None:
         raise ConfigError(f"player index must be 1 or 2, got {i}")
 
 
-def _pair(game: GameModel, controls, grid: TimeGrid, particles: int):
+def _pair(controls, grid: TimeGrid, particles: int):
     u1, u2 = controls
     return (
         as_control(u1, grid, particles),
@@ -227,52 +225,6 @@ def induced_model(
     )
 
 
-def _per_player_cost(
-    game: GameModel,
-    i: int,
-    u1: np.ndarray,
-    u2: np.ndarray,
-    state,
-    grid: TimeGrid,
-) -> np.ndarray:
-    """Per-particle cost contributions [N] of player ``i`` at the pair.
-
-    Statistics slots are evaluated at the ensemble means (plug-in), so
-    the mean of the returned array is the player's cost estimate.
-    """
-
-    one = i == 1
-    h = game.running_cost_1 if one else game.running_cost_2
-    particles = state.x.shape[1]
-    total = np.zeros(particles)
-    for k in range(grid.steps):
-        own = StateView(x=state.x[k], y=state.y[k], z=state.z[k])
-        total += grid.dt * np.broadcast_to(
-            np.asarray(
-                h(float(grid.nodes[k]), view_means(own), own, u1[k], u2[k]),
-                dtype=float,
-            ),
-            (particles,),
-        )
-    g = game.terminal_cost_1 if one else game.terminal_cost_2
-    gam = game.initial_cost_1 if one else game.initial_cost_2
-    total = total + np.asarray(g(state.x[-1]), dtype=float)
-    total = total + np.asarray(gam(state.y[0]), dtype=float)
-    return total
-
-
-def _profile(grid: TimeGrid, rng: np.random.Generator, radius: float):
-    """Random deterministic time profile on the step nodes, [steps, 1]."""
-
-    t = grid.nodes[:-1] / grid.horizon
-    c = rng.uniform(-1.0, 1.0, size=3)
-    w = rng.integers(0, 4)
-    prof = c[0] + c[1] * np.cos(2.0 * np.pi * w * t) + c[2] * np.sin(
-        2.0 * np.pi * w * t
-    )
-    return radius * prof[:, None]
-
-
 # ======================================================================
 # Per-player first-order objects
 # ======================================================================
@@ -297,7 +249,7 @@ def player_adjoint(
     """
 
     _check_player(i)
-    u1, u2 = _pair(game, controls, grid, noise.particles)
+    u1, u2 = _pair(controls, grid, noise.particles)
     model = induced_model(game, i, u2 if i == 1 else u1, grid)
     return solve_adjoint(
         model, u1 if i == 1 else u2, state, grid, noise,
@@ -329,7 +281,7 @@ def best_response(
     """
 
     _check_player(i)
-    u1, u2 = _pair(game, controls, grid, noise.particles)
+    u1, u2 = _pair(controls, grid, noise.particles)
     model = induced_model(game, i, u2 if i == 1 else u1, grid)
     return projected_gradient_descent(
         model, u1 if i == 1 else u2, grid, noise,
@@ -358,49 +310,37 @@ def deviation_test(
     """Sampled unilateral deviations must not beat either player.
 
     For each player, ``n_deviations`` random admissible profile
-    deviations of their own control (opponent held fixed) re-solve the
-    shared state, warm-started from the state at ``controls``, and compare
-    costs particle by particle on the common noise.  A deviation clears
-    when mean(cost change) + 3*SE >= 0; the per-player summary records the
-    minimum sampled cost change and the worst margin, and the test passes
-    when every deviation of both players clears.
+    deviations of their own control (opponent held fixed) are priced by
+    the single-player paired sampler on :func:`induced_model`: each
+    re-solves the shared state, warm-started from the state at
+    ``controls``, and compares costs particle by particle on the common
+    noise.  Player 2's draws continue player 1's stream.  A deviation
+    clears when mean(cost change) + 3*SE >= 0; the per-player summary
+    records the minimum sampled cost change and the worst margin, and the
+    test passes when every deviation of both players clears.
+    ``n_deviations < 1``, or a ``radius`` that is not finite and > 0,
+    raise :class:`ConfigError`.
     """
 
-    u1, u2 = _pair(game, controls, grid, noise.particles)
+    u1, u2 = _pair(controls, grid, noise.particles)
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x6A3E_DE7))
+    models = {1: induced_model(game, 1, u2, grid), 2: induced_model(game, 2, u1, grid)}
     base_state = solve_state(
-        induced_model(game, 1, u2, grid), u1, grid, noise,
-        schedule=schedule, basis=basis, guard=guard,
+        models[1], u1, grid, noise, schedule=schedule, basis=basis, guard=guard,
     )
     players = {}
-    for i in (1, 2):
-        u_own = u1 if i == 1 else u2
-        base_cost = _per_player_cost(game, i, u1, u2, base_state, grid)
-        model = induced_model(game, i, u2 if i == 1 else u1, grid)
-        worst_margin, worst_change, worst_idx = np.inf, np.inf, -1
-        for d in range(n_deviations):
-            v = game.project(i)(u_own + _profile(grid, rng, radius))
-            state_v = solve_state(
-                model, v, grid, noise,
-                schedule=schedule, basis=basis, guard=guard, warm=base_state,
-            )
-            pair_v = (v, u2) if i == 1 else (u1, v)
-            diff = (
-                _per_player_cost(game, i, pair_v[0], pair_v[1], state_v, grid)
-                - base_cost
-            )
-            change = float(diff.mean())
-            se = float(diff.std(ddof=1) / np.sqrt(diff.size))
-            margin = change + 3.0 * se
-            worst_change = min(worst_change, change)
-            if margin < worst_margin:
-                worst_margin, worst_idx = margin, d
+    for i, own in ((1, u1), (2, u2)):
+        records = _paired_deviations(
+            models[i], own, base_state, grid, noise, rng, n_deviations, radius,
+            schedule, basis, guard,
+        )
+        worst = min(records, key=lambda rec: rec["margin"])
         players[i] = {
-            "min_cost_change": worst_change,
-            "worst_margin": float(worst_margin),
-            "worst_index": worst_idx,
+            "min_cost_change": min(rec["cost_delta"] for rec in records),
+            "worst_margin": float(worst["margin"]),
+            "worst_index": worst["index"],
             "n_deviations": n_deviations,
-            "passed": bool(worst_margin >= 0.0),
+            "passed": bool(worst["margin"] >= 0.0),
         }
     return {
         "passed": bool(players[1]["passed"] and players[2]["passed"]),
@@ -518,14 +458,18 @@ def nash_iterate(
     NashResult
         Controls, final residuals and tolerances, per-round history
         (including both descent histories per round), status, and the
-        deviation summary when certification ran.
+        deviation summary when certification ran.  Bad ``rounds``,
+        ``damping``, ``n_trials``, ``n_deviations`` or ``trial_radius``
+        raise :class:`ConfigError` before any round.
     """
 
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
     if not (0.0 < damping <= 1.0):
         raise ConfigError(f"damping must lie in (0, 1], got {damping}")
-    u1, u2 = _pair(game, controls0, grid, noise.particles)
+    _check_sampling(n_trials, trial_radius)
+    _check_sampling(n_deviations, trial_radius)
+    u1, u2 = _pair(controls0, grid, noise.particles)
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x6A3E_17E))
 
     def residual_and_eps(i, u1_now, u2_now):
@@ -541,7 +485,7 @@ def nash_iterate(
             model, own, trials, grid, noise, state=state,
             schedule=schedule, basis=basis, guard=guard,
         )
-        per = _per_player_cost(game, i, u1_now, u2_now, state, grid)
+        per = _per_particle_cost(model, own, state, grid)
         eps = 3.0 * float(per.std(ddof=1) / np.sqrt(per.size)) + atol
         return res, eps
 

@@ -243,13 +243,19 @@ def check_H4(
 # ======================================================================
 
 
-def _monotonicity_scan(model, sampler, n_samples, nested, time, seed, sign):
-    """Shared (H5)/(H6) scan.
+def _monotonicity_scan(check, model, sampler, n_samples, nested, time, seed):
+    """The (H5)/(H6) scan and its report.
 
-    ``sign`` = +1 checks E<dF, du> <= -C1 E|du|^2 with
-    <dPhi, dx> >= mu1 |dx|^2 (the forward condition); ``sign`` = -1 checks
-    the mirrored inequalities.  Returns the filled report fields.
+    ``check="H5"`` tests E<dF, du> <= -C1 E|du|^2 with
+    <dPhi, dx> >= mu1 |dx|^2 (the forward condition); ``check="H6"`` tests
+    the mirrored inequalities.
     """
+    if n_samples < 1:
+        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
+    if nested < 1:
+        raise ConfigError(f"nested must be >= 1, got {nested}")
+    sampler = sampler or UniformPairSampler()
+    sign = 1 if check == "H5" else -1
     rng = _rng(seed)
     best_ratio = np.inf
     witness = None
@@ -308,8 +314,17 @@ def _monotonicity_scan(model, sampler, n_samples, nested, time, seed, sign):
                     "ratio": best_terminal,
                 }
 
-    passed = violations == 0 and best_ratio > 0.0 and best_terminal > 0.0
-    return best_ratio, best_terminal, violations, witness, passed
+    return MonotonicityReport(
+        check=check,
+        passed=violations == 0 and best_ratio > 0.0 and best_terminal > 0.0,
+        monotonicity=best_ratio,
+        terminal_monotonicity=best_terminal,
+        violations=violations,
+        worst_pair=witness,
+        n_samples=n_samples,
+        radius=sampler.radius,
+        nested=nested,
+    )
 
 
 def check_H5(
@@ -341,25 +356,7 @@ def check_H5(
     ``terminal_monotonicity`` (mu1-hat), the violation count, and the
     worst sampled pair as a re-evaluable witness.
     """
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-    if nested < 1:
-        raise ConfigError(f"nested must be >= 1, got {nested}")
-    sampler = sampler or UniformPairSampler()
-    c1, mu1, violations, witness, passed = _monotonicity_scan(
-        model, sampler, n_samples, nested, time, seed, sign=+1
-    )
-    return MonotonicityReport(
-        check="H5",
-        passed=passed,
-        monotonicity=c1,
-        terminal_monotonicity=mu1,
-        violations=violations,
-        worst_pair=witness,
-        n_samples=n_samples,
-        radius=sampler.radius,
-        nested=nested,
-    )
+    return _monotonicity_scan("H5", model, sampler, n_samples, nested, time, seed)
 
 
 def check_H6(
@@ -378,25 +375,7 @@ def check_H6(
     typical (H6) models; the solvers handle them by a sign normalization,
     and this check certifies the condition they rely on.
     """
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-    if nested < 1:
-        raise ConfigError(f"nested must be >= 1, got {nested}")
-    sampler = sampler or UniformPairSampler()
-    c1, mu1, violations, witness, passed = _monotonicity_scan(
-        model, sampler, n_samples, nested, time, seed, sign=-1
-    )
-    return MonotonicityReport(
-        check="H6",
-        passed=passed,
-        monotonicity=c1,
-        terminal_monotonicity=mu1,
-        violations=violations,
-        worst_pair=witness,
-        n_samples=n_samples,
-        radius=sampler.radius,
-        nested=nested,
-    )
+    return _monotonicity_scan("H6", model, sampler, n_samples, nested, time, seed)
 
 
 # ======================================================================

@@ -46,7 +46,7 @@ suite rather than in separate data files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -56,11 +56,9 @@ from mfcontrol.core import (
     ConfigError,
     EnsembleConfig,
     NonConvergenceError,
-    StateView,
     TimeGrid,
     make_time_grid,
     sample_brownian,
-    view_means,
 )
 from mfcontrol.fbsde_solver import ContinuationSchedule, CoupledModel
 from mfcontrol.forward_mv import DEFAULT_GUARD
@@ -70,6 +68,9 @@ from mfcontrol.mf_bsde import RegressionBasis
 from mfcontrol.smp_control import (
     AdjointTriple,
     ControlModel,
+    _check_sampling,
+    _paired_deviations,
+    _profile,
     _rms,
     as_control,
     check_sufficiency,
@@ -112,6 +113,11 @@ def _as_fn(c: ScalarFn) -> Callable[[float], float]:
         return c
     val = float(c)
     return lambda t: val
+
+
+def _coef_fns(params) -> dict:
+    """Every time-dependent coefficient of ``params`` as a time function."""
+    return {name: _as_fn(getattr(params, name)) for name in params._COEFS}
 
 
 def _flat(fn: Callable[[float], float]):
@@ -373,6 +379,50 @@ def lq1_model(params: LQ1Params) -> ControlModel:
     )
 
 
+def _lq2_coefficients(fn: dict, control):
+    """Drift, diffusion and driver of the coupled problem, as written in
+    :class:`LQ2Params`; ``control(t, own)`` supplies the control term."""
+
+    def drift(t, law, own):
+        return (
+            fn["drift_mean_x"](t) * law.x + fn["drift_x"](t) * own.x
+            + fn["drift_mean_y"](t) * law.y + fn["drift_y"](t) * own.y
+            + fn["cross_mean"](t) * law.z + fn["cross"](t) * own.z
+            + fn["drift_control"](t) * control(t, own)
+        )
+
+    def diffusion(t, law, own):
+        return (
+            fn["diff_mean_x"](t) * law.x + fn["diff_x"](t) * own.x
+            - fn["cross_mean"](t) * law.y - fn["cross"](t) * own.y
+            + fn["diff_mean_z"](t) * law.z + fn["diff_z"](t) * own.z
+            + fn["diff_control"](t) * control(t, own)
+        )
+
+    def driver(t, law, own):
+        return (
+            fn["driver_mean_x"](t) * law.x + fn["driver_x"](t) * own.x
+            + fn["drift_mean_x"](t) * law.y + fn["drift_x"](t) * own.y
+            + fn["diff_mean_x"](t) * law.z + fn["diff_x"](t) * own.z
+            + fn["driver_control"](t) * control(t, own)
+        )
+
+    return drift, diffusion, driver
+
+
+def _flip(coef, slot: str):
+    """``coef`` with the ``slot`` state variable negated in both views."""
+
+    def flipped(t, law, own):
+        return coef(
+            t,
+            replace(law, **{slot: -getattr(law, slot)}),
+            replace(own, **{slot: -getattr(own, slot)}),
+        )
+
+    return flipped
+
+
 def lq2_model(params: LQ2Params) -> ControlModel:
     """Control model of the fully coupled LQ problem (sign-validated).
 
@@ -390,34 +440,10 @@ def lq2_model(params: LQ2Params) -> ControlModel:
     """
 
     params.validate(check_signs=True)
-    fn = {name: _as_fn(getattr(params, name)) for name in params._COEFS}
+    fn = _coef_fns(params)
     gain = float(params.terminal_gain)
     wt, wi = float(params.terminal_weight), float(params.initial_weight)
-
-    def drift(t, law, own):
-        return (
-            fn["drift_mean_x"](t) * law.x + fn["drift_x"](t) * own.x
-            + fn["drift_mean_y"](t) * law.y + fn["drift_y"](t) * own.y
-            + fn["cross_mean"](t) * law.z + fn["cross"](t) * own.z
-            + fn["drift_control"](t) * own.u
-        )
-
-    def diffusion(t, law, own):
-        return (
-            fn["diff_mean_x"](t) * law.x + fn["diff_x"](t) * own.x
-            - fn["cross_mean"](t) * law.y - fn["cross"](t) * own.y
-            + fn["diff_mean_z"](t) * law.z + fn["diff_z"](t) * own.z
-            + fn["diff_control"](t) * own.u
-        )
-
-    def driver(t, law, own):
-        return (
-            fn["driver_mean_x"](t) * law.x + fn["driver_x"](t) * own.x
-            + fn["drift_mean_x"](t) * law.y + fn["drift_x"](t) * own.y
-            + fn["diff_mean_x"](t) * law.z + fn["diff_x"](t) * own.z
-            + fn["driver_control"](t) * own.u
-        )
-
+    drift, diffusion, driver = _lq2_coefficients(fn, lambda t, own: own.u)
     partials = {
         "drift": {
             "law_x": _flat(fn["drift_mean_x"]), "x": _flat(fn["drift_x"]),
@@ -471,35 +497,10 @@ def lq2_fbsde(params: LQ2Params, control: ScalarFn = 0.0) -> CoupledModel:
     """
 
     params.validate(check_signs=False)
-    fn = {name: _as_fn(getattr(params, name)) for name in params._COEFS}
     ctrl = _as_fn(control)
     _check_bounded("control", ctrl, params.horizon)
     gain = float(params.terminal_gain)
-
-    def drift(t, law, own):
-        return (
-            fn["drift_mean_x"](t) * law.x + fn["drift_x"](t) * own.x
-            + fn["drift_mean_y"](t) * law.y + fn["drift_y"](t) * own.y
-            + fn["cross_mean"](t) * law.z + fn["cross"](t) * own.z
-            + fn["drift_control"](t) * ctrl(t)
-        )
-
-    def diffusion(t, law, own):
-        return (
-            fn["diff_mean_x"](t) * law.x + fn["diff_x"](t) * own.x
-            - fn["cross_mean"](t) * law.y - fn["cross"](t) * own.y
-            + fn["diff_mean_z"](t) * law.z + fn["diff_z"](t) * own.z
-            + fn["diff_control"](t) * ctrl(t)
-        )
-
-    def driver(t, law, own):
-        return (
-            fn["driver_mean_x"](t) * law.x + fn["driver_x"](t) * own.x
-            + fn["drift_mean_x"](t) * law.y + fn["drift_x"](t) * own.y
-            + fn["diff_mean_x"](t) * law.z + fn["diff_x"](t) * own.z
-            + fn["driver_control"](t) * ctrl(t)
-        )
-
+    drift, diffusion, driver = _lq2_coefficients(_coef_fns(params), lambda t, own: ctrl(t))
     return CoupledModel(
         drift=drift,
         diffusion=diffusion,
@@ -514,43 +515,22 @@ def lq2_adjoint_fbsde(params: LQ2Params) -> CoupledModel:
     (forward slot = Q, backward pair = (p, q)).
 
     This is the encoding the mirrored monotonicity probe (check_H6)
-    certifies: the pairing of this system equals the negated state
-    pairing, so the state-side constant C1 transfers with its sign
-    flipped.  The exogenous terminal shift ``2*terminal_weight*X_T``
-    affects only the location of the solution, not differences, so the
-    terminal map here carries just the ``-terminal_gain`` slope that
-    difference-based probes see.
+    certifies: the state coefficients at zero control with one slot
+    negated each (drift in y, diffusion in z, driver in x), whose pairing
+    equals the negated state pairing, so the state-side constant C1
+    transfers with its sign flipped.  The exogenous terminal shift
+    ``2*terminal_weight*X_T`` affects only the location of the solution,
+    not differences, so the terminal map here carries just the
+    ``-terminal_gain`` slope that difference-based probes see.
     """
 
     params.validate(check_signs=False)
-    fn = {name: _as_fn(getattr(params, name)) for name in params._COEFS}
     gain = float(params.terminal_gain)
-
-    def drift(t, law, own):
-        return (
-            fn["drift_mean_x"](t) * law.x + fn["drift_x"](t) * own.x
-            - fn["drift_mean_y"](t) * law.y - fn["drift_y"](t) * own.y
-            + fn["cross_mean"](t) * law.z + fn["cross"](t) * own.z
-        )
-
-    def diffusion(t, law, own):
-        return (
-            fn["diff_mean_x"](t) * law.x + fn["diff_x"](t) * own.x
-            - fn["cross_mean"](t) * law.y - fn["cross"](t) * own.y
-            - fn["diff_mean_z"](t) * law.z - fn["diff_z"](t) * own.z
-        )
-
-    def driver(t, law, own):
-        return (
-            -fn["driver_mean_x"](t) * law.x - fn["driver_x"](t) * own.x
-            + fn["drift_mean_x"](t) * law.y + fn["drift_x"](t) * own.y
-            + fn["diff_mean_x"](t) * law.z + fn["diff_x"](t) * own.z
-        )
-
+    drift, diffusion, driver = _lq2_coefficients(_coef_fns(params), lambda t, own: 0.0)
     return CoupledModel(
-        drift=drift,
-        diffusion=diffusion,
-        driver=driver,
+        drift=_flip(drift, "y"),
+        diffusion=_flip(diffusion, "z"),
+        driver=_flip(driver, "x"),
         terminal_map=lambda x: -gain * x,
         initial=0.0,
     )
@@ -699,47 +679,6 @@ def lq2_candidate(
 # ======================================================================
 
 
-def _per_particle_cost(
-    model: ControlModel, u: np.ndarray, state, grid: TimeGrid
-) -> np.ndarray:
-    """Per-particle cost contributions [N] (their mean is the cost).
-
-    Statistics slots in the running cost are evaluated at the ensemble
-    means, so the decomposition is exact for the mean; the paired
-    standard errors computed from it treat those means as fixed, which
-    is the standard plug-in approximation.
-    """
-
-    particles = state.x.shape[1]
-    total = np.zeros(particles)
-    for k in range(grid.steps):
-        own = StateView(
-            x=state.x[k], y=state.y[k], z=state.z[k], u=u[k]
-        )
-        total += grid.dt * np.broadcast_to(
-            np.asarray(
-                model.running_cost(float(grid.nodes[k]), view_means(own), own),
-                dtype=float,
-            ),
-            (particles,),
-        )
-    total = total + np.asarray(model.terminal_cost(state.x[-1]), dtype=float)
-    total = total + np.asarray(model.initial_cost(state.y[0]), dtype=float)
-    return total
-
-
-def _profile_bank(grid: TimeGrid, rng: np.random.Generator, radius: float):
-    """Random deterministic time profile on the step nodes, [steps, 1]."""
-
-    t = grid.nodes[:-1] / grid.horizon
-    c = rng.uniform(-1.0, 1.0, size=3)
-    w = rng.integers(0, 4)
-    prof = c[0] + c[1] * np.cos(2.0 * np.pi * w * t) + c[2] * np.sin(
-        2.0 * np.pi * w * t
-    )
-    return radius * prof[:, None]
-
-
 @dataclass(frozen=True)
 class DeviationReport:
     """Outcome of paired cost-deviation sampling around a candidate."""
@@ -776,36 +715,23 @@ def deviation_check(
 
     i.e. the perturbed control may beat the candidate only within three
     paired standard errors.  The report records every margin; ``passed``
-    requires all of them to clear.
+    requires all of them to clear.  Raises :class:`ConfigError` for
+    ``n_deviations < 1`` or a ``radius`` that is not finite and positive.
     """
 
     u = as_control(u, grid, noise.particles)
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x5EED_0DE))
     base_state = solve_state(model, u, grid, noise, schedule, basis, guard)
-    base_j = _per_particle_cost(model, u, base_state, grid)
-    records: List[dict] = []
-    worst = np.inf
-    worst_idx = -1
-    for i in range(n_deviations):
-        delta = _profile_bank(grid, rng, radius)
-        v = model.project(u + delta)
-        state_v = solve_state(
-            model, v, grid, noise, schedule, basis, guard, warm=base_state
-        )
-        diff = _per_particle_cost(model, v, state_v, grid) - base_j
-        mean = float(diff.mean())
-        se = float(diff.std(ddof=1) / np.sqrt(diff.size))
-        margin = mean + 3.0 * se
-        records.append(
-            {"index": i, "cost_delta": mean, "se": se, "margin": margin}
-        )
-        if margin < worst:
-            worst, worst_idx = margin, i
+    records = _paired_deviations(
+        model, u, base_state, grid, noise, rng, n_deviations, radius,
+        schedule, basis, guard,
+    )
+    worst = min(records, key=lambda rec: rec["margin"])
     return DeviationReport(
-        passed=bool(worst >= 0.0),
+        passed=bool(worst["margin"] >= 0.0),
         n_deviations=n_deviations,
-        worst_margin=float(worst),
-        worst_index=worst_idx,
+        worst_margin=float(worst["margin"]),
+        worst_index=worst["index"],
         records=records,
     )
 
@@ -840,9 +766,12 @@ def variational_margin(
     direction.
 
     Returns a dict with the worst trial's ``residual``, its ``se``, the
-    worst ``margin`` (residual + 3*SE), and ``passed``.
+    worst ``margin`` (residual + 3*SE), and ``passed``.  Raises
+    :class:`ConfigError` for ``n_trials < 1`` or a ``radius`` that is not
+    finite and positive.
     """
 
+    _check_sampling(n_trials, radius)
     u = as_control(u, grid, noise.particles)
     if gradient is None:
         gradient = smp_gradient(
@@ -851,8 +780,7 @@ def variational_margin(
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x5EED_01F))
     worst = {"margin": np.inf}
     for i in range(n_trials):
-        delta = _profile_bank(grid, rng, radius)
-        v = model.project(u + delta)
+        v = model.project(u + _profile(grid, rng, radius))
         per_particle = grid.dt * np.sum(gradient * (v - u), axis=0)
         mean = float(per_particle.mean())
         se = float(per_particle.std(ddof=1) / np.sqrt(per_particle.size))
@@ -1110,7 +1038,7 @@ def lq_game(
     if not (np.isfinite(coupling) and coupling >= 0.0):
         raise ConfigError(f"coupling must be >= 0, got {coupling}")
     _check_bounded("target", target, params.horizon)
-    fn = {name: _as_fn(getattr(params, name)) for name in params._COEFS}
+    fn = _coef_fns(params)
     tgt = _as_fn(target)
     kw = float(coupling)
 

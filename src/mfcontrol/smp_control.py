@@ -18,7 +18,11 @@ H = b p + sigma q - f Q + h, the per-node gradient process E'[H_v], the
 linearized (variational) state response to a control direction, projected
 gradient descent with Armijo backtracking, a variational-inequality
 residual over trial controls, a discrete duality (integration-by-parts)
-defect, and a convexity/minimality sufficiency check.
+defect, and a convexity/minimality sufficiency check.  The paired
+cost-deviation sampler behind both the single-player deviation check
+(:mod:`mfcontrol.lq_examples`) and the game's unilateral deviation test
+(:mod:`mfcontrol.games`, one induced model per player) lives here too,
+with the per-particle cost it compares.
 
 Law arguments are statistics of the ensemble (empirical means), so every
 law-coupling linearizes to "coefficient times mean of the perturbation".
@@ -77,7 +81,6 @@ __all__ = [
     "solve_state",
     "solve_adjoint",
     "hamiltonian",
-    "hamiltonian_control_slope",
     "solve_variational",
     "smp_gradient",
     "cost",
@@ -651,18 +654,6 @@ def hamiltonian(model: ControlModel, t, law, own, p, q, Q) -> np.ndarray:
     return b * p + s * q - f * Q + h
 
 
-def hamiltonian_control_slope(model: ControlModel, t, law, own, p, q, Q) -> np.ndarray:
-    """Control derivative H_v = b_v p + sigma_v q - f_v Q + h_v."""
-
-    def part(name):
-        fn = model.partials.get(name, {}).get("v")
-        if fn is None or (name == "driver" and model.driver is None):
-            return 0.0
-        return np.asarray(fn(t, law, own), dtype=float)
-
-    return part("drift") * p + part("diffusion") * q - part("driver") * Q + part("running_cost")
-
-
 # ======================================================================
 # Variational (linearized state) system
 # ======================================================================
@@ -1187,3 +1178,95 @@ def check_sufficiency(
         slack=slack,
         control_trials=control_trials,
     )
+
+
+# ======================================================================
+# Paired deviation sampling
+# ======================================================================
+
+
+def _per_particle_cost(
+    model: ControlModel, u: np.ndarray, state, grid: TimeGrid
+) -> np.ndarray:
+    """Per-particle cost contributions [N] (their mean is the cost).
+
+    Statistics slots in the running cost are evaluated at the ensemble
+    means, so the decomposition is exact for the mean; the paired
+    standard errors computed from it treat those means as fixed, which
+    is the standard plug-in approximation.
+    """
+
+    particles = state.x.shape[1]
+    total = np.zeros(particles)
+    for k in range(grid.steps):
+        own = StateView(
+            x=state.x[k], y=state.y[k], z=state.z[k], u=u[k]
+        )
+        total += grid.dt * np.broadcast_to(
+            np.asarray(
+                model.running_cost(float(grid.nodes[k]), view_means(own), own),
+                dtype=float,
+            ),
+            (particles,),
+        )
+    total = total + np.asarray(model.terminal_cost(state.x[-1]), dtype=float)
+    total = total + np.asarray(model.initial_cost(state.y[0]), dtype=float)
+    return total
+
+
+def _profile(grid: TimeGrid, rng: np.random.Generator, radius: float):
+    """Random deterministic time profile on the step nodes, [steps, 1]."""
+
+    t = grid.nodes[:-1] / grid.horizon
+    c = rng.uniform(-1.0, 1.0, size=3)
+    w = rng.integers(0, 4)
+    prof = c[0] + c[1] * np.cos(2.0 * np.pi * w * t) + c[2] * np.sin(
+        2.0 * np.pi * w * t
+    )
+    return radius * prof[:, None]
+
+
+def _check_sampling(n: int, radius: float) -> None:
+    """A certificate needs at least one sample at a positive finite radius."""
+    if n < 1:
+        raise ConfigError(f"need at least one sampled perturbation, got {n}")
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise ConfigError(f"perturbation radius must be finite and > 0, got {radius}")
+
+
+def _paired_deviations(
+    model: ControlModel,
+    u: np.ndarray,
+    base_state: SolutionTriple,
+    grid: TimeGrid,
+    noise: BrownianPaths,
+    rng: np.random.Generator,
+    n: int,
+    radius: float,
+    schedule: Optional[ContinuationSchedule],
+    basis: Optional[RegressionBasis],
+    guard: float,
+) -> list:
+    """Paired cost changes of ``n`` random admissible profile deviations.
+
+    Each deviation adds a :func:`_profile` drawn from ``rng`` to ``u``,
+    projects it, re-solves the state warm-started from ``base_state`` (the
+    state at ``u``) and differences the per-particle costs on the shared
+    noise.  Returns one ``{"index", "cost_delta", "se", "margin"}`` record
+    per deviation, with margin = cost_delta + 3*SE.
+    """
+    _check_sampling(n, radius)
+    base_j = _per_particle_cost(model, u, base_state, grid)
+    records = []
+    for i in range(n):
+        v = model.project(u + _profile(grid, rng, radius))
+        state_v = solve_state(
+            model, v, grid, noise, schedule, basis, guard, warm=base_state
+        )
+        diff = _per_particle_cost(model, v, state_v, grid) - base_j
+        mean = float(diff.mean())
+        se = float(diff.std(ddof=1) / np.sqrt(diff.size))
+        records.append(
+            {"index": i, "cost_delta": mean, "se": se, "margin": mean + 3.0 * se}
+        )
+    return records

@@ -10,11 +10,15 @@ the package's Gram-updated Anderson mixer: it rebuilds the difference
 matrices every step and solves the tall least-squares problem directly.
 ``cold_candidate_fixed_point`` is the candidate loop with every state and
 adjoint solved cold, the reference for the warm-started package loop.
+``per_player_cost`` prices a game player's cost straight from the game's
+two-control coefficients, the reference for pricing it through the
+single-player reduction; ``lq2_coefficients`` writes out the formulas of
+the ``LQ2Params`` docstring, the reference for the package's encodings.
 """
 
 import numpy as np
 
-from mfcontrol.core import StateView
+from mfcontrol.core import StateView, view_means
 from mfcontrol.mf_bsde import regress_conditional_expectation
 from mfcontrol.smp_control import solve_adjoint, solve_state
 
@@ -201,6 +205,73 @@ def cold_candidate_fixed_point(model, formula, grid, noise, damping=0.5, tol=1e-
         if gaps[-1] <= tol:
             return u, gaps
     raise AssertionError(f"cold candidate loop did not converge: last gap {gaps[-1]:.3e}")
+
+
+# ----------------------------------------------------------------------
+# Reference evaluations of model coefficients
+# ----------------------------------------------------------------------
+
+
+def per_player_cost(game, i, u1, u2, state, grid):
+    """Per-particle cost contributions [N] of game player ``i`` at the pair
+    (u1, u2), read off the game's own two-control running cost with the
+    law slots at the ensemble means of (x, y, z)."""
+    one = i == 1
+    h = game.running_cost_1 if one else game.running_cost_2
+    particles = state.x.shape[1]
+    total = np.zeros(particles)
+    for k in range(grid.steps):
+        own = StateView(x=state.x[k], y=state.y[k], z=state.z[k])
+        total += grid.dt * np.broadcast_to(
+            np.asarray(
+                h(float(grid.nodes[k]), view_means(own), own, u1[k], u2[k]),
+                dtype=float,
+            ),
+            (particles,),
+        )
+    g = game.terminal_cost_1 if one else game.terminal_cost_2
+    gam = game.initial_cost_1 if one else game.initial_cost_2
+    total = total + np.asarray(g(state.x[-1]), dtype=float)
+    total = total + np.asarray(gam(state.y[0]), dtype=float)
+    return total
+
+
+def lq2_coefficients(params, t, law, own, v):
+    """The coupled LQ problem's coefficients at time ``t`` and control
+    ``v``, as the ``LQ2Params`` docstring writes them, and the multiplier
+    system of ``lq2_adjoint_fbsde`` (no control; drift y-slots, diffusion
+    z-slots and driver x-slots negated).  Returns (state, adjoint), each a
+    (drift, diffusion, driver) tuple."""
+
+    def c(name):
+        val = getattr(params, name)
+        return float(val(t)) if callable(val) else float(val)
+
+    mx, my, mz = law.x, law.y, law.z
+    x, y, z = own.x, own.y, own.z
+    state = (
+        c("drift_mean_x") * mx + c("drift_x") * x
+        + c("drift_mean_y") * my + c("drift_y") * y
+        + c("cross_mean") * mz + c("cross") * z + c("drift_control") * v,
+        c("diff_mean_x") * mx + c("diff_x") * x
+        - c("cross_mean") * my - c("cross") * y
+        + c("diff_mean_z") * mz + c("diff_z") * z + c("diff_control") * v,
+        c("driver_mean_x") * mx + c("driver_x") * x
+        + c("drift_mean_x") * my + c("drift_x") * y
+        + c("diff_mean_x") * mz + c("diff_x") * z + c("driver_control") * v,
+    )
+    adjoint = (
+        c("drift_mean_x") * mx + c("drift_x") * x
+        - c("drift_mean_y") * my - c("drift_y") * y
+        + c("cross_mean") * mz + c("cross") * z,
+        c("diff_mean_x") * mx + c("diff_x") * x
+        - c("cross_mean") * my - c("cross") * y
+        - c("diff_mean_z") * mz - c("diff_z") * z,
+        -c("driver_mean_x") * mx - c("driver_x") * x
+        + c("drift_mean_x") * my + c("drift_x") * y
+        + c("diff_mean_x") * mz + c("diff_x") * z,
+    )
+    return state, adjoint
 
 
 def operator_norm(mat):

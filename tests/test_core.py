@@ -7,9 +7,7 @@ from mfcontrol.core import (
     BrownianPaths,
     ConfigError,
     EnsembleConfig,
-    EnsembleSnapshot,
     StateView,
-    empirical_mean_field,
     make_time_grid,
     sample_brownian,
     view_means,
@@ -86,26 +84,6 @@ def test_view_means():
     assert law.x == pytest.approx(2.0)
     assert law.y == pytest.approx(2.0)
     assert law.z is None and law.u is None
-
-
-def test_empirical_mean_field_matches_loop():
-    rng = np.random.default_rng(5)
-    vals = rng.normal(size=40)
-    snap = EnsembleSnapshot(t=0.5, values=vals)
-
-    def kernel(t, primed, own):
-        return np.sin(primed) * own + t
-
-    out = empirical_mean_field(snap, kernel)
-    expected = np.array([np.mean([kernel(0.5, p, o) for p in vals]) for o in vals])
-    assert np.allclose(out, expected, atol=1e-12)
-
-
-def test_empirical_mean_field_linear_reduces_to_mean():
-    vals = np.arange(10, dtype=float)
-    snap = EnsembleSnapshot(t=0.0, values=vals)
-    out = empirical_mean_field(snap, lambda t, primed, own: primed)
-    assert np.allclose(out, vals.mean())
 
 
 @given(

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -457,6 +459,48 @@ def test_continuation_guard_breach_at_level_fails_the_ladder():
     with pytest.raises(NonConvergenceError) as err:
         solve_continuation(pushed, g, w, guard=0.4, schedule=sched)
     assert isinstance(err.value.__cause__, DivergenceError)
+
+
+def test_continuation_divergence_reports_blend_weight():
+    # same set-up as the guard-breach test: the rung to 0.5 is accepted,
+    # the full step to 1.0 breaches, and so does the halved step to 0.75,
+    # which exhausts the single halving
+    pushed = CoupledModel(
+        drift=lambda t, law, own: 2.0 - law.y - own.y,
+        diffusion=lambda t, law, own: -law.z - own.z,
+        driver=lambda t, law, own: law.x + own.x,
+        terminal_map=lambda xT: xT,
+        initial=0.3,
+    )
+    g, w = _grid_noise(16, n=64)
+    sched = ContinuationSchedule(step=0.5, max_halvings=1)
+    with pytest.raises(NonConvergenceError) as err:
+        solve_continuation(pushed, g, w, guard=0.4, schedule=sched)
+    assert "blend 0.500" in str(err.value) and "last step 0.2500" in str(err.value)
+    cause = err.value.__cause__
+    assert isinstance(cause, DivergenceError)
+    assert cause.blend == 0.75
+    assert "at blend weight 0.750" in str(cause)
+
+
+def test_divergence_blend_is_zero_at_seed_and_none_outside_continuation():
+    g, w = _grid_noise(8, n=64)
+    sched = ContinuationSchedule(polish_max_iter=0, max_halvings=0)
+    with pytest.raises(DivergenceError) as err:
+        solve_continuation(_canonical_model(), g, w, guard=1e-3, schedule=sched)
+    assert err.value.blend == 0.0
+    assert "at blend weight 0.000" in str(err.value)
+    with pytest.raises(DivergenceError) as err:
+        solve_linear_seed(LinearInhomogeneity(), g, w, x0=0.3, guard=1e-3)
+    assert err.value.blend is None
+    assert "blend" not in str(err.value)
+    # the positional constructor is unchanged, and the error survives a
+    # pickle round trip (as between worker processes) with its blend
+    exc = DivergenceError(3, 1, -2.5, 1.0)
+    assert (exc.step, exc.particle, exc.value, exc.guard, exc.blend) == (3, 1, -2.5, 1.0, None)
+    exc.blend = 0.25
+    back = pickle.loads(pickle.dumps(exc))
+    assert (back.step, back.blend, str(back)) == (3, 0.25, str(exc))
 
 
 def test_schedule_validation():

@@ -26,10 +26,13 @@ from mfcontrol.games import (
 )
 from mfcontrol.lq_examples import LQ1Params, lq1_candidate, lq1_model, lq_game
 from mfcontrol.smp_control import (
+    _per_particle_cost,
     projected_gradient_descent,
     solve_adjoint,
     solve_state,
 )
+
+from oracles import per_player_cost
 
 
 def _zeros(arr):
@@ -279,6 +282,22 @@ def test_induced_model_selects_costs_and_drops_opponent_partials():
     # the own-control slot carries each player's drift sensitivity
     assert np.allclose(m1.partials["drift"]["v"](0.0, law, own), 1.0)
     assert np.allclose(m2.partials["drift"]["v"](0.0, law, own), 0.7)
+
+
+def test_player_costs_through_the_induced_model_match_the_game_costs():
+    # the deviation test and the Nash tolerance price each player through
+    # the single-player per-particle cost of induced_model
+    game = lq_game(coupling=0.2, target=lambda t: 0.3 - 0.4 * t)
+    grid, noise = _setup(8, 256, seed=4)
+    rng = np.random.default_rng(2)
+    u1 = 0.3 * rng.normal(size=(8, 256))
+    u2 = np.repeat((0.5 - np.linspace(0.0, 1.0, 8))[:, None], 256, axis=1)
+    state = solve_state(induced_model(game, 1, u2, grid), u1, grid, noise)
+    for i, own, other in ((1, u1, u2), (2, u2, u1)):
+        got = _per_particle_cost(induced_model(game, i, other, grid), own, state, grid)
+        want = per_player_cost(game, i, u1, u2, state, grid)
+        assert np.array_equal(got, want)
+        assert np.ptp(want) > 0.0
 
 
 def test_player_adjoint_matches_single_player_reference():

@@ -14,11 +14,13 @@ from mfcontrol.core import (
     EnsembleConfig,
     NonConvergenceError,
     RegressionError,
+    StateView,
     make_time_grid,
     sample_brownian,
 )
 from mfcontrol import smp_control
 from mfcontrol.fbsde_solver import ContinuationSchedule
+from mfcontrol.games import deviation_test, nash_iterate
 from mfcontrol.hypothesis_check import check_H4, check_H5, check_H6
 from mfcontrol.lq_examples import (
     DeviationReport,
@@ -32,12 +34,13 @@ from mfcontrol.lq_examples import (
     lq2_candidate,
     lq2_fbsde,
     lq2_model,
+    lq_game,
     variational_margin,
     verify_example,
 )
 from mfcontrol.smp_control import cost, smp_gradient, solve_state
 
-from oracles import cold_candidate_fixed_point
+from oracles import cold_candidate_fixed_point, lq2_coefficients
 
 
 def _grid_noise(m, n, horizon=1.0, seed=7):
@@ -196,6 +199,37 @@ def test_terminal_tie_is_exact():
     np.testing.assert_allclose(sol2.y[-1], 1.5 * sol2.x[-1], atol=1e-12)
 
 
+_TIME_VARYING = replace(
+    LQ2Params(),
+    driver_x=lambda t: 0.2 + 0.05 * np.cos(3.0 * t),
+    drift_y=lambda t: -0.2 - 0.1 * t,
+    diff_mean_z=lambda t: -0.1 - 0.05 * np.sin(t) ** 2,
+    cross=lambda t: 0.3 * np.sin(2.0 * t),
+    drift_mean_x=lambda t: 0.1 - 0.2 * t,
+    diff_x=lambda t: 0.1 * np.exp(-t),
+    driver_control=lambda t: 0.1 + t,
+    control_weight=lambda t: 1.0 + 0.5 * t,
+)
+
+
+@pytest.mark.parametrize("params", [LQ2Params(), _TIME_VARYING], ids=["default", "time_varying"])
+def test_lq2_encodings_match_the_written_formulas(params):
+    rng = np.random.default_rng(11)
+    c = lambda t: -0.37 + 0.5 * t  # noqa: E731
+    state_enc, adj_enc, model = lq2_fbsde(params, c), lq2_adjoint_fbsde(params), lq2_model(params)
+    for t in (0.0, 0.6180339887):
+        own_xyz = rng.normal(size=(3, 33))
+        law_xyz = rng.normal(size=3)
+        own = StateView(x=own_xyz[0], y=own_xyz[1], z=own_xyz[2])
+        law = StateView(x=law_xyz[0], y=law_xyz[1], z=law_xyz[2])
+        controlled = StateView(x=own.x, y=own.y, z=own.z, u=c(t))
+        state_ref, adj_ref = lq2_coefficients(params, t, law, own, c(t))
+        for j, name in enumerate(("drift", "diffusion", "driver")):
+            assert np.array_equal(getattr(state_enc, name)(t, law, own), state_ref[j])
+            assert np.array_equal(getattr(model, name)(t, law, controlled), state_ref[j])
+            assert np.array_equal(getattr(adj_enc, name)(t, law, own), adj_ref[j])
+
+
 # ======================================================================
 # Standing-condition certificates on the committed fixture
 # ======================================================================
@@ -316,6 +350,40 @@ def test_deviation_check_falls_back_to_continuation_on_regression_error(monkeypa
     assert seen == [3, 3]
     assert len(rep.records) == 2
     assert np.isfinite(rep.worst_margin)
+
+
+@pytest.mark.parametrize(
+    "check, kwargs, match",
+    [
+        ("deviation_check", {"n_deviations": 0}, "at least one sampled"),
+        ("deviation_check", {"n_deviations": -2}, "at least one sampled"),
+        ("deviation_check", {"radius": 0.0}, "radius"),
+        ("deviation_check", {"radius": float("nan")}, "radius"),
+        ("deviation_check", {"radius": float("inf")}, "radius"),
+        ("variational_margin", {"n_trials": 0}, "at least one sampled"),
+        ("variational_margin", {"radius": -0.5}, "radius"),
+        ("deviation_test", {"n_deviations": 0}, "at least one sampled"),
+        ("deviation_test", {"radius": 0.0}, "radius"),
+        ("nash_iterate", {"n_deviations": 0}, "at least one sampled"),
+        ("nash_iterate", {"n_trials": 0}, "at least one sampled"),
+    ],
+    ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else None,
+)
+def test_certificates_refuse_to_pass_without_samples(check, kwargs, match):
+    # unchecked, a certificate drawn from no samples or from perturbations
+    # of zero size passes vacuously: on this fixture deviation_check reads
+    # margin inf at n_deviations=0 and 0.0 at radius=0, while radius 0.5
+    # rejects u = 5 with margin -4.3
+    grid, noise = _grid_noise(4, 64, seed=3)
+    model = lq1_model(LQ1Params())
+    calls = {
+        "deviation_check": lambda: deviation_check(model, 5.0, grid, noise, **kwargs),
+        "variational_margin": lambda: variational_margin(model, 5.0, grid, noise, **kwargs),
+        "deviation_test": lambda: deviation_test(lq_game(), (5.0, 0.0), grid, noise, **kwargs),
+        "nash_iterate": lambda: nash_iterate(lq_game(), (5.0, 0.0), grid, noise, **kwargs),
+    }
+    with pytest.raises(ConfigError, match=match):
+        calls[check]()
 
 
 def test_variational_margin_flags_suboptimal_control():
