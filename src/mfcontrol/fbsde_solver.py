@@ -37,6 +37,7 @@ The blend family (see :func:`homotopy_coefficients`):
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -584,7 +585,8 @@ class ContinuationSchedule:
     history vectors; a failing segment is retried with its step halved, at
     most ``max_halvings`` times across the whole run.  ``inner_tol`` is the
     tolerance of the final plain decoupling polish at full blend and
-    ``polish_max_iter`` caps its sweeps (0 disables it).
+    ``polish_max_iter`` caps its sweeps (0 disables it).  Caps, halvings
+    and memory are integers; tolerances are finite and positive.
     """
 
     step: float = 0.1
@@ -598,14 +600,15 @@ class ContinuationSchedule:
     def __post_init__(self):
         if not (0.0 < self.step <= 1.0):
             raise ConfigError(f"continuation step must lie in (0, 1], got {self.step}")
-        if self.inner_tol <= 0 or self.picard_tol <= 0:
-            raise ConfigError("tolerances must be positive")
-        if self.picard_max_iter < 1:
-            raise ConfigError("iteration caps must be >= 1")
-        if self.max_halvings < 0:
-            raise ConfigError("max_halvings must be >= 0")
-        if self.polish_max_iter < 0:
-            raise ConfigError("polish_max_iter must be >= 0")
+        for name in ("inner_tol", "picard_tol"):
+            tol = getattr(self, name)
+            if not (np.isfinite(tol) and tol > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {tol}")
+        for name, low in (("picard_max_iter", 1), ("max_halvings", 0),
+                          ("accel_memory", 0), ("polish_max_iter", 0)):
+            cap = getattr(self, name)
+            if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {cap!r}")
 
 
 def _blend_sources(model, tri, grid, weight, control) -> LinearInhomogeneity:

@@ -5,9 +5,7 @@ The controlled state follows the coupled system
     dX_t  =  b(t, law, X, Y, Z, u) dt + sigma(t, law, X, Y, Z, u) dW_t
     -dY_t =  f(t, law, X, Y, Z, u) dt - Z_t dW_t,   Y_T = Phi(X_T),
 
-(in the decoupled case b and sigma read only the x slots, so X can be
-simulated first and (Y, Z) recovered by a backward pass) and the control
-problem minimizes
+and the control problem minimizes
 
     J(u) = E[ integral of law-averaged h(t, law, X, Y, Z, u) dt ]
          + E[ g(X_T) ] + E[ gamma(Y_0) ].
@@ -23,6 +21,11 @@ cost-deviation sampler behind both the single-player deviation check
 (:mod:`mfcontrol.lq_examples`) and the game's unilateral deviation test
 (:mod:`mfcontrol.games`, one induced model per player) lives here too,
 with the per-particle cost it compares.
+
+Each of the three systems -- state, adjoint, variational -- is written
+once, as one FBSDE, and the model's ``coupled`` flag chooses only the
+solver: one Euler pass forward and one regression pass backward when b and
+sigma read only the x and u slots, the homotopy continuation otherwise.
 
 Law arguments are statistics of the ensemble (empirical means), so every
 law-coupling linearizes to "coefficient times mean of the perturbation".
@@ -99,6 +102,9 @@ _COEF_KEYS = ("drift", "diffusion", "driver", "running_cost")
 #: differentiation slots: three law statistics, three own values, control
 _SLOT_KEYS = ("law_x", "law_y", "law_z", "x", "y", "z", "v")
 
+#: the slots a decoupled model's drift and diffusion must not read
+_YZ_SLOTS = ("law_y", "y", "law_z", "z")
+
 
 def identity_projection(control: np.ndarray) -> np.ndarray:
     """Projection onto an unconstrained action space (the identity)."""
@@ -123,7 +129,9 @@ class ControlModel:
     Coefficients are vectorized ``(t, law, own) -> array [N]`` with the
     control read from ``own.u`` (its ensemble mean sits in ``law.u``).
     ``coupled=False`` declares that ``drift``/``diffusion`` read only the
-    x and u slots, which unlocks the cheap sequential state solve.
+    x and u slots, which unlocks the sequential solve of the state,
+    adjoint and variational systems; a ``partials`` entry of ``drift`` or
+    ``diffusion`` in a y or z slot contradicts it (:class:`ConfigError`).
 
     ``partials`` supplies closed-form first derivatives: an outer key per
     coefficient ("drift", "diffusion", "driver", "running_cost") and an
@@ -161,6 +169,11 @@ class ControlModel:
                     raise ConfigError(
                         f"unknown slot {slot!r} in partials[{name!r}]; "
                         f"expected one of {_SLOT_KEYS}"
+                    )
+                if not self.coupled and name in ("drift", "diffusion") and slot in _YZ_SLOTS:
+                    raise ConfigError(
+                        f"partials[{name!r}][{slot!r}] contradicts coupled=False: "
+                        f"a decoupled {name} reads only the x and u slots"
                     )
 
 
@@ -202,21 +215,22 @@ def as_control(u, grid: TimeGrid, particles: int) -> np.ndarray:
     """Normalize a control to an open-loop array [M, N].
 
     Accepts a scalar (constant policy), an [M] array (deterministic in
-    time), an [M, 1] column, or a full [M, N] array.
+    time), an [M, 1] column, or a full [M, N] array, all finite
+    (:class:`ConfigError` names the first non-finite node and particle).
     """
     arr = np.asarray(u, dtype=float)
     m = grid.steps
-    if arr.ndim == 0:
-        return np.full((m, particles), float(arr))
-    if arr.shape == (m,):
-        return np.repeat(arr[:, None], particles, axis=1)
-    if arr.shape == (m, 1):
-        return np.repeat(arr, particles, axis=1)
-    if arr.shape == (m, particles):
-        return arr.astype(float, copy=True)
-    raise ConfigError(
-        f"control has shape {arr.shape}; expected scalar, ({m},), ({m}, 1) or ({m}, {particles})"
-    )
+    if arr.shape not in ((), (m,), (m, 1), (m, particles)):
+        raise ConfigError(
+            f"control has shape {arr.shape}; expected scalar, ({m},), ({m}, 1) or ({m}, {particles})"
+        )
+    finite = np.isfinite(arr)
+    if not finite.all():
+        # a scalar or a column holds the same value for every particle
+        node, particle = (*np.argwhere(~finite)[0], 0, 0)[:2]
+        value = arr.flat[np.argmin(finite)]
+        raise ConfigError(f"control is not finite at node {node}, particle {particle}: {value}")
+    return np.broadcast_to(arr[:, None] if arr.ndim == 1 else arr, (m, particles)).copy()
 
 
 def feedback_to_open_loop(policy, x_path: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -240,14 +254,16 @@ def _require_admissible(model: ControlModel, u: np.ndarray) -> None:
 
 
 class _FrozenPath:
-    """Coefficient and partial evaluations along a frozen (state, control)
-    trajectory, cached per (name, slot, node)."""
+    """Coefficient partials along a frozen (state, control) trajectory,
+    cached per (name, slot, node); ``None`` marks a partial the model does
+    not declare (identically zero)."""
 
     def __init__(self, model: ControlModel, u: np.ndarray, state: SolutionTriple, grid: TimeGrid):
         self.model = model
         self.u = u
         self.state = state
         self.grid = grid
+        self.zero = np.broadcast_to(0.0, state.x.shape[1:])  # read-only
         self._views: dict = {}
         self._vals: dict = {}
 
@@ -262,24 +278,58 @@ class _FrozenPath:
             self._views[k] = got
         return got
 
-    def partial(self, name: str, slot: str, k: int) -> np.ndarray:
+    def partial(self, name: str, slot: str, k: int) -> Optional[np.ndarray]:
         key = (name, slot, k)
-        got = self._vals.get(key)
-        if got is None:
-            own, law = self.views(k)
+        got = self._vals.get(key, self._vals)  # the dict itself marks a miss
+        if got is self._vals:
             fn = self.model.partials.get(name, {}).get(slot)
             if fn is None or (name == "driver" and self.model.driver is None):
-                got = np.zeros_like(own.x)
+                got = None
             else:
+                own, law = self.views(k)
                 val = np.asarray(fn(k * self.grid.dt, law, own), dtype=float)
                 got = np.broadcast_to(val, own.x.shape)
             self._vals[key] = got
         return got
 
+    def dense(self, name: str, slot: str, k: int) -> np.ndarray:
+        """:meth:`partial` with the shared read-only zero for an undeclared one."""
+        got = self.partial(name, slot, k)
+        return self.zero if got is None else got
 
-def _tmean(coef: np.ndarray, weight: np.ndarray) -> float:
-    """Transpose of a mean coupling: mean_j of coefficient times weight."""
-    return float(np.mean(coef * weight))
+    def transposed(self, k: int, slot: str, terms) -> Union[float, np.ndarray]:
+        """Adjoint coefficient in ``slot``: the left-to-right sum over
+        ``terms`` = (sign, name, w) of sign * (E'[c_law w] + c w), with c the
+        partial of coefficient ``name`` in ``slot``; undeclared ones skipped."""
+        total = None
+        for sign, name, w in terms:
+            c_law, c = self.partial(name, "law_" + slot, k), self.partial(name, slot, k)
+            if c_law is not None:
+                total = _add(total, sign, float(np.mean(c_law * w)))
+            if c is not None:
+                total = _add(total, sign, c * w)
+        return 0.0 if total is None else total
+
+    def linearized(self, k: int, name: str, law: StateView, own: StateView, direction):
+        """Linearization of coefficient ``name``: the left-to-right sum of
+        c_law * law + c * own over the x, y, z slots plus c_v * direction;
+        undeclared partials skipped."""
+        total = None
+        for slot, w in (
+            ("law_x", law.x), ("x", own.x), ("law_y", law.y), ("y", own.y),
+            ("law_z", law.z), ("z", own.z), ("v", direction),
+        ):
+            c = self.partial(name, slot, k)
+            if c is not None:
+                total = _add(total, 1, c * w)
+        return 0.0 if total is None else total
+
+
+def _add(total, sign: int, term):
+    """``total + sign * term``, with ``None`` as the empty sum."""
+    if total is None:
+        return term if sign > 0 else -term
+    return total + term if sign > 0 else total - term
 
 
 def _pairing(grid: TimeGrid, a: np.ndarray, b: np.ndarray) -> float:
@@ -296,8 +346,9 @@ def _rms(a: np.ndarray) -> float:
 # ======================================================================
 
 
-def _solve_coupled(
+def _solve_system(
     model: CoupledModel,
+    coupled: bool,
     grid: TimeGrid,
     noise: BrownianPaths,
     schedule: Optional[ContinuationSchedule],
@@ -307,17 +358,32 @@ def _solve_coupled(
     control: Optional[np.ndarray] = None,
     conditioning: Optional[np.ndarray] = None,
 ) -> SolutionTriple:
-    """Coupled solve, warm-started when a nearby solution is in hand.
+    """Solve one of the control problem's FBSDE systems; ``coupled``
+    chooses only the solver.
 
-    The continuation is what makes the solve converge from a cold start;
-    from ``warm`` only its final polish is needed: the same
-    Anderson-accelerated :func:`solve_picard` call (``inner_tol``,
-    ``polish_max_iter``, ``accel_memory``), so both routes land on the same
-    discrete fixed point.  If that pass fails with an error the
-    continuation retries on, the continuation runs from its seed.  With
-    ``polish_max_iter == 0`` the cold route returns the unpolished homotopy
-    solution, which a warm pass would not reproduce, so ``warm`` is unused.
+    A decoupled system (drift and diffusion free of the y and z slots,
+    which stay ``None`` in the forward pass) is solved exactly by one Euler
+    pass for X and one backward pass for (Y, Z), regressed on
+    ``conditioning`` when given and on X otherwise; ``warm`` is unused.
+
+    A coupled system is solved by the continuation, which is what makes it
+    converge from a cold start; from ``warm`` only its final polish is
+    needed: the same Anderson-accelerated :func:`solve_picard` call
+    (``inner_tol``, ``polish_max_iter``, ``accel_memory``), so both routes
+    land on the same discrete fixed point.  If that pass fails with an
+    error the continuation retries on, the continuation runs from its seed.
+    With ``polish_max_iter == 0`` the cold route returns the unpolished
+    homotopy solution, which a warm pass would not reproduce, so ``warm``
+    is unused.
     """
+    if not coupled:
+        fwd = ForwardModel(drift=model.drift, diffusion=model.diffusion, initial=model.initial)
+        x = simulate_forward(fwd, grid, noise, control=control, guard=guard)
+        y, z = solve_mf_bsde(
+            BackwardModel(driver=model.driver, terminal=model.terminal_map), grid, noise, x,
+            basis=basis, control=control, carrier=conditioning,
+        )
+        return SolutionTriple(x=x, y=y, z=z)
     sched = schedule or ContinuationSchedule()
     if warm is not None and sched.polish_max_iter > 0:
         try:
@@ -348,10 +414,11 @@ def solve_state(
 ) -> SolutionTriple:
     """Solve the controlled state system for an admissible control.
 
-    Decoupled models are solved sequentially: an Euler particle pass for
-    X, then a regression backward pass for (Y, Z).  Coupled models are
-    delegated to the homotopy continuation solver with the control
-    threaded through every coefficient's ``own.u`` slot.
+    The system is written once, with the control threaded through every
+    coefficient's ``own.u`` slot; ``model.coupled`` chooses only the
+    solver.  Decoupled models are solved sequentially: an Euler particle
+    pass for X, then a regression backward pass for (Y, Z).  Coupled
+    models go to the homotopy continuation solver.
 
     Parameters
     ----------
@@ -384,26 +451,16 @@ def solve_state(
     """
     u = as_control(u, grid, noise.particles)
     _require_admissible(model, u)
-    if model.coupled:
-        cm = CoupledModel(
-            drift=model.drift,
-            diffusion=model.diffusion,
-            driver=model.driver,
-            terminal_map=model.terminal_map,
-            initial=model.initial,
-        )
-        return _solve_coupled(cm, grid, noise, schedule, basis, guard, warm, control=u)
-    fwd = ForwardModel(drift=model.drift, diffusion=model.diffusion, initial=model.initial)
-    x = simulate_forward(fwd, grid, noise, control=u, guard=guard)
-    y, z = solve_mf_bsde(
-        BackwardModel(driver=model.driver, terminal=model.terminal_map),
-        grid,
-        noise,
-        x,
-        basis=basis,
-        control=u,
+    system = CoupledModel(
+        drift=model.drift,
+        diffusion=model.diffusion,
+        driver=model.driver,
+        terminal_map=model.terminal_map,
+        initial=model.initial,
     )
-    return SolutionTriple(x=x, y=y, z=z)
+    return _solve_system(
+        system, model.coupled, grid, noise, schedule, basis, guard, warm, control=u
+    )
 
 
 # ======================================================================
@@ -468,13 +525,12 @@ def solve_adjoint(
     linearization contributes mean_j[c(theta_j) w_j] to the adjoint of
     the paired multiplier w.
 
-    For decoupled models the Q equation involves only driver and running-
-    cost partials in the (y, z) slots, so Q is integrated forward first
-    and (p, q) follow by one regression backward pass.  For coupled
-    models (Q, p, q) form a fully coupled mean-field FBSDE of the
-    mirrored monotone type; it is solved by negating the forward
-    component (the pair (-Q, p, q) is forward-monotone) and delegating to
-    the continuation solver, then mapping Q back.
+    (Q, p, q) is written once, as one mean-field FBSDE of the mirrored
+    monotone type, solved with its forward component negated (the triple
+    (-Q, p, q) is forward-monotone) and mapped back; ``model.coupled``
+    chooses only the solver, as in :func:`solve_state` (for a decoupled
+    model Q's coefficients read only Q).  The backward passes regress on
+    the state path, since the adjoint's data are functionals of it.
 
     With ``certify=True`` an empirical mirrored-monotonicity probe runs
     on the assembled coupled adjoint coefficients before solving; a
@@ -488,7 +544,7 @@ def solve_adjoint(
         As in :func:`solve_state`; ``state`` must solve the state system
         for ``u`` on the same noise.
     schedule, basis, guard
-        Coupled-route solver knobs.
+        Solver knobs, as in :func:`solve_state`.
     certify : bool
         Run the monotonicity probe (off by default).
     warm : AdjointTriple, optional
@@ -496,120 +552,38 @@ def solve_adjoint(
         noise.  As in :func:`solve_state`, a coupled solve then runs only
         the continuation's polish from it, with the continuation as the
         fallback; it is unused for decoupled models (solved exactly by the
-        forward Q pass and one backward pass) and when
-        ``schedule.polish_max_iter == 0``.
+        sequential pass) and when ``schedule.polish_max_iter == 0``.
 
     Returns
     -------
     AdjointTriple
     """
     u = as_control(u, grid, noise.particles)
-    dw = noise.scalar()
-    m, n = dw.shape
-    dt = grid.dt
     path = _FrozenPath(model, u, state, grid)
-
-    def p_coef(slot, k):
-        return path.partial("drift", slot, k)
-
-    def s_coef(slot, k):
-        return path.partial("diffusion", slot, k)
-
-    def f_coef(slot, k):
-        return path.partial("driver", slot, k)
-
-    def h_coef(slot, k):
-        return path.partial("running_cost", slot, k)
-
-    x_last = state.x[m]
+    x_last = state.x[grid.steps]
     terminal_cost_slope = np.asarray(model.terminal_cost_slope(x_last), dtype=float)
     terminal_slope = np.asarray(model.terminal_slope(x_last), dtype=float)
     q0 = -np.asarray(model.initial_cost_slope(state.y[0]), dtype=float)
-    q0 = np.broadcast_to(q0, (n,)).copy()
+    q0 = np.broadcast_to(q0, (noise.particles,)).copy()
 
-    if not model.coupled:
-        # Q forward: its equation reads only (y, z) partials of f and h
-        big_q = np.empty((m + 1, n))
-        big_q[0] = q0
-        for k in range(m):
-            drift = (
-                _tmean(f_coef("law_y", k), big_q[k])
-                + f_coef("y", k) * big_q[k]
-                - float(np.mean(h_coef("law_y", k)))
-                - h_coef("y", k)
-            )
-            diff = (
-                _tmean(f_coef("law_z", k), big_q[k])
-                + f_coef("z", k) * big_q[k]
-                - float(np.mean(h_coef("law_z", k)))
-                - h_coef("z", k)
-            )
-            big_q[k + 1] = big_q[k] + drift * dt + diff * dw[k]
+    # the x slot carries Q, paired with the driver; p and q pair with the
+    # drift and the diffusion, and the running cost enters with weight 1
+    def forward_coef(slot):
+        def coef(t, law, own):
+            return path.transposed(grid.node_index(t), slot, (
+                (1, "driver", own.x), (-1, "drift", own.y),
+                (-1, "diffusion", own.z), (-1, "running_cost", 1.0),
+            ))
 
-        def p_driver(t, law, own):
-            k = grid.node_index(t)
-            return (
-                _tmean(p_coef("law_x", k), own.y)
-                + p_coef("x", k) * own.y
-                + _tmean(s_coef("law_x", k), own.z)
-                + s_coef("x", k) * own.z
-                + float(np.mean(h_coef("law_x", k)))
-                + h_coef("x", k)
-                - _tmean(f_coef("law_x", k), big_q[k])
-                - f_coef("x", k) * big_q[k]
-            )
+        return coef
 
-        def p_terminal(xm):
-            return terminal_cost_slope - terminal_slope * big_q[m]
-
-        p, q = solve_mf_bsde(
-            BackwardModel(driver=p_driver, terminal=p_terminal),
-            grid,
-            noise,
-            state.x,
-            basis=basis,
-        )
-        return AdjointTriple(p=p, q=q, Q=big_q, warning=None)
-
-    # coupled: (Q, p, q) solved as one mirrored-monotone FBSDE
-    def adj_drift(t, law, own):
-        k = grid.node_index(t)
-        return (
-            _tmean(f_coef("law_y", k), own.x)
-            + f_coef("y", k) * own.x
-            - _tmean(p_coef("law_y", k), own.y)
-            - p_coef("y", k) * own.y
-            - _tmean(s_coef("law_y", k), own.z)
-            - s_coef("y", k) * own.z
-            - float(np.mean(h_coef("law_y", k)))
-            - h_coef("y", k)
-        )
-
-    def adj_diffusion(t, law, own):
-        k = grid.node_index(t)
-        return (
-            _tmean(f_coef("law_z", k), own.x)
-            + f_coef("z", k) * own.x
-            - _tmean(p_coef("law_z", k), own.y)
-            - p_coef("z", k) * own.y
-            - _tmean(s_coef("law_z", k), own.z)
-            - s_coef("z", k) * own.z
-            - float(np.mean(h_coef("law_z", k)))
-            - h_coef("z", k)
-        )
+    adj_drift, adj_diffusion = forward_coef("y"), forward_coef("z")
 
     def adj_driver(t, law, own):
-        k = grid.node_index(t)
-        return (
-            _tmean(p_coef("law_x", k), own.y)
-            + p_coef("x", k) * own.y
-            + _tmean(s_coef("law_x", k), own.z)
-            + s_coef("x", k) * own.z
-            + float(np.mean(h_coef("law_x", k)))
-            + h_coef("x", k)
-            - _tmean(f_coef("law_x", k), own.x)
-            - f_coef("x", k) * own.x
-        )
+        return path.transposed(grid.node_index(t), "x", (
+            (1, "drift", own.y), (1, "diffusion", own.z),
+            (1, "running_cost", 1.0), (-1, "driver", own.x),
+        ))
 
     def adj_terminal(q_last):
         return terminal_cost_slope - terminal_slope * q_last
@@ -622,16 +596,14 @@ def solve_adjoint(
         initial=q0,
     )
     warning = None
-    if certify:
-        worst = _h6_probe(adj_drift, adj_diffusion, adj_driver, grid, noise.seed, n)
+    if certify and model.coupled:
+        worst = _h6_probe(adj_drift, adj_diffusion, adj_driver, grid, noise.seed, noise.particles)
         if worst < -1e-9:
             warning = f"adjoint monotonicity probe found pairing ratio {worst:.3e}"
-    # the adjoint's data are exogenous functionals of the state trajectory,
-    # so the state path carries the regressions
     guess = None if warm is None else SolutionTriple(x=-warm.Q, y=warm.p, z=warm.q)
-    sol = _solve_coupled(
-        negate_forward_model(adj_model), grid, noise, schedule, basis, guard, guess,
-        conditioning=state.x,
+    sol = _solve_system(
+        negate_forward_model(adj_model), model.coupled, grid, noise, schedule, basis,
+        guard, guess, conditioning=state.x,
     )
     return AdjointTriple(p=sol.y, q=sol.z, Q=-sol.x, warning=warning)
 
@@ -677,66 +649,21 @@ def solve_variational(
     (b_v, sigma_v, f_v) times the direction, and closes with
     ``m_T = Phi_x(X_T) k_T``.  Law couplings act through means of the
     perturbation, matching the statistics-form linearization, so the
-    solve is exactly linear in the direction for fixed noise.
+    solve is exactly linear in the direction for fixed noise.  The system
+    is written once; as in :func:`solve_state`, ``model.coupled`` chooses
+    only the solver (one forward and one backward pass, or the
+    continuation).  The backward passes regress on the state path.
     """
     u = as_control(u, grid, noise.particles)
     d = as_control(direction, grid, noise.particles)
-    dw = noise.scalar()
-    m_steps, n = dw.shape
-    dt = grid.dt
+    m_steps = grid.steps
     path = _FrozenPath(model, u, state, grid)
     slope = np.asarray(model.terminal_slope(state.x[m_steps]), dtype=float)
-
-    if not model.coupled:
-        kk = np.empty((m_steps + 1, n))
-        kk[0] = 0.0
-        for k in range(m_steps):
-            mean_k = float(kk[k].mean())
-            drift = (
-                path.partial("drift", "law_x", k) * mean_k
-                + path.partial("drift", "x", k) * kk[k]
-                + path.partial("drift", "v", k) * d[k]
-            )
-            diff = (
-                path.partial("diffusion", "law_x", k) * mean_k
-                + path.partial("diffusion", "x", k) * kk[k]
-                + path.partial("diffusion", "v", k) * d[k]
-            )
-            kk[k + 1] = kk[k] + drift * dt + diff * dw[k]
-
-        def var_driver(t, law, own):
-            k = grid.node_index(t)
-            return (
-                path.partial("driver", "law_x", k) * float(kk[k].mean())
-                + path.partial("driver", "x", k) * kk[k]
-                + path.partial("driver", "law_y", k) * law.y
-                + path.partial("driver", "y", k) * own.y
-                + path.partial("driver", "law_z", k) * law.z
-                + path.partial("driver", "z", k) * own.z
-                + path.partial("driver", "v", k) * d[k]
-            )
-
-        mv, nv = solve_mf_bsde(
-            BackwardModel(driver=var_driver, terminal=lambda xm: slope * kk[m_steps]),
-            grid,
-            noise,
-            state.x,
-            basis=basis,
-        )
-        return VariationalTriple(k=kk, m=mv, n=nv)
 
     def lin(name):
         def coef(t, law, own):
             k = grid.node_index(t)
-            return (
-                path.partial(name, "law_x", k) * law.x
-                + path.partial(name, "x", k) * own.x
-                + path.partial(name, "law_y", k) * law.y
-                + path.partial(name, "y", k) * own.y
-                + path.partial(name, "law_z", k) * law.z
-                + path.partial(name, "z", k) * own.z
-                + path.partial(name, "v", k) * d[min(k, m_steps - 1)]
-            )
+            return path.linearized(k, name, law, own, d[min(k, m_steps - 1)])
 
         return coef
 
@@ -747,8 +674,8 @@ def solve_variational(
         terminal_map=lambda k_last: slope * k_last,
         initial=0.0,
     )
-    sol, _ = solve_continuation(
-        var_model, grid, noise, schedule=schedule, basis=basis, guard=guard,
+    sol = _solve_system(
+        var_model, model.coupled, grid, noise, schedule, basis, guard, None,
         conditioning=state.x,
     )
     return VariationalTriple(k=sol.x, m=sol.y, n=sol.z)
@@ -821,10 +748,10 @@ def smp_gradient(
     grad = np.empty((grid.steps, noise.particles))
     for k in range(grid.steps):
         grad[k] = (
-            path.partial("drift", "v", k) * adjoint.p[k]
-            + path.partial("diffusion", "v", k) * adjoint.q[k]
-            - path.partial("driver", "v", k) * adjoint.Q[k]
-            + path.partial("running_cost", "v", k)
+            path.dense("drift", "v", k) * adjoint.p[k]
+            + path.dense("diffusion", "v", k) * adjoint.q[k]
+            - path.dense("driver", "v", k) * adjoint.Q[k]
+            + path.dense("running_cost", "v", k)
         )
     return grad
 
@@ -1030,21 +957,21 @@ def duality_gap(
     run = 0.0
     for k in range(m):
         run += grid.dt * (
-            float(np.mean(path.partial("running_cost", "law_x", k))) * float(variational.k[k].mean())
-            + float(np.mean(path.partial("running_cost", "x", k) * variational.k[k]))
-            + float(np.mean(path.partial("running_cost", "law_y", k))) * float(variational.m[k].mean())
-            + float(np.mean(path.partial("running_cost", "y", k) * variational.m[k]))
-            + float(np.mean(path.partial("running_cost", "law_z", k))) * float(variational.n[k].mean())
-            + float(np.mean(path.partial("running_cost", "z", k) * variational.n[k]))
+            float(np.mean(path.dense("running_cost", "law_x", k))) * float(variational.k[k].mean())
+            + float(np.mean(path.dense("running_cost", "x", k) * variational.k[k]))
+            + float(np.mean(path.dense("running_cost", "law_y", k))) * float(variational.m[k].mean())
+            + float(np.mean(path.dense("running_cost", "y", k) * variational.m[k]))
+            + float(np.mean(path.dense("running_cost", "law_z", k))) * float(variational.n[k].mean())
+            + float(np.mean(path.dense("running_cost", "z", k) * variational.n[k]))
         )
     rhs = 0.0
     for k in range(m):
         rhs += grid.dt * float(
             np.mean(
                 (
-                    path.partial("drift", "v", k) * adjoint.p[k]
-                    + path.partial("diffusion", "v", k) * adjoint.q[k]
-                    - path.partial("driver", "v", k) * adjoint.Q[k]
+                    path.dense("drift", "v", k) * adjoint.p[k]
+                    + path.dense("diffusion", "v", k) * adjoint.q[k]
+                    - path.dense("driver", "v", k) * adjoint.Q[k]
                 )
                 * d[k]
             )

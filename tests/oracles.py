@@ -10,6 +10,10 @@ the package's Gram-updated Anderson mixer: it rebuilds the difference
 matrices every step and solves the tall least-squares problem directly.
 ``cold_candidate_fixed_point`` is the candidate loop with every state and
 adjoint solved cold, the reference for the warm-started package loop.
+``sequential_adjoint`` and ``sequential_variational`` are the decoupled
+adjoint and variational routes written out by hand (a forward loop, then a
+backward sweep with its own driver), the references, to the bit, for the
+package's single-written systems on their sequential solver.
 ``per_player_cost`` prices a game player's cost straight from the game's
 two-control coefficients, the reference for pricing it through the
 single-player reduction; ``lq2_coefficients`` writes out the formulas of
@@ -19,8 +23,8 @@ the ``LQ2Params`` docstring, the reference for the package's encodings.
 import numpy as np
 
 from mfcontrol.core import StateView, view_means
-from mfcontrol.mf_bsde import regress_conditional_expectation
-from mfcontrol.smp_control import solve_adjoint, solve_state
+from mfcontrol.mf_bsde import BackwardModel, regress_conditional_expectation, solve_mf_bsde
+from mfcontrol.smp_control import AdjointTriple, VariationalTriple, solve_adjoint, solve_state
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +209,142 @@ def cold_candidate_fixed_point(model, formula, grid, noise, damping=0.5, tol=1e-
         if gaps[-1] <= tol:
             return u, gaps
     raise AssertionError(f"cold candidate loop did not converge: last gap {gaps[-1]:.3e}")
+
+
+# ----------------------------------------------------------------------
+# Sequential adjoint and variational routes of a decoupled model
+# ----------------------------------------------------------------------
+
+
+def _zero_filled_partials(model, u, state, grid):
+    """Partial lookup along (state, u) in which an undeclared partial is an
+    array of zeros."""
+
+    def partial(name, slot, k):
+        own = StateView(x=state.x[k], y=state.y[k], z=state.z[k], u=u[min(k, grid.steps - 1)])
+        fn = model.partials.get(name, {}).get(slot)
+        if fn is None or (name == "driver" and model.driver is None):
+            return np.zeros_like(own.x)
+        val = np.asarray(fn(k * grid.dt, view_means(own), own), dtype=float)
+        return np.broadcast_to(val, own.x.shape)
+
+    return partial
+
+
+def _tmean(coef, weight):
+    return float(np.mean(coef * weight))
+
+
+def sequential_adjoint(model, u, state, grid, noise, basis=None):
+    """Adjoint (p, q, Q) of a decoupled model: Q integrated forward from
+    -gamma_y(Y_0) with driver and running-cost partials in the (y, z)
+    slots, then (p, q) by one backward sweep regressed on the state path."""
+    partial = _zero_filled_partials(model, u, state, grid)
+    dw = noise.scalar()
+    m, n = dw.shape
+    dt = grid.dt
+
+    def p_coef(slot, k):
+        return partial("drift", slot, k)
+
+    def s_coef(slot, k):
+        return partial("diffusion", slot, k)
+
+    def f_coef(slot, k):
+        return partial("driver", slot, k)
+
+    def h_coef(slot, k):
+        return partial("running_cost", slot, k)
+
+    x_last = state.x[m]
+    terminal_cost_slope = np.asarray(model.terminal_cost_slope(x_last), dtype=float)
+    terminal_slope = np.asarray(model.terminal_slope(x_last), dtype=float)
+    q0 = -np.asarray(model.initial_cost_slope(state.y[0]), dtype=float)
+    q0 = np.broadcast_to(q0, (n,)).copy()
+
+    big_q = np.empty((m + 1, n))
+    big_q[0] = q0
+    for k in range(m):
+        drift = (
+            _tmean(f_coef("law_y", k), big_q[k])
+            + f_coef("y", k) * big_q[k]
+            - float(np.mean(h_coef("law_y", k)))
+            - h_coef("y", k)
+        )
+        diff = (
+            _tmean(f_coef("law_z", k), big_q[k])
+            + f_coef("z", k) * big_q[k]
+            - float(np.mean(h_coef("law_z", k)))
+            - h_coef("z", k)
+        )
+        big_q[k + 1] = big_q[k] + drift * dt + diff * dw[k]
+
+    def p_driver(t, law, own):
+        k = grid.node_index(t)
+        return (
+            _tmean(p_coef("law_x", k), own.y)
+            + p_coef("x", k) * own.y
+            + _tmean(s_coef("law_x", k), own.z)
+            + s_coef("x", k) * own.z
+            + float(np.mean(h_coef("law_x", k)))
+            + h_coef("x", k)
+            - _tmean(f_coef("law_x", k), big_q[k])
+            - f_coef("x", k) * big_q[k]
+        )
+
+    def p_terminal(xm):
+        return terminal_cost_slope - terminal_slope * big_q[m]
+
+    p, q = solve_mf_bsde(
+        BackwardModel(driver=p_driver, terminal=p_terminal), grid, noise, state.x, basis=basis
+    )
+    return AdjointTriple(p=p, q=q, Q=big_q, warning=None)
+
+
+def sequential_variational(model, u, direction, state, grid, noise, basis=None):
+    """Variational triple (k, m, n) of a decoupled model along the [M, N]
+    ``direction``: k integrated forward from 0, then (m, n) by one backward
+    sweep regressed on the state path."""
+    partial = _zero_filled_partials(model, u, state, grid)
+    d = direction
+    dw = noise.scalar()
+    m_steps, n = dw.shape
+    dt = grid.dt
+    slope = np.asarray(model.terminal_slope(state.x[m_steps]), dtype=float)
+
+    kk = np.empty((m_steps + 1, n))
+    kk[0] = 0.0
+    for k in range(m_steps):
+        mean_k = float(kk[k].mean())
+        drift = (
+            partial("drift", "law_x", k) * mean_k
+            + partial("drift", "x", k) * kk[k]
+            + partial("drift", "v", k) * d[k]
+        )
+        diff = (
+            partial("diffusion", "law_x", k) * mean_k
+            + partial("diffusion", "x", k) * kk[k]
+            + partial("diffusion", "v", k) * d[k]
+        )
+        kk[k + 1] = kk[k] + drift * dt + diff * dw[k]
+
+    def var_driver(t, law, own):
+        k = grid.node_index(t)
+        return (
+            partial("driver", "law_x", k) * float(kk[k].mean())
+            + partial("driver", "x", k) * kk[k]
+            + partial("driver", "law_y", k) * law.y
+            + partial("driver", "y", k) * own.y
+            + partial("driver", "law_z", k) * law.z
+            + partial("driver", "z", k) * own.z
+            + partial("driver", "v", k) * d[k]
+        )
+
+    mv, nv = solve_mf_bsde(
+        BackwardModel(driver=var_driver, terminal=lambda xm: slope * kk[m_steps]),
+        grid, noise, state.x, basis=basis,
+    )
+    return VariationalTriple(k=kk, m=mv, n=nv)
 
 
 # ----------------------------------------------------------------------

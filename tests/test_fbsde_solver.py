@@ -510,6 +510,15 @@ def test_schedule_validation():
         ContinuationSchedule(step=1.5)
     with pytest.raises(ConfigError):
         ContinuationSchedule(inner_tol=-1.0)
+    # caps, halvings and memory are integers; tolerances finite and positive
+    for bad in (
+        dict(accel_memory=-3), dict(accel_memory=2.7), dict(picard_max_iter=2.5),
+        dict(picard_max_iter=0), dict(max_halvings=-1), dict(max_halvings=1.5),
+        dict(polish_max_iter=-1), dict(polish_max_iter=3.0), dict(inner_tol=np.nan),
+        dict(inner_tol=0.0), dict(picard_tol=np.inf), dict(picard_tol=-1e-8),
+    ):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            ContinuationSchedule(**bad)
 
 
 # ----------------------------------------------------------------------

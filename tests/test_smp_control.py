@@ -19,7 +19,8 @@ from mfcontrol.core import (
     sample_brownian,
 )
 from mfcontrol.fbsde_solver import ContinuationSchedule, SolutionTriple
-from mfcontrol.lq_examples import LQ2Params, lq2_model
+from mfcontrol.games import induced_model
+from mfcontrol.lq_examples import LQ1Params, LQ2Params, lq1_model, lq2_model, lq_game
 from mfcontrol.forward_mv import ForwardModel, simulate_forward
 from mfcontrol.mf_bsde import BackwardModel, solve_mf_bsde
 from mfcontrol.smp_control import (
@@ -40,7 +41,7 @@ from mfcontrol.smp_control import (
     variational_inequality_residual,
 )
 
-from oracles import directional_fd
+from oracles import directional_fd, sequential_adjoint, sequential_variational
 
 
 def _grid_noise(m=16, n=256, horizon=1.0, seed=7):
@@ -153,6 +154,37 @@ def test_as_control_shapes():
         as_control(np.zeros((3, 3)), grid, 3)
 
 
+@pytest.mark.parametrize(
+    "u, node, particle",
+    [
+        (np.nan, 0, 0),
+        (np.inf, 0, 0),
+        (np.array([0.0, 1.0, -np.inf, 0.0]), 2, 0),
+        (np.array([[0.0], [0.0], [0.0], [np.nan]]), 3, 0),
+        (np.array([[0.0, 0.0, 0.0], [0.0, 0.0, np.nan], [np.inf, 0.0, 0.0], [0.0] * 3]), 1, 2),
+    ],
+)
+def test_as_control_rejects_non_finite_entries(u, node, particle):
+    grid, _ = _grid_noise(m=4, n=3)
+    with pytest.raises(ConfigError, match=f"node {node}, particle {particle}"):
+        as_control(u, grid, 3)
+
+
+def test_non_finite_controls_fail_typed():
+    grid, noise = _grid_noise(m=8, n=64, horizon=0.5)
+    model = lq1_model(LQ1Params())
+    state = solve_state(model, 0.1, grid, noise)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="not finite"):
+            solve_state(model, bad, grid, noise)
+        with pytest.raises(ConfigError, match="not finite"):
+            solve_variational(model, 0.1, bad, state, grid, noise)
+        with pytest.raises(ConfigError, match="not finite"):
+            duality_gap(model, 0.1, bad, grid, noise, state=state)
+        with pytest.raises(ConfigError, match="not finite"):
+            variational_inequality_residual(model, 0.1, [bad], grid, noise, state=state)
+
+
 def test_partials_validation():
     with pytest.raises(ConfigError):
         ControlModel(
@@ -172,6 +204,18 @@ def test_partials_validation():
             terminal_slope=lambda x: x, terminal_cost_slope=lambda x: x,
             initial_cost_slope=lambda y: y,
         )
+    # a decoupled model's drift and diffusion read no y or z slot
+    for name in ("drift", "diffusion"):
+        for slot in ("law_y", "y", "law_z", "z"):
+            with pytest.raises(ConfigError, match=f"partials\\['{name}'\\]\\['{slot}'\\]"):
+                ControlModel(
+                    drift=_zeros, diffusion=_zeros, driver=None, terminal_map=0.0,
+                    running_cost=_zeros,
+                    terminal_cost=lambda x: x, initial_cost=lambda y: y,
+                    partials={name: {slot: _const(1.0)}},
+                    terminal_slope=lambda x: x, terminal_cost_slope=lambda x: x,
+                    initial_cost_slope=lambda y: y, coupled=False,
+                )
 
 
 def test_inadmissible_control_rejected():
@@ -337,6 +381,43 @@ def test_coupled_and_decoupled_adjoints_agree():
     adj_c = solve_adjoint(cpl, u, state_d, grid, noise)
     for a, b in ((adj_d.p, adj_c.p), (adj_d.q, adj_c.q), (adj_d.Q, adj_c.Q)):
         assert np.allclose(a, b, atol=1e-10)
+
+
+def _sequential_case(case, grid, noise):
+    t = grid.nodes[:-1, None]
+    u = np.broadcast_to(0.2 + 0.1 * np.cos(3.0 * t), (grid.steps, noise.particles))
+    if case == "lq1":
+        params = LQ1Params(
+            driver_mean_x=-0.1, driver_x=0.3, driver_mean_y=0.1, driver_y=-0.2,
+            driver_mean_z=0.15, driver_z=0.05, driver_control=0.2,
+        )
+        return lq1_model(params), u
+    opponent = np.broadcast_to(-0.3 + 0.2 * np.sin(2.0 * t), u.shape)
+    return induced_model(lq_game(coupling=0.2), int(case[-1]), opponent, grid), u
+
+
+@pytest.mark.parametrize("case", ["lq1", "player1", "player2"])
+def test_single_systems_match_sequential_routes_bit_for_bit(case):
+    # one written system per problem, solved sequentially when the model is
+    # decoupled, reproduces the hand-written forward/backward routes to the
+    # last bit; only the sign of an exact zero may differ: the adjoint runs Q
+    # forward negated, and where a step's sum cancels to +0.0, Q = -(+0.0)
+    grid, noise = _grid_noise(m=8, n=256, horizon=0.5, seed=3)
+    model, u = _sequential_case(case, grid, noise)
+    direction = np.random.default_rng(5).normal(size=u.shape)
+    state = solve_state(model, u, grid, noise)
+    adj = solve_adjoint(model, u, state, grid, noise)
+    ref = sequential_adjoint(model, u, state, grid, noise)
+    var = solve_variational(model, u, direction, state, grid, noise)
+    var_ref = sequential_variational(model, u, direction, state, grid, noise)
+    for got, want in (
+        (adj.p, ref.p), (adj.q, ref.q), (adj.Q, ref.Q),
+        (var.k, var_ref.k), (var.m, var_ref.m), (var.n, var_ref.n),
+    ):
+        assert np.array_equal(got, want)
+    assert np.all(np.isfinite(adj.p)) and np.any(var.k[1:] != 0.0)
+    if case == "lq1":  # the driver's y and z partials make Q move
+        assert np.any(adj.Q != adj.Q[0])
 
 
 # ======================================================================
