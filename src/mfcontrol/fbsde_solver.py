@@ -15,10 +15,9 @@ Three solver routes are provided:
   recovery of the auxiliary integrand, then a forward Euler pass and the
   recombination Y = Y_aux + X.
 * :func:`solve_picard` — decoupling iteration (forward sweep with frozen
-  backward paths, then a fresh backward sweep), with optional damping and
-  Anderson acceleration.  Contractive only for short horizons or weak
-  coupling; serves as the baseline and as the final polish of the
-  continuation.
+  backward paths, then a fresh backward sweep), with optional Anderson
+  acceleration.  Contractive only for short horizons or weak coupling;
+  serves as the baseline and as the final polish of the continuation.
 * :func:`solve_continuation` — homotopy in the blend parameter alpha from
   the canonical pair to the target model (the method of continuation),
   with warm starts and per-segment step halving.  Each blend level is one
@@ -38,7 +37,7 @@ The blend family (see :func:`homotopy_coefficients`):
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -52,8 +51,15 @@ from mfcontrol.core import (
     StateView,
     TimeGrid,
 )
-from mfcontrol.forward_mv import DEFAULT_GUARD, Initial, resolve_initial
-from mfcontrol.mf_bsde import BackwardModel, RegressionBasis, solve_mf_bsde
+from mfcontrol.forward_mv import (
+    DEFAULT_GUARD,
+    Initial,
+    _check_guard,
+    _euler,
+    _views,
+    resolve_initial,
+)
+from mfcontrol.mf_bsde import BackwardModel, RegressionBasis, _terminal_values, solve_mf_bsde
 
 __all__ = [
     "CoupledModel",
@@ -71,6 +77,10 @@ __all__ = [
 
 Coefficient = Callable[[float, StateView, StateView], np.ndarray]
 TerminalMap = Union[float, np.ndarray, Callable[[np.ndarray], np.ndarray]]
+
+#: solver failures a caller recovers from (a continuation rung halves its
+#: step, a polish is rejected, a warm solve falls back to the continuation)
+_RETRYABLE = (NonConvergenceError, DivergenceError, RegressionError)
 
 
 @dataclass(frozen=True)
@@ -116,10 +126,14 @@ def _triple_rms(a: SolutionTriple, b: SolutionTriple) -> float:
     return float(np.sqrt(num / cnt))
 
 
-def _apply_terminal(terminal: TerminalMap, x_last: np.ndarray) -> np.ndarray:
-    if callable(terminal):
-        return np.asarray(terminal(x_last), dtype=float)
-    return np.broadcast_to(np.asarray(terminal, dtype=float), x_last.shape).astype(float)
+def _coefficients(model, t: float, law: StateView, own: StateView, shape):
+    """(b, sigma, f) of ``model`` at one node, each broadcast to ``shape``;
+    f = 0 when the model has no driver."""
+    b = np.broadcast_to(np.asarray(model.drift(t, law, own), dtype=float), shape)
+    s = np.broadcast_to(np.asarray(model.diffusion(t, law, own), dtype=float), shape)
+    if model.driver is None:
+        return b, s, np.zeros(shape)
+    return b, s, np.broadcast_to(np.asarray(model.driver(t, law, own), dtype=float), shape)
 
 
 # ======================================================================
@@ -180,14 +194,6 @@ def _terminal_array(shift, n: int) -> np.ndarray:
 # ======================================================================
 # Linear seed (constructive solution of the canonical pair)
 # ======================================================================
-
-
-def _check_guard(row: np.ndarray, k: int, guard: float) -> None:
-    """Raise :class:`DivergenceError` if node ``k`` of a state path leaves
-    the guard region (non-finite values count as leaving it)."""
-    if not (np.abs(row).max() <= guard):
-        i = int(np.abs(row).argmax())
-        raise DivergenceError(k, i, row[i], guard)
 
 
 def solve_linear_seed(
@@ -320,7 +326,7 @@ def homotopy_coefficients(model: CoupledModel, alpha: float) -> CoupledModel:
         return a * f + (1.0 - a) * lin
 
     def terminal(x_last):
-        return a * _apply_terminal(base_terminal, x_last) + (1.0 - a) * x_last
+        return a * _terminal_values(base_terminal, x_last) + (1.0 - a) * x_last
 
     return CoupledModel(
         drift=drift,
@@ -365,7 +371,7 @@ def negate_forward_model(model: CoupledModel) -> CoupledModel:
             return base_driver(t, flip(law), flip(own))
 
     def terminal(x_last):
-        return _apply_terminal(base_terminal, -x_last)
+        return _terminal_values(base_terminal, -x_last)
 
     if callable(base_initial):
 
@@ -387,7 +393,7 @@ def negate_forward_model(model: CoupledModel) -> CoupledModel:
 
 
 # ======================================================================
-# Picard iteration (optionally damped / Anderson-accelerated)
+# Fixed-point iteration (optionally Anderson-accelerated)
 # ======================================================================
 
 
@@ -450,32 +456,47 @@ class _AndersonMixer:
         return np.subtract(g, out, out=out)  # in place: one fresh [L] array
 
 
-def _level_views(tri: SolutionTriple, k: int, control):
-    u_k = None if control is None else (control[k] if k < control.shape[0] else control[-1])
-    own = StateView(x=tri.x[k], y=tri.y[k], z=tri.z[k], u=u_k)
-    law = StateView(
-        x=float(tri.x[k].mean()),
-        y=float(tri.y[k].mean()),
-        z=float(tri.z[k].mean()),
-        u=None if u_k is None else float(u_k.mean()),
+def _fixed_point(sweep, start: SolutionTriple, slots, tol: float, max_iter: int,
+                 memory: int, what: str):
+    """Iterate ``sweep`` (a map of solution triples) from ``start`` until
+    the triple-RMS change of a sweep is at most ``tol``.
+
+    With ``memory`` > 0 the next iterate Anderson-mixes the ``slots`` of the
+    iterate and of the sweep's output and takes the other slots from the
+    output; without, it is the output.  Returns ``(SolutionTriple,
+    history)``, the history being the change norms.  A non-finite change,
+    or ``max_iter`` sweeps without reaching ``tol``, raises
+    :class:`NonConvergenceError` carrying the history and the last output;
+    ``what`` names the iteration in its message.
+    """
+    mixer = _AndersonMixer(memory) if memory > 0 else None
+    history: list = []
+    cur = out = start
+    flat = None  # the iterate's mixed slots, once a mixer step has made them
+    for _ in range(max_iter):
+        out = sweep(cur)
+        change = _triple_rms(out, cur)
+        history.append(change)
+        if not np.isfinite(change):
+            raise NonConvergenceError(
+                f"{what} produced non-finite iterates", history=history, last=out
+            )
+        if change <= tol:
+            return out, history
+        if mixer is None:
+            cur = out
+            continue
+        if flat is None:
+            flat = np.concatenate([getattr(cur, slot).ravel() for slot in slots])
+        flat = mixer.step(flat, np.concatenate([getattr(out, slot).ravel() for slot in slots]))
+        parts = np.split(flat, len(slots))
+        cur = replace(out, **{slot: part.reshape(out.x.shape) for slot, part in zip(slots, parts)})
+    raise NonConvergenceError(
+        f"{what} did not reach tol {tol:.1e} in {max_iter} sweeps "
+        f"(last change {history[-1]:.3e})",
+        history=history,
+        last=out,
     )
-    return own, law
-
-
-def _forward_sweep(model, grid, dw, y_cur, z_cur, control, guard, seed):
-    dt = grid.dt
-    m, n = dw.shape
-    x = np.empty((m + 1, n))
-    x[0] = resolve_initial(model.initial, n, seed)
-    path = SolutionTriple(x=x, y=y_cur, z=z_cur)  # x filled in node by node
-    for k in range(m):
-        own, law = _level_views(path, k, control)
-        t = k * dt
-        b = model.drift(t, law, own)
-        s = model.diffusion(t, law, own)
-        x[k + 1] = x[k] + b * dt + s * dw[k]
-        _check_guard(x[k + 1], k + 1, guard)
-    return x
 
 
 def solve_picard(
@@ -485,7 +506,6 @@ def solve_picard(
     tol: float = 1e-6,
     max_iter: int = 50,
     initial_guess: Optional[SolutionTriple] = None,
-    damping: float = 1.0,
     accel_memory: int = 0,
     control: Optional[np.ndarray] = None,
     basis: Optional[RegressionBasis] = None,
@@ -500,25 +520,23 @@ def solve_picard(
     decoupled model therefore converges in exactly two sweeps (the second
     only certifies the first), and an all-zero model in one.
 
-    ``damping`` < 1 relaxes the update; ``accel_memory`` > 0 switches on
-    Anderson mixing of the backward pair (used by the continuation polish;
-    both defaults leave the plain scheme untouched).  ``conditioning``
-    supplies an external regression carrier for the backward sweeps
-    (default: the current forward path); systems whose data are exogenous
-    functionals of another state path need this to avoid a carrier-feedback
-    noise floor.
+    ``accel_memory`` > 0 switches on Anderson mixing of the backward pair
+    (used by the continuation polish; the default 0 leaves the plain scheme
+    untouched).  ``conditioning`` supplies an external regression carrier
+    for the backward sweeps (default: the current forward path); systems
+    whose data are exogenous functionals of another state path need this
+    to avoid a carrier-feedback noise floor.
 
     Returns ``(SolutionTriple, history)`` where history is the list of
     change norms; raises :class:`NonConvergenceError` (carrying the history
-    and last iterate) on budget exhaustion and :class:`DivergenceError` if
-    a forward sweep leaves the guard region.
+    and last iterate) on budget exhaustion or at a sweep whose change is
+    not finite, and :class:`DivergenceError` if a forward sweep leaves the
+    guard region.
     """
     dw = noise.scalar()
     m, n = dw.shape
     if m != grid.steps:
         raise ConfigError(f"noise has {m} steps but grid has {grid.steps}")
-    if not (0.0 < damping <= 1.0):
-        raise ConfigError(f"damping must lie in (0, 1], got {damping}")
 
     if initial_guess is None:
         cur = SolutionTriple(
@@ -532,42 +550,16 @@ def solve_picard(
             )
         cur = initial_guess
     backward = BackwardModel(driver=model.driver, terminal=model.terminal_map)
-    mixer = _AndersonMixer(accel_memory) if accel_memory > 0 else None
-    history: list = []
-    out = cur
-    for _ in range(max_iter):
-        x_new = _forward_sweep(model, grid, dw, cur.y, cur.z, control, guard, noise.seed)
-        y_new, z_new = solve_mf_bsde(
-            backward, grid, noise, x_new, basis=basis, control=control, carrier=conditioning
+
+    def sweep(it: SolutionTriple) -> SolutionTriple:
+        x = _euler(model, grid, noise, control, guard, y=it.y, z=it.z)
+        y, z = solve_mf_bsde(
+            backward, grid, noise, x, basis=basis, control=control, carrier=conditioning
         )
-        out = SolutionTriple(x=x_new, y=y_new, z=z_new)
-        change = _triple_rms(out, cur)
-        history.append(change)
-        if change <= tol:
-            return out, history
-        if mixer is not None:
-            flat_u = np.concatenate([cur.y.ravel(), cur.z.ravel()])
-            flat_g = np.concatenate([y_new.ravel(), z_new.ravel()])
-            nxt = mixer.step(flat_u, flat_g)
-            cur = SolutionTriple(
-                x=x_new,
-                y=nxt[: y_new.size].reshape(y_new.shape),
-                z=nxt[y_new.size :].reshape(z_new.shape),
-            )
-        elif damping < 1.0:
-            cur = SolutionTriple(
-                x=x_new,
-                y=(1.0 - damping) * cur.y + damping * y_new,
-                z=(1.0 - damping) * cur.z + damping * z_new,
-            )
-        else:
-            cur = out
-    raise NonConvergenceError(
-        f"decoupling iteration did not reach tol {tol:.1e} in {max_iter} sweeps "
-        f"(last change {history[-1]:.3e})",
-        history=history,
-        last=out,
-    )
+        return SolutionTriple(x=x, y=y, z=z)
+
+    return _fixed_point(sweep, cur, ("y", "z"), tol, max_iter, accel_memory,
+                        "decoupling iteration")
 
 
 # ======================================================================
@@ -626,19 +618,13 @@ def _blend_sources(model, tri, grid, weight, control) -> LinearInhomogeneity:
     diff_src = np.empty((m, n))
     drv_src = np.empty((m, n))
     for k in range(m):
-        own, law = _level_views(tri, k, control)
-        t = k * dt
-        b_full = np.broadcast_to(np.asarray(model.drift(t, law, own), dtype=float), (n,))
-        s_full = np.broadcast_to(np.asarray(model.diffusion(t, law, own), dtype=float), (n,))
-        if model.driver is None:
-            f_full = np.zeros(n)
-        else:
-            f_full = np.broadcast_to(np.asarray(model.driver(t, law, own), dtype=float), (n,))
-        drift_src[k] = weight * (tri.y[k] + tri.y[k].mean() + b_full)
-        diff_src[k] = weight * (tri.z[k] + tri.z[k].mean() + s_full)
+        own, law = _views(tri, k, control)
+        b, s, f = _coefficients(model, k * dt, law, own, (n,))
+        drift_src[k] = weight * (tri.y[k] + tri.y[k].mean() + b)
+        diff_src[k] = weight * (tri.z[k] + tri.z[k].mean() + s)
         # enters the integrand as "- driver_source"
-        drv_src[k] = -weight * (f_full - tri.x[k].mean() - tri.x[k])
-    term_src = weight * (_apply_terminal(model.terminal_map, tri.x[m]) - tri.x[m])
+        drv_src[k] = -weight * (f - tri.x[k].mean() - tri.x[k])
+    term_src = weight * (_terminal_values(model.terminal_map, tri.x[m]) - tri.x[m])
     return LinearInhomogeneity(
         drift_source=drift_src,
         diffusion_source=diff_src,
@@ -673,11 +659,8 @@ def _seed_iteration(
     bracket is not a plain contraction.  Every sweep's state path is
     checked against ``guard``.
     """
-    cur = warm
-    mixer = _AndersonMixer(memory) if memory > 0 else None
-    history: list = []
-    out = cur
-    for _ in range(max_iter):
+
+    def sweep(cur: SolutionTriple) -> SolutionTriple:
         inhom = _blend_sources(model, cur, grid, weight, control)
         if conditioning is not None:
             cond = conditioning
@@ -687,36 +670,10 @@ def _seed_iteration(
             inhom, grid, noise, x0=model.initial, basis=basis, conditioning=cond,
             guard=guard,
         )
-        change = _triple_rms(out, cur)
-        history.append(change)
-        if not np.isfinite(change):
-            raise NonConvergenceError(
-                f"seed-preconditioned sweep produced non-finite iterates at "
-                f"blend weight {weight:.3f}",
-                history=history,
-                last=out,
-            )
-        if change <= tol:
-            return out, history
-        if mixer is not None:
-            flat_u = np.concatenate([cur.x.ravel(), cur.y.ravel(), cur.z.ravel()])
-            flat_g = np.concatenate([out.x.ravel(), out.y.ravel(), out.z.ravel()])
-            nxt = mixer.step(flat_u, flat_g)
-            sz = out.x.size
-            cur = SolutionTriple(
-                x=nxt[:sz].reshape(out.x.shape),
-                y=nxt[sz : 2 * sz].reshape(out.y.shape),
-                z=nxt[2 * sz :].reshape(out.z.shape),
-            )
-        else:
-            cur = out
-    raise NonConvergenceError(
-        f"seed-preconditioned iteration did not reach tol {tol:.1e} in "
-        f"{max_iter} sweeps at blend weight {weight:.3f} "
-        f"(last change {history[-1]:.3e})",
-        history=history,
-        last=out,
-    )
+        return out
+
+    return _fixed_point(sweep, warm, ("x", "y", "z"), tol, max_iter, memory,
+                        f"seed-preconditioned iteration at blend weight {weight:.3f}")
 
 
 def solve_continuation(
@@ -808,7 +765,7 @@ def solve_continuation(
                 guard=guard,
                 conditioning=conditioning,
             )
-        except (NonConvergenceError, DivergenceError, RegressionError) as exc:
+        except _RETRYABLE as exc:
             if isinstance(exc, DivergenceError):
                 exc.blend = alpha + step
             halvings += 1
@@ -841,7 +798,7 @@ def solve_continuation(
                 guard=guard,
                 conditioning=conditioning,
             )
-        except (NonConvergenceError, DivergenceError, RegressionError):
+        except _RETRYABLE:
             log.append({"alpha": 1.0, "polish": "rejected"})
         else:
             log.append({"alpha": 1.0, "polish": polish_hist})
@@ -889,14 +846,11 @@ def residual(
     fwd = np.empty((m, n))
     bwd = np.empty((m, n))
     for k in range(m):
-        own, law = _level_views(sol, k, control)
-        t = k * dt
-        b = model.drift(t, law, own)
-        s = model.diffusion(t, law, own)
-        f = 0.0 if model.driver is None else model.driver(t, law, own)
+        own, law = _views(sol, k, control)
+        b, s, f = _coefficients(model, k * dt, law, own, (n,))
         fwd[k] = sol.x[k + 1] - sol.x[k] - b * dt - s * dw[k]
         bwd[k] = sol.y[k] - sol.y[k + 1] - f * dt + sol.z[k] * dw[k]
-    term = sol.y[m] - _apply_terminal(model.terminal_map, sol.x[m])
+    term = sol.y[m] - _terminal_values(model.terminal_map, sol.x[m])
     return ResidualReport(
         forward=float(np.sqrt(np.mean(np.square(fwd)))),
         backward=float(np.sqrt(np.mean(np.square(bwd)))),

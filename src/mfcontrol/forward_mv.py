@@ -69,6 +69,50 @@ def resolve_initial(initial: Initial, n: int, seed: int) -> np.ndarray:
     return x0
 
 
+def _check_guard(row: np.ndarray, k: int, guard: float) -> None:
+    """Raise :class:`DivergenceError` if node ``k`` of a state path leaves
+    the guard region (non-finite values count as leaving it)."""
+    if not (np.abs(row).max() <= guard):
+        i = int(np.abs(row).argmax())
+        raise DivergenceError(k, i, row[i], guard)
+
+
+def _views(tri, k: int, control: Optional[np.ndarray]):
+    """``(own, law)`` at node ``k`` of a path triple: ``own`` holds the
+    slots of ``tri.x``, ``tri.y``, ``tri.z`` ([M+1, N] paths; y and z may be
+    ``None``) and the control row (node M reads the last row), ``law``
+    their means."""
+    u = None if control is None else control[min(k, len(control) - 1)]
+    own = StateView(
+        x=tri.x[k],
+        y=None if tri.y is None else tri.y[k],
+        z=None if tri.z is None else tri.z[k],
+        u=u,
+    )
+    return own, view_means(own)
+
+
+def _euler(model, grid: TimeGrid, noise: BrownianPaths, control, guard: float,
+           y: Optional[np.ndarray] = None, z: Optional[np.ndarray] = None) -> np.ndarray:
+    """Euler-Maruyama pass for X with the backward paths ``y``, ``z`` frozen
+    (``None`` leaves their slots empty); every node after the first is
+    checked against ``guard``."""
+    dw = noise.scalar()
+    m, n = dw.shape
+    dt = grid.dt
+    x = np.empty((m + 1, n))
+    x[0] = resolve_initial(model.initial, n, noise.seed)
+    path = StateView(x=x, y=y, z=z)  # whole paths; x is filled node by node
+    for k in range(m):
+        own, law = _views(path, k, control)
+        t = k * dt
+        b = model.drift(t, law, own)
+        s = model.diffusion(t, law, own)
+        x[k + 1] = x[k] + b * dt + s * dw[k]
+        _check_guard(x[k + 1], k + 1, guard)
+    return x
+
+
 def simulate_forward(
     model: ForwardModel,
     grid: TimeGrid,
@@ -99,23 +143,7 @@ def simulate_forward(
         raise ConfigError(f"noise has {m} steps but grid has {grid.steps}")
     if control is not None and control.shape != (m, n):
         raise ConfigError(f"control has shape {control.shape}, expected {(m, n)}")
-
-    dt = grid.dt
-    x = np.empty((m + 1, n))
-    x[0] = resolve_initial(model.initial, n, noise.seed)
-
-    for k in range(m):
-        own = StateView(x=x[k], u=None if control is None else control[k])
-        law = view_means(own)
-        t = k * dt
-        b = model.drift(t, law, own)
-        s = model.diffusion(t, law, own)
-        x[k + 1] = x[k] + b * dt + s * dw[k]
-        peak = np.abs(x[k + 1]).max()
-        if not (peak <= guard):  # also trips on NaN
-            i = int(np.abs(x[k + 1]).argmax())
-            raise DivergenceError(k + 1, i, x[k + 1][i], guard)
-    return x
+    return _euler(model, grid, noise, control, guard)
 
 
 # ----------------------------------------------------------------------

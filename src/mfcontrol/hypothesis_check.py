@@ -38,7 +38,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from mfcontrol.core import ConfigError, StateView
-from mfcontrol.fbsde_solver import CoupledModel, _apply_terminal
+from mfcontrol.fbsde_solver import CoupledModel, _coefficients
+from mfcontrol.mf_bsde import _terminal_values
 
 __all__ = [
     "UniformPairSampler",
@@ -69,6 +70,11 @@ class UniformPairSampler:
     """
 
     radius: float = 10.0
+
+    def __post_init__(self):
+        # a zero or NaN radius draws no effective sample, so every check passes
+        if not (np.isfinite(self.radius) and self.radius > 0.0):
+            raise ConfigError(f"sampler radius must be finite and > 0, got {self.radius}")
 
     def draw(self, rng: np.random.Generator, *shape: int) -> np.ndarray:
         return self.radius * (2.0 * rng.random(shape) - 1.0)
@@ -110,22 +116,9 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _coefficients(model: CoupledModel, t, law_xyz, own_xyz):
-    """Evaluate (f, b, sigma) on flat arrays, broadcasting constants."""
-    law = StateView(x=law_xyz[0], y=law_xyz[1], z=law_xyz[2])
-    own = StateView(x=own_xyz[0], y=own_xyz[1], z=own_xyz[2])
-    shape = own_xyz[0].shape
-    b = np.broadcast_to(np.asarray(model.drift(t, law, own), dtype=float), shape)
-    s = np.broadcast_to(np.asarray(model.diffusion(t, law, own), dtype=float), shape)
-    if model.driver is None:
-        f = np.zeros(shape)
-    else:
-        f = np.broadcast_to(np.asarray(model.driver(t, law, own), dtype=float), shape)
-    return f, b, s
-
-
-def _terminal(model: CoupledModel, x: np.ndarray) -> np.ndarray:
-    return _apply_terminal(model.terminal_map, x)
+def _view(cols: np.ndarray) -> StateView:
+    """Slots x, y, z from the columns of a sample block [n, 3]."""
+    return StateView(x=cols[:, 0], y=cols[:, 1], z=cols[:, 2])
 
 
 def _chunks(total: int):
@@ -148,12 +141,8 @@ def _lipschitz_pass(model, sampler, n_samples, time, rng, scale):
     for c in _chunks(n_samples):
         th1 = scale * sampler.draw(rng, c, 6)
         th2 = scale * sampler.draw(rng, c, 6)
-        f1, b1, s1 = _coefficients(
-            model, time, (th1[:, 0], th1[:, 1], th1[:, 2]), (th1[:, 3], th1[:, 4], th1[:, 5])
-        )
-        f2, b2, s2 = _coefficients(
-            model, time, (th2[:, 0], th2[:, 1], th2[:, 2]), (th2[:, 3], th2[:, 4], th2[:, 5])
-        )
+        b1, s1, f1 = _coefficients(model, time, _view(th1[:, :3]), _view(th1[:, 3:]), (c,))
+        b2, s2, f2 = _coefficients(model, time, _view(th2[:, :3]), _view(th2[:, 3:]), (c,))
         num = np.sqrt((f1 - f2) ** 2 + (b1 - b2) ** 2 + (s1 - s2) ** 2)
         den = np.sqrt(np.sum((th1 - th2) ** 2, axis=1))
         ok = den >= _MIN_DISTANCE
@@ -170,7 +159,9 @@ def _terminal_lipschitz_pass(model, sampler, n_samples, rng, scale):
     for c in _chunks(n_samples):
         x1 = scale * sampler.draw(rng, c)
         x2 = scale * sampler.draw(rng, c)
-        num = np.abs(_terminal(model, x1) - _terminal(model, x2))
+        num = np.abs(
+            _terminal_values(model.terminal_map, x1) - _terminal_values(model.terminal_map, x2)
+        )
         den = np.abs(x1 - x2)
         ok = den >= _MIN_DISTANCE
         if np.any(ok):
@@ -268,12 +259,8 @@ def _monotonicity_scan(check, model, sampler, n_samples, nested, time, seed):
         flat2 = own2.reshape(c * nested, 3)
         law1 = np.repeat(own1.mean(axis=1), nested, axis=0)
         law2 = np.repeat(own2.mean(axis=1), nested, axis=0)
-        f1, b1, s1 = _coefficients(
-            model, time, (law1[:, 0], law1[:, 1], law1[:, 2]), (flat1[:, 0], flat1[:, 1], flat1[:, 2])
-        )
-        f2, b2, s2 = _coefficients(
-            model, time, (law2[:, 0], law2[:, 1], law2[:, 2]), (flat2[:, 0], flat2[:, 1], flat2[:, 2])
-        )
+        b1, s1, f1 = _coefficients(model, time, _view(law1), _view(flat1), (c * nested,))
+        b2, s2, f2 = _coefficients(model, time, _view(law2), _view(flat2), (c * nested,))
         d = flat1 - flat2
         atoms = -(f1 - f2) * d[:, 0] + (b1 - b2) * d[:, 1] + (s1 - s2) * d[:, 2]
         pairing = atoms.reshape(c, nested).mean(axis=1)
@@ -299,7 +286,9 @@ def _monotonicity_scan(check, model, sampler, n_samples, nested, time, seed):
         x2 = sampler.draw(rng, c)
         dx = x1 - x2
         ok = np.abs(dx) >= _MIN_DISTANCE
-        pair = (_terminal(model, x1) - _terminal(model, x2)) * dx
+        pair = (
+            _terminal_values(model.terminal_map, x1) - _terminal_values(model.terminal_map, x2)
+        ) * dx
         ratios = np.where(ok, sign * pair / np.maximum(dx * dx, _MIN_DISTANCE**2), np.inf)
         ratios = np.where(~np.isfinite(ratios) & ok, -np.inf, ratios)
         violations += int(np.sum((ratios <= 0.0) & ok))

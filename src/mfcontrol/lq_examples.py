@@ -806,7 +806,6 @@ class VerifyConfig:
     stationarity_tol: float = 5e-3
     n_deviations: int = 100
     deviation_radius: float = 0.5
-    n_vi_trials: int = 50
     sufficiency_samples: int = 20_000
     control_trials: int = 32
     descent_steps: int = 30

@@ -221,13 +221,16 @@ class BackwardModel:
     terminal: Terminal
 
 
-def _terminal_values(terminal: Terminal, x_last: np.ndarray, n: int) -> np.ndarray:
+def _terminal_values(terminal: Terminal, x_last: np.ndarray) -> np.ndarray:
+    """Terminal values at the states ``x_last``: a map applied to them, or
+    a constant or array broadcast to their shape, which a map's output
+    must match."""
     if callable(terminal):
         vals = np.asarray(terminal(x_last), dtype=float)
     else:
-        vals = np.broadcast_to(np.asarray(terminal, dtype=float), (n,)).astype(float)
-    if vals.shape != (n,):
-        raise ConfigError(f"terminal values have shape {vals.shape}, expected ({n},)")
+        vals = np.broadcast_to(np.asarray(terminal, dtype=float), x_last.shape).astype(float)
+    if vals.shape != x_last.shape:
+        raise ConfigError(f"terminal values have shape {vals.shape}, expected {x_last.shape}")
     return vals
 
 
@@ -294,7 +297,7 @@ def solve_mf_bsde(
     lam = basis.ridge_scale * n
     y = np.empty((m + 1, n))
     z = np.empty((m + 1, n))
-    y[m] = _terminal_values(model.terminal, conditioning[m], n)
+    y[m] = _terminal_values(model.terminal, conditioning[m])
 
     # regression plan: every node's features and escalated normal matrix
     feats = basis.features(carrier[:m])

@@ -52,21 +52,19 @@ import numpy as np
 from mfcontrol.core import (
     BrownianPaths,
     ConfigError,
-    DivergenceError,
-    NonConvergenceError,
-    RegressionError,
     StateView,
     TimeGrid,
     view_means,
 )
-from mfcontrol.forward_mv import DEFAULT_GUARD, ForwardModel, Initial, simulate_forward
+from mfcontrol.forward_mv import DEFAULT_GUARD, ForwardModel, Initial, _views, simulate_forward
 from mfcontrol.hypothesis_check import UniformPairSampler, check_convexity
-from mfcontrol.mf_bsde import BackwardModel, RegressionBasis, solve_mf_bsde
+from mfcontrol.mf_bsde import BackwardModel, RegressionBasis, _terminal_values, solve_mf_bsde
 from mfcontrol.fbsde_solver import (
+    _RETRYABLE,
     ContinuationSchedule,
     CoupledModel,
     SolutionTriple,
-    _apply_terminal,
+    _coefficients,
     negate_forward_model,
     solve_continuation,
     solve_picard,
@@ -270,12 +268,7 @@ class _FrozenPath:
     def views(self, k: int):
         got = self._views.get(k)
         if got is None:
-            u_k = self.u[min(k, self.grid.steps - 1)]
-            own = StateView(
-                x=self.state.x[k], y=self.state.y[k], z=self.state.z[k], u=u_k
-            )
-            got = (own, view_means(own))
-            self._views[k] = got
+            got = self._views[k] = _views(self.state, k, self.u)
         return got
 
     def partial(self, name: str, slot: str, k: int) -> Optional[np.ndarray]:
@@ -393,7 +386,7 @@ def _solve_system(
                 basis=basis, guard=guard, conditioning=conditioning,
             )
             return sol
-        except (NonConvergenceError, DivergenceError, RegressionError):
+        except _RETRYABLE:
             pass
     sol, _ = solve_continuation(
         model, grid, noise, schedule=schedule, basis=basis, control=control,
@@ -619,9 +612,7 @@ def hamiltonian(model: ControlModel, t, law, own, p, q, Q) -> np.ndarray:
     ``law``/``own`` are StateViews with the control in the u slots;
     (p, q, Q) are the multiplier values (arrays or scalars).
     """
-    b = np.asarray(model.drift(t, law, own), dtype=float)
-    s = np.asarray(model.diffusion(t, law, own), dtype=float)
-    f = 0.0 if model.driver is None else np.asarray(model.driver(t, law, own), dtype=float)
+    b, s, f = _coefficients(model, t, law, own, np.shape(own.x))
     h = np.asarray(model.running_cost(t, law, own), dtype=float)
     return b * p + s * q - f * Q + h
 
@@ -806,6 +797,11 @@ def projected_gradient_descent(
     min_eta : float
         Step-size underflow threshold.
 
+    The Armijo parameters must satisfy ``0 < shrink < 1``,
+    ``0 < min_eta <= eta0`` with ``eta0`` finite, and ``0 <= slope < 1``
+    (:class:`ConfigError` otherwise): any other choice can backtrack
+    forever, try no step, or accept a cost increase.
+
     Returns
     -------
     (ndarray [M, N], list of dict)
@@ -816,6 +812,12 @@ def projected_gradient_descent(
     _require_admissible(model, u)
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
+    if not (0.0 < shrink < 1.0):
+        raise ConfigError(f"shrink must lie in (0, 1), got {shrink}")
+    if not (np.isfinite(eta0) and 0.0 < min_eta <= eta0):
+        raise ConfigError(f"need 0 < min_eta <= eta0 < inf, got min_eta={min_eta}, eta0={eta0}")
+    if not (0.0 <= slope < 1.0):
+        raise ConfigError(f"slope must lie in [0, 1), got {slope}")
     state = solve_state(model, u, grid, noise, schedule=schedule, basis=basis, guard=guard)
     value = cost(model, u, grid, noise, state=state)
     history: list = []
@@ -1022,8 +1024,13 @@ def check_sufficiency(
     (law, own, control) tuple at multiplier values sampled along the
     trajectory; then verifies pointwise Hamiltonian minimality of the
     candidate against projected random trial controls, with ``slack``
-    absorbing solver-tolerance suboptimality of the candidate.
+    absorbing solver-tolerance suboptimality of the candidate.  It needs
+    ``control_trials`` >= 1 and a finite ``radius`` > 0
+    (:class:`ConfigError` otherwise).
     """
+    if control_trials < 1:
+        raise ConfigError(f"control_trials must be >= 1, got {control_trials}")
+    sampler = UniformPairSampler(radius=radius)
     u = as_control(u, grid, noise.particles)
     if state is None:
         state = solve_state(model, u, grid, noise, schedule=schedule, basis=basis, guard=guard)
@@ -1031,7 +1038,6 @@ def check_sufficiency(
         adjoint = solve_adjoint(
             model, u, state, grid, noise, schedule=schedule, basis=basis, guard=guard
         )
-    sampler = UniformPairSampler(radius=radius)
     convexity = {
         "terminal_cost": check_convexity(
             lambda pts: np.asarray(model.terminal_cost(pts[:, 0]), dtype=float),
@@ -1042,7 +1048,7 @@ def check_sufficiency(
             dim=1, sampler=sampler, n_samples=n_samples, seed=seed + 1,
         ),
         "terminal_map": check_convexity(
-            lambda pts: _apply_terminal(model.terminal_map, pts[:, 0]),
+            lambda pts: _terminal_values(model.terminal_map, pts[:, 0]),
             dim=1, sampler=sampler, n_samples=n_samples, seed=seed + 2,
         ),
     }
@@ -1126,14 +1132,9 @@ def _per_particle_cost(
     particles = state.x.shape[1]
     total = np.zeros(particles)
     for k in range(grid.steps):
-        own = StateView(
-            x=state.x[k], y=state.y[k], z=state.z[k], u=u[k]
-        )
+        own, law = _views(state, k, u)
         total += grid.dt * np.broadcast_to(
-            np.asarray(
-                model.running_cost(float(grid.nodes[k]), view_means(own), own),
-                dtype=float,
-            ),
+            np.asarray(model.running_cost(float(grid.nodes[k]), law, own), dtype=float),
             (particles,),
         )
     total = total + np.asarray(model.terminal_cost(state.x[-1]), dtype=float)

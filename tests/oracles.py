@@ -8,6 +8,11 @@ batched backward sweep, with the same arithmetic, against which the sweep is
 required to agree exactly.  ``LstsqAndersonMixer`` is the dense version of
 the package's Gram-updated Anderson mixer: it rebuilds the difference
 matrices every step and solves the tall least-squares problem directly.
+``picard_loop`` and ``seed_iteration_loop`` are the decoupling iteration and
+the seed-preconditioned level iteration written out as two separate loops,
+each with its own forward pass, node views and Anderson bookkeeping; the
+package runs both through one fixed-point loop and must match them to the
+bit.
 ``cold_candidate_fixed_point`` is the candidate loop with every state and
 adjoint solved cold, the reference for the warm-started package loop.
 ``sequential_adjoint`` and ``sequential_variational`` are the decoupled
@@ -22,7 +27,14 @@ the ``LQ2Params`` docstring, the reference for the package's encodings.
 
 import numpy as np
 
-from mfcontrol.core import StateView, view_means
+from mfcontrol.core import DivergenceError, NonConvergenceError, StateView, view_means
+from mfcontrol.fbsde_solver import (
+    SolutionTriple,
+    _AndersonMixer,
+    _blend_sources,
+    solve_linear_seed,
+)
+from mfcontrol.forward_mv import resolve_initial
 from mfcontrol.mf_bsde import BackwardModel, regress_conditional_expectation, solve_mf_bsde
 from mfcontrol.smp_control import AdjointTriple, VariationalTriple, solve_adjoint, solve_state
 
@@ -181,6 +193,132 @@ class LstsqAndersonMixer:
         if not np.all(np.isfinite(gamma)):
             return g
         return g - d_g @ gamma
+
+
+# ----------------------------------------------------------------------
+# The two coupled fixed-point loops, each written out on its own
+# ----------------------------------------------------------------------
+
+
+def _triple_rms(a, b):
+    num = (
+        np.square(a.x - b.x).sum()
+        + np.square(a.y - b.y).sum()
+        + np.square(a.z - b.z).sum()
+    )
+    cnt = a.x.size + a.y.size + a.z.size
+    return float(np.sqrt(num / cnt))
+
+
+def _check_guard(row, k, guard):
+    if not (np.abs(row).max() <= guard):
+        i = int(np.abs(row).argmax())
+        raise DivergenceError(k, i, row[i], guard)
+
+
+def _level_views(tri, k, control):
+    u_k = None if control is None else (control[k] if k < control.shape[0] else control[-1])
+    own = StateView(x=tri.x[k], y=tri.y[k], z=tri.z[k], u=u_k)
+    law = StateView(
+        x=float(tri.x[k].mean()),
+        y=float(tri.y[k].mean()),
+        z=float(tri.z[k].mean()),
+        u=None if u_k is None else float(u_k.mean()),
+    )
+    return own, law
+
+
+def _forward_sweep(model, grid, dw, y_cur, z_cur, control, guard, seed):
+    dt = grid.dt
+    m, n = dw.shape
+    x = np.empty((m + 1, n))
+    x[0] = resolve_initial(model.initial, n, seed)
+    path = SolutionTriple(x=x, y=y_cur, z=z_cur)  # x filled in node by node
+    for k in range(m):
+        own, law = _level_views(path, k, control)
+        t = k * dt
+        b = model.drift(t, law, own)
+        s = model.diffusion(t, law, own)
+        x[k + 1] = x[k] + b * dt + s * dw[k]
+        _check_guard(x[k + 1], k + 1, guard)
+    return x
+
+
+def picard_loop(model, grid, noise, initial_guess, tol=1e-6, max_iter=50, accel_memory=0,
+                control=None, basis=None, guard=1e12, conditioning=None):
+    """Decoupling iteration: forward sweep with (Y, Z) frozen, backward
+    sweep on the new path, Anderson mixing of the backward pair only.
+    Returns (SolutionTriple, history); raises NonConvergenceError on budget
+    exhaustion."""
+    dw = noise.scalar()
+    cur = initial_guess
+    backward = BackwardModel(driver=model.driver, terminal=model.terminal_map)
+    mixer = _AndersonMixer(accel_memory) if accel_memory > 0 else None
+    history = []
+    out = cur
+    for _ in range(max_iter):
+        x_new = _forward_sweep(model, grid, dw, cur.y, cur.z, control, guard, noise.seed)
+        y_new, z_new = solve_mf_bsde(
+            backward, grid, noise, x_new, basis=basis, control=control, carrier=conditioning
+        )
+        out = SolutionTriple(x=x_new, y=y_new, z=z_new)
+        change = _triple_rms(out, cur)
+        history.append(change)
+        if change <= tol:
+            return out, history
+        if mixer is not None:
+            flat_u = np.concatenate([cur.y.ravel(), cur.z.ravel()])
+            flat_g = np.concatenate([y_new.ravel(), z_new.ravel()])
+            nxt = mixer.step(flat_u, flat_g)
+            cur = SolutionTriple(
+                x=x_new,
+                y=nxt[: y_new.size].reshape(y_new.shape),
+                z=nxt[y_new.size :].reshape(z_new.shape),
+            )
+        else:
+            cur = out
+    raise NonConvergenceError("decoupling iteration did not converge", history=history, last=out)
+
+
+def seed_iteration_loop(model, grid, noise, weight, warm, tol, max_iter, memory, control=None,
+                        basis=None, guard=1e12, conditioning=None):
+    """Seed-preconditioned fixed point at blend ``weight``: each sweep
+    freezes the blend sources at the iterate and solves the sourced
+    canonical pair with the linear seed; Anderson mixing of all three
+    slots.  Returns (SolutionTriple, history)."""
+    cur = warm
+    mixer = _AndersonMixer(memory) if memory > 0 else None
+    history = []
+    out = cur
+    for _ in range(max_iter):
+        inhom = _blend_sources(model, cur, grid, weight, control)
+        if conditioning is not None:
+            cond = conditioning
+        else:
+            cond = cur.x if float(np.ptp(cur.x)) > 0.0 else None
+        out, _ = solve_linear_seed(
+            inhom, grid, noise, x0=model.initial, basis=basis, conditioning=cond,
+            guard=guard,
+        )
+        change = _triple_rms(out, cur)
+        history.append(change)
+        if not np.isfinite(change):
+            raise NonConvergenceError("non-finite iterates", history=history, last=out)
+        if change <= tol:
+            return out, history
+        if mixer is not None:
+            flat_u = np.concatenate([cur.x.ravel(), cur.y.ravel(), cur.z.ravel()])
+            flat_g = np.concatenate([out.x.ravel(), out.y.ravel(), out.z.ravel()])
+            nxt = mixer.step(flat_u, flat_g)
+            sz = out.x.size
+            cur = SolutionTriple(
+                x=nxt[:sz].reshape(out.x.shape),
+                y=nxt[sz : 2 * sz].reshape(out.y.shape),
+                z=nxt[2 * sz :].reshape(out.z.shape),
+            )
+        else:
+            cur = out
+    raise NonConvergenceError("seed iteration did not converge", history=history, last=out)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mfcontrol.fbsde_solver import (
     LinearInhomogeneity,
     SolutionTriple,
     _AndersonMixer,
+    _seed_iteration,
     homotopy_coefficients,
     negate_forward_model,
     residual,
@@ -27,9 +29,15 @@ from mfcontrol.fbsde_solver import (
     solve_picard,
 )
 from mfcontrol.forward_mv import ForwardModel, simulate_forward
+from mfcontrol.lq_examples import LQ2Params, lq2_fbsde
 from mfcontrol.mf_bsde import BackwardModel, default_polynomial_basis, solve_mf_bsde
 
-from oracles import LstsqAndersonMixer, linear_seed_mean_oracle
+from oracles import (
+    LstsqAndersonMixer,
+    linear_seed_mean_oracle,
+    picard_loop,
+    seed_iteration_loop,
+)
 
 
 def _grid_noise(m=32, n=512, seed=2, horizon=1.0):
@@ -279,6 +287,52 @@ def test_picard_rejects_misshaped_initial_guess(shape):
     guess = SolutionTriple(x=np.zeros(shape), y=np.zeros(shape), z=np.zeros(shape))
     with pytest.raises(ConfigError, match=r"\(5, 64\)"):
         solve_picard(_canonical_model(), g, w, initial_guess=guess)
+
+
+@pytest.mark.parametrize("memory", [0, 3])
+def test_picard_matches_separate_loop(memory):
+    # the shared fixed-point loop, Euler pass and node views reproduce the
+    # decoupling iteration written out on its own, to the bit; the drift
+    # reads the control so the u slots are exercised too
+    g, w = _grid_noise(16, n=256, horizon=0.25)
+    model = replace(
+        _mild_model(),
+        drift=lambda t, law, own: -0.5 * (law.y + own.y) + 0.2 * own.u - 0.1 * law.u,
+    )
+    control = np.repeat(0.3 * np.cos(np.arange(16.0))[:, None], 256, axis=1)
+    guess, _ = solve_linear_seed(LinearInhomogeneity(drift_source=0.5), g, w, x0=0.3)
+    kwargs = dict(tol=1e-6, max_iter=80, accel_memory=memory, control=control)
+    sol, history = solve_picard(model, g, w, initial_guess=guess, **kwargs)
+    ref, ref_history = picard_loop(model, g, w, guess, **kwargs)
+    assert len(history) > 2 and history == ref_history
+    for got, want in ((sol.x, ref.x), (sol.y, ref.y), (sol.z, ref.z)):
+        assert np.array_equal(got, want)
+
+
+def test_seed_iteration_matches_separate_loop():
+    # a continuation level at blend 0.5, warm-started at the seed solution
+    params = LQ2Params(horizon=0.25)
+    model = lq2_fbsde(params, control=0.3)
+    g, w = _grid_noise(8, n=512, horizon=0.25)
+    warm, _ = solve_linear_seed(LinearInhomogeneity(), g, w, x0=model.initial)
+    sol, history = _seed_iteration(
+        model, g, w, weight=0.5, warm=warm, tol=1e-8, max_iter=120, memory=6,
+        control=None, basis=None, guard=1e12,
+    )
+    ref, ref_history = seed_iteration_loop(model, g, w, 0.5, warm, 1e-8, 120, 6)
+    assert len(history) > 2 and history == ref_history
+    for got, want in ((sol.x, ref.x), (sol.y, ref.y), (sol.z, ref.z)):
+        assert np.array_equal(got, want)
+
+
+def test_picard_stops_at_a_non_finite_sweep():
+    # a NaN terminal keeps X finite (the drift reads only x), so no guard
+    # trips; the first sweep's change is NaN and ends the iteration there
+    g, w = _grid_noise(8, n=64)
+    model = replace(_decoupled_model(), terminal_map=lambda xT: np.full_like(xT, np.nan))
+    with pytest.raises(NonConvergenceError, match="non-finite") as err:
+        solve_picard(model, g, w, max_iter=10)
+    assert len(err.value.history) == 1
 
 
 # ----------------------------------------------------------------------

@@ -269,6 +269,16 @@ def test_bad_arguments_raise():
         check_convexity(lambda p: p[:, 0], dim=0)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+def test_sampler_rejects_radius_without_effective_samples(radius):
+    # at radius 0 or NaN no sampled pair counts, so check_H5 passed the
+    # mirror model (which fails at radius 10) and check_convexity passed -x^2
+    with pytest.raises(ConfigError, match="radius"):
+        check_H5(_mirror_model(), sampler=UniformPairSampler(radius=radius), n_samples=500)
+    with pytest.raises(ConfigError, match="radius"):
+        check_convexity(lambda p: -p[:, 0] ** 2, dim=1, sampler=UniformPairSampler(radius))
+
+
 @given(
     cf=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
     cb=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),

@@ -683,6 +683,30 @@ def test_pgd_stagnates_on_wrong_sign_gradient():
     assert len(history) == 1
 
 
+@pytest.mark.parametrize("bad", [
+    {"shrink": 1.0}, {"shrink": 1.5}, {"shrink": 0.0},
+    {"eta0": -0.5}, {"eta0": np.nan}, {"min_eta": 0.0}, {"min_eta": 1.0},
+    {"slope": -0.1}, {"slope": 1.0},
+])
+def test_pgd_rejects_armijo_parameters_that_cannot_work(bad):
+    # shrink >= 1 never shrinks the step (from u0 = 0 the search ran on),
+    # eta0 <= 0 or min_eta > eta0 tries no step, min_eta = 0 never ends a
+    # search, and slope < 0 accepts a cost increase; from u0 = 5 the first
+    # trial is accepted, so none of these runs hangs without the check
+    grid, noise = _grid_noise(m=8, n=64)
+    with pytest.raises(ConfigError):
+        projected_gradient_descent(lq1_model(LQ1Params()), 5.0, grid, noise, steps=1, **bad)
+
+
+@pytest.mark.parametrize("bad", [{"control_trials": 0}, {"radius": np.nan}, {"radius": 0.0}])
+def test_sufficiency_rejects_a_check_without_samples(bad):
+    # with no trial control, or no effective radius, the check passed lq1
+    # at u = 5, where 4 trials at radius 10 find 1534 minimality violations
+    grid, noise = _grid_noise(m=8, n=64)
+    with pytest.raises(ConfigError):
+        check_sufficiency(lq1_model(LQ1Params()), 5.0, grid, noise, n_samples=1000, **bad)
+
+
 def test_vi_residual_nonnegative_at_optimum():
     grid, noise = _grid_noise(m=8, n=64)
     target = lambda t: np.sin(2.0 * np.pi * t)
