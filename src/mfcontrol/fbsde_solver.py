@@ -456,6 +456,16 @@ class _AndersonMixer:
         return np.subtract(g, out, out=out)  # in place: one fresh [L] array
 
 
+def _check_tol(name: str, tol: float) -> None:
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigError(f"{name} must be finite and > 0, got {tol}")
+
+
+def _check_cap(name: str, cap: int, low: int) -> None:
+    if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {cap!r}")
+
+
 def _fixed_point(sweep, start: SolutionTriple, slots, tol: float, max_iter: int,
                  memory: int, what: str):
     """Iterate ``sweep`` (a map of solution triples) from ``start`` until
@@ -531,8 +541,11 @@ def solve_picard(
     change norms; raises :class:`NonConvergenceError` (carrying the history
     and last iterate) on budget exhaustion or at a sweep whose change is
     not finite, and :class:`DivergenceError` if a forward sweep leaves the
-    guard region.
+    guard region.  ``max_iter`` must be an integer >= 1 and ``tol`` finite
+    and > 0 (:class:`ConfigError` otherwise).
     """
+    _check_cap("max_iter", max_iter, 1)
+    _check_tol("tol", tol)
     dw = noise.scalar()
     m, n = dw.shape
     if m != grid.steps:
@@ -593,14 +606,10 @@ class ContinuationSchedule:
         if not (0.0 < self.step <= 1.0):
             raise ConfigError(f"continuation step must lie in (0, 1], got {self.step}")
         for name in ("inner_tol", "picard_tol"):
-            tol = getattr(self, name)
-            if not (np.isfinite(tol) and tol > 0):
-                raise ConfigError(f"{name} must be finite and > 0, got {tol}")
+            _check_tol(name, getattr(self, name))
         for name, low in (("picard_max_iter", 1), ("max_halvings", 0),
                           ("accel_memory", 0), ("polish_max_iter", 0)):
-            cap = getattr(self, name)
-            if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {cap!r}")
+            _check_cap(name, getattr(self, name), low)
 
 
 def _blend_sources(model, tri, grid, weight, control) -> LinearInhomogeneity:

@@ -95,13 +95,14 @@ def _views(tri, k: int, control: Optional[np.ndarray]):
 def _euler(model, grid: TimeGrid, noise: BrownianPaths, control, guard: float,
            y: Optional[np.ndarray] = None, z: Optional[np.ndarray] = None) -> np.ndarray:
     """Euler-Maruyama pass for X with the backward paths ``y``, ``z`` frozen
-    (``None`` leaves their slots empty); every node after the first is
-    checked against ``guard``."""
+    (``None`` leaves their slots empty); every node, the initial one
+    included, is checked against ``guard``."""
     dw = noise.scalar()
     m, n = dw.shape
     dt = grid.dt
     x = np.empty((m + 1, n))
     x[0] = resolve_initial(model.initial, n, noise.seed)
+    _check_guard(x[0], 0, guard)
     path = StateView(x=x, y=y, z=z)  # whole paths; x is filled node by node
     for k in range(m):
         own, law = _views(path, k, control)

@@ -184,23 +184,16 @@ def induced_model(
 
     own_slot = f"v{i}"
     partials = {}
-    for coef in ("drift", "diffusion", "driver"):
+    for coef, game_coef in (("drift", "drift"), ("diffusion", "diffusion"),
+                            ("driver", "driver"), ("running_cost", f"running_cost_{i}")):
         block = {}
-        for slot, fn2 in game.partials.get(coef, {}).items():
+        for slot, fn2 in game.partials.get(game_coef, {}).items():
             if slot == own_slot:
                 block["v"] = lift(fn2)
             elif not slot.startswith("v"):
                 block[slot] = lift(fn2)
         if block:
             partials[coef] = block
-    run_block = {}
-    for slot, fn2 in game.partials.get(f"running_cost_{i}", {}).items():
-        if slot == own_slot:
-            run_block["v"] = lift(fn2)
-        elif not slot.startswith("v"):
-            run_block[slot] = lift(fn2)
-    if run_block:
-        partials["running_cost"] = run_block
 
     one = i == 1
     return ControlModel(

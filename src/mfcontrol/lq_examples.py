@@ -16,13 +16,19 @@ machinery end to end:
   with constant ``C1 = min(driver_x, -drift_y, -diff_z)``, so the
   continuation solver is applicable for every admissible control.
 
-Both problems admit explicit candidate optimal controls obtained by
-minimizing the control Hamiltonian pointwise in v:
+Each problem is written once, as a term table (``LQ1Params._TERMS``,
+``LQ2Params._TERMS``): per coefficient, its linear terms ``(sign, slot,
+parameter)`` in the order the parameter docstring writes them.  The
+coefficients, their partials, the (H6) multiplier encoding (one slot's
+terms negated per coefficient) and the game of :func:`lq_game` are all
+built from these tables.
 
-* decoupled:  ``u = Q*e - p*b_u - q*s_u`` with ``(b_u, s_u, e)`` the
-  control coefficients of drift, diffusion, and driver;
-* coupled:    ``u = -(p*d + q*e - Q*g) / l`` with ``l`` the running-cost
-  weight.
+Both problems admit explicit candidate optimal controls obtained by
+minimizing the control Hamiltonian pointwise in v.  Its slope is
+``H_v = p*drift_control + q*diff_control - Q*driver_control + l*v``
+with ``l`` the running-cost weight (1 for the decoupled problem), so
+both candidates are the one shared feedback
+``u = -(p*drift_control + q*diff_control - Q*driver_control) / l``.
 
 The candidate is implicit -- the multipliers are solved along the very
 trajectory the candidate generates -- so :func:`lq1_candidate` and
@@ -46,7 +52,7 @@ suite rather than in separate data files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -120,10 +126,44 @@ def _coef_fns(params) -> dict:
     return {name: _as_fn(getattr(params, name)) for name in params._COEFS}
 
 
-def _flat(fn: Callable[[float], float]):
-    """Lift a time function to a slot-partial closure (constant in state)."""
+def _linear(terms, fns: dict, control):
+    """One coefficient of a term table: the sum of ``sign * c(t) * slot``
+    over ``terms``, added left to right as written (a sign of +-1 scales
+    exactly, so the sum rounds as the written formula does).  ``law_*``
+    slots read ``law``, the others ``own``, and ``v`` reads ``control(t,
+    own, *controls)``; the trailing ``controls`` are a game's (v1, v2)."""
 
-    return lambda t, law, own: fn(t) * np.ones_like(own.x)
+    reads = [(sign, fns[name], slot.startswith("law_"), slot.removeprefix("law_"))
+             for sign, slot, name in terms]
+
+    def coefficient(t, law, own, *controls):
+        v = control(t, own, *controls)
+        total = None
+        for sign, c, on_law, var in reads:
+            term = sign * c(t) * (v if var == "v" else getattr(law if on_law else own, var))
+            total = term if total is None else total + term
+        return total
+
+    return coefficient
+
+
+def _slopes(terms, fns: dict) -> dict:
+    """The partials of a term table's coefficient: each term's signed
+    parameter, constant in the state, under its slot."""
+
+    def flat(sign, c):
+        return lambda t, law, own, *controls: sign * c(t) * np.ones_like(own.x)
+
+    return {slot: flat(sign, fns[name]) for sign, slot, name in terms}
+
+
+def _negate(terms, var: str) -> tuple:
+    """``terms`` with the signs of the ``var`` and ``law_var`` slots flipped."""
+
+    return tuple(
+        (-sign if slot.removeprefix("law_") == var else sign, slot, name)
+        for sign, slot, name in terms
+    )
 
 
 def _check_bounded(name: str, c: ScalarFn, horizon: float) -> np.ndarray:
@@ -194,6 +234,18 @@ class LQ1Params:
         "driver_mean_x", "driver_x", "driver_mean_y", "driver_y",
         "driver_mean_z", "driver_z", "driver_control",
     )
+    # The formulas above, term by term: (sign, slot, parameter).  A slot
+    # is a partial-derivative key: a mean "law_*", an own value, or "v".
+    _TERMS = {
+        "drift": ((1.0, "law_x", "drift_mean_x"), (1.0, "x", "drift_x"),
+                  (1.0, "v", "drift_control")),
+        "diffusion": ((1.0, "law_x", "diff_mean_x"), (1.0, "x", "diff_x"),
+                      (1.0, "v", "diff_control")),
+        "driver": ((1.0, "law_x", "driver_mean_x"), (1.0, "x", "driver_x"),
+                   (1.0, "law_y", "driver_mean_y"), (1.0, "y", "driver_y"),
+                   (1.0, "law_z", "driver_mean_z"), (1.0, "z", "driver_z"),
+                   (1.0, "v", "driver_control")),
+    }
 
     def validate(self) -> None:
         if not (np.isfinite(self.horizon) and self.horizon > 0.0):
@@ -267,6 +319,21 @@ class LQ2Params:
     )
     _POSITIVE = ("driver_mean_x", "driver_x")
     _NEGATIVE = ("drift_mean_y", "drift_y", "diff_mean_z", "diff_z")
+    # The formulas above, term by term, as in LQ1Params._TERMS.
+    _TERMS = {
+        "drift": ((1.0, "law_x", "drift_mean_x"), (1.0, "x", "drift_x"),
+                  (1.0, "law_y", "drift_mean_y"), (1.0, "y", "drift_y"),
+                  (1.0, "law_z", "cross_mean"), (1.0, "z", "cross"),
+                  (1.0, "v", "drift_control")),
+        "diffusion": ((1.0, "law_x", "diff_mean_x"), (1.0, "x", "diff_x"),
+                      (-1.0, "law_y", "cross_mean"), (-1.0, "y", "cross"),
+                      (1.0, "law_z", "diff_mean_z"), (1.0, "z", "diff_z"),
+                      (1.0, "v", "diff_control")),
+        "driver": ((1.0, "law_x", "driver_mean_x"), (1.0, "x", "driver_x"),
+                   (1.0, "law_y", "drift_mean_x"), (1.0, "y", "drift_x"),
+                   (1.0, "law_z", "diff_mean_x"), (1.0, "z", "diff_x"),
+                   (1.0, "v", "driver_control")),
+    }
 
     def validate(self, check_signs: bool = True) -> None:
         if not (np.isfinite(self.horizon) and self.horizon > 0.0):
@@ -310,14 +377,16 @@ class LQ2Params:
 # ======================================================================
 
 
+def _own_control(t, own):
+    return own.u
+
+
 def lq1_model(params: LQ1Params) -> ControlModel:
     """Control model of the decoupled LQ problem.
 
     The Hamiltonian's control slope is
     ``H_v = p*drift_control + q*diff_control - Q*driver_control + v``,
-    so the pointwise minimizer is the affine feedback
-    ``v = Q*driver_control - p*drift_control - q*diff_control`` used by
-    :func:`lq1_candidate`.
+    whose zero is the candidate feedback of :func:`lq1_candidate`.
 
     Raises
     ------
@@ -327,44 +396,12 @@ def lq1_model(params: LQ1Params) -> ControlModel:
     """
 
     params.validate()
-    am_, ax_ = _as_fn(params.drift_mean_x), _as_fn(params.drift_x)
-    bu_ = _as_fn(params.drift_control)
-    cm_, cx_ = _as_fn(params.diff_mean_x), _as_fn(params.diff_x)
-    du_ = _as_fn(params.diff_control)
-    fxm_, fx_ = _as_fn(params.driver_mean_x), _as_fn(params.driver_x)
-    fym_, fy_ = _as_fn(params.driver_mean_y), _as_fn(params.driver_y)
-    fzm_, fz_ = _as_fn(params.driver_mean_z), _as_fn(params.driver_z)
-    eu_ = _as_fn(params.driver_control)
-
-    def drift(t, law, own):
-        return am_(t) * law.x + ax_(t) * own.x + bu_(t) * own.u
-
-    def diffusion(t, law, own):
-        return cm_(t) * law.x + cx_(t) * own.x + du_(t) * own.u
-
-    def driver(t, law, own):
-        return (
-            fxm_(t) * law.x + fx_(t) * own.x
-            + fym_(t) * law.y + fy_(t) * own.y
-            + fzm_(t) * law.z + fz_(t) * own.z
-            + eu_(t) * own.u
-        )
-
-    partials = {
-        "drift": {"law_x": _flat(am_), "x": _flat(ax_), "v": _flat(bu_)},
-        "diffusion": {"law_x": _flat(cm_), "x": _flat(cx_), "v": _flat(du_)},
-        "driver": {
-            "law_x": _flat(fxm_), "x": _flat(fx_),
-            "law_y": _flat(fym_), "y": _flat(fy_),
-            "law_z": _flat(fzm_), "z": _flat(fz_),
-            "v": _flat(eu_),
-        },
-        "running_cost": {"v": lambda t, law, own: own.u},
-    }
+    fns = _coef_fns(params)
+    coefs = {name: _linear(terms, fns, _own_control) for name, terms in params._TERMS.items()}
+    partials = {name: _slopes(terms, fns) for name, terms in params._TERMS.items()}
+    partials["running_cost"] = {"v": lambda t, law, own: own.u}
     return ControlModel(
-        drift=drift,
-        diffusion=diffusion,
-        driver=driver,
+        **coefs,
         terminal_map=lambda x: x,
         running_cost=lambda t, law, own: 0.5 * own.u**2,
         terminal_cost=lambda x: 0.5 * x**2,
@@ -379,56 +416,12 @@ def lq1_model(params: LQ1Params) -> ControlModel:
     )
 
 
-def _lq2_coefficients(fn: dict, control):
-    """Drift, diffusion and driver of the coupled problem, as written in
-    :class:`LQ2Params`; ``control(t, own)`` supplies the control term."""
-
-    def drift(t, law, own):
-        return (
-            fn["drift_mean_x"](t) * law.x + fn["drift_x"](t) * own.x
-            + fn["drift_mean_y"](t) * law.y + fn["drift_y"](t) * own.y
-            + fn["cross_mean"](t) * law.z + fn["cross"](t) * own.z
-            + fn["drift_control"](t) * control(t, own)
-        )
-
-    def diffusion(t, law, own):
-        return (
-            fn["diff_mean_x"](t) * law.x + fn["diff_x"](t) * own.x
-            - fn["cross_mean"](t) * law.y - fn["cross"](t) * own.y
-            + fn["diff_mean_z"](t) * law.z + fn["diff_z"](t) * own.z
-            + fn["diff_control"](t) * control(t, own)
-        )
-
-    def driver(t, law, own):
-        return (
-            fn["driver_mean_x"](t) * law.x + fn["driver_x"](t) * own.x
-            + fn["drift_mean_x"](t) * law.y + fn["drift_x"](t) * own.y
-            + fn["diff_mean_x"](t) * law.z + fn["diff_x"](t) * own.z
-            + fn["driver_control"](t) * control(t, own)
-        )
-
-    return drift, diffusion, driver
-
-
-def _flip(coef, slot: str):
-    """``coef`` with the ``slot`` state variable negated in both views."""
-
-    def flipped(t, law, own):
-        return coef(
-            t,
-            replace(law, **{slot: -getattr(law, slot)}),
-            replace(own, **{slot: -getattr(own, slot)}),
-        )
-
-    return flipped
-
-
 def lq2_model(params: LQ2Params) -> ControlModel:
     """Control model of the fully coupled LQ problem (sign-validated).
 
     The Hamiltonian's control slope is
     ``H_v = p*drift_control + q*diff_control - Q*driver_control
-    + control_weight*v``, whence the candidate feedback of
+    + control_weight*v``, whose zero is the candidate feedback of
     :func:`lq2_candidate`.
 
     Raises
@@ -440,40 +433,17 @@ def lq2_model(params: LQ2Params) -> ControlModel:
     """
 
     params.validate(check_signs=True)
-    fn = _coef_fns(params)
+    fns = _coef_fns(params)
     gain = float(params.terminal_gain)
     wt, wi = float(params.terminal_weight), float(params.initial_weight)
-    drift, diffusion, driver = _lq2_coefficients(fn, lambda t, own: own.u)
-    partials = {
-        "drift": {
-            "law_x": _flat(fn["drift_mean_x"]), "x": _flat(fn["drift_x"]),
-            "law_y": _flat(fn["drift_mean_y"]), "y": _flat(fn["drift_y"]),
-            "law_z": _flat(fn["cross_mean"]), "z": _flat(fn["cross"]),
-            "v": _flat(fn["drift_control"]),
-        },
-        "diffusion": {
-            "law_x": _flat(fn["diff_mean_x"]), "x": _flat(fn["diff_x"]),
-            "law_y": _flat(lambda t: -fn["cross_mean"](t)),
-            "y": _flat(lambda t: -fn["cross"](t)),
-            "law_z": _flat(fn["diff_mean_z"]), "z": _flat(fn["diff_z"]),
-            "v": _flat(fn["diff_control"]),
-        },
-        "driver": {
-            "law_x": _flat(fn["driver_mean_x"]), "x": _flat(fn["driver_x"]),
-            "law_y": _flat(fn["drift_mean_x"]), "y": _flat(fn["drift_x"]),
-            "law_z": _flat(fn["diff_mean_x"]), "z": _flat(fn["diff_x"]),
-            "v": _flat(fn["driver_control"]),
-        },
-        "running_cost": {
-            "v": lambda t, law, own: fn["control_weight"](t) * own.u
-        },
-    }
+    weight = fns["control_weight"]
+    coefs = {name: _linear(terms, fns, _own_control) for name, terms in params._TERMS.items()}
+    partials = {name: _slopes(terms, fns) for name, terms in params._TERMS.items()}
+    partials["running_cost"] = {"v": lambda t, law, own: weight(t) * own.u}
     return ControlModel(
-        drift=drift,
-        diffusion=diffusion,
-        driver=driver,
+        **coefs,
         terminal_map=lambda x: gain * x,
-        running_cost=lambda t, law, own: 0.5 * fn["control_weight"](t) * own.u**2,
+        running_cost=lambda t, law, own: 0.5 * weight(t) * own.u**2,
         terminal_cost=lambda x: wt * x**2,
         initial_cost=lambda y: wi * y**2,
         partials=partials,
@@ -499,15 +469,18 @@ def lq2_fbsde(params: LQ2Params, control: ScalarFn = 0.0) -> CoupledModel:
     params.validate(check_signs=False)
     ctrl = _as_fn(control)
     _check_bounded("control", ctrl, params.horizon)
+    fns = _coef_fns(params)
     gain = float(params.terminal_gain)
-    drift, diffusion, driver = _lq2_coefficients(_coef_fns(params), lambda t, own: ctrl(t))
     return CoupledModel(
-        drift=drift,
-        diffusion=diffusion,
-        driver=driver,
+        **{name: _linear(terms, fns, lambda t, own: ctrl(t))
+           for name, terms in params._TERMS.items()},
         terminal_map=lambda x: gain * x,
         initial=params.x0,
     )
+
+
+#: the slot negated in each coefficient of the (H6) multiplier encoding
+_ADJOINT_NEGATED = {"drift": "y", "diffusion": "z", "driver": "x"}
 
 
 def lq2_adjoint_fbsde(params: LQ2Params) -> CoupledModel:
@@ -525,12 +498,11 @@ def lq2_adjoint_fbsde(params: LQ2Params) -> CoupledModel:
     """
 
     params.validate(check_signs=False)
+    fns = _coef_fns(params)
     gain = float(params.terminal_gain)
-    drift, diffusion, driver = _lq2_coefficients(_coef_fns(params), lambda t, own: 0.0)
     return CoupledModel(
-        drift=_flip(drift, "y"),
-        diffusion=_flip(diffusion, "z"),
-        driver=_flip(driver, "x"),
+        **{name: _linear(_negate(terms, _ADJOINT_NEGATED[name]), fns, lambda t, own: 0.0)
+           for name, terms in params._TERMS.items()},
         terminal_map=lambda x: -gain * x,
         initial=0.0,
     )
@@ -539,6 +511,23 @@ def lq2_adjoint_fbsde(params: LQ2Params) -> CoupledModel:
 # ======================================================================
 # Candidate fixed points
 # ======================================================================
+
+
+def _feedback(params, weight: ScalarFn):
+    """The candidate feedback of both LQ problems at node ``k``: the zero in
+    v of the Hamiltonian slope ``H_v = p*drift_control + q*diff_control
+    - Q*driver_control + weight*v``, where ``weight`` is the running
+    cost's curvature in v."""
+
+    b_v, s_v, f_v, w = (
+        _as_fn(c)
+        for c in (params.drift_control, params.diff_control, params.driver_control, weight)
+    )
+
+    def formula(k: int, t: float, adj: AdjointTriple) -> np.ndarray:
+        return -(adj.p[k] * b_v(t) + adj.q[k] * s_v(t) - adj.Q[k] * f_v(t)) / w(t)
+
+    return formula
 
 
 def _candidate_fixed_point(
@@ -609,7 +598,7 @@ def lq1_candidate(
     """Candidate optimal control of the decoupled LQ problem.
 
     Evaluates the pointwise Hamiltonian minimizer
-    ``u = Q*driver_control - p*drift_control - q*diff_control`` along
+    ``u = -(p*drift_control + q*diff_control - Q*driver_control)`` along
     its own trajectory by damped fixed-point iteration from u = 0.
 
     Returns
@@ -625,17 +614,9 @@ def lq1_candidate(
         carries the history and last iterate.
     """
 
-    model = lq1_model(params)
-    bu_ = _as_fn(params.drift_control)
-    du_ = _as_fn(params.diff_control)
-    eu_ = _as_fn(params.driver_control)
-
-    def formula(k: int, t: float, adj: AdjointTriple) -> np.ndarray:
-        return adj.Q[k] * eu_(t) - adj.p[k] * bu_(t) - adj.q[k] * du_(t)
-
     return _candidate_fixed_point(
-        model, formula, grid, noise, damping, tol, max_iter,
-        schedule, basis, guard,
+        lq1_model(params), _feedback(params, 1.0), grid, noise, damping, tol,
+        max_iter, schedule, basis, guard,
     )
 
 
@@ -658,19 +639,9 @@ def lq2_candidate(
     the coupled state and multiplier systems by continuation.
     """
 
-    model = lq2_model(params)
-    du_ = _as_fn(params.drift_control)
-    eu_ = _as_fn(params.diff_control)
-    gu_ = _as_fn(params.driver_control)
-    lw_ = _as_fn(params.control_weight)
-
-    def formula(k: int, t: float, adj: AdjointTriple) -> np.ndarray:
-        num = adj.p[k] * du_(t) + adj.q[k] * eu_(t) - adj.Q[k] * gu_(t)
-        return -num / lw_(t)
-
     return _candidate_fixed_point(
-        model, formula, grid, noise, damping, tol, max_iter,
-        schedule, basis, guard,
+        lq2_model(params), _feedback(params, params.control_weight), grid, noise,
+        damping, tol, max_iter, schedule, basis, guard,
     )
 
 
@@ -1037,66 +1008,28 @@ def lq_game(
     if not (np.isfinite(coupling) and coupling >= 0.0):
         raise ConfigError(f"coupling must be >= 0, got {coupling}")
     _check_bounded("target", target, params.horizon)
-    fn = _coef_fns(params)
+    fns = _coef_fns(params)
     tgt = _as_fn(target)
     kw = float(coupling)
-
-    def drift(t, law, own, v1, v2):
-        return (
-            fn["drift_mean_x"](t) * law.x + fn["drift_x"](t) * own.x
-            + fn["drift_control"](t) * (v1 + kw * v2)
-        )
-
-    def diffusion(t, law, own, v1, v2):
-        return (
-            fn["diff_mean_x"](t) * law.x + fn["diff_x"](t) * own.x
-            + fn["diff_control"](t) * v1
-        )
-
-    def driver(t, law, own, v1, v2):
-        return (
-            fn["driver_mean_x"](t) * law.x + fn["driver_x"](t) * own.x
-            + fn["driver_mean_y"](t) * law.y + fn["driver_y"](t) * own.y
-            + fn["driver_mean_z"](t) * law.z + fn["driver_z"](t) * own.z
-            + fn["driver_control"](t) * v1
-        )
-
-    def flat(name):
-        f = fn[name]
-        return lambda t, law, own, v1, v2: f(t) * np.ones_like(own.x)
-
-    drift_block = {
-        "law_x": flat("drift_mean_x"), "x": flat("drift_x"),
-        "v1": flat("drift_control"),
-    }
+    coefs, partials = {}, {}
+    for name, terms in params._TERMS.items():
+        if name == "drift":  # player 2 pushes the drift only
+            control = lambda t, own, v1, v2: v1 + kw * v2  # noqa: E731
+        else:
+            control = lambda t, own, v1, v2: v1  # noqa: E731
+        coefs[name] = _linear(terms, fns, control)
+        partials[name] = {
+            "v1" if slot == "v" else slot: fn for slot, fn in _slopes(terms, fns).items()
+        }
     if kw:
-        bu = fn["drift_control"]
-        drift_block["v2"] = (
-            lambda t, law, own, v1, v2: kw * bu(t) * np.ones_like(own.x)
-        )
-    partials = {
-        "drift": drift_block,
-        "diffusion": {
-            "law_x": flat("diff_mean_x"), "x": flat("diff_x"),
-            "v1": flat("diff_control"),
-        },
-        "driver": {
-            "law_x": flat("driver_mean_x"), "x": flat("driver_x"),
-            "law_y": flat("driver_mean_y"), "y": flat("driver_y"),
-            "law_z": flat("driver_mean_z"), "z": flat("driver_z"),
-            "v1": flat("driver_control"),
-        },
-        "running_cost_1": {"v1": lambda t, law, own, v1, v2: v1},
-        "running_cost_2": {
-            "v2": lambda t, law, own, v1, v2: v2 - tgt(t),
-        },
-    }
+        drift_v1 = partials["drift"]["v1"]
+        partials["drift"]["v2"] = lambda t, law, own, v1, v2: kw * drift_v1(t, law, own)
+    partials["running_cost_1"] = {"v1": lambda t, law, own, v1, v2: v1}
+    partials["running_cost_2"] = {"v2": lambda t, law, own, v1, v2: v2 - tgt(t)}
 
     zeros = lambda arr: np.zeros_like(arr)  # noqa: E731
     return GameModel(
-        drift=drift,
-        diffusion=diffusion,
-        driver=driver,
+        **coefs,
         terminal_map=lambda x: np.asarray(x, dtype=float),
         running_cost_1=lambda t, law, own, v1, v2: 0.5 * v1**2,
         running_cost_2=lambda t, law, own, v1, v2: 0.5 * (v2 - tgt(t)) ** 2,

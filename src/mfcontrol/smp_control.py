@@ -1075,6 +1075,10 @@ def check_sufficiency(
         )
 
     path = _FrozenPath(model, u, state, grid)
+    bases = []  # the candidate's Hamiltonian per node, shared by every trial
+    for k in range(m):
+        own, law = path.views(k)
+        bases.append(hamiltonian(model, k * grid.dt, law, own, adjoint.p[k], adjoint.q[k], adjoint.Q[k]))
     violations = 0
     worst = None
     worst_gap = 0.0
@@ -1084,11 +1088,10 @@ def check_sufficiency(
         )
         for k in range(m):
             own, law = path.views(k)
-            base = hamiltonian(model, k * grid.dt, law, own, adjoint.p[k], adjoint.q[k], adjoint.Q[k])
             own_v = StateView(x=own.x, y=own.y, z=own.z, u=v[k])
             law_v = StateView(x=law.x, y=law.y, z=law.z, u=float(v[k].mean()))
             trial = hamiltonian(model, k * grid.dt, law_v, own_v, adjoint.p[k], adjoint.q[k], adjoint.Q[k])
-            gap = base - trial
+            gap = bases[k] - trial
             bad = gap > slack
             violations += int(np.sum(bad))
             if np.any(bad):

@@ -279,6 +279,29 @@ def test_picard_reports_history_on_budget_exhaustion():
     assert err.value.last is not None
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"max_iter": 0}, "max_iter"),
+        ({"max_iter": -1}, "max_iter"),
+        ({"max_iter": 2.5}, "max_iter"),
+        ({"max_iter": True}, "max_iter"),
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": -1e-6}, "tol"),
+    ],
+    ids=["max_iter=0", "max_iter=-1", "max_iter=2.5", "max_iter=True",
+         "tol=nan", "tol=inf", "tol=0", "tol=-1e-6"],
+)
+def test_picard_rejects_budgets_that_cannot_work(kwargs, match):
+    # max_iter <= 0 used to fail on an empty history with IndexError, and
+    # tol=nan ran the whole budget before reporting "did not reach tol nan"
+    g, w = _grid_noise(4, n=64)
+    with pytest.raises(ConfigError, match=match):
+        solve_picard(_canonical_model(), g, w, **kwargs)
+
+
 @pytest.mark.parametrize("shape", [(5, 65), (4, 64), (5, 1)])
 def test_picard_rejects_misshaped_initial_guess(shape):
     # [M+1, N+1] and [M, N] used to fail inside numpy's broadcasting, and

@@ -111,6 +111,21 @@ def test_divergence_guard():
     assert err.value.step >= 1
 
 
+def test_divergence_guard_checks_the_initial_node():
+    # a start outside the guard is a breach at node 0, not at the first step
+    g = make_time_grid(1.0, 8)
+    w = sample_brownian(g, EnsembleConfig(particles=4, seed=5))
+    model = ForwardModel(
+        drift=lambda t, law, own: np.zeros_like(own.x),
+        diffusion=lambda t, law, own: np.zeros_like(own.x),
+        initial=5.0,
+    )
+    with pytest.raises(DivergenceError) as err:
+        simulate_forward(model, g, w, guard=1.0)
+    assert err.value.step == 0
+    assert err.value.value == 5.0
+
+
 def test_moment_scaling_slope_near_half_p():
     # short horizons keep the drift contribution (an O(delta^2) term) from
     # contaminating the diffusion-dominated O(delta) scaling

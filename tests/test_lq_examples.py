@@ -20,7 +20,7 @@ from mfcontrol.core import (
 )
 from mfcontrol import smp_control
 from mfcontrol.fbsde_solver import ContinuationSchedule
-from mfcontrol.games import deviation_test, nash_iterate
+from mfcontrol.games import deviation_test, induced_model, nash_iterate
 from mfcontrol.hypothesis_check import check_H4, check_H5, check_H6
 from mfcontrol.lq_examples import (
     DeviationReport,
@@ -228,6 +228,72 @@ def test_lq2_encodings_match_the_written_formulas(params):
             assert np.array_equal(getattr(state_enc, name)(t, law, own), state_ref[j])
             assert np.array_equal(getattr(model, name)(t, law, controlled), state_ref[j])
             assert np.array_equal(getattr(adj_enc, name)(t, law, own), adj_ref[j])
+
+
+_SLOTS = ("law_x", "x", "law_y", "y", "law_z", "z", "v")
+
+
+def _unit_views(slot, n):
+    """``(law, own)`` with every state value and the control 0, except
+    ``slot``, which is 1."""
+    zero, one = np.zeros(n), np.ones(n)
+    law = {s: 1.0 if slot == "law_" + s else 0.0 for s in ("x", "y", "z")}
+    own = {s: one if slot == s else zero for s in ("x", "y", "z")}
+    u = one if slot == "v" else zero
+    return (StateView(u=float(u.mean()), **law), StateView(u=u, **own))
+
+
+def _lq_models():
+    grid = make_time_grid(1.0, 16)
+    opponent = np.repeat(np.linspace(-0.5, 0.7, 16)[:, None], 6, axis=1)
+    game = lq_game(coupling=0.2)
+    return {
+        "lq1": lq1_model(LQ1Params()),
+        "lq2": lq2_model(LQ2Params()),
+        "lq2_time_varying": lq2_model(_TIME_VARYING),
+        "player1": induced_model(game, 1, opponent, grid),
+        "player2": induced_model(game, 2, opponent, grid),
+    }
+
+
+@pytest.mark.parametrize("which", ["lq1", "lq2", "lq2_time_varying", "player1", "player2"])
+def test_declared_partials_are_the_coefficients_slopes(which):
+    # the coefficients are linear in every slot, so each declared partial
+    # is the change of its coefficient from all-zero to a unit slot value,
+    # and a slot without a declared partial changes nothing
+    model = _lq_models()[which]
+    n = 6
+    law0, own0 = _unit_views(None, n)
+    for t in (0.0, 0.37, 0.8125):
+        for name in ("drift", "diffusion", "driver"):
+            coef, declared = getattr(model, name), model.partials.get(name, {})
+            at_zero = coef(t, law0, own0)
+            for slot in _SLOTS:
+                law, own = _unit_views(slot, n)
+                change = coef(t, law, own) - at_zero
+                want = declared[slot](t, law0, own0) if slot in declared else np.zeros(n)
+                np.testing.assert_allclose(change, want, rtol=0.0, atol=1e-13,
+                                           err_msg=f"{name}[{slot}] at t={t}")
+
+
+def test_player_one_of_the_uncoupled_game_is_the_lq_problem():
+    grid = make_time_grid(1.0, 16)
+    rng = np.random.default_rng(5)
+    opponent = rng.normal(size=(16, 7))
+    player = induced_model(lq_game(coupling=0.0), 1, opponent, grid)
+    lq1 = lq1_model(LQ1Params())
+    own_xyzu = rng.normal(size=(4, 7))
+    own = StateView(x=own_xyzu[0], y=own_xyzu[1], z=own_xyzu[2], u=own_xyzu[3])
+    law = StateView(x=0.3, y=-0.4, z=0.2, u=float(own.u.mean()))
+    assert player.partials.keys() == lq1.partials.keys()
+    for t in (0.0, 0.4375):
+        for name in ("drift", "diffusion", "driver", "running_cost"):
+            assert np.array_equal(getattr(player, name)(t, law, own),
+                                  getattr(lq1, name)(t, law, own))
+            assert player.partials[name].keys() == lq1.partials[name].keys()
+            for slot, fn in lq1.partials[name].items():
+                assert np.array_equal(player.partials[name][slot](t, law, own),
+                                      fn(t, law, own))
 
 
 # ======================================================================
