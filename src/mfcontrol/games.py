@@ -38,9 +38,7 @@ from typing import Callable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from mfcontrol.core import BrownianPaths, ConfigError, TimeGrid
-from mfcontrol.fbsde_solver import ContinuationSchedule
-from mfcontrol.forward_mv import DEFAULT_GUARD
-from mfcontrol.mf_bsde import RegressionBasis
+from mfcontrol.fbsde_solver import _check_cap
 from mfcontrol.smp_control import (
     AdjointTriple,
     ControlModel,
@@ -230,9 +228,6 @@ def player_adjoint(
     state,
     grid: TimeGrid,
     noise: BrownianPaths,
-    schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
 ) -> AdjointTriple:
     """Adjoint triple (p, q, Q) of player ``i`` at the control pair.
 
@@ -244,10 +239,7 @@ def player_adjoint(
     _check_player(i)
     u1, u2 = _pair(controls, grid, noise.particles)
     model = induced_model(game, i, u2 if i == 1 else u1, grid)
-    return solve_adjoint(
-        model, u1 if i == 1 else u2, state, grid, noise,
-        schedule=schedule, basis=basis, guard=guard,
-    )
+    return solve_adjoint(model, u1 if i == 1 else u2, state, grid, noise)
 
 
 def best_response(
@@ -257,29 +249,23 @@ def best_response(
     grid: TimeGrid,
     noise: BrownianPaths,
     steps: int = 20,
-    eta0: float = 0.5,
-    shrink: float = 0.5,
-    slope: float = 1e-4,
-    grad_tol: float = 1e-8,
-    schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
 ):
     """Player ``i``'s approximate best response to the frozen opponent.
 
-    Runs :func:`mfcontrol.smp_control.projected_gradient_descent` on the
+    Runs ``steps`` iterations of
+    :func:`mfcontrol.smp_control.projected_gradient_descent` on the
     induced single-player model, starting from the player's current
-    control.  Returns ``(control, history)`` as the descent does; a zero
-    own-control gradient returns the starting control unchanged.
+    control, with the descent's default Armijo parameters and a fixed
+    projected-gradient tolerance ``grad_tol=1e-8``.  Returns ``(control,
+    history)`` as the descent does; a zero own-control gradient returns
+    the starting control unchanged.
     """
 
     _check_player(i)
     u1, u2 = _pair(controls, grid, noise.particles)
     model = induced_model(game, i, u2 if i == 1 else u1, grid)
     return projected_gradient_descent(
-        model, u1 if i == 1 else u2, grid, noise,
-        steps=steps, eta0=eta0, shrink=shrink, slope=slope,
-        grad_tol=grad_tol, schedule=schedule, basis=basis, guard=guard,
+        model, u1 if i == 1 else u2, grid, noise, steps=steps, grad_tol=1e-8
     )
 
 
@@ -296,9 +282,6 @@ def deviation_test(
     n_deviations: int = 50,
     radius: float = 0.5,
     seed: int = 0,
-    schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
 ) -> dict:
     """Sampled unilateral deviations must not beat either player.
 
@@ -318,14 +301,11 @@ def deviation_test(
     u1, u2 = _pair(controls, grid, noise.particles)
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x6A3E_DE7))
     models = {1: induced_model(game, 1, u2, grid), 2: induced_model(game, 2, u1, grid)}
-    base_state = solve_state(
-        models[1], u1, grid, noise, schedule=schedule, basis=basis, guard=guard,
-    )
+    base_state = solve_state(models[1], u1, grid, noise)
     players = {}
     for i, own in ((1, u1), (2, u2)):
         records = _paired_deviations(
-            models[i], own, base_state, grid, noise, rng, n_deviations, radius,
-            schedule, basis, guard,
+            models[i], own, base_state, grid, noise, rng, n_deviations, radius
         )
         worst = min(records, key=lambda rec: rec["margin"])
         players[i] = {
@@ -416,9 +396,6 @@ def nash_iterate(
     n_deviations: int = 50,
     seed: int = 0,
     atol: float = 1e-6,
-    schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
 ) -> NashResult:
     """Search for an equilibrium pair by damped simultaneous best
     responses, then certify or report why not.
@@ -452,14 +429,15 @@ def nash_iterate(
         Controls, final residuals and tolerances, per-round history
         (including both descent histories per round), status, and the
         deviation summary when certification ran.  Bad ``rounds``,
-        ``damping``, ``n_trials``, ``n_deviations`` or ``trial_radius``
-        raise :class:`ConfigError` before any round.
+        ``damping``, ``br_steps``, ``n_trials``, ``n_deviations`` or
+        ``trial_radius`` raise :class:`ConfigError` before any round; the
+        counts must be integers >= 1.
     """
 
-    if rounds < 1:
-        raise ConfigError(f"rounds must be >= 1, got {rounds}")
+    _check_cap("rounds", rounds, 1)
     if not (0.0 < damping <= 1.0):
         raise ConfigError(f"damping must lie in (0, 1], got {damping}")
+    _check_cap("br_steps", br_steps, 1)
     _check_sampling(n_trials, trial_radius)
     _check_sampling(n_deviations, trial_radius)
     u1, u2 = _pair(controls0, grid, noise.particles)
@@ -468,16 +446,12 @@ def nash_iterate(
     def residual_and_eps(i, u1_now, u2_now):
         model = induced_model(game, i, u2_now if i == 1 else u1_now, grid)
         own = u1_now if i == 1 else u2_now
-        state = solve_state(model, own, grid, noise,
-                            schedule=schedule, basis=basis, guard=guard)
+        state = solve_state(model, own, grid, noise)
         trials = [
             game.project(i)(own + _profile(grid, rng, trial_radius))
             for _ in range(n_trials)
         ]
-        res = variational_inequality_residual(
-            model, own, trials, grid, noise, state=state,
-            schedule=schedule, basis=basis, guard=guard,
-        )
+        res = variational_inequality_residual(model, own, trials, grid, noise, state=state)
         per = _per_particle_cost(model, own, state, grid)
         eps = 3.0 * float(per.std(ddof=1) / np.sqrt(per.size)) + atol
         return res, eps
@@ -489,14 +463,8 @@ def nash_iterate(
     last_dev = None
     resid_clear = False
     for rnd in range(rounds):
-        b1, h1 = best_response(
-            game, 1, (u1, u2), grid, noise, steps=br_steps,
-            schedule=schedule, basis=basis, guard=guard,
-        )
-        b2, h2 = best_response(
-            game, 2, (u1, u2), grid, noise, steps=br_steps,
-            schedule=schedule, basis=basis, guard=guard,
-        )
+        b1, h1 = best_response(game, 1, (u1, u2), grid, noise, steps=br_steps)
+        b2, h2 = best_response(game, 2, (u1, u2), grid, noise, steps=br_steps)
         move1 = float(np.sqrt(np.mean(np.square(b1 - u1)))) * damping
         move2 = float(np.sqrt(np.mean(np.square(b2 - u2)))) * damping
         u1 = (1.0 - damping) * u1 + damping * b1
@@ -516,7 +484,6 @@ def nash_iterate(
             last_dev = deviation_test(
                 game, (u1, u2), grid, noise, n_deviations=n_deviations,
                 radius=trial_radius, seed=seed,
-                schedule=schedule, basis=basis, guard=guard,
             )
             if last_dev["passed"]:
                 violations.append(0.0)

@@ -372,6 +372,13 @@ def check_H6(
 # ======================================================================
 
 
+def _check_slack(slack: float) -> None:
+    """A violation threshold must be finite and >= 0: a NaN or infinite one
+    hides every violation, a negative one counts exact ties."""
+    if not (np.isfinite(slack) and slack >= 0.0):
+        raise ConfigError(f"slack must be finite and >= 0, got {slack}")
+
+
 def check_convexity(
     fn: Callable[[np.ndarray], np.ndarray],
     dim: int,
@@ -383,11 +390,13 @@ def check_convexity(
     """Midpoint convexity test for a scalar function of a state tuple.
 
     ``fn`` maps an array [n, dim] of points to values [n].  A sampled pair
-    (a, b) is a violation when fn((a+b)/2) > (fn(a)+fn(b))/2 + slack.
+    (a, b) is a violation when fn((a+b)/2) > (fn(a)+fn(b))/2 + slack, with
+    ``slack`` finite and >= 0 (:class:`ConfigError` otherwise).
     Used on terminal costs and on the Hamiltonian as a function of the
     state-and-control tuple at frozen multipliers, which is what the
     sufficiency results assume.
     """
+    _check_slack(slack)
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     if dim < 1:

@@ -66,11 +66,9 @@ from mfcontrol.core import (
     make_time_grid,
     sample_brownian,
 )
-from mfcontrol.fbsde_solver import ContinuationSchedule, CoupledModel
-from mfcontrol.forward_mv import DEFAULT_GUARD
+from mfcontrol.fbsde_solver import ContinuationSchedule, CoupledModel, _check_cap, _check_tol
 from mfcontrol.games import GameModel
 from mfcontrol.hypothesis_check import check_H4, check_H5, check_H6
-from mfcontrol.mf_bsde import RegressionBasis
 from mfcontrol.smp_control import (
     AdjointTriple,
     ControlModel,
@@ -539,8 +537,6 @@ def _candidate_fixed_point(
     tol: float,
     max_iter: int,
     schedule: Optional[ContinuationSchedule],
-    basis: Optional[RegressionBasis],
-    guard: float,
 ):
     """Damped iteration u <- (1-damping) u + damping * formula(adjoints(u)).
 
@@ -554,19 +550,21 @@ def _candidate_fixed_point(
     warm-starts both from the previous iteration's solutions, one damped
     step away, so a coupled model runs the continuation's polish instead
     of a full homotopy (see :func:`mfcontrol.smp_control.solve_state`).
+    It needs ``0 < damping <= 1``, a finite ``tol`` > 0 and an integer
+    ``max_iter`` >= 1 (:class:`ConfigError` otherwise).
     """
 
     if not (0.0 < damping <= 1.0):
         raise ConfigError(f"damping must lie in (0, 1], got {damping}")
+    _check_tol("tol", tol)
+    _check_cap("max_iter", max_iter, 1)
     u = np.zeros((grid.steps, noise.particles))
     history: List[dict] = []
     gap = np.inf
     state = adj = None
     for it in range(max_iter):
-        state = solve_state(model, u, grid, noise, schedule, basis, guard, warm=state)
-        adj = solve_adjoint(
-            model, u, state, grid, noise, schedule, basis, guard, warm=adj
-        )
+        state = solve_state(model, u, grid, noise, schedule, warm=state)
+        adj = solve_adjoint(model, u, state, grid, noise, schedule, warm=adj)
         proposal = np.empty_like(u)
         for k in range(grid.steps):
             proposal[k] = formula(k, float(grid.nodes[k]), adj)
@@ -592,8 +590,6 @@ def lq1_candidate(
     tol: float = 1e-6,
     max_iter: int = 200,
     schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
 ):
     """Candidate optimal control of the decoupled LQ problem.
 
@@ -615,8 +611,7 @@ def lq1_candidate(
     """
 
     return _candidate_fixed_point(
-        lq1_model(params), _feedback(params, 1.0), grid, noise, damping, tol,
-        max_iter, schedule, basis, guard,
+        lq1_model(params), _feedback(params, 1.0), grid, noise, damping, tol, max_iter, schedule,
     )
 
 
@@ -628,8 +623,6 @@ def lq2_candidate(
     tol: float = 1e-6,
     max_iter: int = 200,
     schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
 ):
     """Candidate optimal control of the fully coupled LQ problem.
 
@@ -641,7 +634,7 @@ def lq2_candidate(
 
     return _candidate_fixed_point(
         lq2_model(params), _feedback(params, params.control_weight), grid, noise,
-        damping, tol, max_iter, schedule, basis, guard,
+        damping, tol, max_iter, schedule,
     )
 
 
@@ -670,8 +663,6 @@ def deviation_check(
     radius: float = 0.5,
     seed: int = 0,
     schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
 ) -> DeviationReport:
     """Paired-sample test that no sampled admissible perturbation beats
     the candidate beyond Monte Carlo resolution.
@@ -692,10 +683,9 @@ def deviation_check(
 
     u = as_control(u, grid, noise.particles)
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x5EED_0DE))
-    base_state = solve_state(model, u, grid, noise, schedule, basis, guard)
+    base_state = solve_state(model, u, grid, noise, schedule)
     records = _paired_deviations(
-        model, u, base_state, grid, noise, rng, n_deviations, radius,
-        schedule, basis, guard,
+        model, u, base_state, grid, noise, rng, n_deviations, radius, schedule
     )
     worst = min(records, key=lambda rec: rec["margin"])
     return DeviationReport(
@@ -716,10 +706,6 @@ def variational_margin(
     radius: float = 0.5,
     seed: int = 0,
     atol: float = 1e-6,
-    gradient: Optional[np.ndarray] = None,
-    schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
 ) -> dict:
     """Variational-inequality margin with Monte Carlo error bars.
 
@@ -744,10 +730,7 @@ def variational_margin(
 
     _check_sampling(n_trials, radius)
     u = as_control(u, grid, noise.particles)
-    if gradient is None:
-        gradient = smp_gradient(
-            model, u, grid, noise, schedule=schedule, basis=basis, guard=guard
-        )
+    gradient = smp_gradient(model, u, grid, noise)
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x5EED_01F))
     worst = {"margin": np.inf}
     for i in range(n_trials):
@@ -768,24 +751,29 @@ def variational_margin(
 # ======================================================================
 
 
+#: stationarity bound: gradient RMS at most this times max(1, |cost|)
+STATIONARITY_TOL = 5e-3
+#: descent-recovery iterations, and its control-RMS and relative-cost bounds
+DESCENT_STEPS = 30
+DESCENT_RMS_TOL = 5e-2
+DESCENT_COST_TOL = 1e-2
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Budgets and tolerances for :func:`verify_example`."""
+    """Sample budgets, seed and solver schedule of :func:`verify_example`.
+
+    The candidate and :func:`deviation_check` run at their own defaults;
+    the stage bounds are the module constants ``STATIONARITY_TOL``,
+    ``DESCENT_STEPS``, ``DESCENT_RMS_TOL`` and ``DESCENT_COST_TOL``.
+    """
 
     particles: int = 2048
     seed: int = 0
-    stationarity_tol: float = 5e-3
     n_deviations: int = 100
-    deviation_radius: float = 0.5
     sufficiency_samples: int = 20_000
     control_trials: int = 32
-    descent_steps: int = 30
-    descent_rms_tol: float = 5e-2
-    descent_cost_tol: float = 1e-2
     hypothesis_samples: int = 20_000
-    candidate_damping: float = 0.5
-    candidate_tol: float = 1e-6
-    candidate_max_iter: int = 200
     schedule: Optional[ContinuationSchedule] = None
 
 
@@ -828,18 +816,19 @@ def verify_example(
        sign-violating parameter sets fail here, with the failed
        condition named, rather than at model construction.
     2. ``candidate``: damped fixed-point construction of the explicit
-       Hamiltonian-minimizing control.
+       Hamiltonian-minimizing control (:func:`lq1_candidate` or
+       :func:`lq2_candidate` at their defaults).
     3. ``stationarity``: the control gradient along the candidate must
-       have ensemble RMS at most ``stationarity_tol * scale`` with
+       have ensemble RMS at most ``STATIONARITY_TOL * scale`` with
        scale = max(1, |cost|).
     4. ``sufficiency``: convexity spot checks plus pointwise Hamiltonian
        minimality (:func:`mfcontrol.smp_control.check_sufficiency`).
     5. ``deviations``: paired cost-deviation sampling
-       (:func:`deviation_check`).
-    6. ``descent_recovery`` (decoupled example only): projected gradient
-       descent from zero must land within ``descent_rms_tol`` of the
-       candidate in control RMS and within ``descent_cost_tol`` in
-       relative cost.
+       (:func:`deviation_check` at its default radius).
+    6. ``descent_recovery`` (decoupled example only): ``DESCENT_STEPS``
+       of projected gradient descent from zero must land within
+       ``DESCENT_RMS_TOL`` of the candidate in control RMS and within
+       ``DESCENT_COST_TOL`` in relative cost.
 
     Parameters default to the committed fixtures; ``grid`` defaults to
     64 steps on the example's horizon.
@@ -890,21 +879,10 @@ def verify_example(
         if failed:
             return fail("hypothesis")
 
+    build, candidate = (lq1_model, lq1_candidate) if which == 1 else (lq2_model, lq2_candidate)
     try:
-        if which == 1:
-            model = lq1_model(params)
-            u, hist = lq1_candidate(
-                params, grid, noise,
-                damping=cfg.candidate_damping, tol=cfg.candidate_tol,
-                max_iter=cfg.candidate_max_iter, schedule=cfg.schedule,
-            )
-        else:
-            model = lq2_model(params)
-            u, hist = lq2_candidate(
-                params, grid, noise,
-                damping=cfg.candidate_damping, tol=cfg.candidate_tol,
-                max_iter=cfg.candidate_max_iter, schedule=cfg.schedule,
-            )
+        model = build(params)
+        u, hist = candidate(params, grid, noise, schedule=cfg.schedule)
     except (ConfigError, NonConvergenceError) as exc:
         stages.append({"name": "candidate", "passed": False, "error": str(exc)})
         return fail("candidate")
@@ -915,17 +893,16 @@ def verify_example(
 
     state = solve_state(model, u, grid, noise, schedule=cfg.schedule)
     adj = solve_adjoint(model, u, state, grid, noise, schedule=cfg.schedule)
-    grad = smp_gradient(model, u, grid, noise, state=state, adjoint=adj,
-                        schedule=cfg.schedule)
+    grad = smp_gradient(model, u, grid, noise, state=state, adjoint=adj)
     j_cand = cost(model, u, grid, noise, state=state)
     scale = max(1.0, abs(j_cand))
     grad_rms = _rms(grad)
     report.candidate_cost = j_cand
     report.gradient_rms = grad_rms
-    ok = grad_rms <= cfg.stationarity_tol * scale
+    ok = grad_rms <= STATIONARITY_TOL * scale
     stages.append(
         {"name": "stationarity", "passed": bool(ok),
-         "gradient_rms": grad_rms, "tolerance": cfg.stationarity_tol * scale}
+         "gradient_rms": grad_rms, "tolerance": STATIONARITY_TOL * scale}
     )
     if not ok:
         return fail("stationarity")
@@ -945,8 +922,8 @@ def verify_example(
         return fail("sufficiency")
 
     dev = deviation_check(
-        model, u, grid, noise, n_deviations=cfg.n_deviations,
-        radius=cfg.deviation_radius, seed=cfg.seed, schedule=cfg.schedule,
+        model, u, grid, noise, n_deviations=cfg.n_deviations, seed=cfg.seed,
+        schedule=cfg.schedule,
     )
     stages.append(
         {"name": "deviations", "passed": bool(dev.passed),
@@ -957,13 +934,13 @@ def verify_example(
 
     if which == 1:
         u_desc, _ = projected_gradient_descent(
-            model, 0.0, grid, noise, steps=cfg.descent_steps,
-            grad_tol=1e-10, schedule=cfg.schedule,
+            model, 0.0, grid, noise, steps=DESCENT_STEPS, grad_tol=1e-10,
+            schedule=cfg.schedule,
         )
         j_desc = cost(model, u_desc, grid, noise)
         rms_gap = _rms(u_desc - u)
         cost_gap = abs(j_desc - j_cand) / max(1.0, abs(j_cand))
-        ok = rms_gap <= cfg.descent_rms_tol and cost_gap <= cfg.descent_cost_tol
+        ok = rms_gap <= DESCENT_RMS_TOL and cost_gap <= DESCENT_COST_TOL
         stages.append(
             {"name": "descent_recovery", "passed": bool(ok),
              "control_rms_gap": rms_gap, "relative_cost_gap": cost_gap}

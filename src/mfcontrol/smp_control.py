@@ -44,6 +44,7 @@ with :func:`feedback_to_open_loop`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -56,14 +57,15 @@ from mfcontrol.core import (
     TimeGrid,
     view_means,
 )
-from mfcontrol.forward_mv import DEFAULT_GUARD, ForwardModel, Initial, _views, simulate_forward
-from mfcontrol.hypothesis_check import UniformPairSampler, check_convexity
-from mfcontrol.mf_bsde import BackwardModel, RegressionBasis, _terminal_values, solve_mf_bsde
+from mfcontrol.forward_mv import ForwardModel, Initial, _views, simulate_forward
+from mfcontrol.hypothesis_check import UniformPairSampler, _check_slack, check_convexity
+from mfcontrol.mf_bsde import BackwardModel, _terminal_values, solve_mf_bsde
 from mfcontrol.fbsde_solver import (
     _RETRYABLE,
     ContinuationSchedule,
     CoupledModel,
     SolutionTriple,
+    _check_cap,
     _coefficients,
     negate_forward_model,
     solve_continuation,
@@ -345,8 +347,6 @@ def _solve_system(
     grid: TimeGrid,
     noise: BrownianPaths,
     schedule: Optional[ContinuationSchedule],
-    basis: Optional[RegressionBasis],
-    guard: float,
     warm: Optional[SolutionTriple],
     control: Optional[np.ndarray] = None,
     conditioning: Optional[np.ndarray] = None,
@@ -367,14 +367,15 @@ def _solve_system(
     error the continuation retries on, the continuation runs from its seed.
     With ``polish_max_iter == 0`` the cold route returns the unpolished
     homotopy solution, which a warm pass would not reproduce, so ``warm``
-    is unused.
+    is unused.  Both routes run the solvers' default regression basis and
+    divergence guard.
     """
     if not coupled:
         fwd = ForwardModel(drift=model.drift, diffusion=model.diffusion, initial=model.initial)
-        x = simulate_forward(fwd, grid, noise, control=control, guard=guard)
+        x = simulate_forward(fwd, grid, noise, control=control)
         y, z = solve_mf_bsde(
             BackwardModel(driver=model.driver, terminal=model.terminal_map), grid, noise, x,
-            basis=basis, control=control, carrier=conditioning,
+            control=control, carrier=conditioning,
         )
         return SolutionTriple(x=x, y=y, z=z)
     sched = schedule or ContinuationSchedule()
@@ -383,14 +384,13 @@ def _solve_system(
             sol, _ = solve_picard(
                 model, grid, noise, tol=sched.inner_tol, max_iter=sched.polish_max_iter,
                 initial_guess=warm, accel_memory=sched.accel_memory, control=control,
-                basis=basis, guard=guard, conditioning=conditioning,
+                conditioning=conditioning,
             )
             return sol
         except _RETRYABLE:
             pass
     sol, _ = solve_continuation(
-        model, grid, noise, schedule=schedule, basis=basis, control=control,
-        guard=guard, conditioning=conditioning,
+        model, grid, noise, schedule=schedule, control=control, conditioning=conditioning,
     )
     return sol
 
@@ -401,8 +401,6 @@ def solve_state(
     grid: TimeGrid,
     noise: BrownianPaths,
     schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
     warm: Optional[SolutionTriple] = None,
 ) -> SolutionTriple:
     """Solve the controlled state system for an admissible control.
@@ -422,10 +420,6 @@ def solve_state(
         Time grid and matching Brownian increment block.
     schedule : ContinuationSchedule, optional
         Coupled-route solver schedule.
-    basis : RegressionBasis, optional
-        Conditional-expectation basis for backward passes.
-    guard : float
-        Divergence guard radius.
     warm : SolutionTriple, optional
         State solution at a nearby control on the same noise.  A coupled
         solve then runs only the continuation's polish from there (an
@@ -451,9 +445,7 @@ def solve_state(
         terminal_map=model.terminal_map,
         initial=model.initial,
     )
-    return _solve_system(
-        system, model.coupled, grid, noise, schedule, basis, guard, warm, control=u
-    )
+    return _solve_system(system, model.coupled, grid, noise, schedule, warm, control=u)
 
 
 # ======================================================================
@@ -504,8 +496,6 @@ def solve_adjoint(
     grid: TimeGrid,
     noise: BrownianPaths,
     schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
     certify: bool = False,
     warm: Optional[AdjointTriple] = None,
 ) -> AdjointTriple:
@@ -536,8 +526,8 @@ def solve_adjoint(
     model, u, grid, noise
         As in :func:`solve_state`; ``state`` must solve the state system
         for ``u`` on the same noise.
-    schedule, basis, guard
-        Solver knobs, as in :func:`solve_state`.
+    schedule : ContinuationSchedule, optional
+        Coupled-route solver schedule, as in :func:`solve_state`.
     certify : bool
         Run the monotonicity probe (off by default).
     warm : AdjointTriple, optional
@@ -595,8 +585,8 @@ def solve_adjoint(
             warning = f"adjoint monotonicity probe found pairing ratio {worst:.3e}"
     guess = None if warm is None else SolutionTriple(x=-warm.Q, y=warm.p, z=warm.q)
     sol = _solve_system(
-        negate_forward_model(adj_model), model.coupled, grid, noise, schedule, basis,
-        guard, guess, conditioning=state.x,
+        negate_forward_model(adj_model), model.coupled, grid, noise, schedule, guess,
+        conditioning=state.x,
     )
     return AdjointTriple(p=sol.y, q=sol.z, Q=-sol.x, warning=warning)
 
@@ -629,9 +619,6 @@ def solve_variational(
     state: SolutionTriple,
     grid: TimeGrid,
     noise: BrownianPaths,
-    schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
 ) -> VariationalTriple:
     """Solve the linearized state system along a control direction.
 
@@ -643,7 +630,8 @@ def solve_variational(
     solve is exactly linear in the direction for fixed noise.  The system
     is written once; as in :func:`solve_state`, ``model.coupled`` chooses
     only the solver (one forward and one backward pass, or the
-    continuation).  The backward passes regress on the state path.
+    continuation at its default schedule).  The backward passes regress on
+    the state path.
     """
     u = as_control(u, grid, noise.particles)
     d = as_control(direction, grid, noise.particles)
@@ -665,10 +653,7 @@ def solve_variational(
         terminal_map=lambda k_last: slope * k_last,
         initial=0.0,
     )
-    sol = _solve_system(
-        var_model, model.coupled, grid, noise, schedule, basis, guard, None,
-        conditioning=state.x,
-    )
+    sol = _solve_system(var_model, model.coupled, grid, noise, None, None, conditioning=state.x)
     return VariationalTriple(k=sol.x, m=sol.y, n=sol.z)
 
 
@@ -683,15 +668,12 @@ def cost(
     grid: TimeGrid,
     noise: BrownianPaths,
     state: Optional[SolutionTriple] = None,
-    schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
 ) -> float:
     """Monte Carlo cost J(u): left-endpoint quadrature of the law-averaged
     running cost plus terminal and initial costs."""
     u = as_control(u, grid, noise.particles)
     if state is None:
-        state = solve_state(model, u, grid, noise, schedule=schedule, basis=basis, guard=guard)
+        state = solve_state(model, u, grid, noise)
     path = _FrozenPath(model, u, state, grid)
     run = 0.0
     for k in range(grid.steps):
@@ -709,9 +691,6 @@ def smp_gradient(
     noise: BrownianPaths,
     state: Optional[SolutionTriple] = None,
     adjoint: Optional[AdjointTriple] = None,
-    schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
 ) -> np.ndarray:
     """Per-node cost gradient: the law-averaged Hamiltonian control slope.
 
@@ -730,11 +709,9 @@ def smp_gradient(
     """
     u = as_control(u, grid, noise.particles)
     if state is None:
-        state = solve_state(model, u, grid, noise, schedule=schedule, basis=basis, guard=guard)
+        state = solve_state(model, u, grid, noise)
     if adjoint is None:
-        adjoint = solve_adjoint(
-            model, u, state, grid, noise, schedule=schedule, basis=basis, guard=guard
-        )
+        adjoint = solve_adjoint(model, u, state, grid, noise)
     path = _FrozenPath(model, u, state, grid)
     grad = np.empty((grid.steps, noise.particles))
     for k in range(grid.steps):
@@ -764,8 +741,6 @@ def projected_gradient_descent(
     grad_tol: float = 0.0,
     min_eta: float = 1e-12,
     schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
 ):
     """Projected gradient descent on the control cost with Armijo
     backtracking.
@@ -787,7 +762,7 @@ def projected_gradient_descent(
     u0
         Admissible starting control.
     steps : int
-        Maximum iterations.
+        Maximum iterations, an integer >= 1.
     eta0, shrink, slope : float
         Armijo parameters (initial step, backtrack factor, slope factor).
     grad_tol : float
@@ -796,6 +771,8 @@ def projected_gradient_descent(
         (0 disables the test).
     min_eta : float
         Step-size underflow threshold.
+    schedule : ContinuationSchedule, optional
+        Coupled-route solver schedule of the state and adjoint solves.
 
     The Armijo parameters must satisfy ``0 < shrink < 1``,
     ``0 < min_eta <= eta0`` with ``eta0`` finite, and ``0 <= slope < 1``
@@ -810,27 +787,20 @@ def projected_gradient_descent(
     """
     u = as_control(u0, grid, noise.particles)
     _require_admissible(model, u)
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
+    _check_cap("steps", steps, 1)
     if not (0.0 < shrink < 1.0):
         raise ConfigError(f"shrink must lie in (0, 1), got {shrink}")
     if not (np.isfinite(eta0) and 0.0 < min_eta <= eta0):
         raise ConfigError(f"need 0 < min_eta <= eta0 < inf, got min_eta={min_eta}, eta0={eta0}")
     if not (0.0 <= slope < 1.0):
         raise ConfigError(f"slope must lie in [0, 1), got {slope}")
-    state = solve_state(model, u, grid, noise, schedule=schedule, basis=basis, guard=guard)
+    state = solve_state(model, u, grid, noise, schedule=schedule)
     value = cost(model, u, grid, noise, state=state)
     history: list = []
     adjoint = None
     for it in range(steps):
-        adjoint = solve_adjoint(
-            model, u, state, grid, noise, schedule=schedule, basis=basis, guard=guard,
-            warm=adjoint,
-        )
-        grad = smp_gradient(
-            model, u, grid, noise, state=state, adjoint=adjoint,
-            schedule=schedule, basis=basis, guard=guard,
-        )
+        adjoint = solve_adjoint(model, u, state, grid, noise, schedule=schedule, warm=adjoint)
+        grad = smp_gradient(model, u, grid, noise, state=state, adjoint=adjoint)
         residual = _rms(u - np.asarray(model.project(u - eta0 * grad), dtype=float))
         record = {
             "iteration": it,
@@ -848,10 +818,7 @@ def projected_gradient_descent(
         while eta >= min_eta:
             candidate = np.asarray(model.project(u - eta * grad), dtype=float)
             decrease = slope * _pairing(grid, grad, u - candidate)
-            cand_state = solve_state(
-                model, candidate, grid, noise, schedule=schedule, basis=basis, guard=guard,
-                warm=state,
-            )
+            cand_state = solve_state(model, candidate, grid, noise, schedule=schedule, warm=state)
             cand_value = cost(model, candidate, grid, noise, state=cand_state)
             if cand_value <= value - decrease:
                 accepted = True
@@ -880,10 +847,6 @@ def variational_inequality_residual(
     grid: TimeGrid,
     noise: BrownianPaths,
     state: Optional[SolutionTriple] = None,
-    adjoint: Optional[AdjointTriple] = None,
-    schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
 ) -> float:
     """Minimum over trial controls of the first-order pairing
     ``<grad, v - u>``; an optimum certifies with a residual that is
@@ -891,10 +854,7 @@ def variational_inequality_residual(
     u = as_control(u, grid, noise.particles)
     if not len(trials):
         raise ConfigError("need at least one trial control")
-    grad = smp_gradient(
-        model, u, grid, noise, state=state, adjoint=adjoint,
-        schedule=schedule, basis=basis, guard=guard,
-    )
+    grad = smp_gradient(model, u, grid, noise, state=state)
     best = np.inf
     for trial in trials:
         v = as_control(trial, grid, noise.particles)
@@ -909,77 +869,34 @@ def duality_gap(
     grid: TimeGrid,
     noise: BrownianPaths,
     state: Optional[SolutionTriple] = None,
-    adjoint: Optional[AdjointTriple] = None,
-    variational: Optional[VariationalTriple] = None,
-    schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
-    signed: bool = False,
 ) -> float:
     """Defect of the discrete integration-by-parts identity linking the
     variational and adjoint systems.
 
     The identity equates the terminal/initial cost linearization
-    E[g_x(X_T) k_T + gamma_y(Y_0) m_0] plus the running-cost state terms
-    with the multiplier pairing E[int (b_v p + sigma_v q - f_v Q)
-    (direction) dt].  Both sides are assembled from the solved triples
+    E[g_x(X_T) k_T + gamma_y(Y_0) m_0] plus the running cost's
+    linearization E[int (h_x-terms + h_v direction) dt] along the
+    variational triple (k, m, n) with the gradient pairing
+    E[int H_v direction dt], H_v = b_v p + sigma_v q - f_v Q + h_v (the
+    h_v terms cancel).  Both sides are assembled from the solved systems
     and the absolute difference returned; it vanishes at first order in
     the step size.
-
-    With ``signed=True`` the raw difference is returned instead of its
-    magnitude.  At finite particle counts the defect carries a
-    step-independent sampling offset on top of the O(dt) part, and
-    isolating the latter (averaging replicate ensembles, differencing
-    step-coarsened runs on shared increments) only works before the
-    absolute value is taken.
     """
     u = as_control(u, grid, noise.particles)
     d = as_control(direction, grid, noise.particles)
     if state is None:
-        state = solve_state(model, u, grid, noise, schedule=schedule, basis=basis, guard=guard)
-    if adjoint is None:
-        adjoint = solve_adjoint(
-            model, u, state, grid, noise, schedule=schedule, basis=basis, guard=guard
-        )
-    if variational is None:
-        variational = solve_variational(
-            model, u, d, state, grid, noise, schedule=schedule, basis=basis, guard=guard
-        )
+        state = solve_state(model, u, grid, noise)
+    var = solve_variational(model, u, d, state, grid, noise)
+    lin = SolutionTriple(x=var.k, y=var.m, z=var.n)
     path = _FrozenPath(model, u, state, grid)
     m = grid.steps
     lhs = float(
-        np.mean(
-            np.asarray(model.terminal_cost_slope(state.x[m]), dtype=float) * variational.k[m]
-        )
-    ) + float(
-        np.mean(
-            np.asarray(model.initial_cost_slope(state.y[0]), dtype=float) * variational.m[0]
-        )
-    )
-    run = 0.0
+        np.mean(np.asarray(model.terminal_cost_slope(state.x[m]), dtype=float) * var.k[m])
+    ) + float(np.mean(np.asarray(model.initial_cost_slope(state.y[0]), dtype=float) * var.m[0]))
     for k in range(m):
-        run += grid.dt * (
-            float(np.mean(path.dense("running_cost", "law_x", k))) * float(variational.k[k].mean())
-            + float(np.mean(path.dense("running_cost", "x", k) * variational.k[k]))
-            + float(np.mean(path.dense("running_cost", "law_y", k))) * float(variational.m[k].mean())
-            + float(np.mean(path.dense("running_cost", "y", k) * variational.m[k]))
-            + float(np.mean(path.dense("running_cost", "law_z", k))) * float(variational.n[k].mean())
-            + float(np.mean(path.dense("running_cost", "z", k) * variational.n[k]))
-        )
-    rhs = 0.0
-    for k in range(m):
-        rhs += grid.dt * float(
-            np.mean(
-                (
-                    path.dense("drift", "v", k) * adjoint.p[k]
-                    + path.dense("diffusion", "v", k) * adjoint.q[k]
-                    - path.dense("driver", "v", k) * adjoint.Q[k]
-                )
-                * d[k]
-            )
-        )
-    defect = lhs + run - rhs
-    return defect if signed else abs(defect)
+        own, law = _views(lin, k, None)
+        lhs += grid.dt * float(np.mean(path.linearized(k, "running_cost", law, own, d[k])))
+    return abs(lhs - _pairing(grid, smp_gradient(model, u, grid, noise, state=state), d))
 
 
 @dataclass(frozen=True)
@@ -1013,9 +930,6 @@ def check_sufficiency(
     radius: float = 10.0,
     slack: float = 1e-4,
     seed: int = 0,
-    schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
-    guard: float = DEFAULT_GUARD,
 ) -> SufficiencyReport:
     """First-order sufficiency check for a candidate control.
 
@@ -1025,19 +939,17 @@ def check_sufficiency(
     trajectory; then verifies pointwise Hamiltonian minimality of the
     candidate against projected random trial controls, with ``slack``
     absorbing solver-tolerance suboptimality of the candidate.  It needs
-    ``control_trials`` >= 1 and a finite ``radius`` > 0
-    (:class:`ConfigError` otherwise).
+    an integer ``control_trials`` >= 1, a finite ``radius`` > 0 and a
+    finite ``slack`` >= 0 (:class:`ConfigError` otherwise).
     """
-    if control_trials < 1:
-        raise ConfigError(f"control_trials must be >= 1, got {control_trials}")
+    _check_cap("control_trials", control_trials, 1)
+    _check_slack(slack)
     sampler = UniformPairSampler(radius=radius)
     u = as_control(u, grid, noise.particles)
     if state is None:
-        state = solve_state(model, u, grid, noise, schedule=schedule, basis=basis, guard=guard)
+        state = solve_state(model, u, grid, noise)
     if adjoint is None:
-        adjoint = solve_adjoint(
-            model, u, state, grid, noise, schedule=schedule, basis=basis, guard=guard
-        )
+        adjoint = solve_adjoint(model, u, state, grid, noise)
     convexity = {
         "terminal_cost": check_convexity(
             lambda pts: np.asarray(model.terminal_cost(pts[:, 0]), dtype=float),
@@ -1158,9 +1070,10 @@ def _profile(grid: TimeGrid, rng: np.random.Generator, radius: float):
 
 
 def _check_sampling(n: int, radius: float) -> None:
-    """A certificate needs at least one sample at a positive finite radius."""
-    if n < 1:
-        raise ConfigError(f"need at least one sampled perturbation, got {n}")
+    """A certificate needs at least one sample (an integer count) at a
+    positive finite radius."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ConfigError(f"need at least one sampled perturbation (an integer), got {n!r}")
     if not (np.isfinite(radius) and radius > 0.0):
         raise ConfigError(f"perturbation radius must be finite and > 0, got {radius}")
 
@@ -1174,9 +1087,7 @@ def _paired_deviations(
     rng: np.random.Generator,
     n: int,
     radius: float,
-    schedule: Optional[ContinuationSchedule],
-    basis: Optional[RegressionBasis],
-    guard: float,
+    schedule: Optional[ContinuationSchedule] = None,
 ) -> list:
     """Paired cost changes of ``n`` random admissible profile deviations.
 
@@ -1191,9 +1102,7 @@ def _paired_deviations(
     records = []
     for i in range(n):
         v = model.project(u + _profile(grid, rng, radius))
-        state_v = solve_state(
-            model, v, grid, noise, schedule, basis, guard, warm=base_state
-        )
+        state_v = solve_state(model, v, grid, noise, schedule, warm=base_state)
         diff = _per_particle_cost(model, v, state_v, grid) - base_j
         mean = float(diff.mean())
         se = float(diff.std(ddof=1) / np.sqrt(diff.size))

@@ -38,7 +38,13 @@ from mfcontrol.lq_examples import (
     variational_margin,
     verify_example,
 )
-from mfcontrol.smp_control import cost, smp_gradient, solve_state
+from mfcontrol.smp_control import (
+    check_sufficiency,
+    cost,
+    projected_gradient_descent,
+    smp_gradient,
+    solve_state,
+)
 
 from oracles import cold_candidate_fixed_point, lq2_coefficients
 
@@ -365,6 +371,19 @@ def test_candidate_rejects_bad_damping():
         lq1_candidate(LQ1Params(), grid, noise, damping=1.5)
 
 
+@pytest.mark.parametrize("bad", [
+    {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"tol": -1e-6},
+    {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True},
+], ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items()))
+def test_candidate_rejects_bad_tolerance_and_cap(bad):
+    # unchecked, tol=nan ran all 200 iterations (about 1 s at this size) and
+    # then reported "did not reach rms tolerance nan"; max_iter=2.5 raised a
+    # bare TypeError and max_iter=True ran one iteration
+    grid, noise = _grid_noise(8, 64)
+    with pytest.raises(ConfigError, match="tol" if "tol" in bad else "max_iter"):
+        lq1_candidate(LQ1Params(), grid, noise, **bad)
+
+
 def test_candidate_nonconvergence_carries_history():
     grid, noise = _grid_noise(8, 64)
     with pytest.raises(NonConvergenceError) as err:
@@ -449,6 +468,42 @@ def test_certificates_refuse_to_pass_without_samples(check, kwargs, match):
         "nash_iterate": lambda: nash_iterate(lq_game(), (5.0, 0.0), grid, noise, **kwargs),
     }
     with pytest.raises(ConfigError, match=match):
+        calls[check]()
+
+
+@pytest.mark.parametrize(
+    "check, kwargs",
+    [
+        ("descent", {"steps": 2.5}),
+        ("descent", {"steps": True}),
+        ("nash_iterate", {"rounds": 2.5}),
+        ("nash_iterate", {"br_steps": 1.5}),
+        ("nash_iterate", {"n_trials": 2.5}),
+        ("nash_iterate", {"n_deviations": True}),
+        ("sufficiency", {"control_trials": 2.5}),
+        ("sufficiency", {"control_trials": True}),
+        ("deviation_check", {"n_deviations": 2.5}),
+        ("variational_margin", {"n_trials": 2.5}),
+        ("deviation_test", {"n_deviations": 2.5}),
+    ],
+    ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else None,
+)
+def test_integer_counts_refuse_non_integers(check, kwargs):
+    # unchecked, a float count raised a bare TypeError ("'float' object
+    # cannot be interpreted as an integer") somewhere inside the run, and
+    # True counted as one
+    grid, noise = _grid_noise(4, 64, seed=3)
+    model = lq1_model(LQ1Params())
+    calls = {
+        "descent": lambda: projected_gradient_descent(model, 5.0, grid, noise, **kwargs),
+        "nash_iterate": lambda: nash_iterate(lq_game(), (5.0, 0.0), grid, noise, **kwargs),
+        "sufficiency": lambda: check_sufficiency(model, 5.0, grid, noise, n_samples=1000,
+                                                 **kwargs),
+        "deviation_check": lambda: deviation_check(model, 5.0, grid, noise, **kwargs),
+        "variational_margin": lambda: variational_margin(model, 5.0, grid, noise, **kwargs),
+        "deviation_test": lambda: deviation_test(lq_game(), (5.0, 0.0), grid, noise, **kwargs),
+    }
+    with pytest.raises(ConfigError, match="integer"):
         calls[check]()
 
 

@@ -20,6 +20,7 @@ from mfcontrol.core import (
 )
 from mfcontrol.fbsde_solver import ContinuationSchedule, SolutionTriple
 from mfcontrol.games import induced_model
+from mfcontrol.hypothesis_check import check_convexity
 from mfcontrol.lq_examples import LQ1Params, LQ2Params, lq1_model, lq2_model, lq_game
 from mfcontrol.forward_mv import ForwardModel, simulate_forward
 from mfcontrol.mf_bsde import BackwardModel, solve_mf_bsde
@@ -527,6 +528,19 @@ def test_warm_state_of_wrong_shape_fails_typed():
         solve_state(model, 0.3, grid, noise, warm=bad)
 
 
+def test_state_solve_checks_the_default_guard():
+    # the control layer takes no guard of its own: a decoupled state solve
+    # runs the Euler pass at DEFAULT_GUARD, and x_k = 126^k first leaves
+    # it at step 6 (126^6 = 4.0e12)
+    grid, noise = _grid_noise(m=8, n=64)
+    model = replace(_tracking_model(lambda t: 0.0), drift=lambda t, law, own: 1e3 * own.x,
+                    initial=1.0)
+    with pytest.raises(DivergenceError) as err:
+        solve_state(model, 0.0, grid, noise)
+    assert err.value.step == 6
+    assert err.value.guard == 1e12
+
+
 # ======================================================================
 # variational system
 # ======================================================================
@@ -705,6 +719,26 @@ def test_sufficiency_rejects_a_check_without_samples(bad):
     grid, noise = _grid_noise(m=8, n=64)
     with pytest.raises(ConfigError):
         check_sufficiency(lq1_model(LQ1Params()), 5.0, grid, noise, n_samples=1000, **bad)
+
+
+@pytest.mark.parametrize("slack", [np.nan, np.inf, -1e-6])
+@pytest.mark.parametrize("check", ["sufficiency", "convexity"])
+def test_slack_must_be_finite_and_nonnegative(check, slack):
+    # unchecked, a NaN or infinite slack hid every violation: lq1 at u = 3
+    # (M=8, N=64, seed 3, 32 trials) has 10759 minimality violations at
+    # slack 1e-6 and passed with none, and -x^2 passed the midpoint test at
+    # slack nan; a negative slack counts exact ties as violations
+    grid, noise = _grid_noise(m=8, n=64, seed=3)
+    calls = {
+        "sufficiency": lambda: check_sufficiency(
+            lq1_model(LQ1Params()), 3.0, grid, noise, n_samples=1000, slack=slack
+        ),
+        "convexity": lambda: check_convexity(
+            lambda pts: -pts[:, 0] ** 2, dim=1, n_samples=1000, slack=slack
+        ),
+    }
+    with pytest.raises(ConfigError, match="slack"):
+        calls[check]()
 
 
 def test_vi_residual_nonnegative_at_optimum():
