@@ -17,6 +17,7 @@ Conventions used across the package
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -87,6 +88,17 @@ class RegressionError(RuntimeError):
         super().__init__(message)
 
 
+def _check_tol(name: str, tol: float) -> None:
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigError(f"{name} must be finite and > 0, got {tol}")
+
+
+def _check_cap(name: str, cap: int, low: int) -> None:
+    """A count must be an integer (``bool`` excluded) and at least ``low``."""
+    if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {cap!r}")
+
+
 # ======================================================================
 # Time grid
 # ======================================================================
@@ -110,8 +122,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
             raise ConfigError(f"horizon must be a finite positive float, got {self.horizon}")
-        if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):
-            raise ConfigError(f"steps must be an integer >= 1, got {self.steps}")
+        _check_cap("steps", self.steps, 1)
 
     @property
     def dt(self) -> float:
@@ -128,8 +139,9 @@ class TimeGrid:
 
 
 def make_time_grid(horizon: float, steps: int) -> TimeGrid:
-    """Validated uniform time grid (raises :class:`ConfigError` on bad input)."""
-    return TimeGrid(float(horizon), int(steps))
+    """Validated uniform time grid (raises :class:`ConfigError` on bad input;
+    ``steps`` must be an integer, it is not rounded)."""
+    return TimeGrid(float(horizon), steps)
 
 
 # ======================================================================
@@ -149,7 +161,8 @@ class EnsembleConfig:
         Driver dimension d >= 1.  The solver stack currently requires d = 1;
         :func:`sample_brownian` itself supports any d.
     seed : int
-        Counter-based RNG key; equal seeds give bit-identical increments.
+        Counter-based RNG key, an integer >= 0; equal seeds give
+        bit-identical increments.
     """
 
     particles: int
@@ -157,10 +170,8 @@ class EnsembleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.particles, (int, np.integer)) and self.particles >= 2):
-            raise ConfigError(f"particles must be an integer >= 2, got {self.particles}")
-        if not (isinstance(self.brownian_dim, (int, np.integer)) and self.brownian_dim >= 1):
-            raise ConfigError(f"brownian_dim must be an integer >= 1, got {self.brownian_dim}")
+        for name, low in (("particles", 2), ("brownian_dim", 1), ("seed", 0)):
+            _check_cap(name, getattr(self, name), low)
 
 
 @dataclass(frozen=True)

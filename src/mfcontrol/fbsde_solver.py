@@ -36,7 +36,6 @@ The blend family (see :func:`homotopy_coefficients`):
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
@@ -50,6 +49,8 @@ from mfcontrol.core import (
     RegressionError,
     StateView,
     TimeGrid,
+    _check_cap,
+    _check_tol,
 )
 from mfcontrol.forward_mv import (
     DEFAULT_GUARD,
@@ -348,7 +349,10 @@ def negate_forward_model(model: CoupledModel) -> CoupledModel:
 
     and flips the sign of every monotonicity pairing, so a model satisfying
     the backward condition (H6) is mapped onto one satisfying (H5).  Solve
-    the transformed model, then map the solution back via X = -X~.
+    the transformed model, then map the solution back via X = -X~.  This is
+    for a caller's own backward-monotone model: the package's adjoint
+    (:func:`mfcontrol.smp_control.solve_adjoint`) is written directly in
+    its forward-monotone variable and does not use it.
     """
 
     def flip(view: StateView) -> StateView:
@@ -454,16 +458,6 @@ class _AndersonMixer:
             return g
         out = gamma @ d_g
         return np.subtract(g, out, out=out)  # in place: one fresh [L] array
-
-
-def _check_tol(name: str, tol: float) -> None:
-    if not (np.isfinite(tol) and tol > 0):
-        raise ConfigError(f"{name} must be finite and > 0, got {tol}")
-
-
-def _check_cap(name: str, cap: int, low: int) -> None:
-    if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {cap!r}")
 
 
 def _fixed_point(sweep, start: SolutionTriple, slots, tol: float, max_iter: int,
@@ -690,7 +684,6 @@ def solve_continuation(
     grid: TimeGrid,
     noise: BrownianPaths,
     schedule: Optional[ContinuationSchedule] = None,
-    basis: Optional[RegressionBasis] = None,
     control: Optional[np.ndarray] = None,
     guard: float = DEFAULT_GUARD,
     conditioning: Optional[np.ndarray] = None,
@@ -747,7 +740,7 @@ def solve_continuation(
     sched = schedule or ContinuationSchedule()
     try:
         cur, _ = solve_linear_seed(
-            LinearInhomogeneity(), grid, noise, x0=model.initial, basis=basis,
+            LinearInhomogeneity(), grid, noise, x0=model.initial,
             conditioning=conditioning, guard=guard,
         )
     except DivergenceError as exc:
@@ -770,7 +763,7 @@ def solve_continuation(
                 max_iter=sched.picard_max_iter,
                 memory=sched.accel_memory,
                 control=control,
-                basis=basis,
+                basis=None,
                 guard=guard,
                 conditioning=conditioning,
             )
@@ -803,7 +796,6 @@ def solve_continuation(
                 initial_guess=cur,
                 accel_memory=sched.accel_memory,
                 control=control,
-                basis=basis,
                 guard=guard,
                 conditioning=conditioning,
             )
@@ -836,7 +828,6 @@ def residual(
     sol: SolutionTriple,
     grid: TimeGrid,
     noise: BrownianPaths,
-    control: Optional[np.ndarray] = None,
 ) -> ResidualReport:
     """Pathwise defects of ``sol`` in the discrete equations.
 
@@ -855,7 +846,7 @@ def residual(
     fwd = np.empty((m, n))
     bwd = np.empty((m, n))
     for k in range(m):
-        own, law = _views(sol, k, control)
+        own, law = _views(sol, k, None)
         b, s, f = _coefficients(model, k * dt, law, own, (n,))
         fwd[k] = sol.x[k + 1] - sol.x[k] - b * dt - s * dw[k]
         bwd[k] = sol.y[k] - sol.y[k + 1] - f * dt + sol.z[k] * dw[k]

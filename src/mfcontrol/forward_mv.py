@@ -169,11 +169,10 @@ def moment_scaling_check(
     exponent: float,
     horizons: Sequence[float],
     cfg: EnsembleConfig,
-    steps: int = 32,
 ) -> MomentScalingReport:
     """Estimate the small-time growth rate of the p-th running-sup moment.
 
-    For each horizon delta the model is simulated on a fresh ``steps``-step
+    For each horizon delta the model is simulated on a fresh 32-step
     grid and E[sup |X - X_0|^p] recorded; the report carries the fitted
     log-log slope, which should sit near p/2 for a nondegenerate diffusion.
     A model with identically-zero increments is flagged degenerate instead of
@@ -183,7 +182,7 @@ def moment_scaling_check(
         raise ConfigError("need at least two horizons to fit a slope")
     moments = []
     for delta in horizons:
-        g = make_time_grid(float(delta), steps)
+        g = make_time_grid(float(delta), 32)
         w = sample_brownian(g, cfg)
         x = simulate_forward(model, g, w)
         dev = np.abs(x - x[0]).max(axis=0) ** exponent

@@ -37,8 +37,7 @@ from typing import Callable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from mfcontrol.core import BrownianPaths, ConfigError, TimeGrid
-from mfcontrol.fbsde_solver import _check_cap
+from mfcontrol.core import BrownianPaths, ConfigError, TimeGrid, _check_cap
 from mfcontrol.smp_control import (
     AdjointTriple,
     ControlModel,

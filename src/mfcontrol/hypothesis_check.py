@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from mfcontrol.core import ConfigError, StateView
+from mfcontrol.core import ConfigError, StateView, _check_cap
 from mfcontrol.fbsde_solver import CoupledModel, _coefficients
 from mfcontrol.mf_bsde import _terminal_values
 
@@ -205,8 +205,7 @@ def check_H4(
         With ``lipschitz``, ``lipschitz_terminal``, ``trend_flag`` and the
         worst (largest-ratio) pair as witness.
     """
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
+    _check_cap("n_samples", n_samples, 1)
     sampler = sampler or UniformPairSampler()
     rng = _rng(seed)
     full, witness = _lipschitz_pass(model, sampler, n_samples, time, rng, 1.0)
@@ -241,10 +240,8 @@ def _monotonicity_scan(check, model, sampler, n_samples, nested, time, seed):
     <dPhi, dx> >= mu1 |dx|^2 (the forward condition); ``check="H6"`` tests
     the mirrored inequalities.
     """
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-    if nested < 1:
-        raise ConfigError(f"nested must be >= 1, got {nested}")
+    _check_cap("n_samples", n_samples, 1)
+    _check_cap("nested", nested, 1)
     sampler = sampler or UniformPairSampler()
     sign = 1 if check == "H5" else -1
     rng = _rng(seed)
@@ -397,10 +394,8 @@ def check_convexity(
     sufficiency results assume.
     """
     _check_slack(slack)
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-    if dim < 1:
-        raise ConfigError(f"dim must be >= 1, got {dim}")
+    _check_cap("n_samples", n_samples, 1)
+    _check_cap("dim", dim, 1)
     sampler = sampler or UniformPairSampler()
     rng = _rng(seed)
     violations = 0

@@ -63,10 +63,12 @@ from mfcontrol.core import (
     EnsembleConfig,
     NonConvergenceError,
     TimeGrid,
+    _check_cap,
+    _check_tol,
     make_time_grid,
     sample_brownian,
 )
-from mfcontrol.fbsde_solver import ContinuationSchedule, CoupledModel, _check_cap, _check_tol
+from mfcontrol.fbsde_solver import ContinuationSchedule, CoupledModel
 from mfcontrol.games import GameModel
 from mfcontrol.hypothesis_check import check_H4, check_H5, check_H6
 from mfcontrol.smp_control import (

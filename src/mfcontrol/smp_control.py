@@ -11,16 +11,17 @@ and the control problem minimizes
          + E[ g(X_T) ] + E[ gamma(Y_0) ].
 
 This module provides the first-order machinery around that problem: the
-adjoint system (p, q, Q) and its solver, the Hamiltonian
-H = b p + sigma q - f Q + h, the per-node gradient process E'[H_v], the
-linearized (variational) state response to a control direction, projected
-gradient descent with Armijo backtracking, a variational-inequality
-residual over trial controls, a discrete duality (integration-by-parts)
-defect, and a convexity/minimality sufficiency check.  The paired
-cost-deviation sampler behind both the single-player deviation check
-(:mod:`mfcontrol.lq_examples`) and the game's unilateral deviation test
-(:mod:`mfcontrol.games`, one induced model per player) lives here too,
-with the per-particle cost it compares.
+Hamiltonian H = b p + sigma q - f Q + h, the adjoint system (p, q, Q)
+written as H's transposed state partials in the forward-monotone variables
+(-Q, p, q) and its solver, the per-node gradient process E'[H_v] from the
+same partial evaluator, the linearized (variational) state response to a
+control direction, projected gradient descent with Armijo backtracking, a
+variational-inequality residual over trial controls, a discrete duality
+(integration-by-parts) defect, and a convexity/minimality sufficiency
+check.  The paired cost-deviation sampler behind both the single-player
+deviation check (:mod:`mfcontrol.lq_examples`) and the game's unilateral
+deviation test (:mod:`mfcontrol.games`, one induced model per player)
+lives here too, with the per-particle cost it compares.
 
 Each of the three systems -- state, adjoint, variational -- is written
 once, as one FBSDE, and the model's ``coupled`` flag chooses only the
@@ -55,6 +56,7 @@ from mfcontrol.core import (
     ConfigError,
     StateView,
     TimeGrid,
+    _check_cap,
     view_means,
 )
 from mfcontrol.forward_mv import ForwardModel, Initial, _views, simulate_forward
@@ -65,9 +67,7 @@ from mfcontrol.fbsde_solver import (
     ContinuationSchedule,
     CoupledModel,
     SolutionTriple,
-    _check_cap,
     _coefficients,
-    negate_forward_model,
     solve_continuation,
     solve_picard,
 )
@@ -256,14 +256,19 @@ def _require_admissible(model: ControlModel, u: np.ndarray) -> None:
 class _FrozenPath:
     """Coefficient partials along a frozen (state, control) trajectory,
     cached per (name, slot, node); ``None`` marks a partial the model does
-    not declare (identically zero)."""
+    not declare (identically zero).
+
+    :meth:`transposed` is the one evaluator of the Hamiltonian's partials
+    H_s = E'[c_law w] + c w summed over the coefficients: the adjoint's
+    coefficients are H's partials in the state slots x, y, z, the gradient
+    its partial in the control slot v.
+    """
 
     def __init__(self, model: ControlModel, u: np.ndarray, state: SolutionTriple, grid: TimeGrid):
         self.model = model
         self.u = u
         self.state = state
         self.grid = grid
-        self.zero = np.broadcast_to(0.0, state.x.shape[1:])  # read-only
         self._views: dict = {}
         self._vals: dict = {}
 
@@ -287,22 +292,19 @@ class _FrozenPath:
             self._vals[key] = got
         return got
 
-    def dense(self, name: str, slot: str, k: int) -> np.ndarray:
-        """:meth:`partial` with the shared read-only zero for an undeclared one."""
-        got = self.partial(name, slot, k)
-        return self.zero if got is None else got
-
     def transposed(self, k: int, slot: str, terms) -> Union[float, np.ndarray]:
-        """Adjoint coefficient in ``slot``: the left-to-right sum over
-        ``terms`` = (sign, name, w) of sign * (E'[c_law w] + c w), with c the
-        partial of coefficient ``name`` in ``slot``; undeclared ones skipped."""
+        """The Hamiltonian's partial in ``slot`` at node k: the left-to-right
+        sum over ``terms`` = (name, w) of E'[c_law w] + c w, with c the
+        partial of coefficient ``name`` in ``slot`` and w its multiplier;
+        undeclared partials are skipped."""
         total = None
-        for sign, name, w in terms:
+        for name, w in terms:
             c_law, c = self.partial(name, "law_" + slot, k), self.partial(name, slot, k)
             if c_law is not None:
-                total = _add(total, sign, float(np.mean(c_law * w)))
+                mean = float(np.mean(c_law * w))
+                total = mean if total is None else total + mean
             if c is not None:
-                total = _add(total, sign, c * w)
+                total = c * w if total is None else total + c * w
         return 0.0 if total is None else total
 
     def linearized(self, k: int, name: str, law: StateView, own: StateView, direction):
@@ -316,15 +318,8 @@ class _FrozenPath:
         ):
             c = self.partial(name, slot, k)
             if c is not None:
-                total = _add(total, 1, c * w)
+                total = c * w if total is None else total + c * w
         return 0.0 if total is None else total
-
-
-def _add(total, sign: int, term):
-    """``total + sign * term``, with ``None`` as the empty sum."""
-    if total is None:
-        return term if sign > 0 else -term
-    return total + term if sign > 0 else total - term
 
 
 def _pairing(grid: TimeGrid, a: np.ndarray, b: np.ndarray) -> float:
@@ -453,14 +448,15 @@ def solve_state(
 # ======================================================================
 
 
-def _h6_probe(drift, diffusion, driver, grid, seed, n, trials=8, radius=1.0):
-    """Empirical mirrored-monotonicity probe of an assembled adjoint system.
+def _h5_probe(model: CoupledModel, grid: TimeGrid, seed: int, n: int, trials=8, radius=1.0):
+    """Empirical forward-monotonicity (H5) probe of an assembled adjoint.
 
     Draws random ensemble perturbation pairs (sized to the trajectory
     ensemble so frozen coefficient arrays broadcast) at a few nodes and
-    evaluates the pairing of the coefficient differences against the
-    perturbation; the mirrored condition requires it to be nonnegative.
-    Returns the most negative normalized pairing observed.
+    evaluates the pairing <dF, du> = <-df, dx> + <db, dy> + <dsigma, dz> of
+    the coefficient differences against the perturbation, as
+    :mod:`mfcontrol.hypothesis_check` does; (H5) requires it to be
+    nonpositive.  Returns the smallest normalized -pairing observed.
     """
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0xAD01))
     m = grid.steps
@@ -474,18 +470,11 @@ def _h6_probe(drift, diffusion, driver, grid, seed, n, trials=8, radius=1.0):
             v1 = StateView(x=a[0], y=a[1], z=a[2])
             v2 = StateView(x=b[0], y=b[1], z=b[2])
             d = a - b
-            db = np.asarray(drift(t, view_means(v1), v1)) - np.asarray(
-                drift(t, view_means(v2), v2)
-            )
-            ds = np.asarray(diffusion(t, view_means(v1), v1)) - np.asarray(
-                diffusion(t, view_means(v2), v2)
-            )
-            df = np.asarray(driver(t, view_means(v1), v1)) - np.asarray(
-                driver(t, view_means(v2), v2)
-            )
-            pairing = float(np.mean(-df * d[0] + db * d[1] + ds * d[2]))
+            b1, s1, f1 = _coefficients(model, t, view_means(v1), v1, (n,))
+            b2, s2, f2 = _coefficients(model, t, view_means(v2), v2, (n,))
+            pairing = float(np.mean(-(f1 - f2) * d[0] + (b1 - b2) * d[1] + (s1 - s2) * d[2]))
             denom = float(np.mean(np.sum(d * d, axis=0)))
-            worst = min(worst, pairing / denom)
+            worst = min(worst, -pairing / denom)
     return worst
 
 
@@ -501,25 +490,27 @@ def solve_adjoint(
 ) -> AdjointTriple:
     """Solve the adjoint system (p, q, Q) along a solved trajectory.
 
-    The multiplier Q rides forward from ``Q_0 = -gamma_y(Y_0)`` and the
-    pair (p, q) rides backward to ``p_T = g_x(X_T) - Phi_x(X_T) Q_T``.
-    Every mean coupling of the state linearization appears here as its
-    exact transpose: a term c(theta_i) * mean(delta) in the forward
-    linearization contributes mean_j[c(theta_j) w_j] to the adjoint of
-    the paired multiplier w.
+    The adjoint is the Hamiltonian's transposed state partials, written
+    once as one forward-monotone mean-field FBSDE in (X~, p, q) = (-Q, p, q):
 
-    (Q, p, q) is written once, as one mean-field FBSDE of the mirrored
-    monotone type, solved with its forward component negated (the triple
-    (-Q, p, q) is forward-monotone) and mapped back; ``model.coupled``
+        dX~ = H_y dt + H_z dW,   X~_0 = gamma_y(Y_0),
+        -dp = H_x dt - q dW,     p_T = g_x(X_T) + Phi_x(X_T) X~_T,
+
+    where each partial H_s = E'[c_law w] + c w is summed over the
+    multipliers w of (driver, X~), (drift, p), (diffusion, q) and
+    (running_cost, 1), so a mean coupling c(theta_i) * mean(delta) of the
+    state linearization enters as its exact transpose mean_j[c(theta_j)
+    w_j].  The sign change X~ = -Q turns the mirrored condition (H6) of
+    (Q, p, q) into (H5), which the continuation needs.  ``model.coupled``
     chooses only the solver, as in :func:`solve_state` (for a decoupled
-    model Q's coefficients read only Q).  The backward passes regress on
+    model X~'s coefficients read only X~).  The backward passes regress on
     the state path, since the adjoint's data are functionals of it.
 
-    With ``certify=True`` an empirical mirrored-monotonicity probe runs
-    on the assembled coupled adjoint coefficients before solving; a
-    violation does not raise but is attached to the result's ``warning``
-    field.  Decoupled adjoints are solved sequentially and need no
-    monotonicity, so the probe is skipped there.
+    With ``certify=True`` an empirical (H5) probe runs on the assembled
+    coupled adjoint before solving; a violation does not raise but is
+    attached to the result's ``warning`` field.  Decoupled adjoints are
+    solved sequentially and need no monotonicity, so the probe is skipped
+    there.
 
     Parameters
     ----------
@@ -546,47 +537,34 @@ def solve_adjoint(
     x_last = state.x[grid.steps]
     terminal_cost_slope = np.asarray(model.terminal_cost_slope(x_last), dtype=float)
     terminal_slope = np.asarray(model.terminal_slope(x_last), dtype=float)
-    q0 = -np.asarray(model.initial_cost_slope(state.y[0]), dtype=float)
-    q0 = np.broadcast_to(q0, (noise.particles,)).copy()
+    x0 = np.asarray(model.initial_cost_slope(state.y[0]), dtype=float)
 
-    # the x slot carries Q, paired with the driver; p and q pair with the
-    # drift and the diffusion, and the running cost enters with weight 1
-    def forward_coef(slot):
+    def h_partial(slot):
+        # the summation order fixes the result's bits: the driver adds its
+        # X~ term last, the drift and the diffusion add theirs first
         def coef(t, law, own):
-            return path.transposed(grid.node_index(t), slot, (
-                (1, "driver", own.x), (-1, "drift", own.y),
-                (-1, "diffusion", own.z), (-1, "running_cost", 1.0),
-            ))
+            terms = (("drift", own.y), ("diffusion", own.z), ("running_cost", 1.0))
+            driver = (("driver", own.x),)
+            terms = terms + driver if slot == "x" else driver + terms
+            return path.transposed(grid.node_index(t), slot, terms)
 
         return coef
 
-    adj_drift, adj_diffusion = forward_coef("y"), forward_coef("z")
-
-    def adj_driver(t, law, own):
-        return path.transposed(grid.node_index(t), "x", (
-            (1, "drift", own.y), (1, "diffusion", own.z),
-            (1, "running_cost", 1.0), (-1, "driver", own.x),
-        ))
-
-    def adj_terminal(q_last):
-        return terminal_cost_slope - terminal_slope * q_last
-
     adj_model = CoupledModel(
-        drift=adj_drift,
-        diffusion=adj_diffusion,
-        driver=adj_driver,
-        terminal_map=adj_terminal,
-        initial=q0,
+        drift=h_partial("y"),
+        diffusion=h_partial("z"),
+        driver=h_partial("x"),
+        terminal_map=lambda x_last: terminal_cost_slope + terminal_slope * x_last,
+        initial=np.broadcast_to(x0, (noise.particles,)).copy(),
     )
     warning = None
     if certify and model.coupled:
-        worst = _h6_probe(adj_drift, adj_diffusion, adj_driver, grid, noise.seed, noise.particles)
+        worst = _h5_probe(adj_model, grid, noise.seed, noise.particles)
         if worst < -1e-9:
             warning = f"adjoint monotonicity probe found pairing ratio {worst:.3e}"
     guess = None if warm is None else SolutionTriple(x=-warm.Q, y=warm.p, z=warm.q)
     sol = _solve_system(
-        negate_forward_model(adj_model), model.coupled, grid, noise, schedule, guess,
-        conditioning=state.x,
+        adj_model, model.coupled, grid, noise, schedule, guess, conditioning=state.x,
     )
     return AdjointTriple(p=sol.y, q=sol.z, Q=-sol.x, warning=warning)
 
@@ -715,12 +693,10 @@ def smp_gradient(
     path = _FrozenPath(model, u, state, grid)
     grad = np.empty((grid.steps, noise.particles))
     for k in range(grid.steps):
-        grad[k] = (
-            path.dense("drift", "v", k) * adjoint.p[k]
-            + path.dense("diffusion", "v", k) * adjoint.q[k]
-            - path.dense("driver", "v", k) * adjoint.Q[k]
-            + path.dense("running_cost", "v", k)
-        )
+        grad[k] = path.transposed(k, "v", (
+            ("drift", adjoint.p[k]), ("diffusion", adjoint.q[k]),
+            ("driver", -adjoint.Q[k]), ("running_cost", 1.0),
+        ))
     return grad
 
 

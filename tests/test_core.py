@@ -44,6 +44,20 @@ def test_ensemble_config_validation():
         EnsembleConfig(particles=16, brownian_dim=0)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda v: make_time_grid(1.0, v), "steps"),
+    (lambda v: EnsembleConfig(particles=v), "particles"),
+    (lambda v: EnsembleConfig(particles=16, brownian_dim=v), "brownian_dim"),
+    (lambda v: EnsembleConfig(particles=16, seed=v), "seed"),
+], ids=["steps", "particles", "brownian_dim", "seed"])
+@pytest.mark.parametrize("value", [64.9, 2.5, True, -1], ids=["float", "half", "bool", "negative"])
+def test_counts_are_checked_not_coerced(make, name, value):
+    # make_time_grid(1.0, 64.9) built a 64-step grid and True a 1-step one;
+    # seed=2.5 drew seed 2's increments and seed=-1 raised numpy's ValueError
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        make(value)
+
+
 def test_brownian_shapes_and_determinism():
     g = make_time_grid(1.0, 32)
     cfg = EnsembleConfig(particles=128, seed=11)

@@ -269,6 +269,24 @@ def test_bad_arguments_raise():
         check_convexity(lambda p: p[:, 0], dim=0)
 
 
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("check, name", [
+    ("H4", "n_samples"), ("H5", "n_samples"), ("H5", "nested"), ("H6", "n_samples"),
+    ("H6", "nested"), ("convexity", "n_samples"), ("convexity", "dim"),
+])
+def test_counts_must_be_integers(check, name, value):
+    # a float count raised numpy's bare TypeError, and True ran (and passed)
+    # on a single sample, a single-atom cloud or a one-coordinate point
+    calls = {
+        "H4": lambda **kw: check_H4(_canonical_model(), **kw),
+        "H5": lambda **kw: check_H5(_canonical_model(), **kw),
+        "H6": lambda **kw: check_H6(_mirror_model(), **kw),
+        "convexity": lambda **kw: check_convexity(lambda p: p[:, 0] ** 2, **{"dim": 1, **kw}),
+    }
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        calls[check](**{name: value})
+
+
 @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
 def test_sampler_rejects_radius_without_effective_samples(radius):
     # at radius 0 or NaN no sampled pair counts, so check_H5 passed the

@@ -18,10 +18,16 @@ from mfcontrol.core import (
     make_time_grid,
     sample_brownian,
 )
-from mfcontrol.fbsde_solver import ContinuationSchedule, SolutionTriple
+from mfcontrol.fbsde_solver import (
+    ContinuationSchedule,
+    SolutionTriple,
+    residual,
+    solve_continuation,
+    solve_picard,
+)
 from mfcontrol.games import induced_model
 from mfcontrol.hypothesis_check import check_convexity
-from mfcontrol.lq_examples import LQ1Params, LQ2Params, lq1_model, lq2_model, lq_game
+from mfcontrol.lq_examples import LQ1Params, LQ2Params, lq1_model, lq2_fbsde, lq2_model, lq_game
 from mfcontrol.forward_mv import ForwardModel, simulate_forward
 from mfcontrol.mf_bsde import BackwardModel, solve_mf_bsde
 from mfcontrol.smp_control import (
@@ -502,6 +508,42 @@ def test_warm_start_unused_without_polish(monkeypatch):
     for a, b in ((state.x, cold.x), (state.y, cold.y), (state.z, cold.z),
                  (adj.p, adj_cold.p), (adj.q, adj_cold.q), (adj.Q, adj_cold.Q)):
         assert np.array_equal(a, b)
+
+
+def test_rejected_polish_returns_the_unpolished_solution(monkeypatch):
+    # A long horizon and a strong y-coupling: the continuation reaches blend
+    # 1, but the polish from there diverges (all 100 sweeps, last change
+    # 3.3e8 at seed 0).  The solve must then return the unpolished homotopy
+    # solution as it is, and solve_state with it.
+    params = replace(LQ2Params(horizon=8.0), drift_y=-0.6, drift_mean_y=-0.6,
+                     cross=0.9, cross_mean=0.9)
+    grid, noise = _grid_noise(m=16, n=256, horizon=8.0, seed=0)
+    logs = []
+
+    def recording_continuation(*args, **kwargs):
+        sol, log = solve_continuation(*args, **kwargs)
+        logs.append(log)
+        return sol, log
+
+    monkeypatch.setattr(smp_control, "solve_continuation", recording_continuation)
+    state = solve_state(lq2_model(params), 0.3, grid, noise)
+    assert [log[-1] for log in logs] == [{"alpha": 1.0, "polish": "rejected"}]
+
+    frozen = lq2_fbsde(params, control=0.3)
+    unpolished, log = solve_continuation(
+        frozen, grid, noise, schedule=ContinuationSchedule(polish_max_iter=0)
+    )
+    assert "polish" not in log[-1]
+    for a, b in ((state.x, unpolished.x), (state.y, unpolished.y), (state.z, unpolished.z)):
+        assert np.array_equal(a, b)
+    sched = ContinuationSchedule()
+    with pytest.raises(NonConvergenceError) as err:
+        solve_picard(frozen, grid, noise, tol=sched.inner_tol, max_iter=sched.polish_max_iter,
+                     initial_guess=unpolished, accel_memory=sched.accel_memory)
+    assert len(err.value.history) == sched.polish_max_iter
+    assert err.value.history[-1] > 1e6
+    report = residual(frozen, state, grid, noise)
+    assert report.forward <= 1e-7 and report.terminal == 0.0
 
 
 def test_warm_start_changes_nothing_for_decoupled_models():
