@@ -20,7 +20,8 @@ Three solver routes are provided:
   serves as the baseline and as the final polish of the continuation.
 * :func:`solve_continuation` — homotopy in the blend parameter alpha from
   the canonical pair to the target model (the method of continuation),
-  with warm starts and per-segment step halving.  Each blend level is one
+  with warm starts and an adaptive step (the full blend first, halved on
+  failure, doubled after success).  Each blend level is one
   seed-preconditioned fixed point: every sweep freezes the weighted
   difference between the model and the canonical pair at the current
   iterate as additive sources and applies the linear seed, so the stiff
@@ -578,19 +579,23 @@ def solve_picard(
 class ContinuationSchedule:
     """Homotopy schedule.
 
-    ``step`` is the blend increment (checkpoints hit 1 exactly).  Each
-    level is one seed-preconditioned fixed point, run to ``picard_tol``
-    within ``picard_max_iter`` sweeps with ``accel_memory`` Anderson
-    history vectors; a failing segment is retried with its step halved, at
-    most ``max_halvings`` times across the whole run.  ``inner_tol`` is the
-    tolerance of the final plain decoupling polish at full blend and
-    ``polish_max_iter`` caps its sweeps (0 disables it).  Caps, halvings
-    and memory are integers; tolerances are finite and positive.
+    ``step`` is the first blend increment; the default 1.0 tries the
+    target model in one rung.  Each rung is one seed-preconditioned fixed
+    point, run to ``picard_tol`` within ``picard_max_iter`` sweeps with
+    ``accel_memory`` Anderson history vectors.  A failing rung is retried
+    with its step halved; a rung accepted at the first try doubles the step
+    for the next one (checkpoints hit 1 exactly).  ``max_halvings`` sets the
+    minimum step ``step * 2**-max_halvings``: the run fails once a halving
+    would go below it, so halving again after a growth spends nothing.
+    ``inner_tol`` is the tolerance of the final plain decoupling polish at
+    full blend and ``polish_max_iter`` caps its sweeps (0 disables it).
+    Caps, halvings and memory are integers; tolerances are finite and
+    positive.
     """
 
-    step: float = 0.1
+    step: float = 1.0
     inner_tol: float = 1e-6
-    max_halvings: int = 4
+    max_halvings: int = 8
     picard_tol: float = 1e-8
     picard_max_iter: int = 120
     accel_memory: int = 6
@@ -690,20 +695,27 @@ def solve_continuation(
 ):
     """Homotopy continuation from the canonical pair to the target model.
 
-    Starts from the constructive linear seed at blend 0, then repeatedly
-    advances the blend by the schedule step, warm-starting each level from
-    the previous solution.  Each level is solved directly by one
-    seed-preconditioned fixed point at its blend weight (budget:
-    ``picard_tol`` / ``picard_max_iter`` / ``accel_memory``); if it does not
-    converge, or a sweep leaves the guard region, the failing segment is
-    retried with the step halved, up to ``schedule.max_halvings`` halvings
-    overall.  ``step=1`` therefore solves the target in one fixed point and
-    falls back to shorter segments only on failure.
+    Starts from the constructive linear seed at blend 0, then climbs a
+    ladder of rungs to blend 1, warm-starting each rung from the previous
+    solution.  Each rung is solved directly by one seed-preconditioned fixed
+    point at its blend weight (budget: ``picard_tol`` / ``picard_max_iter``
+    / ``accel_memory``).  The step starts at ``schedule.step`` (by default
+    the whole way, so the target is solved in one fixed point).  If a rung
+    does not converge, or a sweep leaves the guard region, it is retried
+    with the step halved.  A rung accepted at the first try doubles the
+    step for the next one, capped at the distance left; a rung accepted
+    only after a halving keeps its step, so a model that needs short steps
+    does not alternate between growing and failing.  Every route ends on
+    the blend-1 fixed point (to solver tolerance), so the ladder sets the
+    cost of a solve, not its answer (the step control of Allgower & Georg, *Introduction to
+    Numerical Continuation Methods*, 2003).  The step never goes below
+    ``schedule.step * 2**-max_halvings``; a rung that fails at a step it
+    cannot halve ends the run.
 
-    ``guard`` bounds |X| on the seed solution, on every level sweep and in
+    ``guard`` bounds |X| on the seed solution, on every rung sweep and in
     the polish.  A seed outside it raises :class:`DivergenceError` (``blend``
-    0.0) at once; a breach at a level fails that segment, and once the
-    halvings run out it is the ``__cause__`` of the final
+    0.0) at once; a breach at a rung fails that rung, and once the step is
+    at its minimum it is the ``__cause__`` of the final
     :class:`NonConvergenceError`, with ``blend`` the weight last attempted.
 
     After full blend is reached, a decoupling polish (:func:`solve_picard`
@@ -733,9 +745,10 @@ def solve_continuation(
 
     Returns ``(SolutionTriple, log)``.  The log is a list of dicts:
     ``{"alpha": 0.0, "seed": True}``, then ``{"alpha", "changes"}`` per
-    accepted level (its sweep change norms), ``{"alpha", "halved_to"}`` per
-    failed segment, and ``{"alpha": 1.0, "polish"}`` holding the polish
-    change norms or ``"rejected"`` when the polish runs.
+    accepted rung (its sweep change norms), ``{"alpha", "halved_to"}`` per
+    failed rung (``alpha`` where it started, ``halved_to`` the retry step),
+    and ``{"alpha": 1.0, "polish"}`` holding the polish change norms or
+    ``"rejected"`` when the polish runs.
     """
     sched = schedule or ContinuationSchedule()
     try:
@@ -749,7 +762,8 @@ def solve_continuation(
     log: list = [{"alpha": 0.0, "seed": True}]
     alpha = 0.0
     delta = sched.step
-    halvings = 0
+    min_step = sched.step * 2.0 ** -sched.max_halvings
+    retried = False
     while alpha < 1.0 - 1e-12:
         step = min(delta, 1.0 - alpha)
         try:
@@ -770,21 +784,23 @@ def solve_continuation(
         except _RETRYABLE as exc:
             if isinstance(exc, DivergenceError):
                 exc.blend = alpha + step
-            halvings += 1
-            if halvings > sched.max_halvings:
+            if step / 2.0 < min_step:
                 raise NonConvergenceError(
-                    f"continuation failed at blend {alpha:.3f} after "
-                    f"{sched.max_halvings} step halvings (last step {step:.4f}); "
-                    f"try a smaller schedule step",
+                    f"continuation failed at blend {alpha:.3f}: the step cannot "
+                    f"halve below {min_step:.4g} = step * 2**-{sched.max_halvings} "
+                    f"(last step {step:.4f}); raise max_halvings or picard_max_iter",
                     history=[rec.get("changes", []) for rec in log if "changes" in rec],
                     last=cur,
                 ) from exc
             delta = step / 2.0
+            retried = True
             log.append({"alpha": alpha, "halved_to": delta})
             continue
         alpha = alpha + step
         cur = nxt
         log.append({"alpha": alpha, "changes": changes})
+        delta = step if retried else 2.0 * step
+        retried = False
     if sched.polish_max_iter > 0:
         try:
             cur, polish_hist = solve_picard(

@@ -68,7 +68,7 @@ from mfcontrol.core import (
     make_time_grid,
     sample_brownian,
 )
-from mfcontrol.fbsde_solver import ContinuationSchedule, CoupledModel
+from mfcontrol.fbsde_solver import ContinuationSchedule, CoupledModel, SolutionTriple
 from mfcontrol.games import GameModel
 from mfcontrol.hypothesis_check import check_H4, check_H5, check_H6
 from mfcontrol.smp_control import (
@@ -665,6 +665,7 @@ def deviation_check(
     radius: float = 0.5,
     seed: int = 0,
     schedule: Optional[ContinuationSchedule] = None,
+    state: Optional[SolutionTriple] = None,
 ) -> DeviationReport:
     """Paired-sample test that no sampled admissible perturbation beats
     the candidate beyond Monte Carlo resolution.
@@ -679,15 +680,18 @@ def deviation_check(
 
     i.e. the perturbed control may beat the candidate only within three
     paired standard errors.  The report records every margin; ``passed``
-    requires all of them to clear.  Raises :class:`ConfigError` for
-    ``n_deviations < 1`` or a ``radius`` that is not finite and positive.
+    requires all of them to clear.  ``state`` is the candidate's state
+    solution when the caller has it (solved cold otherwise).  Raises
+    :class:`ConfigError` for ``n_deviations < 1`` or a ``radius`` that is
+    not finite and positive.
     """
 
     u = as_control(u, grid, noise.particles)
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x5EED_0DE))
-    base_state = solve_state(model, u, grid, noise, schedule)
+    if state is None:
+        state = solve_state(model, u, grid, noise, schedule)
     records = _paired_deviations(
-        model, u, base_state, grid, noise, rng, n_deviations, radius, schedule
+        model, u, state, grid, noise, rng, n_deviations, radius, schedule
     )
     worst = min(records, key=lambda rec: rec["margin"])
     return DeviationReport(
@@ -925,7 +929,7 @@ def verify_example(
 
     dev = deviation_check(
         model, u, grid, noise, n_deviations=cfg.n_deviations, seed=cfg.seed,
-        schedule=cfg.schedule,
+        schedule=cfg.schedule, state=state,
     )
     stages.append(
         {"name": "deviations", "passed": bool(dev.passed),

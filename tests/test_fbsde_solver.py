@@ -511,6 +511,86 @@ def test_continuation_recovers_by_halving():
     assert rep.terminal <= 1e-8
 
 
+def _stiff_drift_model():
+    # monotone (drift gain 16, driver gain 1), and its solution stays inside
+    # |X| <= 0.3; but a sweep of a long rung overshoots to |X| ~ 0.37-0.45,
+    # so under a guard of 0.34 only rungs of 1/4 or less are accepted early on
+    return CoupledModel(
+        drift=lambda t, law, own: -16.0 * (law.y + own.y),
+        diffusion=lambda t, law, own: -(law.z + own.z),
+        driver=lambda t, law, own: law.x + own.x,
+        terminal_map=lambda xT: xT,
+        initial=0.3,
+    )
+
+
+def _rungs(log):
+    """(kind, length) per ladder record: ("accept", rung) or ("halve", new step)."""
+    out, alpha = [], 0.0
+    for rec in log:
+        if "changes" in rec:
+            out.append(("accept", rec["alpha"] - alpha))
+            alpha = rec["alpha"]
+        elif "halved_to" in rec:
+            out.append(("halve", rec["halved_to"]))
+    return out
+
+
+def test_continuation_step_grows_back_after_halving():
+    g = make_time_grid(1.0, 8)
+    w = sample_brownian(g, EnsembleConfig(particles=256, seed=2))
+    model = _stiff_drift_model()
+    sched = ContinuationSchedule(polish_max_iter=0)
+    sol, log = solve_continuation(model, g, w, schedule=sched, guard=0.34)
+    assert log[-1]["alpha"] == 1.0
+    rungs = _rungs(log)
+    # 1, 1/2 and 1/4 breach the guard; 1/8 is accepted as a retry and kept,
+    # then each rung accepted at the first try doubles the next one
+    assert rungs[:3] == [("halve", 0.5), ("halve", 0.25), ("halve", 0.125)]
+    first = next(i for i, (kind, _) in enumerate(rungs) if kind == "accept")
+    halved = rungs[first - 1][1]
+    assert max(length for kind, length in rungs[first:] if kind == "accept") > halved
+    # a failed growth re-halves once; the ladder does not alternate
+    assert sum(kind == "halve" for kind, _ in rungs) <= 4
+    assert np.abs(sol.x).max() <= 0.34
+    rep = residual(model, sol, g, w)
+    assert rep.forward <= 1e-6
+    assert rep.terminal <= 1e-8
+
+
+def test_continuation_max_halvings_sets_the_minimum_step():
+    # the ladder above needs a step of 1/8 = 2**-3: with max_halvings=3 it
+    # succeeds although it halves four times (halving again after a growth
+    # spends nothing); with 2 the rung of 1/4 fails at the minimum step
+    g = make_time_grid(1.0, 8)
+    w = sample_brownian(g, EnsembleConfig(particles=256, seed=2))
+    model = _stiff_drift_model()
+    sched = ContinuationSchedule(polish_max_iter=0, max_halvings=3)
+    _, log = solve_continuation(model, g, w, schedule=sched, guard=0.34)
+    assert log[-1]["alpha"] == 1.0
+    assert sum("halved_to" in rec for rec in log) > sched.max_halvings
+    assert min(rec["halved_to"] for rec in log if "halved_to" in rec) == 0.125
+    with pytest.raises(NonConvergenceError) as err:
+        solve_continuation(model, g, w, schedule=replace(sched, max_halvings=2), guard=0.34)
+    assert "blend 0.000" in str(err.value) and "last step 0.2500" in str(err.value)
+    assert err.value.__cause__.blend == 0.25
+
+
+def test_continuation_route_does_not_change_the_answer():
+    # the full first step and a ladder started at 0.1 (grown to 0.2 and 0.4,
+    # then capped at the 0.3 left) reach the same polished fixed point
+    g, w = _grid_noise(8, n=256, horizon=0.25)
+    model = lq2_fbsde(LQ2Params(horizon=0.25), control=0.3)
+    full, log_full = solve_continuation(model, g, w)
+    short, log_short = solve_continuation(model, g, w, schedule=ContinuationSchedule(step=0.1))
+    assert [length for _, length in _rungs(log_full)] == [1.0]
+    assert [length for _, length in _rungs(log_short)] == pytest.approx([0.1, 0.2, 0.4, 0.3])
+    assert all(isinstance(log[-1]["polish"], list) for log in (log_full, log_short))
+    for name in ("x", "y", "z"):
+        a, b = getattr(full, name), getattr(short, name)
+        assert np.sqrt(np.mean((a - b) ** 2)) <= 1e-9
+
+
 def test_continuation_guard_checks_seed():
     g, w = _grid_noise(32)
     sched = ContinuationSchedule(polish_max_iter=0, max_halvings=0)

@@ -18,7 +18,7 @@ from mfcontrol.core import (
     make_time_grid,
     sample_brownian,
 )
-from mfcontrol import smp_control
+from mfcontrol import lq_examples, smp_control
 from mfcontrol.fbsde_solver import ContinuationSchedule
 from mfcontrol.games import deviation_test, induced_model, nash_iterate
 from mfcontrol.hypothesis_check import check_H4, check_H5, check_H6
@@ -435,6 +435,21 @@ def test_deviation_check_falls_back_to_continuation_on_regression_error(monkeypa
     assert seen == [3, 3]
     assert len(rep.records) == 2
     assert np.isfinite(rep.worst_margin)
+
+
+def test_deviation_check_reuses_a_given_state(monkeypatch):
+    # a caller's state at u replaces the cold solve and gives the same report
+    grid, noise = _grid_noise(4, 256, horizon=0.25, seed=3)
+    model = lq2_model(replace(LQ2Params(), horizon=0.25))
+    state = solve_state(model, 0.1, grid, noise)
+    cold = deviation_check(model, 0.1, grid, noise, n_deviations=2)
+
+    def no_cold_solve(*args, **kwargs):
+        raise AssertionError("deviation_check solved the given state again")
+
+    monkeypatch.setattr(lq_examples, "solve_state", no_cold_solve)
+    reused = deviation_check(model, 0.1, grid, noise, n_deviations=2, state=state)
+    assert reused.records == cold.records
 
 
 @pytest.mark.parametrize(
