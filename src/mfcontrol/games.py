@@ -42,6 +42,7 @@ from mfcontrol.smp_control import (
     AdjointTriple,
     ControlModel,
     _check_sampling,
+    _mean_se,
     _paired_deviations,
     _per_particle_cost,
     _profile,
@@ -251,13 +252,18 @@ def best_response(
 ):
     """Player ``i``'s approximate best response to the frozen opponent.
 
-    Runs ``steps`` iterations of
+    Runs up to ``steps`` iterations of
     :func:`mfcontrol.smp_control.projected_gradient_descent` on the
     induced single-player model, starting from the player's current
     control, with the descent's default Armijo parameters and a fixed
-    projected-gradient tolerance ``grad_tol=1e-8``.  Returns ``(control,
-    history)`` as the descent does; a zero own-control gradient returns
-    the starting control unchanged.
+    projected-gradient tolerance ``grad_tol=1e-8``.  The descent ends
+    early, with status ``"resolved"``, once its cost changes fall below
+    the paired Monte Carlo resolution (two consecutive rejected trials,
+    or two consecutive accepted steps, whose paired change is within
+    three standard errors of zero), so near the equilibrium a response
+    costs a few state solves instead of a search down to ``min_eta``.
+    Returns ``(control, history)`` as the descent does; a zero
+    own-control gradient returns the starting control unchanged.
     """
 
     _check_player(i)
@@ -331,7 +337,13 @@ class NashResult:
     estimate).  ``status`` is ``"converged"``, ``"oscillation"``, or
     ``"rounds_exhausted"``; ``deviation`` holds the unilateral-deviation
     summary when certification ran, and ``inconsistent`` flags
-    disagreement between the residual and deviation certificates.
+    disagreement between the residual and deviation certificates.  Each
+    ``history`` row also holds both players' best-response descent
+    histories (``response_1``, ``response_2``); a descent's last record
+    carries its stop: ``"converged"``, ``"resolved"`` (cost changes below
+    the paired Monte Carlo resolution) or ``"stagnated"``, and no status
+    when it used all its steps.  Summing their ``backtracks`` gives the
+    rejected Armijo trials of the run.
     """
 
     u1: np.ndarray = field(repr=False)
@@ -451,8 +463,8 @@ def nash_iterate(
             for _ in range(n_trials)
         ]
         res = variational_inequality_residual(model, own, trials, grid, noise, state=state)
-        per = _per_particle_cost(model, own, state, grid)
-        eps = 3.0 * float(per.std(ddof=1) / np.sqrt(per.size)) + atol
+        _, se = _mean_se(_per_particle_cost(model, own, state, grid))
+        eps = 3.0 * se + atol
         return res, eps
 
     history: List[dict] = []

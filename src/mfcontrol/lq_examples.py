@@ -75,6 +75,7 @@ from mfcontrol.smp_control import (
     AdjointTriple,
     ControlModel,
     _check_sampling,
+    _mean_se,
     _paired_deviations,
     _profile,
     _rms,
@@ -741,9 +742,7 @@ def variational_margin(
     worst = {"margin": np.inf}
     for i in range(n_trials):
         v = model.project(u + _profile(grid, rng, radius))
-        per_particle = grid.dt * np.sum(gradient * (v - u), axis=0)
-        mean = float(per_particle.mean())
-        se = float(per_particle.std(ddof=1) / np.sqrt(per_particle.size))
+        mean, se = _mean_se(grid.dt * np.sum(gradient * (v - u), axis=0))
         margin = mean + 3.0 * se
         if margin < worst["margin"]:
             worst = {"trial": i, "residual": mean, "se": se, "margin": margin}

@@ -15,7 +15,8 @@ Hamiltonian H = b p + sigma q - f Q + h, the adjoint system (p, q, Q)
 written as H's transposed state partials in the forward-monotone variables
 (-Q, p, q) and its solver, the per-node gradient process E'[H_v] from the
 same partial evaluator, the linearized (variational) state response to a
-control direction, projected gradient descent with Armijo backtracking, a
+control direction, projected gradient descent with Armijo backtracking
+(stopped once its paired cost changes fall below Monte Carlo resolution), a
 variational-inequality residual over trial controls, a discrete duality
 (integration-by-parts) defect, and a convexity/minimality sufficiency
 check.  The paired cost-deviation sampler behind both the single-player
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -719,17 +720,40 @@ def projected_gradient_descent(
     schedule: Optional[ContinuationSchedule] = None,
 ):
     """Projected gradient descent on the control cost with Armijo
-    backtracking.
+    backtracking, stopped at the cost's Monte Carlo resolution.
 
     Each iteration computes the gradient process, proposes
     ``Project(u - eta * grad)`` starting at ``eta0``, and shrinks the step
     until the common-noise cost satisfies the sufficient-decrease test
-    ``J(candidate) <= J(u) - slope * <grad, u - candidate>``.  Because the
+    ``J(candidate) <= J(u) - slope * <grad, u - candidate>``.  J is the
+    mean of the per-particle costs, and each trial is priced once: its
+    per-particle change against the current iterate on the shared noise
+    gives the paired change and its standard error (SE).  Because the
     noise is frozen, the cost is a deterministic function of the control,
-    so the history is genuinely monotone.  Step-size underflow stops the
-    run with a ``"stagnated"`` status entry instead of raising.  Coupled
-    solves are warm-started: every Armijo trial's state from the current
-    state, and each iteration's adjoint from the previous iteration's.
+    so the history is genuinely monotone.  Coupled solves are
+    warm-started: every Armijo trial's state from the current state, and
+    each iteration's adjoint from the previous iteration's.
+
+    Near the optimum the SMP gradient matches the discrete cost only to
+    O(dt) plus regression noise, so -grad stops being a descent direction
+    there.  A paired change with ``|mean| <= 3 * SE`` is *unresolved*: the
+    noise cannot tell it from zero.  One unresolved trial proves nothing
+    (a step that overshoots to the minimum's mirror point changes the
+    cost by about zero while half of it descends), so the descent ends
+    with status ``"resolved"`` only after two in a row:
+
+    * two consecutive rejected trials of one search are both unresolved
+      (the search is below resolution); that iteration's record carries
+      the status, and its ``backtracks`` count every rejected trial;
+    * two consecutive accepted steps are both unresolved (progress is
+      below resolution); both steps are recorded as accepted, and the
+      stop gets a record of its own (``step`` 0, no trial).
+
+    A model whose per-particle cost carries no noise has SE = 0, so only
+    an exactly zero change is unresolved there.  The other statuses:
+    ``"converged"`` when the projected-gradient residual clears
+    ``grad_tol`` and ``"stagnated"`` when a search shrinks the step below
+    ``min_eta``; both end the run without raising.
 
     Parameters
     ----------
@@ -759,7 +783,10 @@ def projected_gradient_descent(
     -------
     (ndarray [M, N], list of dict)
         Final control and per-iteration history (iteration, cost,
-        gradient norm, accepted step, backtracks, optional status).
+        gradient norm, residual, accepted step, backtracks, and a status
+        on the record that ends the run: ``"converged"``, ``"resolved"``
+        or ``"stagnated"``).  A record without a status is an accepted
+        step.
     """
     u = as_control(u0, grid, noise.particles)
     _require_admissible(model, u)
@@ -771,10 +798,18 @@ def projected_gradient_descent(
     if not (0.0 <= slope < 1.0):
         raise ConfigError(f"slope must lie in [0, 1), got {slope}")
     state = solve_state(model, u, grid, noise, schedule=schedule)
-    value = cost(model, u, grid, noise, state=state)
+    per = _per_particle_cost(model, u, state, grid)
+    value = float(per.mean())
     history: list = []
     adjoint = None
+    flat_steps = 0  # consecutive accepted steps with an unresolved change
     for it in range(steps):
+        if flat_steps == 2:
+            history.append(
+                {"iteration": it, "cost": value, "step": 0.0, "backtracks": 0,
+                 "status": "resolved"}
+            )
+            break
         adjoint = solve_adjoint(model, u, state, grid, noise, schedule=schedule, warm=adjoint)
         grad = smp_gradient(model, u, grid, noise, state=state, adjoint=adjoint)
         residual = _rms(u - np.asarray(model.project(u - eta0 * grad), dtype=float))
@@ -790,24 +825,32 @@ def projected_gradient_descent(
             break
         eta = eta0
         backtracks = 0
+        flat_trials = 0  # consecutive rejected trials with an unresolved change
         accepted = False
         while eta >= min_eta:
             candidate = np.asarray(model.project(u - eta * grad), dtype=float)
             decrease = slope * _pairing(grid, grad, u - candidate)
             cand_state = solve_state(model, candidate, grid, noise, schedule=schedule, warm=state)
-            cand_value = cost(model, candidate, grid, noise, state=cand_state)
+            cand_per = _per_particle_cost(model, candidate, cand_state, grid)
+            cand_value = float(cand_per.mean())
+            change, se = _mean_se(cand_per - per)
+            unresolved = abs(change) <= 3.0 * se
             if cand_value <= value - decrease:
                 accepted = True
                 break
-            eta *= shrink
             backtracks += 1
+            flat_trials = flat_trials + 1 if unresolved else 0
+            if flat_trials == 2:
+                break
+            eta *= shrink
         record.update(step=eta if accepted else 0.0, backtracks=backtracks)
         if not accepted:
-            record["status"] = "stagnated"
+            record["status"] = "resolved" if flat_trials == 2 else "stagnated"
             history.append(record)
             break
         history.append(record)
-        u, value, state = candidate, cand_value, cand_state
+        flat_steps = flat_steps + 1 if unresolved else 0
+        u, value, per, state = candidate, cand_value, cand_per, cand_state
     return u, history
 
 
@@ -1033,6 +1076,17 @@ def _per_particle_cost(
     return total
 
 
+def _mean_se(values: np.ndarray) -> Tuple[float, float]:
+    """Mean of per-particle values [N] and its standard error.
+
+    On a paired difference (two controls priced on the shared noise) the
+    SE is the Monte Carlo resolution of the mean change: the descent's
+    stop, the deviation margins and the variational margins all compare
+    a mean against three of them.
+    """
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
+
+
 def _profile(grid: TimeGrid, rng: np.random.Generator, radius: float):
     """Random deterministic time profile on the step nodes, [steps, 1]."""
 
@@ -1079,9 +1133,7 @@ def _paired_deviations(
     for i in range(n):
         v = model.project(u + _profile(grid, rng, radius))
         state_v = solve_state(model, v, grid, noise, schedule, warm=base_state)
-        diff = _per_particle_cost(model, v, state_v, grid) - base_j
-        mean = float(diff.mean())
-        se = float(diff.std(ddof=1) / np.sqrt(diff.size))
+        mean, se = _mean_se(_per_particle_cost(model, v, state_v, grid) - base_j)
         records.append(
             {"index": i, "cost_delta": mean, "se": se, "margin": mean + 3.0 * se}
         )

@@ -422,6 +422,24 @@ def test_nash_converges_for_independent_copies():
     assert np.sqrt(np.mean((res.u1 - cand) ** 2)) <= 5e-2
 
 
+def test_nash_best_responses_stop_at_their_resolution():
+    # best responses end their descents once the cost changes fall below
+    # the paired Monte Carlo resolution; before that stop this run made 461
+    # Armijo backtracks (11 with it), with the same 2 rounds
+    game = lq_game(coupling=0.1)
+    grid, noise = _setup(16, 512, 0)
+    res = nash_iterate(
+        game, (0.0, 0.0), grid, noise, rounds=8, damping=1.0,
+        br_steps=20, n_trials=12, n_deviations=12, seed=0,
+    )
+    assert res.converged and not res.inconsistent
+    backtracks = sum(
+        rec["backtracks"]
+        for h in res.history for key in ("response_1", "response_2") for rec in h[key]
+    )
+    assert backtracks <= 30
+
+
 def test_nash_certifies_weakly_coupled_pair():
     game = lq_game(coupling=0.1)
     grid, noise = _setup(16, 2048, 0)

@@ -734,9 +734,58 @@ def test_pgd_stagnates_on_wrong_sign_gradient():
         partials={"running_cost": {"v": lambda t, law, own: target(t) - own.u}},
     )
     u, history = projected_gradient_descent(bad, 0.0, grid, noise, steps=5)
+    # the tracking cost carries no noise (SE = 0), so every climbing trial is
+    # a resolved change and the search runs down to min_eta
     assert history[-1].get("status") == "stagnated"
     assert np.allclose(u, 0.0)
     assert len(history) == 1
+
+
+def test_pgd_mirror_step_does_not_end_the_search():
+    # from u = 0 the step eta0 = 2 lands on the mirror point 2 * target,
+    # whose cost equals the start's exactly: a zero paired change, which
+    # is unresolved; half that step descends onto the target
+    grid, noise = _grid_noise(m=8, n=64)
+    target = lambda t: np.sin(2.0 * np.pi * t)
+    model = _tracking_model(target)
+    goal = as_control(target(grid.nodes[:-1]), grid, noise.particles)
+    zero = as_control(0.0, grid, noise.particles)
+    per = [
+        smp_control._per_particle_cost(model, v, solve_state(model, v, grid, noise), grid)
+        for v in (zero, 2.0 * goal)
+    ]
+    assert np.array_equal(per[1], per[0])
+    u, history = projected_gradient_descent(
+        model, 0.0, grid, noise, steps=5, eta0=2.0, grad_tol=1e-12
+    )
+    assert np.sqrt(np.mean((u - goal) ** 2)) <= 1e-12
+    assert history[0]["backtracks"] == 1 and history[0]["step"] == 1.0
+    assert history[-1].get("status") == "converged"
+
+
+@pytest.mark.parametrize("seed, rule", [(7, "reject"), (5, "accept")])
+def test_pgd_stops_at_the_noise_floor(seed, rule):
+    # at N = 64 the LQ1 descent reaches its Monte Carlo floor in a few
+    # steps.  Before the paired-resolution stop, seed 7 ended with one
+    # search of 39 backtracks (backtracks [0, 0, 0, 0, 1, 39], then
+    # "stagnated"), and seed 5 ran 24 iterations, the last nine searches
+    # backtracking 34-39 times each.  Seed 7 now ends on two unresolved
+    # rejected trials, seed 5 on two unresolved accepted steps
+    grid, noise = _grid_noise(m=8, n=64, seed=seed)
+    u, history = projected_gradient_descent(lq1_model(LQ1Params()), 0.0, grid, noise, steps=40)
+    last = history[-1]
+    assert last.get("status") == "resolved"
+    assert max(h["backtracks"] for h in history) <= 4
+    assert all("status" not in h for h in history[:-1])
+    if rule == "reject":
+        assert last["backtracks"] >= 2 and last["step"] == 0.0
+    else:
+        # the stop has its own record: no trial, and the step before it
+        # was accepted
+        assert last["backtracks"] == 0 and last["step"] == 0.0
+        assert "grad_norm" not in last and history[-2]["step"] > 0.0
+    costs = [h["cost"] for h in history]
+    assert all(b <= a for a, b in zip(costs, costs[1:]))
 
 
 @pytest.mark.parametrize("bad", [
