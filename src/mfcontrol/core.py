@@ -1,5 +1,6 @@
-"""Shared infrastructure: typed errors, time grids, Brownian drivers and the
-state views through which coefficients read the ensemble.
+"""Shared infrastructure: typed errors, time grids, Brownian drivers, the
+state views through which coefficients read the ensemble, and the Anderson
+mixer of the package's fixed-point iterations.
 
 Conventions used across the package
 -----------------------------------
@@ -251,3 +252,85 @@ def view_means(own: StateView) -> StateView:
         return None if v is None else float(np.mean(v))
 
     return StateView(x=m(own.x), y=m(own.y), z=m(own.z), u=m(own.u))
+
+
+# ======================================================================
+# Anderson mixing (shared by the coupled solvers and the SMP candidate)
+# ======================================================================
+
+
+class _AndersonMixer:
+    """Type-II Anderson mixing on a flattened iterate of length L.
+
+    Two fixed points use it: the coupled solvers' sweeps on the solution
+    paths (``fbsde_solver._fixed_point``, ``relax`` 1) and the SMP
+    candidate's feedback map on the control
+    (``lq_examples._candidate_fixed_point``, ``relax`` its damping).
+
+    Keeps the last ``memory`` differences of residuals r = g - u and of map
+    outputs g, and takes gamma minimizing |r - dR' gamma|.  The next iterate
+    is u_bar + relax * r_bar, with the mixed iterate u_bar = u - dU' gamma
+    and mixed residual r_bar = r - dR' gamma (dU = dG - dR); ``relax`` 1
+    gives g - dG' gamma, and the first step, before any difference exists,
+    is the relaxed step u + relax * r.  On an affine fixed-point map this
+    behaves like GMRES restarted at the memory length, which converges in
+    regimes where plain Picard does not (Walker & Ni 2011, SIAM J. Numer.
+    Anal. 49(4); Toth & Kelley 2015, SIAM J. Numer. Anal. 53(2)).
+
+    The differences live in two ring buffers [memory, L], one contiguous
+    row each, next to the Gram matrix dR dR' of the residual differences.
+    A step writes one row of each buffer, updates one row and column of the
+    Gram matrix (memory dot products) and forms dR r, so it costs
+    O(memory * L) and copies no [L, memory] matrix; the ring's slot order
+    does not matter, because least squares is invariant under a
+    permutation of its columns.  The small system is solved by a min-norm
+    ``lstsq`` of the Gram matrix, which cuts off singular values of dR
+    below about sqrt(eps) times the largest, where a dense ``lstsq`` of dR
+    would cut at eps * L.  A non-finite Gram system (one that overflows,
+    |dR| beyond ~1e154), a ``LinAlgError`` or a non-finite gamma returns
+    the unmixed relaxed step (g itself at ``relax`` 1).
+    """
+
+    def __init__(self, memory: int, relax: float = 1.0):
+        self.memory = int(memory)
+        self.relax = float(relax)
+        self.count = 0  # differences written so far
+        self.prev_r: Optional[np.ndarray] = None
+        self.prev_g: Optional[np.ndarray] = None
+        self.d_r = self.d_g = np.empty((0, 0))
+        self.gram = np.empty((self.memory, self.memory))
+
+    def _unmixed(self, u: np.ndarray, r: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return g if self.relax == 1.0 else u + self.relax * r
+
+    def step(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+        r = g - u
+        if self.prev_r is None:
+            self.d_r = np.empty((self.memory, r.size))
+            self.d_g = np.empty((self.memory, r.size))
+            self.prev_r, self.prev_g = r, g
+            return self._unmixed(u, r, g)
+        slot = self.count % self.memory
+        self.count += 1
+        k = min(self.count, self.memory)
+        d_r, d_g = self.d_r[:k], self.d_g[:k]
+        np.subtract(r, self.prev_r, out=self.d_r[slot])
+        np.subtract(g, self.prev_g, out=self.d_g[slot])
+        self.prev_r, self.prev_g = r, g
+        self.gram[slot, :k] = self.gram[:k, slot] = d_r @ self.d_r[slot]
+        gram, rhs = self.gram[:k, :k], d_r @ r
+        if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+            return self._unmixed(u, r, g)
+        try:
+            gamma, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+        except np.linalg.LinAlgError:
+            return self._unmixed(u, r, g)
+        if not np.all(np.isfinite(gamma)):
+            return self._unmixed(u, r, g)
+        out = gamma @ d_g
+        np.subtract(g, out, out=out)  # in place: one fresh [L] array
+        if self.relax != 1.0:  # u_bar + relax * r_bar = g_bar - (1 - relax) * r_bar
+            r_bar = gamma @ d_r
+            np.subtract(r, r_bar, out=r_bar)
+            out -= (1.0 - self.relax) * r_bar
+        return out

@@ -50,6 +50,7 @@ from mfcontrol.core import (
     RegressionError,
     StateView,
     TimeGrid,
+    _AndersonMixer,
     _check_cap,
     _check_tol,
 )
@@ -400,65 +401,6 @@ def negate_forward_model(model: CoupledModel) -> CoupledModel:
 # ======================================================================
 # Fixed-point iteration (optionally Anderson-accelerated)
 # ======================================================================
-
-
-class _AndersonMixer:
-    """Type-II Anderson mixing on a flattened iterate of length L.
-
-    Keeps the last ``memory`` differences of residuals r = g - u and of map
-    outputs g, and extrapolates g - dG' gamma with gamma minimizing
-    |r - dR' gamma|.  On an affine fixed-point map this behaves like GMRES
-    restarted at the memory length, which converges in regimes where plain
-    Picard does not.
-
-    The differences live in two ring buffers [memory, L], one contiguous
-    row each, next to the Gram matrix dR dR' of the residual differences
-    (Walker & Ni 2011, SIAM J. Numer. Anal. 49(4)).  A step writes one row
-    of each buffer, updates one row and column of the Gram matrix (memory
-    dot products) and forms dR r, so it costs O(memory * L) and copies no
-    [L, memory] matrix; the ring's slot order does not matter, because
-    least squares is invariant under a permutation of its columns.  The
-    small system is solved by a min-norm ``lstsq`` of the Gram matrix,
-    which cuts off singular values of dR below about sqrt(eps) times the
-    largest, where a dense ``lstsq`` of dR would cut at eps * L.  A
-    non-finite Gram system (one that overflows, |dR| beyond ~1e154), a
-    ``LinAlgError`` or a non-finite gamma returns g unmixed.
-    """
-
-    def __init__(self, memory: int):
-        self.memory = int(memory)
-        self.count = 0  # differences written so far
-        self.prev_r: Optional[np.ndarray] = None
-        self.prev_g: Optional[np.ndarray] = None
-        self.d_r = self.d_g = np.empty((0, 0))
-        self.gram = np.empty((self.memory, self.memory))
-
-    def step(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
-        r = g - u
-        if self.prev_r is None:
-            self.d_r = np.empty((self.memory, r.size))
-            self.d_g = np.empty((self.memory, r.size))
-            self.prev_r, self.prev_g = r, g
-            return g
-        slot = self.count % self.memory
-        self.count += 1
-        k = min(self.count, self.memory)
-        d_r, d_g = self.d_r[:k], self.d_g[:k]
-        np.subtract(r, self.prev_r, out=self.d_r[slot])
-        np.subtract(g, self.prev_g, out=self.d_g[slot])
-        self.prev_r, self.prev_g = r, g
-        self.gram[slot, :k] = self.gram[:k, slot] = d_r @ self.d_r[slot]
-        gram, rhs = self.gram[:k, :k], d_r @ r
-        if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
-            return g
-        try:
-            gamma, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-        except np.linalg.LinAlgError:
-            return g
-        if not np.all(np.isfinite(gamma)):
-            return g
-        out = gamma @ d_g
-        return np.subtract(g, out, out=out)  # in place: one fresh [L] array
 
 
 def _fixed_point(sweep, start: SolutionTriple, slots, tol: float, max_iter: int,

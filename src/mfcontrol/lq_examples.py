@@ -32,11 +32,15 @@ both candidates are the one shared feedback
 
 The candidate is implicit -- the multipliers are solved along the very
 trajectory the candidate generates -- so :func:`lq1_candidate` and
-:func:`lq2_candidate` run a damped fixed-point iteration over the
-control.  Because the Hamiltonian slope here is ``H_v = l*u + (formula
-residual)``, the damped iteration is exactly a preconditioned gradient
-descent on the (strongly convex) cost, which is why a fixed damping of
-0.5 converges for the committed fixtures.
+:func:`lq2_candidate` solve the fixed point u = formula(adjoints(u)) by
+Anderson mixing on the flattened control (memory 3, relaxation factor
+``damping``, 0.5 by default).  The Hamiltonian slope here is ``H_v =
+l*(u - formula)``, so the plain damped step is a preconditioned gradient
+step on the (strongly convex) cost; on these fixtures the map is affine,
+where Anderson mixing acts like GMRES and needs a few iterations where
+the damped step needs about twenty.  The loop returns the control whose
+gap it measured, together with the state and adjoint it solved there,
+and :func:`verify_example` certifies the candidate on those solutions.
 
 :func:`verify_example` bundles the whole optimality story into one
 report: hypothesis certification (coupled problem), candidate
@@ -63,6 +67,7 @@ from mfcontrol.core import (
     EnsembleConfig,
     NonConvergenceError,
     TimeGrid,
+    _AndersonMixer,
     _check_cap,
     _check_tol,
     make_time_grid,
@@ -531,6 +536,20 @@ def _feedback(params, weight: ScalarFn):
     return formula
 
 
+#: Anderson memory of the candidate iteration
+CANDIDATE_MEMORY = 3
+
+
+class _CandidateHistory(list):
+    """The candidate iteration's per-iteration records, carrying the state
+    and adjoint solved at the returned control."""
+
+    def __init__(self, records, state: SolutionTriple, adjoint: AdjointTriple):
+        super().__init__(records)
+        self.state = state
+        self.adjoint = adjoint
+
+
 def _candidate_fixed_point(
     model: ControlModel,
     formula,
@@ -541,20 +560,31 @@ def _candidate_fixed_point(
     max_iter: int,
     schedule: Optional[ContinuationSchedule],
 ):
-    """Damped iteration u <- (1-damping) u + damping * formula(adjoints(u)).
+    """Anderson iteration on u = formula(adjoints(u)) from u = 0.
 
-    Convergence is declared on the *undamped* gap |formula(u) - u| (so
-    the returned control satisfies its defining feedback formula to
-    ``tol`` in ensemble RMS), which is stricter than the damped step
-    size.  ``formula(k, t, adjoint) -> [N]`` evaluates the feedback at
-    node k.
+    Each iteration solves the state and adjoint at the current control u,
+    evaluates the feedback ``proposal = project(formula(...))`` and measures
+    the gap |proposal - u| in ensemble RMS.  When the gap is at most ``tol``
+    it returns u, whose state and adjoint are then already solved.  Else the
+    next control is the projection of the Anderson step on the flattened
+    control (memory ``CANDIDATE_MEMORY``) with relaxation factor
+    ``damping`` (:class:`mfcontrol.core._AndersonMixer`): u_bar + damping *
+    r_bar in the mixed iterate and residual.  The first step has no history
+    to mix, so it is the damped step (1 - damping) u + damping * proposal.
+    On the LQ fixtures the map is affine, where Anderson mixing acts like
+    GMRES (Walker & Ni 2011; Toth & Kelley 2015).  ``formula(k, t,
+    adjoint) -> [N]`` evaluates the feedback at node k.
 
     The first iteration solves the state and adjoint cold; each later one
-    warm-starts both from the previous iteration's solutions, one damped
-    step away, so a coupled model runs the continuation's polish instead
-    of a full homotopy (see :func:`mfcontrol.smp_control.solve_state`).
-    It needs ``0 < damping <= 1``, a finite ``tol`` > 0 and an integer
-    ``max_iter`` >= 1 (:class:`ConfigError` otherwise).
+    warm-starts both from the previous iteration's solutions, so a coupled
+    model runs the continuation's polish instead of a full homotopy (see
+    :func:`mfcontrol.smp_control.solve_state`).  Returns ``(u, history)``;
+    the history is a list of ``{"iteration", "target_gap"}`` records whose
+    ``state`` and ``adjoint`` attributes hold the solutions at u.  It needs
+    ``0 < damping <= 1``, a finite ``tol`` > 0 and an integer ``max_iter``
+    >= 1 (:class:`ConfigError` otherwise); running out of iterations raises
+    :class:`NonConvergenceError` with the history and, as ``last``, the
+    next control the iteration would have tried.
     """
 
     if not (0.0 < damping <= 1.0):
@@ -562,6 +592,7 @@ def _candidate_fixed_point(
     _check_tol("tol", tol)
     _check_cap("max_iter", max_iter, 1)
     u = np.zeros((grid.steps, noise.particles))
+    mixer = _AndersonMixer(CANDIDATE_MEMORY, relax=damping)
     history: List[dict] = []
     gap = np.inf
     state = adj = None
@@ -573,10 +604,10 @@ def _candidate_fixed_point(
             proposal[k] = formula(k, float(grid.nodes[k]), adj)
         proposal = model.project(proposal)
         gap = _rms(proposal - u)
-        u = (1.0 - damping) * u + damping * proposal
         history.append({"iteration": it, "target_gap": float(gap)})
         if gap <= tol:
-            return u, history
+            return u, _CandidateHistory(history, state, adj)
+        u = model.project(mixer.step(u.ravel(), proposal.ravel()).reshape(u.shape))
     raise NonConvergenceError(
         f"candidate fixed point did not reach rms tolerance {tol:g} in "
         f"{max_iter} iterations (last gap {gap:.3e})",
@@ -598,13 +629,16 @@ def lq1_candidate(
 
     Evaluates the pointwise Hamiltonian minimizer
     ``u = -(p*drift_control + q*diff_control - Q*driver_control)`` along
-    its own trajectory by damped fixed-point iteration from u = 0.
+    its own trajectory by Anderson iteration from u = 0, with ``damping``
+    as the relaxation factor (see :func:`_candidate_fixed_point`).
 
     Returns
     -------
     (control, history)
-        The control array [steps, particles] and the per-iteration gap
-        history.
+        The control array [steps, particles], whose gap is at most
+        ``tol``, and the per-iteration gap history.  The history's
+        ``state`` and ``adjoint`` attributes are the solutions at the
+        returned control.
 
     Raises
     ------
@@ -630,9 +664,11 @@ def lq2_candidate(
     """Candidate optimal control of the fully coupled LQ problem.
 
     Evaluates ``u = -(p*drift_control + q*diff_control
-    - Q*driver_control) / control_weight`` by the same damped
-    fixed-point iteration as :func:`lq1_candidate`; each sweep solves
-    the coupled state and multiplier systems by continuation.
+    - Q*driver_control) / control_weight`` by the same Anderson
+    iteration as :func:`lq1_candidate`, with the same returns; the first
+    iteration solves the coupled state and multiplier systems by
+    continuation, the later ones warm-start them from the previous
+    iteration's solutions.
     """
 
     return _candidate_fixed_point(
@@ -820,9 +856,11 @@ def verify_example(
        multiplier encoding.  Runs *before* any sign gate so that
        sign-violating parameter sets fail here, with the failed
        condition named, rather than at model construction.
-    2. ``candidate``: damped fixed-point construction of the explicit
+    2. ``candidate``: Anderson fixed-point construction of the explicit
        Hamiltonian-minimizing control (:func:`lq1_candidate` or
-       :func:`lq2_candidate` at their defaults).
+       :func:`lq2_candidate` at their defaults).  The later stages use the
+       state and adjoint that the iteration solved at the returned
+       control; none of them solves those again.
     3. ``stationarity``: the control gradient along the candidate must
        have ensemble RMS at most ``STATIONARITY_TOL * scale`` with
        scale = max(1, |cost|).
@@ -896,8 +934,7 @@ def verify_example(
          "final_gap": hist[-1]["target_gap"]}
     )
 
-    state = solve_state(model, u, grid, noise, schedule=cfg.schedule)
-    adj = solve_adjoint(model, u, state, grid, noise, schedule=cfg.schedule)
+    state, adj = hist.state, hist.adjoint
     grad = smp_gradient(model, u, grid, noise, state=state, adjoint=adj)
     j_cand = cost(model, u, grid, noise, state=state)
     scale = max(1.0, abs(j_cand))

@@ -165,22 +165,27 @@ class LstsqAndersonMixer:
     """Type-II Anderson mixing with the history kept as a list of
     (iterate, map output) pairs: every step rebuilds the [L, memory]
     difference matrices and solves the tall least-squares problem by
-    ``np.linalg.lstsq``.  Same contract as the package mixer: a singular
-    solve or a non-finite gamma returns g."""
+    ``np.linalg.lstsq``.  The next iterate is u_bar + relax * r_bar, the
+    mixed iterate plus ``relax`` times the mixed residual (g - dG gamma at
+    ``relax`` 1); the first step is u + relax * r.  Same contract as the
+    package mixer: a singular solve or a non-finite gamma returns that
+    unmixed step."""
 
-    def __init__(self, memory):
+    def __init__(self, memory, relax=1.0):
         self.memory = int(memory)
+        self.relax = relax
         self.us = []
         self.gs = []
 
     def step(self, u, g):
+        unmixed = g if self.relax == 1.0 else u + self.relax * (g - u)
         self.us.append(u)
         self.gs.append(g)
         if len(self.us) > self.memory + 1:
             self.us.pop(0)
             self.gs.pop(0)
         if len(self.us) < 2:
-            return g
+            return unmixed
         res = [gi - ui for ui, gi in zip(self.us, self.gs)]
         d_res = np.column_stack([res[j + 1] - res[j] for j in range(len(res) - 1)])
         d_g = np.column_stack(
@@ -189,10 +194,15 @@ class LstsqAndersonMixer:
         try:
             gamma, *_ = np.linalg.lstsq(d_res, res[-1], rcond=None)
         except np.linalg.LinAlgError:
-            return g
+            return unmixed
         if not np.all(np.isfinite(gamma)):
-            return g
-        return g - d_g @ gamma
+            return unmixed
+        if self.relax == 1.0:
+            return g - d_g @ gamma
+        d_u = np.column_stack(
+            [self.us[j + 1] - self.us[j] for j in range(len(self.us) - 1)]
+        )
+        return (u - d_u @ gamma) + self.relax * (res[-1] - d_res @ gamma)
 
 
 # ----------------------------------------------------------------------

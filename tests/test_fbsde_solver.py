@@ -384,6 +384,20 @@ def test_anderson_mixer_matches_lstsq_oracle(memory):
     assert np.linalg.norm(fmap(u) - u) < 1e-3 * np.linalg.norm(fmap(np.zeros(300)))
 
 
+def test_anderson_mixer_relaxation_matches_lstsq_oracle():
+    # relax 0.7: the first step is u + 0.7 r, every later one the mixed
+    # iterate plus 0.7 times the mixed residual, as the oracle writes it
+    fmap = _slow_affine_map(seed=4)
+    mixer, oracle = _AndersonMixer(3, relax=0.7), LstsqAndersonMixer(3, relax=0.7)
+    u = v = np.zeros(300)
+    for i in range(15):
+        u, v = mixer.step(u, fmap(u)), oracle.step(v, fmap(v))
+        if i == 0:
+            assert np.array_equal(u, 0.7 * fmap(np.zeros(300)))
+        assert np.linalg.norm(u - v) <= 1e-10 * np.linalg.norm(v)
+    assert np.linalg.norm(fmap(u) - u) < 1e-3 * np.linalg.norm(fmap(np.zeros(300)))
+
+
 def test_anderson_mixer_repeated_iterate_stays_finite():
     # a repeated iterate writes a zero difference row: the Gram matrix is
     # singular, and the min-norm solve must still give finite iterates
