@@ -245,11 +245,23 @@ class StateView:
     u: Any = None
 
 
+_F64 = np.dtype(np.float64)
+
+
+def _mean(v) -> float:
+    """``float(np.mean(v))``, bit for bit, at half its call cost on a
+    non-empty 1-D float64 array: ``np.add.reduce(v) / v.size`` is the
+    arithmetic ``np.mean`` does there.  Anything else goes to ``np.mean``."""
+    if type(v) is np.ndarray and v.ndim == 1 and v.size and v.dtype is _F64:
+        return float(np.add.reduce(v) / v.size)
+    return float(np.mean(v))
+
+
 def view_means(own: StateView) -> StateView:
     """Empirical means of the populated slots of ``own``."""
 
     def m(v):
-        return None if v is None else float(np.mean(v))
+        return None if v is None else _mean(v)
 
     return StateView(x=m(own.x), y=m(own.y), z=m(own.z), u=m(own.u))
 

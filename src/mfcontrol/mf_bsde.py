@@ -46,6 +46,7 @@ from mfcontrol.core import (
     RegressionError,
     StateView,
     TimeGrid,
+    _mean,
 )
 
 __all__ = [
@@ -329,11 +330,11 @@ def solve_mf_bsde(
         x_k = conditioning[k]
         u_k = None if control is None else control[k]
         x_mean = float(x_means[k])
-        z_mean = float(z[k].mean())
+        z_mean = _mean(z[k])
         u_mean = None if u_means is None else float(u_means[k])
         y_val = y[k + 1]  # predictor: implicit Y evaluated at the k+1 values
         for _ in range(inner_passes + 1):
-            law = StateView(x=x_mean, y=float(y_val.mean()), z=z_mean, u=u_mean)
+            law = StateView(x=x_mean, y=_mean(y_val), z=z_mean, u=u_mean)
             own = StateView(x=x_k, y=y_val, z=z[k], u=u_k)
             y_val = ey + model.driver(t, law, own) * dt
         y[k] = y_val

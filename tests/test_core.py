@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mfcontrol import core
 from mfcontrol.core import (
     BrownianPaths,
     ConfigError,
@@ -98,6 +99,22 @@ def test_view_means():
     assert law.x == pytest.approx(2.0)
     assert law.y == pytest.approx(2.0)
     assert law.z is None and law.u is None
+
+
+def test_mean_is_numpy_mean_bit_for_bit():
+    # the 1-D float64 fast path must round exactly as np.mean does, on
+    # sizes below, at and above numpy's pairwise-summation block (128)
+    rng = np.random.default_rng(0)
+    for n in (1, 7, 127, 128, 129, 2048, 100_003):
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        assert core._mean(v) == float(np.mean(v))
+        assert core._mean(v[::3]) == float(np.mean(v[::3]))
+    # other inputs go to np.mean itself
+    block = rng.standard_normal((4, 9))
+    assert core._mean(block) == float(np.mean(block))
+    single = rng.standard_normal(129).astype(np.float32)
+    assert core._mean(single) == float(np.mean(single))
+    assert core._mean(2.5) == 2.5
 
 
 @given(

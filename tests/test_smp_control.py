@@ -763,14 +763,17 @@ def test_pgd_mirror_step_does_not_end_the_search():
     assert history[-1].get("status") == "converged"
 
 
-@pytest.mark.parametrize("seed, rule", [(7, "reject"), (5, "accept")])
+@pytest.mark.parametrize("seed, rule", [(7, "reject"), (5, "reject"), (10, "accept")])
 def test_pgd_stops_at_the_noise_floor(seed, rule):
     # at N = 64 the LQ1 descent reaches its Monte Carlo floor in a few
     # steps.  Before the paired-resolution stop, seed 7 ended with one
     # search of 39 backtracks (backtracks [0, 0, 0, 0, 1, 39], then
     # "stagnated"), and seed 5 ran 24 iterations, the last nine searches
-    # backtracking 34-39 times each.  Seed 7 now ends on two unresolved
-    # rejected trials, seed 5 on two unresolved accepted steps
+    # backtracking 34-39 times each.  With every search after the first
+    # starting from the Barzilai-Borwein step, seeds 7 and 5 end on two
+    # unresolved rejected trials (seed 5: backtracks [0, 0, 0, 0, 2]; it
+    # ended on the accept rule while the searches started at eta0), and
+    # seed 10 ends on two unresolved accepted steps
     grid, noise = _grid_noise(m=8, n=64, seed=seed)
     u, history = projected_gradient_descent(lq1_model(LQ1Params()), 0.0, grid, noise, steps=40)
     last = history[-1]
@@ -786,6 +789,58 @@ def test_pgd_stops_at_the_noise_floor(seed, rule):
         assert "grad_norm" not in last and history[-2]["step"] > 0.0
     costs = [h["cost"] for h in history]
     assert all(b <= a for a, b in zip(costs, costs[1:]))
+
+
+def test_pgd_resolves_where_the_fixed_start_stagnated():
+    # LQ1 at M=16, N=256, noise seed 7: with every search starting at
+    # eta0 the descent ran 7 iterations, backtracks [0, 0, 0, 0, 0, 1, 39],
+    # its last search shrinking through resolved increases down to
+    # min_eta ("stagnated"); from the Barzilai-Borwein step it runs 4,
+    # backtracks [0, 0, 0, 2], and ends on the resolution stop
+    grid, noise = _grid_noise(m=16, n=256, seed=7)
+    u, history = projected_gradient_descent(lq1_model(LQ1Params()), 0.0, grid, noise)
+    assert history[-1].get("status") == "resolved"
+    assert max(h["backtracks"] for h in history) <= 4
+    costs = [h["cost"] for h in history]
+    assert all(b <= a for a, b in zip(costs, costs[1:]))
+
+
+def test_pgd_second_search_starts_from_the_bb_step():
+    # the tracking cost has identity curvature in the pairing, so after
+    # the first step (eta0 = 0.5, halfway to the target) the BB step is
+    # 1.0 = 2 * 0.5, which lands on the target; at eta0 every step halves
+    # the gap and the run took 33 iterations
+    grid, noise = _grid_noise(m=8, n=64)
+    target = lambda t: np.sin(2.0 * np.pi * t)
+    u, history = projected_gradient_descent(
+        _tracking_model(target), 0.0, grid, noise, steps=40, grad_tol=1e-10
+    )
+    assert len(history) == 3 and history[-1].get("status") == "converged"
+    assert [h["step"] for h in history[:-1]] == [0.5, 1.0]
+    goal = as_control(target(grid.nodes[:-1]), grid, noise.particles)
+    assert np.sqrt(np.mean((u - goal) ** 2)) <= 1e-12
+
+
+def test_bb_step_rule():
+    grid = make_time_grid(1.0, 4)
+    rng = np.random.default_rng(0)
+    s = rng.standard_normal((4, 8))
+
+    def bb(y, last=1.0, eta0=0.5, min_eta=1e-6):
+        return smp_control._bb_step(grid, s, y, last, eta0, min_eta)
+
+    # <s, s> / <s, y> with y = s / 0.3 is 0.3, inside [min_eta, 2 * last]
+    assert bb(s / 0.3) == pytest.approx(0.3, rel=1e-12)
+    # clipped at twice the last accepted step, and at min_eta
+    assert bb(s / 10.0, last=0.25) == 0.5
+    assert bb(s * 1e9) == 1e-6
+    # no positive curvature along the move: back to eta0
+    assert bb(-s) == 0.5
+    assert bb(np.zeros_like(s)) == 0.5
+    assert bb(np.full_like(s, np.nan)) == 0.5
+    # a positive <s, y> whose ratio is not finite: back to eta0
+    inf = np.full_like(s, np.inf)
+    assert smp_control._bb_step(grid, inf, np.ones_like(s), 1.0, 0.5, 1e-6) == 0.5
 
 
 @pytest.mark.parametrize("bad", [

@@ -8,10 +8,14 @@ For each (noise seed, workload seed) pair this builds the ``nash_game``
 workload of ``perfbench/workloads.py`` with ``workloads.NASH_NOISE_SEED``
 set to the noise seed, makes one call under the outside-in tracer, and
 prints one JSON line: the gate verdict, rounds, state solves, the descent
-counts, the wall time of the traced call, and both players' costs at the
-final pair next to the exact equilibrium of ``lq_game(coupling=0.2)``
-(J1 = 0.294203, J2 = 0.027445, from its Riccati decoupling field).  BLAS
-and OpenMP are pinned to one thread before numpy is imported.
+counts (with the most backtracks of any one search), the wall time of the
+traced call, and both players' costs at the final pair next to the exact
+equilibrium of ``lq_game(coupling=0.2)`` (J1 = 0.294203, J2 = 0.027445,
+from its Riccati decoupling field).  A last JSON line sums the sweep up:
+runs, gate failures, a histogram of rounds, state solves (min, mean, max)
+and the ranges of both relative errors.  The exit status is 1 when any run
+fails its gate.  BLAS and OpenMP are pinned to one thread before numpy is
+imported.
 """
 
 import os
@@ -59,6 +63,12 @@ def run(seed: int, noise_seed: int) -> dict:
         smp_control.cost(games.induced_model(game, 2, res.u1, grid), res.u2, grid, noise),
     )
     counts = tr.counts
+    searches = [
+        rec["backtracks"]
+        for row in res.history
+        for key in ("response_1", "response_2")
+        for rec in row.get(key) or ()
+    ]
     return {
         "seed": seed,
         "noise_seed": noise_seed,
@@ -67,6 +77,7 @@ def run(seed: int, noise_seed: int) -> dict:
         "state_solves": tr.layer_times()["smp_control.state"]["calls"],
         "armijo_trials": counts["smp_control.descent.armijo_trials"],
         "backtracks": counts["smp_control.descent.backtracks"],
+        "max_backtracks": max(searches, default=0),
         "traced_wall_s": round(wall, 3),
         "J1": costs[0],
         "J2": costs[1],
@@ -80,10 +91,31 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=_seeds, default=[0], help="workload seeds, N or LO-HI")
     ap.add_argument("--noise-seeds", type=_seeds, default=[0], help="noise seeds, N or LO-HI")
     args = ap.parse_args(argv)
+    rows = []
     for noise_seed in args.noise_seeds:
         for seed in args.seeds:
-            print(json.dumps(run(seed, noise_seed)), flush=True)
-    return 0
+            rows.append(run(seed, noise_seed))
+            print(json.dumps(rows[-1]), flush=True)
+    print(json.dumps(summary(rows)), flush=True)
+    return 0 if all(row["passed"] for row in rows) else 1
+
+
+def summary(rows) -> dict:
+    solves = [row["state_solves"] for row in rows]
+    rounds = sorted({row["rounds"] for row in rows})
+
+    def span(key):
+        values = [row[key] for row in rows]
+        return [min(values), max(values)]
+
+    return {
+        "runs": len(rows),
+        "failures": sum(not row["passed"] for row in rows),
+        "rounds": {str(r): sum(row["rounds"] == r for row in rows) for r in rounds},
+        "state_solves": [min(solves), round(sum(solves) / len(solves), 1), max(solves)],
+        "J1_rel_err": span("J1_rel_err"),
+        "J2_rel_err": span("J2_rel_err"),
+    }
 
 
 if __name__ == "__main__":
