@@ -6,8 +6,8 @@ Conventions used across the package
 -----------------------------------
 * Uniform time grid with ``M`` steps on ``[0, T]``; node ``k`` is ``k*dt``.
 * A path process is a plain numpy array of shape ``[M+1, N]`` (node-major,
-  one column per particle).  Brownian increments have shape ``[M, N, d]``;
-  the solver stack requires d = 1 and reads them as ``[M, N]``.
+  one column per particle).  The Brownian driver is scalar; its increments
+  have shape ``[M, N]``.
 * Mean-field ("law") arguments are realized as snapshot statistics of the
   particle ensemble: coefficient callables receive ``(t, law, own)`` where
   ``law`` is a :class:`StateView` of empirical means and ``own`` is a
@@ -158,30 +158,26 @@ class EnsembleConfig:
     ----------
     particles : int
         Ensemble size N >= 2 (empirical means need at least two samples).
-    brownian_dim : int
-        Driver dimension d >= 1.  The solver stack currently requires d = 1;
-        :func:`sample_brownian` itself supports any d.
+        Each particle is driven by one scalar Brownian motion.
     seed : int
         Counter-based RNG key, an integer >= 0; equal seeds give
         bit-identical increments.
     """
 
     particles: int
-    brownian_dim: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("particles", 2), ("brownian_dim", 1), ("seed", 0)):
+        for name, low in (("particles", 2), ("seed", 0)):
             _check_cap(name, getattr(self, name), low)
 
 
 @dataclass(frozen=True)
 class BrownianPaths:
-    """Increment block for one ensemble: ``increments[k, i, j]`` is particle
-    i's j-th driver increment over step k.  ``dt`` is the step used to scale."""
+    """Increment block for one ensemble: ``increments[k, i]`` is particle
+    i's scalar driver increment over step k, an array [M, N]."""
 
     increments: np.ndarray
-    dt: float
     seed: int
 
     @property
@@ -192,24 +188,11 @@ class BrownianPaths:
     def particles(self) -> int:
         return self.increments.shape[1]
 
-    @property
-    def dim(self) -> int:
-        return self.increments.shape[2]
-
-    def scalar(self) -> np.ndarray:
-        """View of shape [M, N] for the d = 1 case used by the solver stack."""
-        if self.dim != 1:
-            raise ConfigError(
-                f"solver stack requires a scalar Brownian driver, got d = {self.dim}"
-            )
-        return self.increments[:, :, 0]
-
     def cumulative(self) -> np.ndarray:
-        """Brownian path W at the grid nodes, shape [M+1, N] (d = 1 only)."""
-        dw = self.scalar()
+        """Brownian path W at the grid nodes, shape [M+1, N]."""
         w = np.empty((self.steps + 1, self.particles))
         w[0] = 0.0
-        np.cumsum(dw, axis=0, out=w[1:])
+        np.cumsum(self.increments, axis=0, out=w[1:])
         return w
 
 
@@ -220,9 +203,8 @@ def sample_brownian(grid: TimeGrid, cfg: EnsembleConfig) -> BrownianPaths:
     is reproducible bit-for-bit regardless of any later worker settings.
     """
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
-    shape = (grid.steps, cfg.particles, cfg.brownian_dim)
-    incr = gen.standard_normal(shape) * np.sqrt(grid.dt)
-    return BrownianPaths(increments=incr, dt=grid.dt, seed=cfg.seed)
+    incr = gen.standard_normal((grid.steps, cfg.particles)) * np.sqrt(grid.dt)
+    return BrownianPaths(increments=incr, seed=cfg.seed)
 
 
 # ======================================================================

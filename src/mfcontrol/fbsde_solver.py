@@ -27,7 +27,8 @@ Three solver routes are provided:
   iterate as additive sources and applies the linear seed, so the stiff
   canonical core is always handled constructively.
 
-The blend family (see :func:`homotopy_coefficients`):
+The blend family, which :func:`_blend_sources` turns into additive sources
+on the canonical pair at a frozen iterate:
 
     b_a     = a b     + (1 - a)(-mean_y - y)
     sigma_a = a sigma + (1 - a)(-mean_z - z)
@@ -71,8 +72,6 @@ __all__ = [
     "ContinuationSchedule",
     "ResidualReport",
     "solve_linear_seed",
-    "homotopy_coefficients",
-    "negate_forward_model",
     "solve_picard",
     "solve_continuation",
     "residual",
@@ -204,7 +203,6 @@ def solve_linear_seed(
     grid: TimeGrid,
     noise: BrownianPaths,
     x0: Initial = 0.0,
-    basis: Optional[RegressionBasis] = None,
     conditioning: Optional[np.ndarray] = None,
     guard: float = DEFAULT_GUARD,
 ):
@@ -236,7 +234,6 @@ def solve_linear_seed(
     inhom : LinearInhomogeneity
     grid, noise : discretization and driver block
     x0 : initial state (float / array / sampler)
-    basis : regression basis for the auxiliary backward sweep
     conditioning : array [M+1, N], optional
         Regression state for the auxiliary sweep.  Defaults to the running
         Brownian path; continuation passes the current iterate's state path
@@ -252,7 +249,7 @@ def solve_linear_seed(
         The solution and a log carrying the auxiliary backward path
         (key ``"auxiliary_y"``).
     """
-    dw = noise.scalar()
+    dw = noise.increments
     m, n = dw.shape
     if m != grid.steps:
         raise ConfigError(f"noise has {m} steps but grid has {grid.steps}")
@@ -269,13 +266,7 @@ def solve_linear_seed(
         k = grid.node_index(t)
         return -law.y - own.y - phi[k] + gam[k]
 
-    y_aux, v = solve_mf_bsde(
-        BackwardModel(driver=aux_driver, terminal=xi),
-        grid,
-        noise,
-        cond,
-        basis=basis,
-    )
+    y_aux, v = solve_mf_bsde(BackwardModel(driver=aux_driver, terminal=xi), grid, noise, cond)
 
     # node-aligned diffusion source (terminal node inherits the last step)
     vphi_nodes = np.vstack([vphi, vphi[-1:]])
@@ -294,108 +285,6 @@ def solve_linear_seed(
 
     sol = SolutionTriple(x=x, y=y_aux + x, z=z_aux)
     return sol, {"auxiliary_y": y_aux}
-
-
-# ======================================================================
-# Homotopy blends and the (H6) sign normalization
-# ======================================================================
-
-
-def homotopy_coefficients(model: CoupledModel, alpha: float) -> CoupledModel:
-    """Blend a model with the canonical linear-monotone pair.
-
-    At ``alpha = 1`` the blend is the model itself; at ``alpha = 0`` it is
-    the canonical pair solved by :func:`solve_linear_seed`.
-    """
-    if not (0.0 <= alpha <= 1.0):
-        raise ConfigError(f"blend parameter must lie in [0, 1], got {alpha}")
-    a = float(alpha)
-    base_drift = model.drift
-    base_diff = model.diffusion
-    base_driver = model.driver
-    base_terminal = model.terminal_map
-
-    def drift(t, law, own):
-        lin = -law.y - own.y
-        return a * base_drift(t, law, own) + (1.0 - a) * lin
-
-    def diffusion(t, law, own):
-        lin = -law.z - own.z
-        return a * base_diff(t, law, own) + (1.0 - a) * lin
-
-    def driver(t, law, own):
-        lin = law.x + own.x
-        f = 0.0 if base_driver is None else base_driver(t, law, own)
-        return a * f + (1.0 - a) * lin
-
-    def terminal(x_last):
-        return a * _terminal_values(base_terminal, x_last) + (1.0 - a) * x_last
-
-    return CoupledModel(
-        drift=drift,
-        diffusion=diffusion,
-        driver=driver,
-        terminal_map=terminal,
-        initial=model.initial,
-    )
-
-
-def negate_forward_model(model: CoupledModel) -> CoupledModel:
-    """Sign normalization turning a backward-monotone system into a
-    forward-monotone one.
-
-    Substituting X~ = -X (keeping Y, Z) conjugates the coefficients as
-
-        b~(x~,...) = -b(-x~,...),   sigma~ = -sigma(-x~,...),
-        f~(x~,...) =  f(-x~,...),   Phi~(x~) = Phi(-x~),
-
-    and flips the sign of every monotonicity pairing, so a model satisfying
-    the backward condition (H6) is mapped onto one satisfying (H5).  Solve
-    the transformed model, then map the solution back via X = -X~.  This is
-    for a caller's own backward-monotone model: the package's adjoint
-    (:func:`mfcontrol.smp_control.solve_adjoint`) is written directly in
-    its forward-monotone variable and does not use it.
-    """
-
-    def flip(view: StateView) -> StateView:
-        x = None if view.x is None else -view.x
-        return StateView(x=x, y=view.y, z=view.z, u=view.u)
-
-    base_drift, base_diff, base_driver = model.drift, model.diffusion, model.driver
-    base_terminal, base_initial = model.terminal_map, model.initial
-
-    def drift(t, law, own):
-        return -base_drift(t, flip(law), flip(own))
-
-    def diffusion(t, law, own):
-        return -base_diff(t, flip(law), flip(own))
-
-    driver = None
-    if base_driver is not None:
-
-        def driver(t, law, own):  # noqa: F811 - deliberate conditional def
-            return base_driver(t, flip(law), flip(own))
-
-    def terminal(x_last):
-        return _terminal_values(base_terminal, -x_last)
-
-    if callable(base_initial):
-
-        def initial(rng, n):
-            return -np.asarray(base_initial(rng, n), dtype=float)
-
-    else:
-        initial = -np.asarray(base_initial, dtype=float)
-        if initial.ndim == 0:
-            initial = float(initial)
-
-    return CoupledModel(
-        drift=drift,
-        diffusion=diffusion,
-        driver=driver,
-        terminal_map=terminal,
-        initial=initial,
-    )
 
 
 # ======================================================================
@@ -483,7 +372,7 @@ def solve_picard(
     """
     _check_cap("max_iter", max_iter, 1)
     _check_tol("tol", tol)
-    dw = noise.scalar()
+    dw = noise.increments
     m, n = dw.shape
     if m != grid.steps:
         raise ConfigError(f"noise has {m} steps but grid has {grid.steps}")
@@ -593,7 +482,6 @@ def _seed_iteration(
     max_iter: int,
     memory: int,
     control: Optional[np.ndarray],
-    basis: Optional[RegressionBasis],
     guard: float,
     conditioning: Optional[np.ndarray] = None,
 ):
@@ -617,8 +505,7 @@ def _seed_iteration(
         else:
             cond = cur.x if float(np.ptp(cur.x)) > 0.0 else None
         out, _ = solve_linear_seed(
-            inhom, grid, noise, x0=model.initial, basis=basis, conditioning=cond,
-            guard=guard,
+            inhom, grid, noise, x0=model.initial, conditioning=cond, guard=guard,
         )
         return out
 
@@ -719,7 +606,6 @@ def solve_continuation(
                 max_iter=sched.picard_max_iter,
                 memory=sched.accel_memory,
                 control=control,
-                basis=None,
                 guard=guard,
                 conditioning=conditioning,
             )
@@ -798,7 +684,7 @@ def residual(
     irreducible sampling floor whenever Y carries a genuine martingale
     part; it vanishes only for deterministic backward components.
     """
-    dw = noise.scalar()
+    dw = noise.increments
     m, n = dw.shape
     dt = grid.dt
     fwd = np.empty((m, n))

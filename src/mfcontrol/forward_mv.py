@@ -97,7 +97,7 @@ def _euler(model, grid: TimeGrid, noise: BrownianPaths, control, guard: float,
     """Euler-Maruyama pass for X with the backward paths ``y``, ``z`` frozen
     (``None`` leaves their slots empty); every node, the initial one
     included, is checked against ``guard``."""
-    dw = noise.scalar()
+    dw = noise.increments
     m, n = dw.shape
     dt = grid.dt
     x = np.empty((m + 1, n))
@@ -138,7 +138,7 @@ def simulate_forward(
     -------
     ndarray, shape [M+1, N]
     """
-    dw = noise.scalar()
+    dw = noise.increments
     m, n = dw.shape
     if m != grid.steps:
         raise ConfigError(f"noise has {m} steps but grid has {grid.steps}")

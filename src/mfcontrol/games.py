@@ -165,7 +165,6 @@ def induced_model(
     """
 
     _check_player(i)
-    dt = grid.dt
     last = opponent.shape[0] - 1
 
     def lift(fn2):
@@ -173,7 +172,7 @@ def induced_model(
             return None
 
         def fn(t, law, own):
-            k = min(int(round(t / dt)), last)
+            k = min(grid.node_index(t), last)
             if i == 1:
                 return fn2(t, law, own, own.u, opponent[k])
             return fn2(t, law, own, opponent[k], own.u)

@@ -369,14 +369,6 @@ class LQ2Params:
                 f"minimum {samples['control_weight'].min():g}"
             )
 
-    def monotonicity_constant(self) -> float:
-        """C1 implied by the sign pattern (minimum over sampled times)."""
-
-        ax = _check_bounded("driver_x", self.driver_x, self.horizon)
-        ay = _check_bounded("drift_y", self.drift_y, self.horizon)
-        az = _check_bounded("diff_z", self.diff_z, self.horizon)
-        return float(min(ax.min(), (-ay).min(), (-az).min()))
-
 
 # ======================================================================
 # Model builders
@@ -601,7 +593,7 @@ def _candidate_fixed_point(
         adj = solve_adjoint(model, u, state, grid, noise, schedule, warm=adj)
         proposal = np.empty_like(u)
         for k in range(grid.steps):
-            proposal[k] = formula(k, float(grid.nodes[k]), adj)
+            proposal[k] = formula(k, k * grid.dt, adj)
         proposal = model.project(proposal)
         gap = _rms(proposal - u)
         history.append({"iteration": it, "target_gap": float(gap)})

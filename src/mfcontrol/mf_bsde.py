@@ -13,7 +13,7 @@ frozen conditioning path X.  One step of the scheme:
 
 with conditional expectations fitted by ridge-regularized polynomial
 regression on the conditioning state, and the implicit (Y[k], Z[k]) inside
-``fbar`` handled by a predictor (values at k+1) plus corrector re-evaluations.
+``fbar`` handled by a predictor (values at k+1) and one corrector pass.
 Subtracting the fitted level Ey[k] from the integrand targets changes nothing
 in the estimated conditional expectation (the shift is state-measurable, so
 its true conditional product with the increment is zero) but removes the
@@ -242,7 +242,6 @@ def solve_mf_bsde(
     conditioning: np.ndarray,
     basis: Optional[RegressionBasis] = None,
     control: Optional[np.ndarray] = None,
-    inner_passes: int = 1,
     carrier: Optional[np.ndarray] = None,
 ):
     """Backward least-squares Monte Carlo sweep.
@@ -262,9 +261,6 @@ def solve_mf_bsde(
         [M, N].
     control : array [M, N], optional
         Threaded into the driver's ``own.u`` / ``law.u`` slots.
-    inner_passes : int
-        Corrector re-evaluations for the implicit (Y[k], Z[k]) in the driver
-        (the predictor always evaluates at the k+1 values first).
     carrier : array [M+1, N], optional
         Separate adapted path for the conditional-expectation regressions.
         Useful when the equation's own forward variable is a poor carrier of
@@ -277,7 +273,7 @@ def solve_mf_bsde(
     """
     if basis is None:
         basis = default_polynomial_basis()
-    dw = noise.scalar()
+    dw = noise.increments
     m, n = dw.shape
     if m != grid.steps:
         raise ConfigError(f"noise has {m} steps but grid has {grid.steps}")
@@ -287,8 +283,6 @@ def solve_mf_bsde(
         )
     if control is not None and control.shape != (m, n):
         raise ConfigError(f"control has shape {control.shape}, expected {(m, n)}")
-    if inner_passes < 0:
-        raise ConfigError(f"inner_passes must be >= 0, got {inner_passes}")
     if carrier is None:
         carrier = conditioning
     elif carrier.shape != (m + 1, n):
@@ -333,7 +327,7 @@ def solve_mf_bsde(
         z_mean = _mean(z[k])
         u_mean = None if u_means is None else float(u_means[k])
         y_val = y[k + 1]  # predictor: implicit Y evaluated at the k+1 values
-        for _ in range(inner_passes + 1):
+        for _ in range(2):  # the predictor, then one corrector
             law = StateView(x=x_mean, y=_mean(y_val), z=z_mean, u=u_mean)
             own = StateView(x=x_k, y=y_val, z=z[k], u=u_k)
             y_val = ey + model.driver(t, law, own) * dt

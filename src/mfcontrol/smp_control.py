@@ -40,8 +40,7 @@ percent on the linear-quadratic reference fixtures.
 
 Controls are open-loop per particle: arrays [M, N] (scalars and [M]
 arrays broadcast), adapted by construction since node k values feed only
-the step from node k.  Feedback maps can be materialized on a state path
-with :func:`feedback_to_open_loop`.
+the step from node k.
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ __all__ = [
     "identity_projection",
     "box_projection",
     "as_control",
-    "feedback_to_open_loop",
     "solve_state",
     "solve_adjoint",
     "hamiltonian",
@@ -234,15 +232,6 @@ def as_control(u, grid: TimeGrid, particles: int) -> np.ndarray:
     return np.broadcast_to(arr[:, None] if arr.ndim == 1 else arr, (m, particles)).copy()
 
 
-def feedback_to_open_loop(policy, x_path: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Materialize a feedback map ``policy(t, x) -> array`` on a state path."""
-    m = grid.steps
-    out = np.empty((m, x_path.shape[1]))
-    for k in range(m):
-        out[k] = np.asarray(policy(k * grid.dt, x_path[k]), dtype=float)
-    return out
-
-
 def _require_admissible(model: ControlModel, u: np.ndarray) -> None:
     proj = np.asarray(model.project(u), dtype=float)
     if proj.shape != u.shape or not np.allclose(proj, u, rtol=0.0, atol=1e-9):
@@ -365,10 +354,12 @@ def _solve_system(
     """Solve one of the control problem's FBSDE systems; ``coupled``
     chooses only the solver.
 
-    A decoupled system (drift and diffusion free of the y and z slots,
-    which stay ``None`` in the forward pass) is solved exactly by one Euler
-    pass for X and one backward pass for (Y, Z), regressed on
-    ``conditioning`` when given and on X otherwise; ``warm`` is unused.
+    A ``warm`` triple whose arrays are not [M+1, N] raises
+    :class:`ConfigError` before either route runs.  A decoupled system
+    (drift and diffusion free of the y and z slots, which stay ``None`` in
+    the forward pass) is solved exactly by one Euler pass for X and one
+    backward pass for (Y, Z), regressed on ``conditioning`` when given and
+    on X otherwise; ``warm`` is unused.
 
     A coupled system is solved by the continuation, which is what makes it
     converge from a cold start; from ``warm`` only its final polish is
@@ -381,6 +372,11 @@ def _solve_system(
     is unused.  Both routes run the solvers' default regression basis and
     divergence guard.
     """
+    if warm is not None:
+        shapes = [np.shape(a) for a in (warm.x, warm.y, warm.z)]
+        expected = (grid.steps + 1, noise.particles)
+        if any(shape != expected for shape in shapes):
+            raise ConfigError(f"warm start has shapes {shapes}, expected {expected} each")
     if not coupled:
         fwd = ForwardModel(drift=model.drift, diffusion=model.diffusion, initial=model.initial)
         x = simulate_forward(fwd, grid, noise, control=control)
@@ -439,8 +435,8 @@ def solve_state(
         diverges or hits a failed regression.  ``warm`` is unused for
         decoupled models, which the sequential pass solves exactly, and
         when ``schedule.polish_max_iter == 0``, where the cold route
-        returns the unpolished homotopy solution.  Its arrays must be
-        [M+1, N] (:class:`ConfigError` otherwise).
+        returns the unpolished homotopy solution; its arrays must be
+        [M+1, N] on every route (:class:`ConfigError` otherwise).
 
     Returns
     -------
@@ -542,7 +538,8 @@ def solve_adjoint(
         noise.  As in :func:`solve_state`, a coupled solve then runs only
         the continuation's polish from it, with the continuation as the
         fallback; it is unused for decoupled models (solved exactly by the
-        sequential pass) and when ``schedule.polish_max_iter == 0``.
+        sequential pass) and when ``schedule.polish_max_iter == 0``, and
+        its arrays must be [M+1, N] on every route, as there.
 
     Returns
     -------
@@ -1097,7 +1094,7 @@ def _per_particle_cost(
     for k in range(grid.steps):
         own, law = _views(state, k, u)
         total += grid.dt * np.broadcast_to(
-            np.asarray(model.running_cost(float(grid.nodes[k]), law, own), dtype=float),
+            np.asarray(model.running_cost(k * grid.dt, law, own), dtype=float),
             (particles,),
         )
     total = total + np.asarray(model.terminal_cost(state.x[-1]), dtype=float)

@@ -19,6 +19,10 @@ adjoint solved cold, the reference for the warm-started package loop.
 adjoint and variational routes written out by hand (a forward loop, then a
 backward sweep with its own driver), the references, to the bit, for the
 package's single-written systems on their sequential solver.
+``homotopy_coefficients`` writes the alpha-blend of a model with the
+canonical linear-monotone pair as a model of its own, coefficient by
+coefficient, the reference for the package's blend sources
+(``_blend_sources``).
 ``per_player_cost`` prices a game player's cost straight from the game's
 two-control coefficients, the reference for pricing it through the
 single-player reduction; ``lq2_coefficients`` writes out the formulas of
@@ -29,13 +33,19 @@ import numpy as np
 
 from mfcontrol.core import DivergenceError, NonConvergenceError, StateView, view_means
 from mfcontrol.fbsde_solver import (
+    CoupledModel,
     SolutionTriple,
     _AndersonMixer,
     _blend_sources,
     solve_linear_seed,
 )
 from mfcontrol.forward_mv import resolve_initial
-from mfcontrol.mf_bsde import BackwardModel, regress_conditional_expectation, solve_mf_bsde
+from mfcontrol.mf_bsde import (
+    BackwardModel,
+    _terminal_values,
+    regress_conditional_expectation,
+    solve_mf_bsde,
+)
 from mfcontrol.smp_control import AdjointTriple, VariationalTriple, solve_adjoint, solve_state
 
 
@@ -116,13 +126,12 @@ def ridge_lstsq_oracle(features, targets, lam):
     return coef
 
 
-def per_node_mf_bsde(model, grid, noise, conditioning, basis, control=None,
-                     inner_passes=1, carrier=None):
+def per_node_mf_bsde(model, grid, noise, conditioning, basis, control=None, carrier=None):
     """The least-squares Monte Carlo backward sweep as a plain loop over
     nodes: each node builds its own features and each fit its own
     ridge-escalated normal matrix (no shared per-sweep plan).  Returns
     (Y, Z), arrays [M+1, N]."""
-    dw = noise.scalar()
+    dw = noise.increments
     m, n = dw.shape
     carrier = conditioning if carrier is None else carrier
     dt = grid.dt
@@ -146,7 +155,7 @@ def per_node_mf_bsde(model, grid, noise, conditioning, basis, control=None,
         u_k = None if control is None else control[k]
         u_mean = None if u_k is None else float(u_k.mean())
         y_val = y[k + 1]
-        for _ in range(inner_passes + 1):
+        for _ in range(2):
             law = StateView(x=float(x_k.mean()), y=float(y_val.mean()),
                             z=float(z[k].mean()), u=u_mean)
             own = StateView(x=x_k, y=y_val, z=z[k], u=u_k)
@@ -260,7 +269,7 @@ def picard_loop(model, grid, noise, initial_guess, tol=1e-6, max_iter=50, accel_
     sweep on the new path, Anderson mixing of the backward pair only.
     Returns (SolutionTriple, history); raises NonConvergenceError on budget
     exhaustion."""
-    dw = noise.scalar()
+    dw = noise.increments
     cur = initial_guess
     backward = BackwardModel(driver=model.driver, terminal=model.terminal_map)
     mixer = _AndersonMixer(accel_memory) if accel_memory > 0 else None
@@ -291,7 +300,7 @@ def picard_loop(model, grid, noise, initial_guess, tol=1e-6, max_iter=50, accel_
 
 
 def seed_iteration_loop(model, grid, noise, weight, warm, tol, max_iter, memory, control=None,
-                        basis=None, guard=1e12, conditioning=None):
+                        guard=1e12, conditioning=None):
     """Seed-preconditioned fixed point at blend ``weight``: each sweep
     freezes the blend sources at the iterate and solves the sourced
     canonical pair with the linear seed; Anderson mixing of all three
@@ -307,8 +316,7 @@ def seed_iteration_loop(model, grid, noise, weight, warm, tol, max_iter, memory,
         else:
             cond = cur.x if float(np.ptp(cur.x)) > 0.0 else None
         out, _ = solve_linear_seed(
-            inhom, grid, noise, x0=model.initial, basis=basis, conditioning=cond,
-            guard=guard,
+            inhom, grid, noise, x0=model.initial, conditioning=cond, guard=guard,
         )
         change = _triple_rms(out, cur)
         history.append(change)
@@ -329,6 +337,37 @@ def seed_iteration_loop(model, grid, noise, weight, warm, tol, max_iter, memory,
         else:
             cur = out
     raise NonConvergenceError("seed iteration did not converge", history=history, last=out)
+
+
+# ----------------------------------------------------------------------
+# Homotopy blend
+# ----------------------------------------------------------------------
+
+
+def homotopy_coefficients(model, alpha):
+    """The ``alpha``-blend of ``model`` with the canonical pair:
+
+        b_a = a b + (1 - a)(-mean_y - y),   sigma_a = a sigma + (1 - a)(-mean_z - z),
+        f_a = a f + (1 - a)(mean_x + x),    Phi_a = a Phi + (1 - a) x.
+
+    At ``alpha`` 1 it is the model, at 0 the pair the linear seed solves."""
+    a = float(alpha)
+
+    def drift(t, law, own):
+        return a * model.drift(t, law, own) + (1.0 - a) * (-law.y - own.y)
+
+    def diffusion(t, law, own):
+        return a * model.diffusion(t, law, own) + (1.0 - a) * (-law.z - own.z)
+
+    def driver(t, law, own):
+        f = 0.0 if model.driver is None else model.driver(t, law, own)
+        return a * f + (1.0 - a) * (law.x + own.x)
+
+    def terminal(x_last):
+        return a * _terminal_values(model.terminal_map, x_last) + (1.0 - a) * x_last
+
+    return CoupledModel(drift=drift, diffusion=diffusion, driver=driver,
+                        terminal_map=terminal, initial=model.initial)
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +427,7 @@ def sequential_adjoint(model, u, state, grid, noise, basis=None):
     -gamma_y(Y_0) with driver and running-cost partials in the (y, z)
     slots, then (p, q) by one backward sweep regressed on the state path."""
     partial = _zero_filled_partials(model, u, state, grid)
-    dw = noise.scalar()
+    dw = noise.increments
     m, n = dw.shape
     dt = grid.dt
 
@@ -455,7 +494,7 @@ def sequential_variational(model, u, direction, state, grid, noise, basis=None):
     sweep regressed on the state path."""
     partial = _zero_filled_partials(model, u, state, grid)
     d = direction
-    dw = noise.scalar()
+    dw = noise.increments
     m_steps, n = dw.shape
     dt = grid.dt
     slope = np.asarray(model.terminal_slope(state.x[m_steps]), dtype=float)

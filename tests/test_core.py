@@ -41,16 +41,13 @@ def test_node_index_roundtrip():
 def test_ensemble_config_validation():
     with pytest.raises(ConfigError):
         EnsembleConfig(particles=1)
-    with pytest.raises(ConfigError):
-        EnsembleConfig(particles=16, brownian_dim=0)
 
 
 @pytest.mark.parametrize("make, name", [
     (lambda v: make_time_grid(1.0, v), "steps"),
     (lambda v: EnsembleConfig(particles=v), "particles"),
-    (lambda v: EnsembleConfig(particles=16, brownian_dim=v), "brownian_dim"),
     (lambda v: EnsembleConfig(particles=16, seed=v), "seed"),
-], ids=["steps", "particles", "brownian_dim", "seed"])
+], ids=["steps", "particles", "seed"])
 @pytest.mark.parametrize("value", [64.9, 2.5, True, -1], ids=["float", "half", "bool", "negative"])
 def test_counts_are_checked_not_coerced(make, name, value):
     # make_time_grid(1.0, 64.9) built a 64-step grid and True a 1-step one;
@@ -64,7 +61,7 @@ def test_brownian_shapes_and_determinism():
     cfg = EnsembleConfig(particles=128, seed=11)
     w1 = sample_brownian(g, cfg)
     w2 = sample_brownian(g, cfg)
-    assert w1.increments.shape == (32, 128, 1)
+    assert w1.increments.shape == (32, 128)
     assert np.array_equal(w1.increments, w2.increments)
     w3 = sample_brownian(g, EnsembleConfig(particles=128, seed=12))
     assert not np.array_equal(w1.increments, w3.increments)
@@ -74,15 +71,8 @@ def test_brownian_increment_variance_close_to_dt():
     g = make_time_grid(1.0, 64)
     cfg = EnsembleConfig(particles=8192, seed=0)
     w = sample_brownian(g, cfg)
-    var = w.scalar().var(axis=1)
+    var = w.increments.var(axis=1)
     assert np.all(np.abs(var - g.dt) <= 0.05 * g.dt)
-
-
-def test_scalar_view_requires_d1():
-    g = make_time_grid(1.0, 8)
-    w = sample_brownian(g, EnsembleConfig(particles=16, brownian_dim=2))
-    with pytest.raises(ConfigError):
-        w.scalar()
 
 
 def test_cumulative_path_starts_at_zero():
@@ -90,7 +80,7 @@ def test_cumulative_path_starts_at_zero():
     w = sample_brownian(g, EnsembleConfig(particles=8, seed=3))
     path = w.cumulative()
     assert np.all(path[0] == 0.0)
-    assert np.allclose(path[-1], w.scalar().sum(axis=0))
+    assert np.allclose(path[-1], w.increments.sum(axis=0))
 
 
 def test_view_means():

@@ -13,6 +13,7 @@ from mfcontrol.core import (
     StateView,
     make_time_grid,
     sample_brownian,
+    view_means,
 )
 from mfcontrol.fbsde_solver import (
     ContinuationSchedule,
@@ -20,9 +21,8 @@ from mfcontrol.fbsde_solver import (
     LinearInhomogeneity,
     SolutionTriple,
     _AndersonMixer,
+    _blend_sources,
     _seed_iteration,
-    homotopy_coefficients,
-    negate_forward_model,
     residual,
     solve_continuation,
     solve_linear_seed,
@@ -34,6 +34,7 @@ from mfcontrol.mf_bsde import BackwardModel, default_polynomial_basis, solve_mf_
 
 from oracles import (
     LstsqAndersonMixer,
+    homotopy_coefficients,
     linear_seed_mean_oracle,
     picard_loop,
     seed_iteration_loop,
@@ -158,43 +159,37 @@ def test_seed_guard_stops_a_runaway_forward_pass(source):
 # ----------------------------------------------------------------------
 
 
-def test_blend_at_zero_is_canonical_pair():
-    model = _scaled_model()
-    blend = homotopy_coefficients(model, 0.0)
-    law = StateView(x=1.0, y=2.0, z=4.0)
-    own = StateView(x=np.array([1.5]), y=np.array([3.0]), z=np.array([0.5]))
-    assert blend.drift(0.0, law, own)[0] == pytest.approx(-5.0)  # -(2 + 3)
-    assert blend.diffusion(0.0, law, own)[0] == pytest.approx(-4.5)
-    assert blend.driver(0.0, law, own)[0] == pytest.approx(2.5)
-    assert blend.terminal_map(np.array([7.0]))[0] == pytest.approx(7.0)
-
-
-def test_blend_at_one_reproduces_model():
-    model = _scaled_model()
-    blend = homotopy_coefficients(model, 1.0)
-    law = StateView(x=0.3, y=-1.0, z=0.2)
-    own = StateView(x=np.array([0.1]), y=np.array([0.4]), z=np.array([-0.2]))
-    for coef in ("drift", "diffusion", "driver"):
-        assert getattr(blend, coef)(0.5, law, own)[0] == pytest.approx(
-            getattr(model, coef)(0.5, law, own)[0]
+@pytest.mark.parametrize("weight", [0.0, 0.4, 1.0])
+def test_blend_sources_match_homotopy_oracle(weight):
+    # the canonical pair plus the sources at weight a is the oracle's
+    # a-blend at every node, for each coefficient and the terminal map
+    # (weight 0 leaves the canonical pair, weight 1 the model itself)
+    model = CoupledModel(
+        drift=lambda t, law, own: -2.0 * (law.y + own.y) + np.sin(own.x) + t,
+        diffusion=lambda t, law, own: 0.3 * own.z - law.x * own.y,
+        driver=lambda t, law, own: np.cos(own.x) * law.z + own.y,
+        terminal_map=lambda xT: np.tanh(xT) + 0.5,
+    )
+    g = make_time_grid(1.0, 6)
+    tri = SolutionTriple(*np.random.default_rng(4).normal(size=(3, 7, 32)))
+    src = _blend_sources(model, tri, g, weight, None)
+    blend = homotopy_coefficients(model, weight)
+    close = dict(rtol=1e-12, atol=1e-12)
+    for k in range(g.steps):
+        own = StateView(x=tri.x[k], y=tri.y[k], z=tri.z[k])
+        law, t = view_means(own), k * g.dt
+        np.testing.assert_allclose(
+            -law.y - own.y + src.drift_source[k], blend.drift(t, law, own), **close
         )
-
-
-def test_blend_rejects_out_of_range():
-    with pytest.raises(ConfigError):
-        homotopy_coefficients(_scaled_model(), 1.5)
-    with pytest.raises(ConfigError):
-        homotopy_coefficients(_scaled_model(), -0.1)
-
-
-def test_blend_interpolates_affinely():
-    model = _scaled_model()
-    law = StateView(x=0.2, y=0.5, z=-0.3)
-    own = StateView(x=np.array([0.9]), y=np.array([-0.2]), z=np.array([0.6]))
-    v0 = homotopy_coefficients(model, 0.0).drift(0.1, law, own)[0]
-    v1 = homotopy_coefficients(model, 1.0).drift(0.1, law, own)[0]
-    vh = homotopy_coefficients(model, 0.4).drift(0.1, law, own)[0]
-    assert vh == pytest.approx(0.6 * v0 + 0.4 * v1)
+        np.testing.assert_allclose(
+            -law.z - own.z + src.diffusion_source[k], blend.diffusion(t, law, own), **close
+        )
+        # the driver source enters the integrand with a minus sign
+        np.testing.assert_allclose(
+            law.x + own.x - src.driver_source[k], blend.driver(t, law, own), **close
+        )
+    x_last = tri.x[g.steps]
+    np.testing.assert_allclose(x_last + src.terminal_shift, blend.terminal_map(x_last), **close)
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +335,7 @@ def test_seed_iteration_matches_separate_loop():
     warm, _ = solve_linear_seed(LinearInhomogeneity(), g, w, x0=model.initial)
     sol, history = _seed_iteration(
         model, g, w, weight=0.5, warm=warm, tol=1e-8, max_iter=120, memory=6,
-        control=None, basis=None, guard=1e12,
+        control=None, guard=1e12,
     )
     ref, ref_history = seed_iteration_loop(model, g, w, 0.5, warm, 1e-8, 120, 6)
     assert len(history) > 2 and history == ref_history
@@ -690,37 +685,6 @@ def test_schedule_validation():
     ):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             ContinuationSchedule(**bad)
-
-
-# ----------------------------------------------------------------------
-# sign normalization
-# ----------------------------------------------------------------------
-
-
-def test_negate_forward_is_involutive():
-    model = _scaled_model()
-    twice = negate_forward_model(negate_forward_model(model))
-    law = StateView(x=0.7, y=-0.4, z=0.1)
-    own = StateView(x=np.array([0.2]), y=np.array([1.1]), z=np.array([-0.6]))
-    for coef in ("drift", "diffusion", "driver"):
-        assert getattr(twice, coef)(0.3, law, own)[0] == pytest.approx(
-            getattr(model, coef)(0.3, law, own)[0]
-        )
-    assert twice.terminal_map(np.array([1.3]))[0] == pytest.approx(1.3)
-
-
-def test_backward_monotone_model_solved_via_negation():
-    # image of the scaled model under the flip satisfies the mirrored
-    # condition; solving the flipped-back system and mapping X -> -X must
-    # satisfy the original equations
-    model_bwd = negate_forward_model(_scaled_model())
-    g, w = _grid_noise(32)
-    normalized = negate_forward_model(model_bwd)
-    sol_n, _ = solve_continuation(normalized, g, w)
-    mapped = SolutionTriple(x=-sol_n.x, y=sol_n.y, z=sol_n.z)
-    rep = residual(model_bwd, mapped, g, w)
-    assert rep.forward <= 1e-6
-    assert rep.terminal <= 1e-8
 
 
 # ----------------------------------------------------------------------

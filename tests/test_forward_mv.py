@@ -29,7 +29,7 @@ def test_forward_matches_naive_loop():
         lambda t, mx, xi: 0.3 * mx - 0.1 * xi,
         lambda t, mx, xi: 0.2 + 0.05 * xi,
         0.7,
-        w.scalar(),
+        w.increments,
         g.dt,
     )
     assert np.allclose(x, ref, atol=1e-10)
@@ -46,7 +46,7 @@ def test_forward_mean_recursion_exact_for_linear_mean_drift():
     mean = x.mean(axis=1)
     expected = np.empty_like(mean)
     expected[0] = 1.0
-    noise_mean = w.scalar().mean(axis=1)
+    noise_mean = w.increments.mean(axis=1)
     for k in range(32):
         expected[k + 1] = expected[k] * (1 + a * g.dt) + s * noise_mean[k]
     assert np.allclose(mean, expected, atol=1e-12)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mfcontrol.core import ConfigError
-from mfcontrol.fbsde_solver import CoupledModel, homotopy_coefficients
+from mfcontrol.fbsde_solver import CoupledModel
 from mfcontrol.hypothesis_check import (
     MonotonicityReport,
     UniformPairSampler,
@@ -14,7 +14,7 @@ from mfcontrol.hypothesis_check import (
     check_convexity,
 )
 
-from oracles import operator_norm
+from oracles import homotopy_coefficients, operator_norm
 
 
 # ----------------------------------------------------------------------

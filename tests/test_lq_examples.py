@@ -102,12 +102,6 @@ def test_lq2_probe_encodings_skip_sign_gate():
     lq2_adjoint_fbsde(bad)
 
 
-def test_lq2_fixture_monotonicity_constant():
-    assert LQ2Params().monotonicity_constant() == pytest.approx(0.1)
-    tightened = replace(LQ2Params(), drift_y=-0.05, drift_mean_y=-0.05)
-    assert tightened.monotonicity_constant() == pytest.approx(0.05)
-
-
 # ======================================================================
 # Structural identities of the candidate formulas
 # ======================================================================

@@ -205,7 +205,7 @@ def test_sweep_equals_per_node_loop_exactly(ridge_scale, separate_carrier):
         terminal=lambda xT: np.sin(xT),
     )
     basis = default_polynomial_basis(ridge_scale=ridge_scale)
-    kwargs = dict(basis=basis, control=u, inner_passes=1, carrier=carrier)
+    kwargs = dict(basis=basis, control=u, carrier=carrier)
     y, z = solve_mf_bsde(model, g, w, cond, **kwargs)
     y_ref, z_ref = per_node_mf_bsde(model, g, w, cond, **kwargs)
     assert np.array_equal(y, y_ref)

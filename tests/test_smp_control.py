@@ -38,7 +38,6 @@ from mfcontrol.smp_control import (
     cost,
     check_sufficiency,
     duality_gap,
-    feedback_to_open_loop,
     hamiltonian,
     projected_gradient_descent,
     smp_gradient,
@@ -230,14 +229,6 @@ def test_inadmissible_control_rejected():
     model = replace(_tracking_model(lambda t: 0.0), project=box_projection(0.0, 1.0))
     with pytest.raises(ConfigError):
         solve_state(model, 5.0, grid, noise)
-
-
-def test_feedback_to_open_loop():
-    grid, _ = _grid_noise(m=3, n=4)
-    x_path = np.arange(16.0).reshape(4, 4)
-    u = feedback_to_open_loop(lambda t, x: 2.0 * x + t, x_path, grid)
-    assert u.shape == (3, 4)
-    assert np.allclose(u[1], 2.0 * x_path[1] + grid.dt)
 
 
 # ======================================================================
@@ -562,12 +553,33 @@ def test_warm_start_changes_nothing_for_decoupled_models():
 
 def test_warm_state_of_wrong_shape_fails_typed():
     # a [M+1, 1] warm start would broadcast silently inside the decoupling
-    # pass; solve_picard's shape check reaches the caller as ConfigError
+    # pass; it is rejected with ConfigError before the solve
     grid, noise = _grid_noise(m=8, n=256, horizon=0.25, seed=3)
     model = lq2_model(LQ2Params(horizon=0.25))
     bad = SolutionTriple(x=np.zeros((9, 1)), y=np.zeros((9, 1)), z=np.zeros((9, 1)))
     with pytest.raises(ConfigError, match=r"\(9, 256\)"):
         solve_state(model, 0.3, grid, noise, warm=bad)
+
+
+def _malformed_warm_solve(case, grid, noise):
+    bad = SolutionTriple(x=np.zeros((3, 3)), y=np.zeros((3, 3)), z=np.zeros((3, 3)))
+    if case == "decoupled_state":
+        return solve_state(lq1_model(LQ1Params()), 0.0, grid, noise, warm=bad)
+    if case == "state_without_polish":
+        sched = ContinuationSchedule(polish_max_iter=0)
+        return solve_state(lq2_model(LQ2Params()), 0.3, grid, noise, schedule=sched, warm=bad)
+    model = lq1_model(LQ1Params())
+    state = solve_state(model, 0.0, grid, noise)
+    warm = AdjointTriple(p=np.zeros(2), q=np.zeros(2), Q=np.zeros(2))
+    return solve_adjoint(model, 0.0, state, grid, noise, warm=warm)
+
+
+@pytest.mark.parametrize("case", ["decoupled_state", "state_without_polish", "decoupled_adjoint"])
+def test_malformed_warm_start_fails_typed_on_every_route(case):
+    # these routes never read warm, and a malformed one used to pass silently
+    grid, noise = _grid_noise(m=8, n=64)
+    with pytest.raises(ConfigError, match=r"expected \(9, 64\) each"):
+        _malformed_warm_solve(case, grid, noise)
 
 
 def test_state_solve_checks_the_default_guard():
