@@ -24,9 +24,9 @@ from mfcontrol.core import (
     EnsembleConfig,
     StateView,
     TimeGrid,
+    _mean,
     make_time_grid,
     sample_brownian,
-    view_means,
 )
 
 __all__ = [
@@ -77,11 +77,32 @@ def _check_guard(row: np.ndarray, k: int, guard: float) -> None:
         raise DivergenceError(k, i, row[i], guard)
 
 
+class _LawView:
+    """``view_means(own)`` taken lazily: each slot's mean is computed on its
+    first read, with the same arithmetic, and kept; a slot that is ``None``
+    in ``own`` reads ``None``.  A coefficient pays only for the means it
+    reads."""
+
+    __slots__ = ("_own", "x", "y", "z", "u")
+
+    def __init__(self, own: StateView):
+        self._own = own
+
+    def __getattr__(self, slot):
+        # reached only while ``slot`` is unset
+        if slot not in ("x", "y", "z", "u"):
+            raise AttributeError(slot)
+        v = getattr(self._own, slot)
+        v = None if v is None else _mean(v)
+        setattr(self, slot, v)
+        return v
+
+
 def _views(tri, k: int, control: Optional[np.ndarray]):
     """``(own, law)`` at node ``k`` of a path triple: ``own`` holds the
     slots of ``tri.x``, ``tri.y``, ``tri.z`` ([M+1, N] paths; y and z may be
     ``None``) and the control row (node M reads the last row), ``law``
-    their means."""
+    their means, each taken on its first read (:class:`_LawView`)."""
     u = None if control is None else control[min(k, len(control) - 1)]
     own = StateView(
         x=tri.x[k],
@@ -89,7 +110,7 @@ def _views(tri, k: int, control: Optional[np.ndarray]):
         z=None if tri.z is None else tri.z[k],
         u=u,
     )
-    return own, view_means(own)
+    return own, _LawView(own)
 
 
 def _euler(model, grid: TimeGrid, noise: BrownianPaths, control, guard: float,

@@ -128,8 +128,19 @@ def _as_fn(c: ScalarFn) -> Callable[[float], float]:
 
 
 def _coef_fns(params) -> dict:
-    """Every time-dependent coefficient of ``params`` as a time function."""
-    return {name: _as_fn(getattr(params, name)) for name in params._COEFS}
+    """Every time-dependent coefficient of ``params``: its float value when
+    it is constant, its time function otherwise."""
+    coefs = {name: getattr(params, name) for name in params._COEFS}
+    return {name: c if callable(c) else float(c) for name, c in coefs.items()}
+
+
+def _signed(sign: float, c):
+    """A term's signed parameter ``sign * c``, folded into a float once
+    when ``c`` is constant, the time function ``t -> sign * c(t)``
+    otherwise."""
+    if type(c) is float:
+        return sign * c
+    return lambda t: sign * c(t)
 
 
 def _linear(terms, fns: dict, control):
@@ -139,14 +150,16 @@ def _linear(terms, fns: dict, control):
     slots read ``law``, the others ``own``, and ``v`` reads ``control(t,
     own, *controls)``; the trailing ``controls`` are a game's (v1, v2)."""
 
-    reads = [(sign, fns[name], slot.startswith("law_"), slot.removeprefix("law_"))
+    reads = [(_signed(sign, fns[name]), slot.startswith("law_"), slot.removeprefix("law_"))
              for sign, slot, name in terms]
 
     def coefficient(t, law, own, *controls):
         v = control(t, own, *controls)
         total = None
-        for sign, c, on_law, var in reads:
-            term = sign * c(t) * (v if var == "v" else getattr(law if on_law else own, var))
+        for c, on_law, var in reads:
+            if type(c) is not float:
+                c = c(t)
+            term = c * (v if var == "v" else getattr(law if on_law else own, var))
             total = term if total is None else total + term
         return total
 
@@ -155,12 +168,15 @@ def _linear(terms, fns: dict, control):
 
 def _slopes(terms, fns: dict) -> dict:
     """The partials of a term table's coefficient: each term's signed
-    parameter, constant in the state, under its slot."""
+    parameter, constant in the state, under its slot, returned as a float
+    (the coefficient contract broadcasts it)."""
 
-    def flat(sign, c):
-        return lambda t, law, own, *controls: sign * c(t) * np.ones_like(own.x)
+    def flat(c):
+        if type(c) is float:
+            return lambda t, law, own, *controls: c
+        return lambda t, law, own, *controls: float(c(t))
 
-    return {slot: flat(sign, fns[name]) for sign, slot, name in terms}
+    return {slot: flat(_signed(sign, fns[name])) for sign, slot, name in terms}
 
 
 def _negate(terms, var: str) -> tuple:
@@ -434,7 +450,7 @@ def lq2_model(params: LQ2Params) -> ControlModel:
     fns = _coef_fns(params)
     gain = float(params.terminal_gain)
     wt, wi = float(params.terminal_weight), float(params.initial_weight)
-    weight = fns["control_weight"]
+    weight = _as_fn(params.control_weight)
     coefs = {name: _linear(terms, fns, _own_control) for name, terms in params._TERMS.items()}
     partials = {name: _slopes(terms, fns) for name, terms in params._TERMS.items()}
     partials["running_cost"] = {"v": lambda t, law, own: weight(t) * own.u}

@@ -57,6 +57,7 @@ from mfcontrol.core import (
     StateView,
     TimeGrid,
     _check_cap,
+    _mean,
     view_means,
 )
 from mfcontrol.forward_mv import ForwardModel, Initial, _views, simulate_forward
@@ -136,7 +137,9 @@ class ControlModel:
     coefficient ("drift", "diffusion", "driver", "running_cost") and an
     inner key per slot ("law_x", "law_y", "law_z", "x", "y", "z", "v");
     absent entries are identically zero.  Partials use the same
-    ``(t, law, own)`` signature as the coefficients.
+    ``(t, law, own)`` signature as the coefficients; a partial that is
+    constant in the state may return a float, which broadcasts as a
+    coefficient's scalar does.
 
     ``project`` must be idempotent; a control u is admissible when
     ``project(u) == u`` elementwise.
@@ -245,22 +248,40 @@ def _require_admissible(model: ControlModel, u: np.ndarray) -> None:
 
 class _FrozenPath:
     """Coefficient partials along a frozen (state, control) trajectory,
-    cached per (name, slot, node); ``None`` marks a partial the model does
-    not declare (identically zero).
+    compiled per node into the forms that the two evaluators run.
 
     :meth:`transposed` is the one evaluator of the Hamiltonian's partials
     H_s = E'[c_law w] + c w summed over the coefficients: the adjoint's
     coefficients are H's partials in the state slots x, y, z, the gradient
-    its partial in the control slot v.
+    its partial in the control slot v.  :meth:`linearized` is the
+    variational system's linearization of one coefficient.
+
+    The first call at a node compiles its form: the declared partials it
+    reads, each evaluated once -- a 0-d value (a partial constant in the
+    state) kept as a Python float, a value of the ensemble's shape kept as
+    it is, any other broadcast to that shape -- paired with the position
+    of the multiplier it scales.  Undeclared partials (identically zero)
+    are left out.  A transposed form is cached under (node, slot, term
+    names) and a linearized one under (node, coefficient), so a different
+    term list never reads another's form.  Every later call at the node --
+    each sweep of a coupled solve, the predictor and the corrector of a
+    sequential one -- does only the left-to-right arithmetic.
     """
 
     def __init__(self, model: ControlModel, u: np.ndarray, state: SolutionTriple, grid: TimeGrid):
-        self.model = model
         self.u = u
         self.state = state
         self.grid = grid
+        self._shape = state.x.shape[1:]
+        skip = "driver" if model.driver is None else None
+        self._fns = {
+            (name, slot): fn
+            for name, block in model.partials.items() if name != skip
+            for slot, fn in block.items()
+        }
         self._views: dict = {}
-        self._vals: dict = {}
+        self._transposed: dict = {}
+        self._linearized: dict = {}
 
     def views(self, k: int):
         got = self._views.get(k)
@@ -268,30 +289,42 @@ class _FrozenPath:
             got = self._views[k] = _views(self.state, k, self.u)
         return got
 
-    def partial(self, name: str, slot: str, k: int) -> Optional[np.ndarray]:
-        key = (name, slot, k)
-        got = self._vals.get(key, self._vals)  # the dict itself marks a miss
-        if got is self._vals:
-            fn = self.model.partials.get(name, {}).get(slot)
-            if fn is None or (name == "driver" and self.model.driver is None):
-                got = None
-            else:
-                own, law = self.views(k)
-                val = np.asarray(fn(k * self.grid.dt, law, own), dtype=float)
-                got = np.broadcast_to(val, own.x.shape)
-            self._vals[key] = got
-        return got
+    def _partial(self, name: str, slot: str, k: int):
+        """Partial of coefficient ``name`` in ``slot`` at node k: a float, an
+        array of the ensemble's shape, or ``None`` when undeclared."""
+        fn = self._fns.get((name, slot))
+        if fn is None:
+            return None
+        own, law = self.views(k)
+        val = fn(k * self.grid.dt, law, own)
+        if type(val) is float:
+            return val
+        val = np.asarray(val, dtype=float)
+        if val.ndim == 0:
+            return float(val)
+        return val if val.shape == self._shape else np.broadcast_to(val, self._shape)
 
-    def transposed(self, k: int, slot: str, terms) -> Union[float, np.ndarray]:
+    def transposed(self, k: int, slot: str, names: tuple, ws: tuple) -> Union[float, np.ndarray]:
         """The Hamiltonian's partial in ``slot`` at node k: the left-to-right
-        sum over ``terms`` = (name, w) of E'[c_law w] + c w, with c the
-        partial of coefficient ``name`` in ``slot`` and w its multiplier;
-        undeclared partials are skipped."""
+        sum over the coefficients ``names`` and their multipliers ``ws`` of
+        E'[c_law w] + c w, with c the partial of the coefficient in
+        ``slot``; undeclared partials are skipped."""
+        key = (k, slot, names)
+        form = self._transposed.get(key)
+        if form is None:
+            form = self._transposed[key] = []
+            for j, name in enumerate(names):
+                c_law, c = self._partial(name, "law_" + slot, k), self._partial(name, slot, k)
+                if c_law is not None or c is not None:
+                    form.append((c_law, c, j))
         total = None
-        for name, w in terms:
-            c_law, c = self.partial(name, "law_" + slot, k), self.partial(name, slot, k)
+        for c_law, c, j in form:
+            w = ws[j]
             if c_law is not None:
-                mean = float(np.mean(c_law * w))
+                prod = c_law * w
+                if type(prod) is not np.ndarray:  # E' of a constant: the mean of N copies
+                    prod = np.broadcast_to(prod, self._shape)
+                mean = _mean(prod)
                 total = mean if total is None else total + mean
             if c is not None:
                 total = c * w if total is None else total + c * w
@@ -300,15 +333,19 @@ class _FrozenPath:
     def linearized(self, k: int, name: str, law: StateView, own: StateView, direction):
         """Linearization of coefficient ``name``: the left-to-right sum of
         c_law * law + c * own over the x, y, z slots plus c_v * direction;
-        undeclared partials skipped."""
+        undeclared partials skipped, and only the slots they scale read."""
+        key = (k, name)
+        form = self._linearized.get(key)
+        if form is None:
+            form = self._linearized[key] = tuple(
+                (c, slot.startswith("law_"), slot.removeprefix("law_"))
+                for slot in ("law_x", "x", "law_y", "y", "law_z", "z", "v")
+                if (c := self._partial(name, slot, k)) is not None
+            )
         total = None
-        for slot, w in (
-            ("law_x", law.x), ("x", own.x), ("law_y", law.y), ("y", own.y),
-            ("law_z", law.z), ("z", own.z), ("v", direction),
-        ):
-            c = self.partial(name, slot, k)
-            if c is not None:
-                total = c * w if total is None else total + c * w
+        for c, on_law, var in form:
+            w = direction if var == "v" else getattr(law if on_law else own, var)
+            total = c * w if total is None else total + c * w
         return 0.0 if total is None else total
 
 
@@ -555,13 +592,13 @@ def solve_adjoint(
     def h_partial(slot):
         # the summation order fixes the result's bits: the driver adds its
         # X~ term last, the drift and the diffusion add theirs first
-        def coef(t, law, own):
-            terms = (("drift", own.y), ("diffusion", own.z), ("running_cost", 1.0))
-            driver = (("driver", own.x),)
-            terms = terms + driver if slot == "x" else driver + terms
-            return path.transposed(grid.node_index(t), slot, terms)
-
-        return coef
+        if slot == "x":
+            names = ("drift", "diffusion", "running_cost", "driver")
+            return lambda t, law, own: path.transposed(
+                grid.node_index(t), slot, names, (own.y, own.z, 1.0, own.x))
+        names = ("driver", "drift", "diffusion", "running_cost")
+        return lambda t, law, own: path.transposed(
+            grid.node_index(t), slot, names, (own.x, own.y, own.z, 1.0))
 
     adj_model = CoupledModel(
         drift=h_partial("y"),
@@ -705,11 +742,10 @@ def smp_gradient(
         adjoint = solve_adjoint(model, u, state, grid, noise)
     path = _FrozenPath(model, u, state, grid)
     grad = np.empty((grid.steps, noise.particles))
+    names = ("drift", "diffusion", "driver", "running_cost")
     for k in range(grid.steps):
-        grad[k] = path.transposed(k, "v", (
-            ("drift", adjoint.p[k]), ("diffusion", adjoint.q[k]),
-            ("driver", -adjoint.Q[k]), ("running_cost", 1.0),
-        ))
+        grad[k] = path.transposed(
+            k, "v", names, (adjoint.p[k], adjoint.q[k], -adjoint.Q[k], 1.0))
     return grad
 
 

@@ -27,6 +27,9 @@ coefficient, the reference for the package's blend sources
 two-control coefficients, the reference for pricing it through the
 single-player reduction; ``lq2_coefficients`` writes out the formulas of
 the ``LQ2Params`` docstring, the reference for the package's encodings.
+``array_slopes`` writes an LQ term table's partials in array form, each
+constant partial as ``sign * c(t) * np.ones_like(own.x)``, the reference
+for the package's float partials.
 """
 
 import numpy as np
@@ -599,6 +602,19 @@ def lq2_coefficients(params, t, law, own, v):
         + c("diff_mean_x") * mz + c("diff_x") * z,
     )
     return state, adjoint
+
+
+def array_slopes(terms, params):
+    """The partials of an LQ term table (``params._TERMS[name]``), each the
+    signed parameter times an array of ones of the ensemble's shape; the
+    package returns the signed parameter as a float instead."""
+
+    def flat(sign, name):
+        val = getattr(params, name)
+        c = val if callable(val) else (lambda t: float(val))
+        return lambda t, law, own, *controls: sign * c(t) * np.ones_like(own.x)
+
+    return {slot: flat(sign, name) for sign, slot, name in terms}
 
 
 def operator_norm(mat):

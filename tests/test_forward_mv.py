@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from mfcontrol.core import DivergenceError, EnsembleConfig, make_time_grid, sample_brownian
+from mfcontrol import forward_mv
+from mfcontrol.core import (
+    DivergenceError,
+    EnsembleConfig,
+    StateView,
+    make_time_grid,
+    sample_brownian,
+    view_means,
+)
 from mfcontrol.forward_mv import ForwardModel, moment_scaling_check, simulate_forward
 
 from oracles import naive_forward
@@ -147,3 +155,31 @@ def test_moment_scaling_degenerate_flagged():
     report = moment_scaling_check(frozen, 2.0, [0.05, 0.1], cfg)
     assert report.degenerate
     assert report.slope is None
+
+
+def test_law_view_is_view_means_taken_on_first_read(monkeypatch):
+    rng = np.random.default_rng(4)
+    tri = StateView(x=rng.normal(size=(5, 33)), y=rng.normal(size=(5, 33)))  # z stays None
+    control = rng.normal(size=(4, 33))
+    for k in range(5):
+        own, law = forward_mv._views(tri, k, control)
+        want = view_means(own)
+        for slot in ("x", "y", "z", "u"):
+            assert getattr(law, slot) == getattr(want, slot)
+    assert law.z is None
+
+    # a coefficient that reads only law.x (twice) takes exactly one mean
+    calls = []
+    real_mean = forward_mv._mean
+    monkeypatch.setattr(forward_mv, "_mean", lambda v: calls.append(v) or real_mean(v))
+    own, law = forward_mv._views(tri, 2, control)
+    drift = lambda t, law, own: law.x * own.x - 0.5 * law.x  # noqa: E731
+    drift(0.0, law, own)
+    assert len(calls) == 1 and calls[0] is own.x
+
+    # and in the Euler pass, one mean per step
+    calls.clear()
+    g = make_time_grid(1.0, 8)
+    w = sample_brownian(g, EnsembleConfig(particles=16, seed=2))
+    simulate_forward(ForwardModel(drift=drift, diffusion=lambda t, law, own: 0.2), g, w)
+    assert len(calls) == 8

@@ -342,6 +342,22 @@ def test_player_one_of_the_uncoupled_game_is_the_lq_problem():
                                       fn(t, law, own))
 
 
+def test_folding_leaves_time_dependent_parameters_live():
+    # constant parameters are folded into floats once; a time-dependent one
+    # is still read at every t, in the drift and in its x partial
+    model = lq1_model(LQ1Params(drift_x=lambda t: -0.3 + 0.1 * t))
+    rng = np.random.default_rng(8)
+    own = StateView(x=rng.normal(size=9), u=rng.normal(size=9))
+    law = StateView(x=float(own.x.mean()), u=float(own.u.mean()))
+    for t in (0.0, 0.5):
+        written = 0.1 * law.x + (-0.3 + 0.1 * t) * own.x + 1.0 * own.u
+        assert np.array_equal(model.drift(t, law, own), written)
+        slope = model.partials["drift"]["x"](t, law, own)
+        assert type(slope) is float and slope == -0.3 + 0.1 * t
+        assert type(model.partials["drift"]["law_x"](t, law, own)) is float
+    assert model.partials["drift"]["x"](0.5, law, own) != model.partials["drift"]["x"](0.0, law, own)
+
+
 # ======================================================================
 # Standing-condition certificates on the committed fixture
 # ======================================================================

@@ -47,7 +47,7 @@ from mfcontrol.smp_control import (
     variational_inequality_residual,
 )
 
-from oracles import directional_fd, sequential_adjoint, sequential_variational
+from oracles import array_slopes, directional_fd, sequential_adjoint, sequential_variational
 
 
 def _grid_noise(m=16, n=256, horizon=1.0, seed=7):
@@ -416,6 +416,115 @@ def test_single_systems_match_sequential_routes_bit_for_bit(case):
     assert np.all(np.isfinite(adj.p)) and np.any(var.k[1:] != 0.0)
     if case == "lq1":  # the driver's y and z partials make Q move
         assert np.any(adj.Q != adj.Q[0])
+
+
+def _law_cost_model(slope):
+    """Decoupled model whose partials are all constant in the state, each
+    written through ``slope`` (a float or an array), with a running cost of
+    law statistics only and no terminal or initial cost: the running
+    cost's partials meet multipliers of 1, so each of their E'[c_law w] is
+    the mean of a constant, and they alone drive the adjoint."""
+    return ControlModel(
+        drift=lambda t, law, own: 0.1 * law.x - 0.3 * own.x + own.u,
+        diffusion=lambda t, law, own: 0.2 * own.x + 0.5 * own.u + 0.3,
+        driver=lambda t, law, own: 0.2 * own.y + 0.1 * law.y + 0.3 * own.u,
+        terminal_map=lambda x: x,
+        running_cost=lambda t, law, own: 0.3 * law.x + 0.1 * law.y,
+        terminal_cost=np.zeros_like,
+        initial_cost=np.zeros_like,
+        partials={
+            "drift": {"law_x": slope(0.1), "x": slope(-0.3), "v": slope(1.0)},
+            "diffusion": {"x": slope(0.2), "v": slope(0.5)},
+            "driver": {"y": slope(0.2), "law_y": slope(0.1), "v": slope(0.3)},
+            "running_cost": {"law_x": slope(0.3), "law_y": slope(0.1)},
+        },
+        terminal_slope=np.ones_like,
+        terminal_cost_slope=np.zeros_like,
+        initial_cost_slope=np.zeros_like,
+        initial=1.0,
+    )
+
+
+def _array_slope_twins(case):
+    """(grid, noise, u, model, twin): a model and its twin whose constant
+    partials return arrays (``oracles.array_slopes`` for the LQ models)
+    where the model's return floats."""
+    t = np.linspace(0.0, 1.0, 8)[:, None]
+    if case == "law_cost":  # N not a power of two: N copies of c need not average to c
+        grid, noise = _grid_noise(m=8, n=333, horizon=0.5, seed=3)
+        return (grid, noise, 0.2 + 0.1 * np.cos(3.0 * t),
+                _law_cost_model(lambda c: lambda t, law, own: c), _law_cost_model(_const))
+    if case == "lq2":  # the coupled route, at a small size
+        grid, noise = _grid_noise(m=8, n=128, horizon=0.25, seed=4)
+        params = LQ2Params(horizon=0.25)
+        model = lq2_model(params)
+        slopes = {name: array_slopes(terms, params) for name, terms in params._TERMS.items()}
+        return grid, noise, 0.3 + 0.1 * t, model, replace(
+            model, partials={**model.partials, **slopes})
+    grid, noise = _grid_noise(m=8, n=256, horizon=0.5, seed=3)
+    if case == "lq1":
+        params = LQ1Params(
+            driver_mean_x=-0.1, driver_x=0.3, driver_mean_y=0.1, driver_y=-0.2,
+            driver_mean_z=0.15, driver_z=0.05, driver_control=0.2,
+        )
+        model = lq1_model(params)
+        slopes = {name: array_slopes(terms, params) for name, terms in params._TERMS.items()}
+        return grid, noise, 0.2 + 0.1 * np.cos(3.0 * t), model, replace(
+            model, partials={**model.partials, **slopes})
+    # player 2 of the coupled game: its drift slope is the coupling times
+    # player 1's, a product of two folded parameters
+    params, coupling = LQ1Params(), 0.2
+    game = lq_game(params, coupling=coupling)
+    slopes = {
+        name: {"v1" if slot == "v" else slot: fn
+               for slot, fn in array_slopes(terms, params).items()}
+        for name, terms in params._TERMS.items()
+    }
+    drift_v1 = slopes["drift"]["v1"]
+    slopes["drift"]["v2"] = lambda t, law, own, v1, v2: coupling * drift_v1(t, law, own)
+    twin = replace(game, partials={**game.partials, **slopes})
+    opponent = np.broadcast_to(-0.3 + 0.2 * np.sin(2.0 * t), (8, noise.particles))
+    return (grid, noise, 0.2 + 0.1 * np.cos(3.0 * t), induced_model(game, 2, opponent, grid),
+            induced_model(twin, 2, opponent, grid))
+
+
+@pytest.mark.parametrize("case", ["lq1", "lq2", "player2", "law_cost"])
+def test_float_partials_match_their_array_form_bit_for_bit(case):
+    # a partial constant in the state may return a float; the adjoint, the
+    # gradient, the variational system and the duality defect must not see
+    # the difference
+    grid, noise, u, model, twin = _array_slope_twins(case)
+    own = StateView(x=np.ones(3), y=np.ones(3), z=np.ones(3), u=np.ones(3))
+    law = StateView(x=1.0, y=1.0, z=1.0, u=1.0)
+    assert type(model.partials["drift"]["x"](0.0, law, own)) is float
+    assert twin.partials["drift"]["x"](0.0, law, own).shape == (3,)
+    direction = np.random.default_rng(5).normal(size=(grid.steps, noise.particles))
+    state = solve_state(model, u, grid, noise)
+
+    def solved(m):
+        adj = solve_adjoint(m, u, state, grid, noise)
+        grad = smp_gradient(m, u, grid, noise, state=state, adjoint=adj)
+        var = solve_variational(m, u, direction, state, grid, noise)
+        gap = duality_gap(m, u, direction, grid, noise, state=state)
+        return adj.p, adj.q, adj.Q, grad, var.k, var.m, var.n, gap
+
+    got = solved(model)
+    for a, b in zip(got, solved(twin)):
+        assert np.array_equal(a, b)
+    assert np.any(got[3] != 0.0) and np.any(got[4][1:] != 0.0)
+
+
+def test_frozen_path_forms_are_keyed_by_their_term_list():
+    # two term lists for the same node and slot each get their own form
+    grid, noise = _grid_noise(m=8, n=64, horizon=0.5, seed=3)
+    model = lq1_model(LQ1Params(driver_mean_x=-0.1, driver_x=0.3))
+    u = as_control(0.2, grid, noise.particles)
+    path = smp_control._FrozenPath(model, u, solve_state(model, u, grid, noise), grid)
+    w = np.random.default_rng(1).normal(size=noise.particles)
+    for _ in range(2):  # compiled on the first call, reused on the second
+        for names, c_law, c in ((("drift",), 0.1, -0.3), (("driver",), -0.1, 0.3)):
+            got = path.transposed(3, "x", names, (w,))
+            assert np.array_equal(got, float(np.mean(c_law * w)) + c * w)
 
 
 # ======================================================================
