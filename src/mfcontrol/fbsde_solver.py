@@ -63,7 +63,7 @@ from mfcontrol.forward_mv import (
     _views,
     resolve_initial,
 )
-from mfcontrol.mf_bsde import BackwardModel, RegressionBasis, _terminal_values, solve_mf_bsde
+from mfcontrol.mf_bsde import BackwardModel, _terminal_values, solve_mf_bsde
 
 __all__ = [
     "CoupledModel",
@@ -344,7 +344,6 @@ def solve_picard(
     initial_guess: Optional[SolutionTriple] = None,
     accel_memory: int = 0,
     control: Optional[np.ndarray] = None,
-    basis: Optional[RegressionBasis] = None,
     guard: float = DEFAULT_GUARD,
     conditioning: Optional[np.ndarray] = None,
 ):
@@ -392,9 +391,7 @@ def solve_picard(
 
     def sweep(it: SolutionTriple) -> SolutionTriple:
         x = _euler(model, grid, noise, control, guard, y=it.y, z=it.z)
-        y, z = solve_mf_bsde(
-            backward, grid, noise, x, basis=basis, control=control, carrier=conditioning
-        )
+        y, z = solve_mf_bsde(backward, grid, noise, x, control=control, carrier=conditioning)
         return SolutionTriple(x=x, y=y, z=z)
 
     return _fixed_point(sweep, cur, ("y", "z"), tol, max_iter, accel_memory,

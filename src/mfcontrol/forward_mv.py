@@ -209,21 +209,15 @@ def moment_scaling_check(
         dev = np.abs(x - x[0]).max(axis=0) ** exponent
         moments.append(float(dev.mean()))
     moments_arr = np.asarray(moments)
-    if np.any(moments_arr <= 0.0):
-        return MomentScalingReport(
-            exponent=float(exponent),
-            horizons=tuple(float(h) for h in horizons),
-            moments=tuple(moments),
-            slope=None,
-            expected_slope=exponent / 2.0,
-            degenerate=True,
-        )
-    coeffs = np.polyfit(np.log(np.asarray(horizons, dtype=float)), np.log(moments_arr), 1)
+    degenerate = bool(np.any(moments_arr <= 0.0))
+    slope = None if degenerate else float(
+        np.polyfit(np.log(np.asarray(horizons, dtype=float)), np.log(moments_arr), 1)[0]
+    )
     return MomentScalingReport(
         exponent=float(exponent),
         horizons=tuple(float(h) for h in horizons),
         moments=tuple(moments),
-        slope=float(coeffs[0]),
+        slope=slope,
         expected_slope=exponent / 2.0,
-        degenerate=False,
+        degenerate=degenerate,
     )

@@ -41,6 +41,7 @@ from mfcontrol.core import BrownianPaths, ConfigError, TimeGrid, _check_cap
 from mfcontrol.smp_control import (
     AdjointTriple,
     ControlModel,
+    _check_partials,
     _check_sampling,
     _mean_se,
     _paired_deviations,
@@ -115,18 +116,7 @@ class GameModel:
     coupled: bool = False
 
     def __post_init__(self):
-        for name, block in self.partials.items():
-            if name not in _GAME_COEFS:
-                raise ConfigError(
-                    f"unknown coefficient {name!r} in partials; "
-                    f"expected one of {_GAME_COEFS}"
-                )
-            for slot in block:
-                if slot not in _GAME_SLOTS:
-                    raise ConfigError(
-                        f"unknown slot {slot!r} in partials[{name!r}]; "
-                        f"expected one of {_GAME_SLOTS}"
-                    )
+        _check_partials(self.partials, _GAME_COEFS, _GAME_SLOTS)
 
     def project(self, i: int) -> Callable[[np.ndarray], np.ndarray]:
         return self.project_1 if i == 1 else self.project_2
@@ -215,6 +205,14 @@ def induced_model(
     )
 
 
+def _player(game: GameModel, i: int, u1: np.ndarray, u2: np.ndarray, grid: TimeGrid):
+    """Player ``i``'s reduction at the control arrays (u1, u2): the
+    :func:`induced_model` with the opponent frozen, and the player's own
+    control."""
+    opponent, own = (u2, u1) if i == 1 else (u1, u2)
+    return induced_model(game, i, opponent, grid), own
+
+
 # ======================================================================
 # Per-player first-order objects
 # ======================================================================
@@ -235,10 +233,8 @@ def player_adjoint(
     with player ``i``'s cost slopes.
     """
 
-    _check_player(i)
-    u1, u2 = _pair(controls, grid, noise.particles)
-    model = induced_model(game, i, u2 if i == 1 else u1, grid)
-    return solve_adjoint(model, u1 if i == 1 else u2, state, grid, noise)
+    model, own = _player(game, i, *_pair(controls, grid, noise.particles), grid)
+    return solve_adjoint(model, own, state, grid, noise)
 
 
 def best_response(
@@ -270,12 +266,8 @@ def best_response(
     own-control gradient returns the starting control unchanged.
     """
 
-    _check_player(i)
-    u1, u2 = _pair(controls, grid, noise.particles)
-    model = induced_model(game, i, u2 if i == 1 else u1, grid)
-    return projected_gradient_descent(
-        model, u1 if i == 1 else u2, grid, noise, steps=steps, grad_tol=1e-8
-    )
+    model, own = _player(game, i, *_pair(controls, grid, noise.particles), grid)
+    return projected_gradient_descent(model, own, grid, noise, steps=steps, grad_tol=1e-8)
 
 
 # ======================================================================
@@ -309,12 +301,12 @@ def deviation_test(
 
     u1, u2 = _pair(controls, grid, noise.particles)
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x6A3E_DE7))
-    models = {1: induced_model(game, 1, u2, grid), 2: induced_model(game, 2, u1, grid)}
-    base_state = solve_state(models[1], u1, grid, noise)
+    reductions = {i: _player(game, i, u1, u2, grid) for i in (1, 2)}
+    base_state = solve_state(*reductions[1], grid, noise)
     players = {}
-    for i, own in ((1, u1), (2, u2)):
+    for i, (model, own) in reductions.items():
         records = _paired_deviations(
-            models[i], own, base_state, grid, noise, rng, n_deviations, radius
+            model, own, base_state, grid, noise, rng, n_deviations, radius
         )
         worst = min(records, key=lambda rec: rec["margin"])
         players[i] = {
@@ -458,14 +450,8 @@ def nash_iterate(
     u1, u2 = _pair(controls0, grid, noise.particles)
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x6A3E_17E))
 
-    def residual_and_eps(i, u1_now, u2_now):
-        model = induced_model(game, i, u2_now if i == 1 else u1_now, grid)
-        own = u1_now if i == 1 else u2_now
-        state = solve_state(model, own, grid, noise)
-        trials = [
-            game.project(i)(own + _profile(grid, rng, trial_radius))
-            for _ in range(n_trials)
-        ]
+    def residual_and_eps(model, own, state):
+        trials = [model.project(own + _profile(grid, rng, trial_radius)) for _ in range(n_trials)]
         res = variational_inequality_residual(model, own, trials, grid, noise, state=state)
         _, se = _mean_se(_per_particle_cost(model, own, state, grid))
         eps = 3.0 * se + atol
@@ -484,8 +470,11 @@ def nash_iterate(
         move2 = float(np.sqrt(np.mean(np.square(b2 - u2)))) * damping
         u1 = (1.0 - damping) * u1 + damping * b1
         u2 = (1.0 - damping) * u2 + damping * b2
-        r1, e1 = residual_and_eps(1, u1, u2)
-        r2, e2 = residual_and_eps(2, u1, u2)
+        reductions = {i: _player(game, i, u1, u2, grid) for i in (1, 2)}
+        # one shared state at the blended pair serves both residuals
+        state = solve_state(*reductions[1], grid, noise)
+        r1, e1 = residual_and_eps(*reductions[1], state)
+        r2, e2 = residual_and_eps(*reductions[2], state)
         history.append(
             {
                 "round": rnd, "residual_1": r1, "residual_2": r2,

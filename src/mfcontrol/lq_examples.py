@@ -199,6 +199,19 @@ def _check_bounded(name: str, c: ScalarFn, horizon: float) -> np.ndarray:
     return vals
 
 
+def _check_params(params) -> dict:
+    """Both parameter sets' checks of the horizon, x0 and boundedness;
+    returns each coefficient's samples on the horizon, by name."""
+    if not (np.isfinite(params.horizon) and params.horizon > 0.0):
+        raise ConfigError(f"horizon must be positive, got {params.horizon}")
+    if not np.isfinite(params.x0):
+        raise ConfigError(f"x0 must be finite, got {params.x0}")
+    return {
+        name: _check_bounded(name, getattr(params, name), params.horizon)
+        for name in params._COEFS
+    }
+
+
 def _check_sign(name: str, vals: np.ndarray, positive: bool) -> None:
     if positive and vals.min() <= 0.0:
         raise ConfigError(
@@ -270,12 +283,7 @@ class LQ1Params:
     }
 
     def validate(self) -> None:
-        if not (np.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ConfigError(f"horizon must be positive, got {self.horizon}")
-        if not np.isfinite(self.x0):
-            raise ConfigError(f"x0 must be finite, got {self.x0}")
-        for name in self._COEFS:
-            _check_bounded(name, getattr(self, name), self.horizon)
+        _check_params(self)
 
 
 @dataclass(frozen=True)
@@ -358,14 +366,7 @@ class LQ2Params:
     }
 
     def validate(self, check_signs: bool = True) -> None:
-        if not (np.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ConfigError(f"horizon must be positive, got {self.horizon}")
-        if not np.isfinite(self.x0):
-            raise ConfigError(f"x0 must be finite, got {self.x0}")
-        samples = {
-            name: _check_bounded(name, getattr(self, name), self.horizon)
-            for name in self._COEFS
-        }
+        samples = _check_params(self)
         if not check_signs:
             return
         for name in self._POSITIVE:
@@ -395,12 +396,41 @@ def _own_control(t, own):
     return own.u
 
 
+def _lq_model(params, coupled: bool, gain: float, terminal_weight: float,
+              initial_weight: float, control_weight: ScalarFn) -> ControlModel:
+    """Control model of ``params._TERMS`` with terminal tie ``Y_T = gain*X_T``
+    and the cost of the :class:`LQ2Params` docstring at these weights."""
+
+    fns = _coef_fns(params)
+    gain = float(gain)
+    wt, wi = float(terminal_weight), float(initial_weight)
+    weight = _as_fn(control_weight)
+    coefs = {name: _linear(terms, fns, _own_control) for name, terms in params._TERMS.items()}
+    partials = {name: _slopes(terms, fns) for name, terms in params._TERMS.items()}
+    partials["running_cost"] = {"v": lambda t, law, own: weight(t) * own.u}
+    return ControlModel(
+        **coefs,
+        terminal_map=lambda x: gain * x,
+        running_cost=lambda t, law, own: 0.5 * weight(t) * own.u**2,
+        terminal_cost=lambda x: wt * x**2,
+        initial_cost=lambda y: wi * y**2,
+        partials=partials,
+        terminal_slope=lambda x: gain * np.ones_like(x),
+        terminal_cost_slope=lambda x: 2.0 * wt * x,
+        initial_cost_slope=lambda y: 2.0 * wi * y,
+        project=identity_projection,
+        initial=params.x0,
+        coupled=coupled,
+    )
+
+
 def lq1_model(params: LQ1Params) -> ControlModel:
     """Control model of the decoupled LQ problem.
 
     The Hamiltonian's control slope is
     ``H_v = p*drift_control + q*diff_control - Q*driver_control + v``,
-    whose zero is the candidate feedback of :func:`lq1_candidate`.
+    whose zero is the candidate feedback of :func:`lq1_candidate`.  Gain 1
+    and weights 1/2 round exactly as the written ``X_T`` and halved squares.
 
     Raises
     ------
@@ -410,24 +440,7 @@ def lq1_model(params: LQ1Params) -> ControlModel:
     """
 
     params.validate()
-    fns = _coef_fns(params)
-    coefs = {name: _linear(terms, fns, _own_control) for name, terms in params._TERMS.items()}
-    partials = {name: _slopes(terms, fns) for name, terms in params._TERMS.items()}
-    partials["running_cost"] = {"v": lambda t, law, own: own.u}
-    return ControlModel(
-        **coefs,
-        terminal_map=lambda x: x,
-        running_cost=lambda t, law, own: 0.5 * own.u**2,
-        terminal_cost=lambda x: 0.5 * x**2,
-        initial_cost=lambda y: 0.5 * y**2,
-        partials=partials,
-        terminal_slope=lambda x: np.ones_like(x),
-        terminal_cost_slope=lambda x: x,
-        initial_cost_slope=lambda y: y,
-        project=identity_projection,
-        initial=params.x0,
-        coupled=False,
-    )
+    return _lq_model(params, False, 1.0, 0.5, 0.5, 1.0)
 
 
 def lq2_model(params: LQ2Params) -> ControlModel:
@@ -447,26 +460,9 @@ def lq2_model(params: LQ2Params) -> ControlModel:
     """
 
     params.validate(check_signs=True)
-    fns = _coef_fns(params)
-    gain = float(params.terminal_gain)
-    wt, wi = float(params.terminal_weight), float(params.initial_weight)
-    weight = _as_fn(params.control_weight)
-    coefs = {name: _linear(terms, fns, _own_control) for name, terms in params._TERMS.items()}
-    partials = {name: _slopes(terms, fns) for name, terms in params._TERMS.items()}
-    partials["running_cost"] = {"v": lambda t, law, own: weight(t) * own.u}
-    return ControlModel(
-        **coefs,
-        terminal_map=lambda x: gain * x,
-        running_cost=lambda t, law, own: 0.5 * weight(t) * own.u**2,
-        terminal_cost=lambda x: wt * x**2,
-        initial_cost=lambda y: wi * y**2,
-        partials=partials,
-        terminal_slope=lambda x: gain * np.ones_like(x),
-        terminal_cost_slope=lambda x: 2.0 * wt * x,
-        initial_cost_slope=lambda y: 2.0 * wi * y,
-        project=identity_projection,
-        initial=params.x0,
-        coupled=True,
+    return _lq_model(
+        params, True, params.terminal_gain, params.terminal_weight, params.initial_weight,
+        params.control_weight,
     )
 
 

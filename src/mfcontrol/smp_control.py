@@ -122,6 +122,20 @@ def box_projection(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
     return project
 
 
+def _check_partials(partials: Mapping, coefs: tuple, slots: tuple) -> None:
+    """Every key of a ``partials`` table names one of ``coefs`` and every
+    inner key one of ``slots`` (:class:`ConfigError` names the first that
+    does not)."""
+    for name, block in partials.items():
+        if name not in coefs:
+            raise ConfigError(f"unknown coefficient {name!r} in partials; expected one of {coefs}")
+        for slot in block:
+            if slot not in slots:
+                raise ConfigError(
+                    f"unknown slot {slot!r} in partials[{name!r}]; expected one of {slots}"
+                )
+
+
 @dataclass(frozen=True)
 class ControlModel:
     """Controlled mean-field FBSDE plus cost structure and action set.
@@ -161,18 +175,12 @@ class ControlModel:
     coupled: bool = False
 
     def __post_init__(self):
-        for name, block in self.partials.items():
-            if name not in _COEF_KEYS:
-                raise ConfigError(
-                    f"unknown coefficient {name!r} in partials; expected one of {_COEF_KEYS}"
-                )
-            for slot in block:
-                if slot not in _SLOT_KEYS:
-                    raise ConfigError(
-                        f"unknown slot {slot!r} in partials[{name!r}]; "
-                        f"expected one of {_SLOT_KEYS}"
-                    )
-                if not self.coupled and name in ("drift", "diffusion") and slot in _YZ_SLOTS:
+        _check_partials(self.partials, _COEF_KEYS, _SLOT_KEYS)
+        if self.coupled:
+            return
+        for name in ("drift", "diffusion"):
+            for slot in self.partials.get(name, ()):
+                if slot in _YZ_SLOTS:
                     raise ConfigError(
                         f"partials[{name!r}][{slot!r}] contradicts coupled=False: "
                         f"a decoupled {name} reads only the x and u slots"
@@ -236,6 +244,8 @@ def as_control(u, grid: TimeGrid, particles: int) -> np.ndarray:
 
 
 def _require_admissible(model: ControlModel, u: np.ndarray) -> None:
+    if model.project is identity_projection:  # as_control made u finite, so it is fixed
+        return
     proj = np.asarray(model.project(u), dtype=float)
     if proj.shape != u.shape or not np.allclose(proj, u, rtol=0.0, atol=1e-9):
         raise ConfigError("control is not admissible: projection moves it")
@@ -697,19 +707,14 @@ def cost(
     noise: BrownianPaths,
     state: Optional[SolutionTriple] = None,
 ) -> float:
-    """Monte Carlo cost J(u): left-endpoint quadrature of the law-averaged
-    running cost plus terminal and initial costs."""
+    """Monte Carlo cost J(u) = E[integral of h dt + g(X_T) + gamma(Y_0)]:
+    the mean of :func:`_per_particle_cost`, the running cost integrated by
+    left-endpoint quadrature.  The state is solved at ``u`` unless
+    supplied."""
     u = as_control(u, grid, noise.particles)
     if state is None:
         state = solve_state(model, u, grid, noise)
-    path = _FrozenPath(model, u, state, grid)
-    run = 0.0
-    for k in range(grid.steps):
-        own, law = path.views(k)
-        run += float(np.mean(model.running_cost(k * grid.dt, law, own))) * grid.dt
-    terminal = float(np.mean(model.terminal_cost(state.x[grid.steps])))
-    start = float(np.mean(model.initial_cost(state.y[0])))
-    return run + terminal + start
+    return float(_per_particle_cost(model, u, state, grid).mean())
 
 
 def smp_gradient(
@@ -1117,7 +1122,9 @@ def check_sufficiency(
 def _per_particle_cost(
     model: ControlModel, u: np.ndarray, state, grid: TimeGrid
 ) -> np.ndarray:
-    """Per-particle cost contributions [N] (their mean is the cost).
+    """Per-particle cost contributions [N]: each particle's left-endpoint
+    sum of h dt plus g(X_T) plus gamma(Y_0).  The one pricing rule of
+    J(u): :func:`cost` is their mean.
 
     Statistics slots in the running cost are evaluated at the ensemble
     means, so the decomposition is exact for the mean; the paired

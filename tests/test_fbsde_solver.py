@@ -703,10 +703,15 @@ def test_residual_vanishes_for_deterministic_backward_decoupled():
         terminal_map=2.0,
         initial=lambda rng, n: 1.0 + 0.2 * rng.standard_normal(n),
     )
-    basis = default_polynomial_basis(ridge_scale=0.0)
+    # the model is decoupled, so one forward and one backward pass solve it
     g, w = _grid_noise(16, n=256)
-    sol, _ = solve_picard(model, g, w, basis=basis)
-    rep = residual(model, sol, g, w)
+    fwd = ForwardModel(drift=model.drift, diffusion=model.diffusion, initial=model.initial)
+    x = simulate_forward(fwd, g, w)
+    y, z = solve_mf_bsde(
+        BackwardModel(driver=model.driver, terminal=model.terminal_map), g, w, x,
+        basis=default_polynomial_basis(ridge_scale=0.0),
+    )
+    rep = residual(model, SolutionTriple(x=x, y=y, z=z), g, w)
     assert rep.forward <= 1e-12
     assert rep.backward <= 1e-12
     assert rep.terminal <= 1e-12

@@ -15,6 +15,7 @@ from mfcontrol.core import (
     make_time_grid,
     sample_brownian,
 )
+from mfcontrol import games
 from mfcontrol.games import (
     GameModel,
     NashResult,
@@ -438,6 +439,23 @@ def test_nash_best_responses_stop_at_their_resolution():
         for h in res.history for key in ("response_1", "response_2") for rec in h[key]
     )
     assert backtracks <= 30
+
+
+def test_nash_round_solves_its_shared_state_once(monkeypatch):
+    # both players' residuals read the state at the same blended pair, so
+    # a round solves it once; the certificate is stubbed out of the count
+    solves = []
+    solve = games.solve_state
+    monkeypatch.setattr(games, "solve_state",
+                        lambda *args, **kw: solves.append(1) or solve(*args, **kw))
+    refuted = {"passed": False, "player_1": {"worst_margin": -1.0},
+               "player_2": {"worst_margin": -1.0}}
+    monkeypatch.setattr(games, "deviation_test", lambda *args, **kw: refuted)
+    grid, noise = _setup(8, 64, 0)
+    res = nash_iterate(lq_game(coupling=0.2), (0.0, 0.0), grid, noise, rounds=1,
+                       br_steps=1, n_trials=2)
+    assert res.rounds == 1
+    assert len(solves) == 1
 
 
 def test_nash_certifies_weakly_coupled_pair():

@@ -340,6 +340,12 @@ def test_player_one_of_the_uncoupled_game_is_the_lq_problem():
             for slot, fn in lq1.partials[name].items():
                 assert np.array_equal(player.partials[name][slot](t, law, own),
                                       fn(t, law, own))
+    # the terminal and initial maps, costs and slopes, including at -0.0
+    nodes = np.append(rng.normal(size=7), -0.0)
+    for name in ("terminal_map", "terminal_cost", "initial_cost", "terminal_slope",
+                 "terminal_cost_slope", "initial_cost_slope"):
+        got, want = getattr(player, name)(nodes), getattr(lq1, name)(nodes)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_folding_leaves_time_dependent_parameters_live():

@@ -192,7 +192,7 @@ def test_non_finite_controls_fail_typed():
 
 
 def test_partials_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown coefficient"):
         ControlModel(
             drift=_zeros, diffusion=_zeros, driver=None, terminal_map=0.0,
             running_cost=_zeros,
@@ -201,7 +201,7 @@ def test_partials_validation():
             terminal_slope=lambda x: x, terminal_cost_slope=lambda x: x,
             initial_cost_slope=lambda y: y,
         )
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown slot"):
         ControlModel(
             drift=_zeros, diffusion=_zeros, driver=None, terminal_map=0.0,
             running_cost=_zeros,
