@@ -38,6 +38,7 @@ from typing import Callable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from mfcontrol.core import BrownianPaths, ConfigError, TimeGrid, _check_cap
+from mfcontrol.fbsde_solver import SolutionTriple
 from mfcontrol.smp_control import (
     AdjointTriple,
     ControlModel,
@@ -283,6 +284,7 @@ def deviation_test(
     n_deviations: int = 50,
     radius: float = 0.5,
     seed: int = 0,
+    state: Optional[SolutionTriple] = None,
 ) -> dict:
     """Sampled unilateral deviations must not beat either player.
 
@@ -294,15 +296,16 @@ def deviation_test(
     noise.  Player 2's draws continue player 1's stream.  A deviation
     clears when mean(cost change) + 3*SE >= 0; the per-player summary
     records the minimum sampled cost change and the worst margin, and the
-    test passes when every deviation of both players clears.
-    ``n_deviations < 1``, or a ``radius`` that is not finite and > 0,
-    raise :class:`ConfigError`.
+    test passes when every deviation of both players clears.  ``state``
+    is the shared state at ``controls`` when the caller has it (solved
+    there otherwise).  ``n_deviations < 1``, or a ``radius`` that is not
+    finite and > 0, raise :class:`ConfigError`.
     """
 
     u1, u2 = _pair(controls, grid, noise.particles)
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x6A3E_DE7))
     reductions = {i: _player(game, i, u1, u2, grid) for i in (1, 2)}
-    base_state = solve_state(*reductions[1], grid, noise)
+    base_state = solve_state(*reductions[1], grid, noise) if state is None else state
     players = {}
     for i, (model, own) in reductions.items():
         records = _paired_deviations(
@@ -487,7 +490,7 @@ def nash_iterate(
         if resid_clear:
             last_dev = deviation_test(
                 game, (u1, u2), grid, noise, n_deviations=n_deviations,
-                radius=trial_radius, seed=seed,
+                radius=trial_radius, seed=seed, state=state,
             )
             if last_dev["passed"]:
                 violations.append(0.0)

@@ -21,7 +21,12 @@ Each problem is written once, as a term table (``LQ1Params._TERMS``,
 parameter)`` in the order the parameter docstring writes them.  The
 coefficients, their partials, the (H6) multiplier encoding (one slot's
 terms negated per coefficient) and the game of :func:`lq_game` are all
-built from these tables.
+built from these tables.  Zero constants are dropped at construction: a
+term whose signed parameter is the constant 0.0 enters neither its
+coefficient nor its partials, and a driver with no term left is ``None``
+(a zero driver), so the decoupled problem's backward sweeps evaluate no
+driver and its adjoint and gradient multiply no zero partial.  A
+parameter given as a time function stays in, even where it returns 0.
 
 Both problems admit explicit candidate optimal controls obtained by
 minimizing the control Hamiltonian pointwise in v.  Its slope is
@@ -143,15 +148,40 @@ def _signed(sign: float, c):
     return lambda t: sign * c(t)
 
 
-def _linear(terms, fns: dict, control):
-    """One coefficient of a term table: the sum of ``sign * c(t) * slot``
-    over ``terms``, added left to right as written (a sign of +-1 scales
-    exactly, so the sum rounds as the written formula does).  ``law_*``
-    slots read ``law``, the others ``own``, and ``v`` reads ``control(t,
-    own, *controls)``; the trailing ``controls`` are a game's (v1, v2)."""
+def _live(terms, fns: dict) -> list:
+    """``(signed parameter, slot)`` of each term of ``terms`` in table
+    order, leaving out every term whose signed parameter is the constant
+    float 0.0 (either sign); a time function stays in, even where it
+    returns 0."""
+    signed = ((_signed(sign, fns[name]), slot) for sign, slot, name in terms)
+    return [(c, slot) for c, slot in signed if not (type(c) is float and c == 0.0)]
 
-    reads = [(_signed(sign, fns[name]), slot.startswith("law_"), slot.removeprefix("law_"))
-             for sign, slot, name in terms]
+
+def _zeros(t, law, own, *controls):
+    return np.zeros(np.shape(own.x))
+
+
+def _linear(name: str, terms, fns: dict, control):
+    """Coefficient ``name`` of a term table: the sum of ``sign * c(t) *
+    slot`` over ``terms``, added left to right as written (a sign of +-1
+    scales exactly, so the sum rounds as the written formula does).
+    ``law_*`` slots read ``law``, the others ``own``, and ``v`` reads
+    ``control(t, own, *controls)``; the trailing ``controls`` are a game's
+    (v1, v2).
+
+    Zero constants are dropped at construction (:func:`_live`).  With a
+    finite slot value w, leaving out an addend ``c * w`` with ``c == +-0.0``
+    can change a sum only where that sum is an exact zero, and then only
+    that zero's sign; non-finite paths never get here (the Euler guard and
+    the regression's condition check reject them).  A driver with no term
+    left is ``None``, which every model reads as a zero driver, so the
+    backward sweep evaluates none; a drift or diffusion with no term left
+    returns zeros of the ensemble's shape."""
+
+    reads = [(c, slot.startswith("law_"), slot.removeprefix("law_"))
+             for c, slot in _live(terms, fns)]
+    if not reads:
+        return None if name == "driver" else _zeros
 
     def coefficient(t, law, own, *controls):
         v = control(t, own, *controls)
@@ -167,16 +197,18 @@ def _linear(terms, fns: dict, control):
 
 
 def _slopes(terms, fns: dict) -> dict:
-    """The partials of a term table's coefficient: each term's signed
-    parameter, constant in the state, under its slot, returned as a float
-    (the coefficient contract broadcasts it)."""
+    """The partials of a term table's coefficient: each live term's
+    signed parameter (:func:`_live`; a zero constant is dropped at
+    construction, as an undeclared partial is zero), constant in the
+    state, under its slot, returned as a float (the coefficient contract
+    broadcasts it)."""
 
     def flat(c):
         if type(c) is float:
             return lambda t, law, own, *controls: c
         return lambda t, law, own, *controls: float(c(t))
 
-    return {slot: flat(_signed(sign, fns[name])) for sign, slot, name in terms}
+    return {slot: flat(c) for c, slot in _live(terms, fns)}
 
 
 def _negate(terms, var: str) -> tuple:
@@ -405,8 +437,9 @@ def _lq_model(params, coupled: bool, gain: float, terminal_weight: float,
     gain = float(gain)
     wt, wi = float(terminal_weight), float(initial_weight)
     weight = _as_fn(control_weight)
-    coefs = {name: _linear(terms, fns, _own_control) for name, terms in params._TERMS.items()}
-    partials = {name: _slopes(terms, fns) for name, terms in params._TERMS.items()}
+    tables = params._TERMS.items()
+    coefs = {name: _linear(name, terms, fns, _own_control) for name, terms in tables}
+    partials = {name: slopes for name, terms in tables if (slopes := _slopes(terms, fns))}
     partials["running_cost"] = {"v": lambda t, law, own: weight(t) * own.u}
     return ControlModel(
         **coefs,
@@ -431,6 +464,9 @@ def lq1_model(params: LQ1Params) -> ControlModel:
     ``H_v = p*drift_control + q*diff_control - Q*driver_control + v``,
     whose zero is the candidate feedback of :func:`lq1_candidate`.  Gain 1
     and weights 1/2 round exactly as the written ``X_T`` and halved squares.
+    Zero constants are dropped at construction (:func:`_linear`): at the
+    defaults the driver is ``None`` and the diffusion has no ``law_x``
+    term or partial.
 
     Raises
     ------
@@ -482,7 +518,7 @@ def lq2_fbsde(params: LQ2Params, control: ScalarFn = 0.0) -> CoupledModel:
     fns = _coef_fns(params)
     gain = float(params.terminal_gain)
     return CoupledModel(
-        **{name: _linear(terms, fns, lambda t, own: ctrl(t))
+        **{name: _linear(name, terms, fns, lambda t, own: ctrl(t))
            for name, terms in params._TERMS.items()},
         terminal_map=lambda x: gain * x,
         initial=params.x0,
@@ -511,7 +547,7 @@ def lq2_adjoint_fbsde(params: LQ2Params) -> CoupledModel:
     fns = _coef_fns(params)
     gain = float(params.terminal_gain)
     return CoupledModel(
-        **{name: _linear(_negate(terms, _ADJOINT_NEGATED[name]), fns, lambda t, own: 0.0)
+        **{name: _linear(name, _negate(terms, _ADJOINT_NEGATED[name]), fns, lambda t, own: 0.0)
            for name, terms in params._TERMS.items()},
         terminal_map=lambda x: -gain * x,
         initial=0.0,
@@ -1024,6 +1060,12 @@ def lq_game(
     and player 2 additionally pays ``coupling * X_T^2``, so the players
     genuinely interact while the uncoupled equilibrium remains an
     O(coupling) starting guess.
+
+    The shared coefficients are ``params``' term tables with zero
+    constants dropped at construction, as in :func:`lq1_model`: at the
+    defaults the game's driver is ``None``, and a zero slope, with player
+    2's drift slope when ``drift_control`` is a zero constant, is left out
+    of the partials.
     """
 
     params = params or LQ1Params()
@@ -1040,12 +1082,12 @@ def lq_game(
             control = lambda t, own, v1, v2: v1 + kw * v2  # noqa: E731
         else:
             control = lambda t, own, v1, v2: v1  # noqa: E731
-        coefs[name] = _linear(terms, fns, control)
-        partials[name] = {
-            "v1" if slot == "v" else slot: fn for slot, fn in _slopes(terms, fns).items()
-        }
-    if kw:
-        drift_v1 = partials["drift"]["v1"]
+        coefs[name] = _linear(name, terms, fns, control)
+        block = {"v1" if slot == "v" else slot: fn for slot, fn in _slopes(terms, fns).items()}
+        if block:
+            partials[name] = block
+    drift_v1 = partials.get("drift", {}).get("v1")
+    if kw and drift_v1 is not None:
         partials["drift"]["v2"] = lambda t, law, own, v1, v2: kw * drift_v1(t, law, own)
     partials["running_cost_1"] = {"v1": lambda t, law, own, v1, v2: v1}
     partials["running_cost_2"] = {"v2": lambda t, law, own, v1, v2: v2 - tgt(t)}

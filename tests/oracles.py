@@ -29,7 +29,10 @@ single-player reduction; ``lq2_coefficients`` writes out the formulas of
 the ``LQ2Params`` docstring, the reference for the package's encodings.
 ``array_slopes`` writes an LQ term table's partials in array form, each
 constant partial as ``sign * c(t) * np.ones_like(own.x)``, the reference
-for the package's float partials.
+for the package's float partials.  ``unpruned_linear`` and
+``unpruned_slopes`` build an LQ term table's coefficient and partials with
+every term in them, zero constants included, the reference for the
+package's tables, which drop those terms at construction.
 """
 
 import numpy as np
@@ -615,6 +618,44 @@ def array_slopes(terms, params):
         return lambda t, law, own, *controls: sign * c(t) * np.ones_like(own.x)
 
     return {slot: flat(sign, name) for sign, slot, name in terms}
+
+
+def _signed_param(sign, params, name):
+    """``t -> sign * c(t)`` of the parameter ``name``, a constant folded once."""
+    val = getattr(params, name)
+    if callable(val):
+        return lambda t: sign * val(t)
+    folded = sign * float(val)
+    return lambda t: folded
+
+
+def unpruned_linear(terms, params, control):
+    """Coefficient of an LQ term table (``params._TERMS[name]``) with every
+    term of it: ``sign * c(t) * slot`` added left to right, a zero constant
+    included; ``v`` reads ``control(t, own, *controls)``."""
+
+    reads = [(_signed_param(sign, params, name), slot) for sign, slot, name in terms]
+
+    def coefficient(t, law, own, *controls):
+        v = control(t, own, *controls)
+        total = None
+        for c, slot in reads:
+            view = law if slot.startswith("law_") else own
+            term = c(t) * (v if slot == "v" else getattr(view, slot.removeprefix("law_")))
+            total = term if total is None else total + term
+        return total
+
+    return coefficient
+
+
+def unpruned_slopes(terms, params):
+    """Partials of an LQ term table with every term of it, each the signed
+    parameter as a float, a zero constant included."""
+
+    def flat(c):
+        return lambda t, law, own, *controls: float(c(t))
+
+    return {slot: flat(_signed_param(sign, params, name)) for sign, slot, name in terms}
 
 
 def operator_norm(mat):

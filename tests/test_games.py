@@ -40,6 +40,11 @@ def _zeros(arr):
     return np.zeros_like(arr)
 
 
+def _zero(t, law, own, *controls):
+    """A ``None`` driver read as the zero coefficient it stands for."""
+    return np.zeros(np.shape(own.x))
+
+
 def _setup(m, n, seed, horizon=1.0):
     grid = make_time_grid(horizon, m)
     noise = sample_brownian(grid, EnsembleConfig(particles=n, seed=seed))
@@ -258,8 +263,8 @@ def test_induced_coefficients_agree_with_direct_evaluation(j, c1, c2):
         model = induced_model(game, i, opp, grid)
         pair = (own.u, opp[k]) if i == 1 else (opp[k], own.u)
         for name in ("drift", "diffusion", "driver"):
-            lifted = getattr(model, name)(t, law, own)
-            direct = getattr(game, name)(t, law, own, *pair)
+            lifted = (getattr(model, name) or _zero)(t, law, own)
+            direct = (getattr(game, name) or _zero)(t, law, own, *pair)
             assert np.array_equal(lifted, direct)
         h = (game.running_cost_1 if i == 1 else game.running_cost_2)
         assert np.array_equal(model.running_cost(t, law, own), h(t, law, own, *pair))
@@ -456,6 +461,36 @@ def test_nash_round_solves_its_shared_state_once(monkeypatch):
                        br_steps=1, n_trials=2)
     assert res.rounds == 1
     assert len(solves) == 1
+
+
+def test_nash_certificate_reads_the_rounds_shared_state(monkeypatch):
+    # the deviation test prices its deviations from the state the round
+    # solved at the certified pair, so a certified round solves it once too
+    solved, handed = [], []
+    solve, certify = games.solve_state, games.deviation_test
+    monkeypatch.setattr(games, "solve_state",
+                        lambda *args, **kw: solved.append(solve(*args, **kw)) or solved[-1])
+    monkeypatch.setattr(games, "deviation_test",
+                        lambda *args, **kw: handed.append(kw["state"]) or certify(*args, **kw))
+    grid, noise = _setup(8, 64, 0)
+    res = nash_iterate(lq_game(coupling=0.2), (0.0, 0.0), grid, noise, rounds=3,
+                       damping=1.0, n_trials=2, n_deviations=2)
+    assert res.converged and len(handed) == 1
+    assert len(solved) == res.rounds and handed[0] is solved[-1]
+
+
+def test_deviation_test_with_the_callers_state_matches_a_fresh_solve(monkeypatch):
+    game = lq_game(coupling=0.2)
+    grid, noise = _setup(8, 64, 3)
+    pair = (0.3, -0.2)
+    fresh = deviation_test(game, pair, grid, noise, n_deviations=3, seed=1)
+    state = solve_state(induced_model(game, 1, np.full((8, 64), -0.2), grid), 0.3, grid, noise)
+    solves = []
+    solve = games.solve_state
+    monkeypatch.setattr(games, "solve_state",
+                        lambda *args, **kw: solves.append(1) or solve(*args, **kw))
+    given = deviation_test(game, pair, grid, noise, n_deviations=3, seed=1, state=state)
+    assert solves == [] and given == fresh
 
 
 def test_nash_certifies_weakly_coupled_pair():

@@ -20,7 +20,8 @@ from mfcontrol.core import (
 )
 from mfcontrol import lq_examples, smp_control
 from mfcontrol.fbsde_solver import ContinuationSchedule
-from mfcontrol.games import deviation_test, induced_model, nash_iterate
+from mfcontrol.forward_mv import ForwardModel, simulate_forward
+from mfcontrol.games import deviation_test, induced_model, nash_iterate, player_adjoint
 from mfcontrol.hypothesis_check import check_H4, check_H5, check_H6
 from mfcontrol.lq_examples import (
     DeviationReport,
@@ -47,7 +48,12 @@ from mfcontrol.smp_control import (
     solve_state,
 )
 
-from oracles import cold_candidate_fixed_point, lq2_coefficients
+from oracles import (
+    cold_candidate_fixed_point,
+    lq2_coefficients,
+    unpruned_linear,
+    unpruned_slopes,
+)
 
 
 def _grid_noise(m, n, horizon=1.0, seed=7):
@@ -289,6 +295,11 @@ def _unit_views(slot, n):
     return (StateView(u=float(u.mean()), **law), StateView(u=u, **own))
 
 
+def _zero(t, law, own, *controls):
+    """A ``None`` driver read as the zero coefficient it stands for."""
+    return np.zeros(np.shape(own.x))
+
+
 def _lq_models():
     grid = make_time_grid(1.0, 16)
     opponent = np.repeat(np.linspace(-0.5, 0.7, 16)[:, None], 6, axis=1)
@@ -312,7 +323,7 @@ def test_declared_partials_are_the_coefficients_slopes(which):
     law0, own0 = _unit_views(None, n)
     for t in (0.0, 0.37, 0.8125):
         for name in ("drift", "diffusion", "driver"):
-            coef, declared = getattr(model, name), model.partials.get(name, {})
+            coef, declared = getattr(model, name) or _zero, model.partials.get(name, {})
             at_zero = coef(t, law0, own0)
             for slot in _SLOTS:
                 law, own = _unit_views(slot, n)
@@ -334,10 +345,10 @@ def test_player_one_of_the_uncoupled_game_is_the_lq_problem():
     assert player.partials.keys() == lq1.partials.keys()
     for t in (0.0, 0.4375):
         for name in ("drift", "diffusion", "driver", "running_cost"):
-            assert np.array_equal(getattr(player, name)(t, law, own),
-                                  getattr(lq1, name)(t, law, own))
-            assert player.partials[name].keys() == lq1.partials[name].keys()
-            for slot, fn in lq1.partials[name].items():
+            assert np.array_equal((getattr(player, name) or _zero)(t, law, own),
+                                  (getattr(lq1, name) or _zero)(t, law, own))
+            assert player.partials.get(name, {}).keys() == lq1.partials.get(name, {}).keys()
+            for slot, fn in lq1.partials.get(name, {}).items():
                 assert np.array_equal(player.partials[name][slot](t, law, own),
                                       fn(t, law, own))
     # the terminal and initial maps, costs and slopes, including at -0.0
@@ -362,6 +373,146 @@ def test_folding_leaves_time_dependent_parameters_live():
         assert type(slope) is float and slope == -0.3 + 0.1 * t
         assert type(model.partials["drift"]["law_x"](t, law, own)) is float
     assert model.partials["drift"]["x"](0.5, law, own) != model.partials["drift"]["x"](0.0, law, own)
+
+
+# ======================================================================
+# Zero constants dropped from the term tables
+# ======================================================================
+
+
+_ZEROED_LQ1 = LQ1Params(drift_mean_x=0.0, diff_x=0.0, driver_x=0.3, driver_mean_y=-0.1,
+                        driver_z=-0.0)
+_ZEROED_LQ2 = replace(LQ2Params(), cross_mean=0.0, cross=0.0, drift_mean_x=0.0,
+                      diff_control=0.0)
+
+
+def _random_views(rng, n):
+    own_xyzu = rng.normal(size=(4, n))
+    own = StateView(x=own_xyzu[0], y=own_xyzu[1], z=own_xyzu[2], u=own_xyzu[3])
+    law_xyz = rng.normal(size=3)
+    return StateView(x=law_xyz[0], y=law_xyz[1], z=law_xyz[2], u=float(own.u.mean())), own
+
+
+def _assert_matches_unpruned(coef, block, ref, ref_block, t, law, own):
+    """A pruned coefficient (``None`` read as zero) and its partials equal
+    the unpruned ones, an absent partial being an unpruned zero."""
+    assert np.array_equal((coef or _zero)(t, law, own), ref(t, law, own))
+    assert set(block) <= set(ref_block)
+    for slot, fn in ref_block.items():
+        want = fn(t, law, own)
+        assert (block[slot](t, law, own) == want) if slot in block else (want == 0.0)
+
+
+@pytest.mark.parametrize("params", [LQ1Params(), LQ2Params(), _TIME_VARYING, _ZEROED_LQ1,
+                                    _ZEROED_LQ2],
+                         ids=["lq1", "lq2", "lq2_time_varying", "lq1_zeros", "lq2_zeros"])
+def test_pruned_tables_match_the_unpruned_ones(params):
+    model = (lq1_model if isinstance(params, LQ1Params) else lq2_model)(params)
+    rng = np.random.default_rng(21)
+    for t in (0.0, 0.37, 0.8125):
+        law, own = _random_views(rng, 9)
+        for name, terms in params._TERMS.items():
+            ref = unpruned_linear(terms, params, lambda t, own: own.u)
+            _assert_matches_unpruned(getattr(model, name), model.partials.get(name, {}), ref,
+                                     unpruned_slopes(terms, params), t, law, own)
+
+
+def _unpruned_game(params, coupling):
+    """``lq_game(params, coupling)`` and its twin built from the unpruned
+    tables."""
+    game = lq_game(params, coupling=coupling)
+    pushed = {"drift": lambda t, own, v1, v2: v1 + coupling * v2}
+    coefs, partials = {}, {}
+    for name, terms in params._TERMS.items():
+        coefs[name] = unpruned_linear(terms, params,
+                                      pushed.get(name, lambda t, own, v1, v2: v1))
+        partials[name] = {"v1" if slot == "v" else slot: fn
+                          for slot, fn in unpruned_slopes(terms, params).items()}
+    drift_v1 = partials["drift"]["v1"]
+    partials["drift"]["v2"] = lambda t, law, own, v1, v2: coupling * drift_v1(t, law, own)
+    return game, replace(game, **coefs, partials={**game.partials, **partials})
+
+
+@pytest.mark.parametrize("params", [LQ1Params(), _ZEROED_LQ1], ids=["lq1", "lq1_zeros"])
+@pytest.mark.parametrize("i", [1, 2])
+def test_pruned_game_players_match_the_unpruned_ones(params, i):
+    grid = make_time_grid(1.0, 16)
+    rng = np.random.default_rng(22)
+    opponent = rng.normal(size=(16, 9))
+    game, twin = _unpruned_game(params, 0.2)
+    player, ref = induced_model(game, i, opponent, grid), induced_model(twin, i, opponent, grid)
+    for j in (0, 5, 16):
+        law, own = _random_views(rng, 9)
+        for name in ("drift", "diffusion", "driver"):
+            _assert_matches_unpruned(getattr(player, name), player.partials.get(name, {}),
+                                     getattr(ref, name), ref.partials[name], grid.nodes[j],
+                                     law, own)
+
+
+def test_a_time_parameter_that_returns_zero_stays_live():
+    params = LQ1Params(diff_mean_x=lambda t: 0.0, driver_z=lambda t: 0.0 * t)
+    model = lq1_model(params)
+    assert model.driver is not None and model.partials["driver"].keys() == {"z"}
+    assert model.partials["diffusion"].keys() == {"law_x", "x", "v"}
+    law, own = _random_views(np.random.default_rng(23), 9)
+    for t in (0.0, 0.5):
+        for name, terms in params._TERMS.items():
+            ref = unpruned_linear(terms, params, lambda t, own: own.u)
+            assert np.array_equal(getattr(model, name)(t, law, own), ref(t, law, own))
+        assert model.partials["diffusion"]["law_x"](t, law, own) == 0.0
+
+
+def test_a_zero_driver_is_none_and_the_state_sweep_gets_none(monkeypatch):
+    model = lq1_model(LQ1Params())
+    assert model.driver is None and "driver" not in model.partials
+    handed = []
+    sweep = smp_control.solve_mf_bsde
+    monkeypatch.setattr(smp_control, "solve_mf_bsde",
+                        lambda backward, *args, **kw: handed.append(backward.driver)
+                        or sweep(backward, *args, **kw))
+    grid, noise = _grid_noise(8, 64)
+    sol = solve_state(model, 0.2, grid, noise)
+    assert handed == [None] and np.all(np.isfinite(sol.y))
+
+
+def test_player_adjoints_compile_no_driver_and_no_zero_partial(monkeypatch):
+    paths = []
+
+    class Recorded(smp_control._FrozenPath):
+        def __init__(self, *args):
+            super().__init__(*args)
+            paths.append(self)
+
+    monkeypatch.setattr(smp_control, "_FrozenPath", Recorded)
+    game = lq_game(coupling=0.2)
+    grid, noise = _grid_noise(8, 64)
+    u1 = np.full((8, 64), 0.2)
+    u2 = np.full((8, 64), -0.1)
+    state = solve_state(induced_model(game, 1, u2, grid), u1, grid, noise)
+    for i, own, other in ((1, u1, u2), (2, u2, u1)):
+        adj = player_adjoint(game, i, (u1, u2), state, grid, noise)
+        smp_gradient(induced_model(game, i, other, grid), own, grid, noise, state=state,
+                     adjoint=adj)
+    assert len(paths) == 4
+    for path in paths:
+        assert path._transposed and all(name != "driver" for name, _ in path._fns)
+        for (_, _, names), form in path._transposed.items():
+            for c_law, c, j in form:
+                assert names[j] != "driver"
+                assert all(type(val) is not float or val != 0.0 for val in (c_law, c))
+
+
+def test_an_all_zero_diffusion_table_still_returns_ensemble_zeros():
+    model = lq1_model(LQ1Params(diff_mean_x=0, diff_x=0, diff_control=0))
+    assert "diffusion" not in model.partials
+    grid, noise = _grid_noise(8, 64)
+    u = np.full((8, 64), 0.2)
+    x = simulate_forward(ForwardModel(model.drift, model.diffusion, model.initial), grid, noise,
+                         control=u)
+    assert x.shape == (9, 64) and np.all(np.isfinite(x))
+    assert np.all(x == x[:, :1])  # no noise enters: every particle follows one path
+    law, own = _random_views(np.random.default_rng(24), 64)
+    assert np.array_equal(model.diffusion(0.25, law, own), np.zeros(64))
 
 
 # ======================================================================
