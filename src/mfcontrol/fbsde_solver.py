@@ -110,10 +110,6 @@ class SolutionTriple:
     z: np.ndarray
 
     @property
-    def nodes(self) -> int:
-        return self.x.shape[0]
-
-    @property
     def particles(self) -> int:
         return self.x.shape[1]
 

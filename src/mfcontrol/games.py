@@ -48,6 +48,7 @@ from mfcontrol.smp_control import (
     _paired_deviations,
     _per_particle_cost,
     _profile,
+    _rms,
     as_control,
     identity_projection,
     projected_gradient_descent,
@@ -302,6 +303,7 @@ def deviation_test(
     finite and > 0, raise :class:`ConfigError`.
     """
 
+    _check_sampling(n_deviations, radius)
     u1, u2 = _pair(controls, grid, noise.particles)
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x6A3E_DE7))
     reductions = {i: _player(game, i, u1, u2, grid) for i in (1, 2)}
@@ -469,8 +471,8 @@ def nash_iterate(
     for rnd in range(rounds):
         b1, h1 = best_response(game, 1, (u1, u2), grid, noise, steps=br_steps)
         b2, h2 = best_response(game, 2, (u1, u2), grid, noise, steps=br_steps)
-        move1 = float(np.sqrt(np.mean(np.square(b1 - u1)))) * damping
-        move2 = float(np.sqrt(np.mean(np.square(b2 - u2)))) * damping
+        move1 = _rms(b1 - u1) * damping
+        move2 = _rms(b2 - u2) * damping
         u1 = (1.0 - damping) * u1 + damping * b1
         u2 = (1.0 - damping) * u2 + damping * b2
         reductions = {i: _player(game, i, u1, u2, grid) for i in (1, 2)}
@@ -510,13 +512,10 @@ def nash_iterate(
             status = "oscillation"
             break
 
+    # a round whose residuals clear always runs the deviation test
     converged = status == "converged"
-    if converged:
-        deviation, inconsistent = last_dev, False
-    elif resid_clear and last_dev is not None:
-        deviation, inconsistent = last_dev, True
-    else:
-        deviation, inconsistent = None, False
+    deviation = last_dev if resid_clear else None
+    inconsistent = resid_clear and not converged
     return NashResult(
         u1=u1, u2=u2,
         residuals=(float(r1), float(r2)),

@@ -121,12 +121,26 @@ def _view(cols: np.ndarray) -> StateView:
     return StateView(x=cols[:, 0], y=cols[:, 1], z=cols[:, 2])
 
 
-def _chunks(total: int):
+def _pairs(sampler, rng: np.random.Generator, total: int, *shape: int):
+    """``total`` sampled pairs (a, b), each [c, *shape], in chunks of at most
+    ``_CHUNK``; every chunk draws ``a`` before ``b``."""
     done = 0
     while done < total:
-        take = min(_CHUNK, total - done)
-        yield take
-        done += take
+        c = min(_CHUNK, total - done)
+        yield sampler.draw(rng, c, *shape), sampler.draw(rng, c, *shape)
+        done += c
+
+
+def _atom_pairing(model, t: float, atoms1: np.ndarray, law1: StateView,
+                  atoms2: np.ndarray, law2: StateView):
+    """Per-atom (H5) pairing <dF, du> = <-df, dx> + <db, dy> + <dsigma, dz>
+    and |du|^2 of two atom sets [n, 3] (columns x, y, z), each evaluated at
+    time t with its law view."""
+    n = atoms1.shape[0]
+    b1, s1, f1 = _coefficients(model, t, law1, _view(atoms1), (n,))
+    b2, s2, f2 = _coefficients(model, t, law2, _view(atoms2), (n,))
+    dx, dy, dz = (atoms1 - atoms2).T
+    return -(f1 - f2) * dx + (b1 - b2) * dy + (s1 - s2) * dz, dx * dx + dy * dy + dz * dz
 
 
 # ======================================================================
@@ -134,15 +148,15 @@ def _chunks(total: int):
 # ======================================================================
 
 
-def _lipschitz_pass(model, sampler, n_samples, time, rng, scale):
+def _lipschitz_pass(model, sampler, n_samples, rng, scale):
     """Max ratio |dF|/|dTheta| over pairs of free six-coordinate points."""
     best = 0.0
     witness = None
-    for c in _chunks(n_samples):
-        th1 = scale * sampler.draw(rng, c, 6)
-        th2 = scale * sampler.draw(rng, c, 6)
-        b1, s1, f1 = _coefficients(model, time, _view(th1[:, :3]), _view(th1[:, 3:]), (c,))
-        b2, s2, f2 = _coefficients(model, time, _view(th2[:, :3]), _view(th2[:, 3:]), (c,))
+    for a, b in _pairs(sampler, rng, n_samples, 6):
+        th1, th2 = scale * a, scale * b
+        c = len(th1)
+        b1, s1, f1 = _coefficients(model, 0.0, _view(th1[:, :3]), _view(th1[:, 3:]), (c,))
+        b2, s2, f2 = _coefficients(model, 0.0, _view(th2[:, :3]), _view(th2[:, 3:]), (c,))
         num = np.sqrt((f1 - f2) ** 2 + (b1 - b2) ** 2 + (s1 - s2) ** 2)
         den = np.sqrt(np.sum((th1 - th2) ** 2, axis=1))
         ok = den >= _MIN_DISTANCE
@@ -156,9 +170,8 @@ def _lipschitz_pass(model, sampler, n_samples, time, rng, scale):
 
 def _terminal_lipschitz_pass(model, sampler, n_samples, rng, scale):
     best = 0.0
-    for c in _chunks(n_samples):
-        x1 = scale * sampler.draw(rng, c)
-        x2 = scale * sampler.draw(rng, c)
+    for a, b in _pairs(sampler, rng, n_samples):
+        x1, x2 = scale * a, scale * b
         num = np.abs(
             _terminal_values(model.terminal_map, x1) - _terminal_values(model.terminal_map, x2)
         )
@@ -173,7 +186,6 @@ def check_H4(
     model: CoupledModel,
     sampler: Optional[UniformPairSampler] = None,
     n_samples: int = 100_000,
-    time: float = 0.0,
     seed: int = 0,
 ) -> MonotonicityReport:
     """Estimate the joint Lipschitz constant of (f, b, sigma) and of the
@@ -184,7 +196,9 @@ def check_H4(
     state and the statistics it receives.  The pass is repeated at half
     the sampler radius; an estimate that grows materially with radius is
     flagged as a non-Lipschitz trend (quadratic growth, for example) and
-    fails the report even though every individual ratio is finite.
+    fails the report even though every individual ratio is finite.  The
+    coefficients are sampled at t = 0 (checked models are typically
+    autonomous).
 
     Parameters
     ----------
@@ -193,9 +207,6 @@ def check_H4(
         Defaults to uniform on ``[-10, 10]`` per coordinate.
     n_samples : int
         Pairs per radius family.
-    time : float
-        Time at which the coefficients are sampled (checked models are
-        typically autonomous).
     seed : int
         Philox key; reports are deterministic given (seed, sampler, n).
 
@@ -208,8 +219,8 @@ def check_H4(
     _check_cap("n_samples", n_samples, 1)
     sampler = sampler or UniformPairSampler()
     rng = _rng(seed)
-    full, witness = _lipschitz_pass(model, sampler, n_samples, time, rng, 1.0)
-    half, _ = _lipschitz_pass(model, sampler, n_samples, time, rng, 0.5)
+    full, witness = _lipschitz_pass(model, sampler, n_samples, rng, 1.0)
+    half, _ = _lipschitz_pass(model, sampler, n_samples, rng, 0.5)
     t_full = _terminal_lipschitz_pass(model, sampler, n_samples, rng, 1.0)
     t_half = _terminal_lipschitz_pass(model, sampler, n_samples, rng, 0.5)
     trend = bool(full > _TREND_MARGIN * half + 1e-12) or bool(
@@ -233,8 +244,8 @@ def check_H4(
 # ======================================================================
 
 
-def _monotonicity_scan(check, model, sampler, n_samples, nested, time, seed):
-    """The (H5)/(H6) scan and its report.
+def _monotonicity_scan(check, model, sampler, n_samples, nested, seed):
+    """The (H5)/(H6) scan and its report, at t = 0.
 
     ``check="H5"`` tests E<dF, du> <= -C1 E|du|^2 with
     <dPhi, dx> >= mu1 |dx|^2 (the forward condition); ``check="H6"`` tests
@@ -249,19 +260,15 @@ def _monotonicity_scan(check, model, sampler, n_samples, nested, time, seed):
     witness = None
     violations = 0
 
-    for c in _chunks(n_samples):
-        own1 = sampler.draw(rng, c, nested, 3)
-        own2 = sampler.draw(rng, c, nested, 3)
-        flat1 = own1.reshape(c * nested, 3)
-        flat2 = own2.reshape(c * nested, 3)
-        law1 = np.repeat(own1.mean(axis=1), nested, axis=0)
-        law2 = np.repeat(own2.mean(axis=1), nested, axis=0)
-        b1, s1, f1 = _coefficients(model, time, _view(law1), _view(flat1), (c * nested,))
-        b2, s2, f2 = _coefficients(model, time, _view(law2), _view(flat2), (c * nested,))
-        d = flat1 - flat2
-        atoms = -(f1 - f2) * d[:, 0] + (b1 - b2) * d[:, 1] + (s1 - s2) * d[:, 2]
+    for own1, own2 in _pairs(sampler, rng, n_samples, nested, 3):
+        c = len(own1)
+        law1, law2 = (np.repeat(own.mean(axis=1), nested, axis=0) for own in (own1, own2))
+        atoms, sq = _atom_pairing(
+            model, 0.0, own1.reshape(c * nested, 3), _view(law1),
+            own2.reshape(c * nested, 3), _view(law2),
+        )
         pairing = atoms.reshape(c, nested).mean(axis=1)
-        denom = np.sum(d * d, axis=1).reshape(c, nested).mean(axis=1)
+        denom = sq.reshape(c, nested).mean(axis=1)
         ok = denom >= _MIN_DISTANCE**2
         ratios = np.where(ok, sign * -pairing / np.maximum(denom, _MIN_DISTANCE**2), np.inf)
         bad = ~np.isfinite(ratios) & ok
@@ -278,9 +285,7 @@ def _monotonicity_scan(check, model, sampler, n_samples, nested, time, seed):
             }
 
     best_terminal = np.inf
-    for c in _chunks(n_samples):
-        x1 = sampler.draw(rng, c)
-        x2 = sampler.draw(rng, c)
+    for x1, x2 in _pairs(sampler, rng, n_samples):
         dx = x1 - x2
         ok = np.abs(dx) >= _MIN_DISTANCE
         pair = (
@@ -318,7 +323,6 @@ def check_H5(
     sampler: Optional[UniformPairSampler] = None,
     n_samples: int = 100_000,
     nested: int = 32,
-    time: float = 0.0,
     seed: int = 0,
 ) -> MonotonicityReport:
     """Certify the forward monotonicity condition (H5) by nested-cloud
@@ -342,7 +346,7 @@ def check_H5(
     ``terminal_monotonicity`` (mu1-hat), the violation count, and the
     worst sampled pair as a re-evaluable witness.
     """
-    return _monotonicity_scan("H5", model, sampler, n_samples, nested, time, seed)
+    return _monotonicity_scan("H5", model, sampler, n_samples, nested, seed)
 
 
 def check_H6(
@@ -350,7 +354,6 @@ def check_H6(
     sampler: Optional[UniformPairSampler] = None,
     n_samples: int = 100_000,
     nested: int = 32,
-    time: float = 0.0,
     seed: int = 0,
 ) -> MonotonicityReport:
     """Certify the mirrored monotonicity condition (H6).
@@ -361,7 +364,7 @@ def check_H6(
     typical (H6) models; the solvers handle them by a sign normalization,
     and this check certifies the condition they rely on.
     """
-    return _monotonicity_scan("H6", model, sampler, n_samples, nested, time, seed)
+    return _monotonicity_scan("H6", model, sampler, n_samples, nested, seed)
 
 
 # ======================================================================
@@ -401,9 +404,7 @@ def check_convexity(
     violations = 0
     worst = None
     worst_gap = -np.inf
-    for c in _chunks(n_samples):
-        a = sampler.draw(rng, c, dim)
-        b = sampler.draw(rng, c, dim)
+    for a, b in _pairs(sampler, rng, n_samples, dim):
         gap = np.asarray(fn(0.5 * (a + b)), dtype=float) - 0.5 * (
             np.asarray(fn(a), dtype=float) + np.asarray(fn(b), dtype=float)
         )

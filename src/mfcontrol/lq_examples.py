@@ -61,7 +61,7 @@ suite rather than in separate data files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -133,9 +133,10 @@ def _as_fn(c: ScalarFn) -> Callable[[float], float]:
 
 
 def _coef_fns(params) -> dict:
-    """Every time-dependent coefficient of ``params``: its float value when
-    it is constant, its time function otherwise."""
-    coefs = {name: getattr(params, name) for name in params._COEFS}
+    """Every time-dependent coefficient of ``params`` (its fields annotated
+    ``ScalarFn``, in declaration order): its float value when it is
+    constant, its time function otherwise."""
+    coefs = {f.name: getattr(params, f.name) for f in fields(params) if f.type == "ScalarFn"}
     return {name: c if callable(c) else float(c) for name, c in coefs.items()}
 
 
@@ -238,10 +239,7 @@ def _check_params(params) -> dict:
         raise ConfigError(f"horizon must be positive, got {params.horizon}")
     if not np.isfinite(params.x0):
         raise ConfigError(f"x0 must be finite, got {params.x0}")
-    return {
-        name: _check_bounded(name, getattr(params, name), params.horizon)
-        for name in params._COEFS
-    }
+    return {name: _check_bounded(name, c, params.horizon) for name, c in _coef_fns(params).items()}
 
 
 def _check_sign(name: str, vals: np.ndarray, positive: bool) -> None:
@@ -295,12 +293,6 @@ class LQ1Params:
     x0: float = 1.0
     horizon: float = 1.0
 
-    _COEFS = (
-        "drift_mean_x", "drift_x", "drift_control",
-        "diff_mean_x", "diff_x", "diff_control",
-        "driver_mean_x", "driver_x", "driver_mean_y", "driver_y",
-        "driver_mean_z", "driver_z", "driver_control",
-    )
     # The formulas above, term by term: (sign, slot, parameter).  A slot
     # is a partial-derivative key: a mean "law_*", an own value, or "v".
     _TERMS = {
@@ -372,13 +364,6 @@ class LQ2Params:
     x0: float = 1.0
     horizon: float = 1.0
 
-    _COEFS = (
-        "driver_mean_x", "driver_x", "drift_mean_y", "drift_y",
-        "diff_mean_z", "diff_z", "cross_mean", "cross",
-        "drift_mean_x", "drift_x", "diff_mean_x", "diff_x",
-        "drift_control", "diff_control", "driver_control",
-        "control_weight",
-    )
     _POSITIVE = ("driver_mean_x", "driver_x")
     _NEGATIVE = ("drift_mean_y", "drift_y", "diff_mean_z", "diff_z")
     # The formulas above, term by term, as in LQ1Params._TERMS.
@@ -763,6 +748,7 @@ def deviation_check(
     not finite and positive.
     """
 
+    _check_sampling(n_deviations, radius)
     u = as_control(u, grid, noise.particles)
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x5EED_0DE))
     if state is None:
@@ -935,84 +921,64 @@ def verify_example(
         example=which, passed=False, failing_stage=None, stages=stages
     )
 
-    def fail(stage: str) -> VerificationReport:
-        report.failing_stage = stage
-        return report
+    def record(name: str, passed: bool, **data) -> bool:
+        """Append the stage's record; a failed stage becomes the failing one."""
+        stages.append({"name": name, "passed": bool(passed), **data})
+        if not passed:
+            report.failing_stage = name
+        return bool(passed)
 
     if which == 2:
         state_enc = lq2_fbsde(params)
         adj_enc = lq2_adjoint_fbsde(params)
+        n_clouds = max(cfg.hypothesis_samples // 10, 100)
         h4 = check_H4(state_enc, n_samples=cfg.hypothesis_samples, seed=cfg.seed)
-        h5 = check_H5(state_enc, n_samples=max(cfg.hypothesis_samples // 10, 100),
-                      seed=cfg.seed)
-        h6 = check_H6(adj_enc, n_samples=max(cfg.hypothesis_samples // 10, 100),
-                      seed=cfg.seed)
+        h5 = check_H5(state_enc, n_samples=n_clouds, seed=cfg.seed)
+        h6 = check_H6(adj_enc, n_samples=n_clouds, seed=cfg.seed)
         failed = [r.check for r in (h4, h5, h6) if not r.passed]
-        stages.append(
-            {
-                "name": "hypothesis",
-                "passed": not failed,
-                "failed_checks": failed,
-                "lipschitz": h4.lipschitz,
-                "monotonicity": h5.monotonicity,
-                "terminal_monotonicity": h5.terminal_monotonicity,
-                "adjoint_monotonicity": h6.monotonicity,
-            }
-        )
-        if failed:
-            return fail("hypothesis")
+        if not record(
+            "hypothesis", not failed, failed_checks=failed, lipschitz=h4.lipschitz,
+            monotonicity=h5.monotonicity, terminal_monotonicity=h5.terminal_monotonicity,
+            adjoint_monotonicity=h6.monotonicity,
+        ):
+            return report
 
     build, candidate = (lq1_model, lq1_candidate) if which == 1 else (lq2_model, lq2_candidate)
     try:
         model = build(params)
         u, hist = candidate(params, grid, noise, schedule=cfg.schedule)
     except (ConfigError, NonConvergenceError) as exc:
-        stages.append({"name": "candidate", "passed": False, "error": str(exc)})
-        return fail("candidate")
-    stages.append(
-        {"name": "candidate", "passed": True, "iterations": len(hist),
-         "final_gap": hist[-1]["target_gap"]}
-    )
+        record("candidate", False, error=str(exc))
+        return report
+    record("candidate", True, iterations=len(hist), final_gap=hist[-1]["target_gap"])
 
     state, adj = hist.state, hist.adjoint
     grad = smp_gradient(model, u, grid, noise, state=state, adjoint=adj)
     j_cand = cost(model, u, grid, noise, state=state)
-    scale = max(1.0, abs(j_cand))
     grad_rms = _rms(grad)
     report.candidate_cost = j_cand
     report.gradient_rms = grad_rms
-    ok = grad_rms <= STATIONARITY_TOL * scale
-    stages.append(
-        {"name": "stationarity", "passed": bool(ok),
-         "gradient_rms": grad_rms, "tolerance": STATIONARITY_TOL * scale}
-    )
-    if not ok:
-        return fail("stationarity")
+    tol = STATIONARITY_TOL * max(1.0, abs(j_cand))
+    if not record("stationarity", grad_rms <= tol, gradient_rms=grad_rms, tolerance=tol):
+        return report
 
     suff = check_sufficiency(
         model, u, grid, noise, state=state, adjoint=adj,
         n_samples=cfg.sufficiency_samples, control_trials=cfg.control_trials,
         seed=cfg.seed,
     )
-    stages.append(
-        {"name": "sufficiency", "passed": bool(suff.passed),
-         "convexity": {name: bool(rep.passed)
-                       for name, rep in suff.convexity.items()},
-         "minimality_violations": int(suff.minimality_violations)}
-    )
-    if not suff.passed:
-        return fail("sufficiency")
+    if not record("sufficiency", suff.passed,
+                  convexity={name: bool(rep.passed) for name, rep in suff.convexity.items()},
+                  minimality_violations=int(suff.minimality_violations)):
+        return report
 
     dev = deviation_check(
         model, u, grid, noise, n_deviations=cfg.n_deviations, seed=cfg.seed,
         schedule=cfg.schedule, state=state,
     )
-    stages.append(
-        {"name": "deviations", "passed": bool(dev.passed),
-         "worst_margin": dev.worst_margin, "worst_index": dev.worst_index}
-    )
-    if not dev.passed:
-        return fail("deviations")
+    if not record("deviations", dev.passed, worst_margin=dev.worst_margin,
+                  worst_index=dev.worst_index):
+        return report
 
     if which == 1:
         u_desc, _ = projected_gradient_descent(
@@ -1023,12 +989,8 @@ def verify_example(
         rms_gap = _rms(u_desc - u)
         cost_gap = abs(j_desc - j_cand) / max(1.0, abs(j_cand))
         ok = rms_gap <= DESCENT_RMS_TOL and cost_gap <= DESCENT_COST_TOL
-        stages.append(
-            {"name": "descent_recovery", "passed": bool(ok),
-             "control_rms_gap": rms_gap, "relative_cost_gap": cost_gap}
-        )
-        if not ok:
-            return fail("descent_recovery")
+        if not record("descent_recovery", ok, control_rms_gap=rms_gap, relative_cost_gap=cost_gap):
+            return report
 
     report.passed = True
     return report

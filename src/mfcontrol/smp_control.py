@@ -61,7 +61,12 @@ from mfcontrol.core import (
     view_means,
 )
 from mfcontrol.forward_mv import ForwardModel, Initial, _views, simulate_forward
-from mfcontrol.hypothesis_check import UniformPairSampler, _check_slack, check_convexity
+from mfcontrol.hypothesis_check import (
+    UniformPairSampler,
+    _atom_pairing,
+    _check_slack,
+    check_convexity,
+)
 from mfcontrol.mf_bsde import BackwardModel, _terminal_values, solve_mf_bsde
 from mfcontrol.fbsde_solver import (
     _RETRYABLE,
@@ -389,7 +394,7 @@ def _rms(a: np.ndarray) -> float:
 
 
 def _solve_system(
-    model: CoupledModel,
+    model: Union[CoupledModel, ControlModel],
     coupled: bool,
     grid: TimeGrid,
     noise: BrownianPaths,
@@ -399,7 +404,9 @@ def _solve_system(
     conditioning: Optional[np.ndarray] = None,
 ) -> SolutionTriple:
     """Solve one of the control problem's FBSDE systems; ``coupled``
-    chooses only the solver.
+    chooses only the solver.  Only the model's ``drift``, ``diffusion``,
+    ``driver``, ``terminal_map`` and ``initial`` are read, so a
+    :class:`ControlModel` is solved as it is.
 
     A ``warm`` triple whose arrays are not [M+1, N] raises
     :class:`ConfigError` before either route runs.  A decoupled system
@@ -492,14 +499,7 @@ def solve_state(
     """
     u = as_control(u, grid, noise.particles)
     _require_admissible(model, u)
-    system = CoupledModel(
-        drift=model.drift,
-        diffusion=model.diffusion,
-        driver=model.driver,
-        terminal_map=model.terminal_map,
-        initial=model.initial,
-    )
-    return _solve_system(system, model.coupled, grid, noise, schedule, warm, control=u)
+    return _solve_system(model, model.coupled, grid, noise, schedule, warm, control=u)
 
 
 # ======================================================================
@@ -511,29 +511,24 @@ def _h5_probe(model: CoupledModel, grid: TimeGrid, seed: int, n: int, trials=8, 
     """Empirical forward-monotonicity (H5) probe of an assembled adjoint.
 
     Draws random ensemble perturbation pairs (sized to the trajectory
-    ensemble so frozen coefficient arrays broadcast) at a few nodes and
-    evaluates the pairing <dF, du> = <-df, dx> + <db, dy> + <dsigma, dz> of
-    the coefficient differences against the perturbation, as
-    :mod:`mfcontrol.hypothesis_check` does; (H5) requires it to be
-    nonpositive.  Returns the smallest normalized -pairing observed.
+    ensemble so frozen coefficient arrays broadcast) at a few nodes, each
+    with its ensemble means as its law, and averages the per-atom pairing
+    <dF, du> of :func:`mfcontrol.hypothesis_check._atom_pairing` over the
+    ensemble; (H5) requires it to be nonpositive.  Returns the smallest
+    normalized -pairing observed.
     """
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0xAD01))
     m = grid.steps
     nodes = sorted({0, m // 3, (2 * m) // 3, m - 1})
     worst = np.inf
     for k in nodes:
-        t = k * grid.dt
         for _ in range(trials):
             a = radius * (2.0 * rng.random((3, n)) - 1.0)
             b = radius * (2.0 * rng.random((3, n)) - 1.0)
-            v1 = StateView(x=a[0], y=a[1], z=a[2])
-            v2 = StateView(x=b[0], y=b[1], z=b[2])
-            d = a - b
-            b1, s1, f1 = _coefficients(model, t, view_means(v1), v1, (n,))
-            b2, s2, f2 = _coefficients(model, t, view_means(v2), v2, (n,))
-            pairing = float(np.mean(-(f1 - f2) * d[0] + (b1 - b2) * d[1] + (s1 - s2) * d[2]))
-            denom = float(np.mean(np.sum(d * d, axis=0)))
-            worst = min(worst, -pairing / denom)
+            atoms, sq = _atom_pairing(
+                model, k * grid.dt, a.T, view_means(StateView(*a)), b.T, view_means(StateView(*b)),
+            )
+            worst = min(worst, -float(np.mean(atoms)) / float(np.mean(sq)))
     return worst
 
 
@@ -1025,9 +1020,11 @@ def check_sufficiency(
     trajectory; then verifies pointwise Hamiltonian minimality of the
     candidate against projected random trial controls, with ``slack``
     absorbing solver-tolerance suboptimality of the candidate.  It needs
-    an integer ``control_trials`` >= 1, a finite ``radius`` > 0 and a
-    finite ``slack`` >= 0 (:class:`ConfigError` otherwise).
+    integer ``n_samples`` and ``control_trials`` >= 1, a finite ``radius``
+    > 0 and a finite ``slack`` >= 0 (:class:`ConfigError` otherwise, before
+    any solve).
     """
+    _check_cap("n_samples", n_samples, 1)
     _check_cap("control_trials", control_trials, 1)
     _check_slack(slack)
     sampler = UniformPairSampler(radius=radius)
@@ -1036,19 +1033,17 @@ def check_sufficiency(
         state = solve_state(model, u, grid, noise)
     if adjoint is None:
         adjoint = solve_adjoint(model, u, state, grid, noise)
+    boundary = {
+        "terminal_cost": model.terminal_cost,
+        "initial_cost": model.initial_cost,
+        "terminal_map": lambda x: _terminal_values(model.terminal_map, x),
+    }
     convexity = {
-        "terminal_cost": check_convexity(
-            lambda pts: np.asarray(model.terminal_cost(pts[:, 0]), dtype=float),
-            dim=1, sampler=sampler, n_samples=n_samples, seed=seed,
-        ),
-        "initial_cost": check_convexity(
-            lambda pts: np.asarray(model.initial_cost(pts[:, 0]), dtype=float),
-            dim=1, sampler=sampler, n_samples=n_samples, seed=seed + 1,
-        ),
-        "terminal_map": check_convexity(
-            lambda pts: _terminal_values(model.terminal_map, pts[:, 0]),
-            dim=1, sampler=sampler, n_samples=n_samples, seed=seed + 2,
-        ),
+        name: check_convexity(
+            lambda pts, fn=fn: fn(pts[:, 0]), dim=1, sampler=sampler, n_samples=n_samples,
+            seed=seed + j,
+        )
+        for j, (name, fn) in enumerate(boundary.items())
     }
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x5FF1C))
     m, n = grid.steps, noise.particles
@@ -1194,9 +1189,9 @@ def _paired_deviations(
     projects it, re-solves the state warm-started from ``base_state`` (the
     state at ``u``) and differences the per-particle costs on the shared
     noise.  Returns one ``{"index", "cost_delta", "se", "margin"}`` record
-    per deviation, with margin = cost_delta + 3*SE.
+    per deviation, with margin = cost_delta + 3*SE.  Callers check ``n`` and
+    ``radius`` (:func:`_check_sampling`) before they solve ``base_state``.
     """
-    _check_sampling(n, radius)
     base_j = _per_particle_cost(model, u, base_state, grid)
     records = []
     for i in range(n):

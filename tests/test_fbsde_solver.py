@@ -728,3 +728,25 @@ def test_residual_detects_perturbations():
 
     bumped_y = SolutionTriple(x=sol.x, y=sol.y + 0.05, z=sol.z)
     assert residual(model, bumped_y, g, w).terminal > base.terminal + 1e-4
+
+
+@pytest.mark.parametrize(
+    "case, match",
+    [
+        ("linear_seed_grid", "steps but grid"),
+        ("picard_grid", "steps but grid"),
+        ("terminal_shift", "terminal shift has shape"),
+    ],
+)
+def test_coupled_solvers_reject_malformed_inputs(case, match):
+    g, w = _grid_noise(m=8, n=16)
+    coarse = make_time_grid(1.0, 4)
+    calls = {
+        "linear_seed_grid": lambda: solve_linear_seed(LinearInhomogeneity(), coarse, w),
+        "picard_grid": lambda: solve_picard(_canonical_model(), coarse, w),
+        "terminal_shift": lambda: solve_linear_seed(
+            LinearInhomogeneity(terminal_shift=np.zeros(3)), g, w
+        ),
+    }
+    with pytest.raises(ConfigError, match=match):
+        calls[case]()

@@ -3,6 +3,7 @@ import pytest
 
 from mfcontrol import forward_mv
 from mfcontrol.core import (
+    ConfigError,
     DivergenceError,
     EnsembleConfig,
     StateView,
@@ -183,3 +184,28 @@ def test_law_view_is_view_means_taken_on_first_read(monkeypatch):
     w = sample_brownian(g, EnsembleConfig(particles=16, seed=2))
     simulate_forward(ForwardModel(drift=drift, diffusion=lambda t, law, own: 0.2), g, w)
     assert len(calls) == 8
+
+
+@pytest.mark.parametrize(
+    "case, match",
+    [
+        ("noise_grid", "steps but grid"),
+        ("control_shape", "control has shape"),
+        ("initial_shape", "initial condition has shape"),
+        ("one_horizon", "two horizons"),
+    ],
+)
+def test_forward_layer_rejects_malformed_inputs(case, match):
+    g = make_time_grid(1.0, 8)
+    cfg = EnsembleConfig(particles=16, seed=1)
+    w = sample_brownian(g, cfg)
+    model = _linear_mean_model()
+    short_sample = ForwardModel(model.drift, model.diffusion, initial=lambda rng, n: np.zeros(n - 1))
+    calls = {
+        "noise_grid": lambda: simulate_forward(model, make_time_grid(1.0, 4), w),
+        "control_shape": lambda: simulate_forward(model, g, w, control=np.zeros((8, 15))),
+        "initial_shape": lambda: simulate_forward(short_sample, g, w),
+        "one_horizon": lambda: moment_scaling_check(model, 2.0, [0.1], cfg),
+    }
+    with pytest.raises(ConfigError, match=match):
+        calls[case]()

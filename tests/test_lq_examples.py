@@ -18,6 +18,7 @@ from mfcontrol.core import (
     make_time_grid,
     sample_brownian,
 )
+from mfcontrol import games as games_module
 from mfcontrol import lq_examples, smp_control
 from mfcontrol.fbsde_solver import ContinuationSchedule
 from mfcontrol.forward_mv import ForwardModel, simulate_forward
@@ -825,3 +826,103 @@ def test_verify_example_lq2_sign_violation_fails_at_hypothesis():
     assert report.failing_stage == "hypothesis"
     assert "H5" in report.stages[0]["failed_checks"]
     assert len(report.stages) == 1  # later stages short-circuit
+
+
+def _stub(name, value):
+    def stub(*args, **kwargs):
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    return name, stub
+
+
+_NOT_REACHED = AssertionError("a stage after the failing one ran")
+_FAILED_SUFFICIENCY = smp_control.SufficiencyReport(
+    passed=False, convexity={}, minimality_violations=3, worst_violation=None,
+    slack=1e-4, control_trials=8,
+)
+_FAILED_DEVIATIONS = DeviationReport(
+    passed=False, n_deviations=8, worst_margin=-1.0, worst_index=2,
+)
+
+
+@pytest.mark.parametrize(
+    "stage, patches",
+    [
+        ("stationarity", [("STATIONARITY_TOL", 0.0), _stub("check_sufficiency", _NOT_REACHED)]),
+        ("sufficiency", [_stub("check_sufficiency", _FAILED_SUFFICIENCY),
+                         _stub("deviation_check", _NOT_REACHED)]),
+        ("deviations", [_stub("deviation_check", _FAILED_DEVIATIONS),
+                        _stub("projected_gradient_descent", _NOT_REACHED)]),
+        ("descent_recovery", [("DESCENT_RMS_TOL", 0.0)]),
+    ],
+    ids=["stationarity", "sufficiency", "deviations", "descent_recovery"],
+)
+def test_verify_example_stops_at_the_first_failing_stage(monkeypatch, stage, patches):
+    # each later stage of the LQ1 pipeline fails on its own: the report
+    # names it, its record is the last one, and no later stage runs
+    for name, value in patches:
+        monkeypatch.setattr(lq_examples, name, value)
+    report = verify_example(1, grid=make_time_grid(1.0, 16), cfg=VerifyConfig(**_SMALL))
+    names = ["candidate", "stationarity", "sufficiency", "deviations", "descent_recovery"]
+    assert not report.passed
+    assert report.failing_stage == stage
+    assert [s["name"] for s in report.stages] == names[: names.index(stage) + 1]
+    assert [s["passed"] for s in report.stages] == [True] * (len(report.stages) - 1) + [False]
+    json.dumps(report.to_dict())
+
+
+def test_verify_example_records_a_failed_candidate(monkeypatch):
+    monkeypatch.setattr(lq_examples, *_stub("lq1_candidate", NonConvergenceError("no fixed point")))
+    report = verify_example(1, grid=make_time_grid(1.0, 16), cfg=VerifyConfig(**_SMALL))
+    assert report.failing_stage == "candidate" and not report.passed
+    assert report.stages == [{"name": "candidate", "passed": False, "error": "no fixed point"}]
+
+
+@pytest.mark.parametrize(
+    "check, kwargs",
+    [
+        ("deviation_check", {"n_deviations": 0}),
+        ("deviation_check", {"radius": float("nan")}),
+        ("deviation_test", {"n_deviations": 0}),
+        ("deviation_test", {"radius": -1.0}),
+        ("sufficiency", {"n_samples": 0}),
+    ],
+    ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else None,
+)
+def test_sampling_certificates_reject_before_solving(monkeypatch, check, kwargs):
+    # a bad sample count or radius is known before any solve: the check
+    # raises ConfigError without paying for the base state or adjoint
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating the sampling options")
+
+    for module in (lq_examples, smp_control, games_module):
+        for name in ("solve_state", "solve_adjoint"):
+            monkeypatch.setattr(module, name, no_solve)
+    grid, noise = _grid_noise(4, 64, seed=3)
+    model = lq1_model(LQ1Params())
+    calls = {
+        "deviation_check": lambda: deviation_check(model, 0.0, grid, noise, **kwargs),
+        "deviation_test": lambda: deviation_test(lq_game(), (0.0, 0.0), grid, noise, **kwargs),
+        "sufficiency": lambda: check_sufficiency(model, 0.0, grid, noise, **kwargs),
+    }
+    with pytest.raises(ConfigError):
+        calls[check]()
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: lq1_model(LQ1Params(x0=float("nan"))), "x0"),
+        (lambda: lq2_model(LQ2Params(x0=float("inf"))), "x0"),
+        (lambda: lq2_model(LQ2Params(terminal_gain=0.0)), "terminal_gain"),
+        (lambda: lq2_model(LQ2Params(terminal_weight=-0.5)), "terminal_weight"),
+        (lambda: lq2_model(LQ2Params(initial_weight=0.0)), "initial_weight"),
+        (lambda: lq_game(coupling=-1.0), "coupling"),
+    ],
+    ids=["lq1_x0", "lq2_x0", "terminal_gain", "terminal_weight", "initial_weight", "coupling"],
+)
+def test_fixtures_reject_invalid_parameters(build, match):
+    with pytest.raises(ConfigError, match=match):
+        build()

@@ -234,3 +234,37 @@ def test_sweep_fails_typed_on_nonfinite_carrier(bad):
     with pytest.raises(RegressionError) as err, np.errstate(invalid="ignore"):
         solve_mf_bsde(BackwardModel(driver=None, terminal=1.0), g, w, cond)
     assert err.value.condition_number == np.inf
+
+
+@pytest.mark.parametrize(
+    "case, match",
+    [
+        ("noise_grid", "steps but grid"),
+        ("control", "control has shape"),
+        ("conditioning", "conditioning has shape"),
+        ("carrier", "carrier has shape"),
+        ("features", "features of shape"),
+        ("terminal", "terminal values have shape"),
+        ("degree", "degree"),
+        ("flat_features", "2-d"),
+    ],
+)
+def test_backward_layer_rejects_malformed_inputs(case, match):
+    g = make_time_grid(1.0, 8)
+    w = sample_brownian(g, EnsembleConfig(particles=16, seed=1))
+    x = w.cumulative()
+    model = BackwardModel(driver=None, terminal=lambda xt: xt)
+    cubic = default_polynomial_basis()
+    narrow = RegressionBasis(features=lambda c: cubic.features(c)[..., :2], size=cubic.size)
+    calls = {
+        "noise_grid": lambda: solve_mf_bsde(model, make_time_grid(1.0, 4), w, x),
+        "control": lambda: solve_mf_bsde(model, g, w, x, control=np.zeros((8, 15))),
+        "conditioning": lambda: solve_mf_bsde(model, g, w, x[:-1]),
+        "carrier": lambda: solve_mf_bsde(model, g, w, x, carrier=x[:, :-1]),
+        "features": lambda: solve_mf_bsde(model, g, w, x, basis=narrow),
+        "terminal": lambda: solve_mf_bsde(BackwardModel(None, lambda xt: xt[:-1]), g, w, x),
+        "degree": lambda: default_polynomial_basis(-1),
+        "flat_features": lambda: regress_conditional_expectation(np.ones(10), np.ones(10), 0.0),
+    }
+    with pytest.raises(ConfigError, match=match):
+        calls[case]()

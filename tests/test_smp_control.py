@@ -1109,3 +1109,23 @@ def test_sufficiency_flags_concave_terminal_cost():
     )
     assert not report.passed
     assert not report.convexity["terminal_cost"].passed
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.5, 0.5)])
+def test_box_projection_rejects_an_empty_box(lo, hi):
+    with pytest.raises(ConfigError, match="lo < hi"):
+        box_projection(lo, hi)
+
+
+def test_frozen_path_keeps_a_0d_array_partial_as_a_float():
+    # a partial that returns a 0-d array is constant in the state: it is
+    # compiled as a Python float, as a float-valued partial is
+    grid, noise = _grid_noise(m=4, n=32, horizon=0.5, seed=3)
+    model = lq1_model(LQ1Params())
+    zero_d = dict(model.partials, drift={"x": lambda t, law, own: np.array(-0.3)})
+    path = smp_control._FrozenPath(
+        replace(model, partials=zero_d), as_control(0.2, grid, 32),
+        solve_state(model, 0.2, grid, noise), grid,
+    )
+    got = path._partial("drift", "x", 1)
+    assert type(got) is float and got == -0.3
