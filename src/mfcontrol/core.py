@@ -283,44 +283,57 @@ class _AndersonMixer:
     would cut at eps * L.  A non-finite Gram system (one that overflows,
     |dR| beyond ~1e154), a ``LinAlgError`` or a non-finite gamma returns
     the unmixed relaxed step (g itself at ``relax`` 1).
+
+    The mixer keeps no [L] array outside its rings.  Every step, once it
+    has read its oldest difference row, parks -r and -g in the row the
+    next step writes (row ``count % memory``), which no later window reads
+    before that.  The next step forms its differences there in place, as
+    r + (-r_prev) and g + (-g_prev), which are r - r_prev and g - g_prev
+    bit for bit.
     """
 
     def __init__(self, memory: int, relax: float = 1.0):
         self.memory = int(memory)
         self.relax = float(relax)
         self.count = 0  # differences written so far
-        self.prev_r: Optional[np.ndarray] = None
-        self.prev_g: Optional[np.ndarray] = None
-        self.d_r = self.d_g = np.empty((0, 0))
+        self.d_r: Optional[np.ndarray] = None
+        self.d_g: Optional[np.ndarray] = None
         self.gram = np.empty((self.memory, self.memory))
-
-    def _unmixed(self, u: np.ndarray, r: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return g if self.relax == 1.0 else u + self.relax * r
 
     def step(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
         r = g - u
-        if self.prev_r is None:
+        if self.d_r is None:
             self.d_r = np.empty((self.memory, r.size))
             self.d_g = np.empty((self.memory, r.size))
-            self.prev_r, self.prev_g = r, g
-            return self._unmixed(u, r, g)
+            out = None
+        else:
+            out = self._mixed(r, g)
+        slot = self.count % self.memory  # park -r and -g for the next step
+        np.negative(r, out=self.d_r[slot])
+        np.negative(g, out=self.d_g[slot])
+        if out is None:
+            return g if self.relax == 1.0 else u + self.relax * r
+        return out
+
+    def _mixed(self, r: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
+        """Write this step's differences and return the mixed step, or
+        ``None`` where the unmixed step is taken."""
         slot = self.count % self.memory
         self.count += 1
         k = min(self.count, self.memory)
         d_r, d_g = self.d_r[:k], self.d_g[:k]
-        np.subtract(r, self.prev_r, out=self.d_r[slot])
-        np.subtract(g, self.prev_g, out=self.d_g[slot])
-        self.prev_r, self.prev_g = r, g
+        np.add(r, self.d_r[slot], out=self.d_r[slot])  # r - r_prev, bit for bit
+        np.add(g, self.d_g[slot], out=self.d_g[slot])
         self.gram[slot, :k] = self.gram[:k, slot] = d_r @ self.d_r[slot]
         gram, rhs = self.gram[:k, :k], d_r @ r
         if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
-            return self._unmixed(u, r, g)
+            return None
         try:
             gamma, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
         except np.linalg.LinAlgError:
-            return self._unmixed(u, r, g)
+            return None
         if not np.all(np.isfinite(gamma)):
-            return self._unmixed(u, r, g)
+            return None
         out = gamma @ d_g
         np.subtract(g, out, out=out)  # in place: one fresh [L] array
         if self.relax != 1.0:  # u_bar + relax * r_bar = g_bar - (1 - relax) * r_bar

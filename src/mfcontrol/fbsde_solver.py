@@ -300,10 +300,15 @@ def _fixed_point(sweep, start: SolutionTriple, slots, tol: float, max_iter: int,
     or ``max_iter`` sweeps without reaching ``tol``, raises
     :class:`NonConvergenceError` carrying the history and the last output;
     ``what`` names the iteration in its message.
+
+    A sweep's output is let go once its mixed slots are flattened for the
+    mixer, so neither the mixer step nor the next sweep holds it twice; its
+    other slots live on in the iterate.  The last sweep's output is not
+    mixed, since no sweep reads the result.
     """
     mixer = _AndersonMixer(memory) if memory > 0 else None
     history: list = []
-    cur = out = start
+    cur = start
     flat = None  # the iterate's mixed slots, once a mixer step has made them
     for _ in range(max_iter):
         out = sweep(cur)
@@ -315,14 +320,19 @@ def _fixed_point(sweep, start: SolutionTriple, slots, tol: float, max_iter: int,
             )
         if change <= tol:
             return out, history
+        if len(history) == max_iter:
+            break
         if mixer is None:
             cur = out
             continue
         if flat is None:
             flat = np.concatenate([getattr(cur, slot).ravel() for slot in slots])
-        flat = mixer.step(flat, np.concatenate([getattr(out, slot).ravel() for slot in slots]))
+        g = np.concatenate([getattr(out, slot).ravel() for slot in slots])
+        rest = replace(out, **dict.fromkeys(slots))  # the unmixed slots only
+        shape, out = out.x.shape, None  # its mixed slots live on in ``g`` only
+        flat, g = mixer.step(flat, g), None
         parts = np.split(flat, len(slots))
-        cur = replace(out, **{slot: part.reshape(out.x.shape) for slot, part in zip(slots, parts)})
+        cur = replace(rest, **{slot: part.reshape(shape) for slot, part in zip(slots, parts)})
     raise NonConvergenceError(
         f"{what} did not reach tol {tol:.1e} in {max_iter} sweeps "
         f"(last change {history[-1]:.3e})",

@@ -63,7 +63,9 @@ def resolve_initial(initial: Initial, n: int, seed: int) -> np.ndarray:
         rng = np.random.Generator(np.random.Philox(key=seed + 0x5EED))
         x0 = np.asarray(initial(rng, n), dtype=float)
     else:
-        x0 = np.broadcast_to(np.asarray(initial, dtype=float), (n,)).copy()
+        x0 = np.asarray(initial, dtype=float)
+        if x0.shape == (n,) or (x0.ndim <= 1 and x0.size == 1):  # checked before broadcasting
+            x0 = np.broadcast_to(x0, (n,)).copy()
     if x0.shape != (n,):
         raise ConfigError(f"initial condition has shape {x0.shape}, expected ({n},)")
     return x0

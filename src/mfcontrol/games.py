@@ -246,6 +246,7 @@ def best_response(
     grid: TimeGrid,
     noise: BrownianPaths,
     steps: int = 20,
+    state: Optional[SolutionTriple] = None,
 ):
     """Player ``i``'s approximate best response to the frozen opponent.
 
@@ -264,12 +265,16 @@ def best_response(
     or two consecutive accepted steps, whose paired change is within
     three standard errors of zero), so near the equilibrium a response
     costs a few state solves instead of a search down to ``min_eta``.
-    Returns ``(control, history)`` as the descent does; a zero
-    own-control gradient returns the starting control unchanged.
+    ``state`` is the shared state at ``controls`` when the caller has it
+    (the descent solves it otherwise).  Returns ``(control, history)`` as
+    the descent does; a zero own-control gradient returns the starting
+    control unchanged.
     """
 
     model, own = _player(game, i, *_pair(controls, grid, noise.particles), grid)
-    return projected_gradient_descent(model, own, grid, noise, steps=steps, grad_tol=1e-8)
+    return projected_gradient_descent(
+        model, own, grid, noise, steps=steps, grad_tol=1e-8, state=state
+    )
 
 
 # ======================================================================
@@ -414,9 +419,12 @@ def nash_iterate(
 
     Each round computes both players' best responses against the
     round-start profile (the two subproblems are independent and could
-    run concurrently) and blends them in with factor ``damping``.  After
-    the blend, each player's first-order residual -- the minimum sampled
-    pairing <grad_i, v - u_i> over ``n_trials`` admissible profile
+    run concurrently) and blends them in with factor ``damping``.  The
+    shared state solved at the blended pair serves both residuals and the
+    deviation test of its round, and both descents of the next round start
+    from it, so only the first round's descents solve their start states.
+    After the blend, each player's first-order residual -- the minimum
+    sampled pairing <grad_i, v - u_i> over ``n_trials`` admissible profile
     perturbations -- is compared against that player's Monte Carlo
     tolerance of three standard errors of their cost estimate plus the
     numerical-zero floor ``atol`` (a player whose cost estimate carries
@@ -456,7 +464,8 @@ def nash_iterate(
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x6A3E_17E))
 
     def residual_and_eps(model, own, state):
-        trials = [model.project(own + _profile(grid, rng, trial_radius)) for _ in range(n_trials)]
+        # drawn one at a time as the residual reads them, in the same order
+        trials = (model.project(own + _profile(grid, rng, trial_radius)) for _ in range(n_trials))
         res = variational_inequality_residual(model, own, trials, grid, noise, state=state)
         _, se = _mean_se(_per_particle_cost(model, own, state, grid))
         eps = 3.0 * se + atol
@@ -468,9 +477,10 @@ def nash_iterate(
     violations: List[float] = []
     last_dev = None
     resid_clear = False
+    state = None  # the shared state at (u1, u2), once a round has solved it
     for rnd in range(rounds):
-        b1, h1 = best_response(game, 1, (u1, u2), grid, noise, steps=br_steps)
-        b2, h2 = best_response(game, 2, (u1, u2), grid, noise, steps=br_steps)
+        b1, h1 = best_response(game, 1, (u1, u2), grid, noise, steps=br_steps, state=state)
+        b2, h2 = best_response(game, 2, (u1, u2), grid, noise, steps=br_steps, state=state)
         move1 = _rms(b1 - u1) * damping
         move2 = _rms(b2 - u2) * damping
         u1 = (1.0 - damping) * u1 + damping * b1

@@ -102,15 +102,16 @@ def default_polynomial_basis(degree: int = 3, ridge_scale: float = 1e-8) -> Regr
 
     def features(x: np.ndarray) -> np.ndarray:
         # x.std() and polyvander(z, degree), written out to skip their
-        # temporaries on a whole carrier stack; the values are the same bits
-        centered = x - x.mean(axis=-1, keepdims=True)
-        spread = np.sqrt(
-            np.add.reduce(centered * centered, axis=-1, keepdims=True) / x.shape[-1]
-        )
+        # temporaries on a whole carrier stack: the centered values and
+        # their squares are built in the rows that later hold z and z**2;
+        # the values are the same bits
         powers = np.empty((degree + 1,) + x.shape)
         powers[0] = 1.0
         if degree:
-            np.divide(centered, np.where(spread > 0.0, spread, 1.0), out=powers[1])
+            centered = np.subtract(x, x.mean(axis=-1, keepdims=True), out=powers[1])
+            squares = np.multiply(centered, centered, out=powers[2] if degree > 1 else None)
+            spread = np.sqrt(np.add.reduce(squares, axis=-1, keepdims=True) / x.shape[-1])
+            np.divide(centered, np.where(spread > 0.0, spread, 1.0), out=centered)
         for i in range(2, degree + 1):
             np.multiply(powers[i - 1], powers[1], out=powers[i])
         return np.moveaxis(powers, 0, -1)
@@ -229,7 +230,9 @@ def _terminal_values(terminal: Terminal, x_last: np.ndarray) -> np.ndarray:
     if callable(terminal):
         vals = np.asarray(terminal(x_last), dtype=float)
     else:
-        vals = np.broadcast_to(np.asarray(terminal, dtype=float), x_last.shape).astype(float)
+        vals = np.asarray(terminal, dtype=float)
+        if vals.shape == x_last.shape or (vals.ndim <= 1 and vals.size == 1):
+            vals = np.broadcast_to(vals, x_last.shape).astype(float)
     if vals.shape != x_last.shape:
         raise ConfigError(f"terminal values have shape {vals.shape}, expected {x_last.shape}")
     return vals

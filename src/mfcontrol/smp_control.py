@@ -45,9 +45,10 @@ the step from node k.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +61,14 @@ from mfcontrol.core import (
     _mean,
     view_means,
 )
-from mfcontrol.forward_mv import ForwardModel, Initial, _views, simulate_forward
+from mfcontrol.forward_mv import (
+    DEFAULT_GUARD,
+    ForwardModel,
+    Initial,
+    _check_guard,
+    _views,
+    simulate_forward,
+)
 from mfcontrol.hypothesis_check import (
     UniformPairSampler,
     _atom_pairing,
@@ -402,6 +410,7 @@ def _solve_system(
     warm: Optional[SolutionTriple],
     control: Optional[np.ndarray] = None,
     conditioning: Optional[np.ndarray] = None,
+    x: Optional[np.ndarray] = None,
 ) -> SolutionTriple:
     """Solve one of the control problem's FBSDE systems; ``coupled``
     chooses only the solver.  Only the model's ``drift``, ``diffusion``,
@@ -413,7 +422,9 @@ def _solve_system(
     (drift and diffusion free of the y and z slots, which stay ``None`` in
     the forward pass) is solved exactly by one Euler pass for X and one
     backward pass for (Y, Z), regressed on ``conditioning`` when given and
-    on X otherwise; ``warm`` is unused.
+    on X otherwise; ``warm`` is unused.  A decoupled system whose forward
+    path is known without the Euler pass (the adjoint's constant X~) passes
+    it as ``x``.
 
     A coupled system is solved by the continuation, which is what makes it
     converge from a cold start; from ``warm`` only its final polish is
@@ -432,8 +443,9 @@ def _solve_system(
         if any(shape != expected for shape in shapes):
             raise ConfigError(f"warm start has shapes {shapes}, expected {expected} each")
     if not coupled:
-        fwd = ForwardModel(drift=model.drift, diffusion=model.diffusion, initial=model.initial)
-        x = simulate_forward(fwd, grid, noise, control=control)
+        if x is None:
+            fwd = ForwardModel(drift=model.drift, diffusion=model.diffusion, initial=model.initial)
+            x = simulate_forward(fwd, grid, noise, control=control)
         y, z = solve_mf_bsde(
             BackwardModel(driver=model.driver, terminal=model.terminal_map), grid, noise, x,
             control=control, carrier=conditioning,
@@ -558,7 +570,12 @@ def solve_adjoint(
     (Q, p, q) into (H5), which the continuation needs.  ``model.coupled``
     chooses only the solver, as in :func:`solve_state` (for a decoupled
     model X~'s coefficients read only X~).  The backward passes regress on
-    the state path, since the adjoint's data are functionals of it.
+    the state path, since the adjoint's data are functionals of it.  A
+    decoupled model that declares no partial in a y, law_y, z or law_z slot
+    has H_y = H_z = 0, so X~ stays at X~_0 on every path: X~ is X~_0
+    broadcast to [M+1, N] and Q = -X~, with no Euler pass run (after node
+    0 a -0.0 becomes +0.0, as the pass's x + 0.0 makes it).  X~_0 is still
+    checked against the divergence guard.
 
     With ``certify=True`` an empirical (H5) probe runs on the assembled
     coupled adjoint before solving; a violation does not raise but is
@@ -618,8 +635,14 @@ def solve_adjoint(
         if worst < -1e-9:
             warning = f"adjoint monotonicity probe found pairing ratio {worst:.3e}"
     guess = None if warm is None else SolutionTriple(x=-warm.Q, y=warm.p, z=warm.q)
+    x_tilde = None
+    if not model.coupled and not any(slot in _YZ_SLOTS for _, slot in path._fns):
+        x_tilde = np.empty((grid.steps + 1, noise.particles))
+        x_tilde[0] = adj_model.initial
+        _check_guard(x_tilde[0], 0, DEFAULT_GUARD)
+        x_tilde[1:] = x_tilde[0] + 0.0  # the Euler step x + 0.0 * dt + 0.0 * dW
     sol = _solve_system(
-        adj_model, model.coupled, grid, noise, schedule, guess, conditioning=state.x,
+        adj_model, model.coupled, grid, noise, schedule, guess, conditioning=state.x, x=x_tilde,
     )
     return AdjointTriple(p=sol.y, q=sol.z, Q=-sol.x, warning=warning)
 
@@ -766,6 +789,7 @@ def projected_gradient_descent(
     grad_tol: float = 0.0,
     min_eta: float = 1e-12,
     schedule: Optional[ContinuationSchedule] = None,
+    state: Optional[SolutionTriple] = None,
 ):
     """Projected gradient descent on the control cost with Armijo
     backtracking, stopped at the cost's Monte Carlo resolution.
@@ -831,6 +855,14 @@ def projected_gradient_descent(
         Step-size underflow threshold.
     schedule : ContinuationSchedule, optional
         Coupled-route solver schedule of the state and adjoint solves.
+    state : SolutionTriple, optional
+        The state at ``u0`` when the caller has it (solved there
+        otherwise).
+
+    A decoupled model (``model.coupled`` False) reads no warm start, so
+    each iteration lets go of its state and adjoint once the gradient is
+    formed; its Armijo search reads only the control, the gradient and the
+    per-particle costs.
 
     The Armijo parameters must satisfy ``0 < shrink < 1``,
     ``0 < min_eta <= eta0`` with ``eta0`` finite, and ``0 <= slope < 1``
@@ -855,7 +887,8 @@ def projected_gradient_descent(
         raise ConfigError(f"need 0 < min_eta <= eta0 < inf, got min_eta={min_eta}, eta0={eta0}")
     if not (0.0 <= slope < 1.0):
         raise ConfigError(f"slope must lie in [0, 1), got {slope}")
-    state = solve_state(model, u, grid, noise, schedule=schedule)
+    if state is None:
+        state = solve_state(model, u, grid, noise, schedule=schedule)
     per = _per_particle_cost(model, u, state, grid)
     value = float(per.mean())
     history: list = []
@@ -871,6 +904,8 @@ def projected_gradient_descent(
             break
         adjoint = solve_adjoint(model, u, state, grid, noise, schedule=schedule, warm=adjoint)
         grad = smp_gradient(model, u, grid, noise, state=state, adjoint=adjoint)
+        if not model.coupled:  # no warm start reads them again
+            state = cand_state = adjoint = None
         residual = _rms(u - np.asarray(model.project(u - eta0 * grad), dtype=float))
         record = {
             "iteration": it,
@@ -924,20 +959,26 @@ def projected_gradient_descent(
 def variational_inequality_residual(
     model: ControlModel,
     u,
-    trials: Sequence,
+    trials: Iterable,
     grid: TimeGrid,
     noise: BrownianPaths,
     state: Optional[SolutionTriple] = None,
 ) -> float:
     """Minimum over trial controls of the first-order pairing
     ``<grad, v - u>``; an optimum certifies with a residual that is
-    nonnegative up to Monte Carlo tolerance."""
+    nonnegative up to Monte Carlo tolerance.  ``trials`` may be any
+    iterable, a generator included: the trials are read one at a time,
+    the first before the gradient is solved, so an empty one raises
+    :class:`ConfigError` before any solve."""
     u = as_control(u, grid, noise.particles)
-    if not len(trials):
-        raise ConfigError("need at least one trial control")
+    trials = iter(trials)
+    try:
+        first = next(trials)
+    except StopIteration:
+        raise ConfigError("need at least one trial control") from None
     grad = smp_gradient(model, u, grid, noise, state=state)
     best = np.inf
-    for trial in trials:
+    for trial in itertools.chain((first,), trials):
         v = as_control(trial, grid, noise.particles)
         best = min(best, _pairing(grid, grad, v - u))
     return float(best)
@@ -1198,6 +1239,7 @@ def _paired_deviations(
         v = model.project(u + _profile(grid, rng, radius))
         state_v = solve_state(model, v, grid, noise, schedule, warm=base_state)
         mean, se = _mean_se(_per_particle_cost(model, v, state_v, grid) - base_j)
+        del v, state_v  # released before the next deviation solves
         records.append(
             {"index": i, "cost_delta": mean, "se": se, "margin": mean + 3.0 * se}
         )

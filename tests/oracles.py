@@ -8,6 +8,9 @@ batched backward sweep, with the same arithmetic, against which the sweep is
 required to agree exactly.  ``LstsqAndersonMixer`` is the dense version of
 the package's Gram-updated Anderson mixer: it rebuilds the difference
 matrices every step and solves the tall least-squares problem directly.
+``PrevPairAndersonMixer`` is the package mixer's own step with the previous
+residual and map output held as separate arrays, the reference, to the bit,
+for the package mixer, which keeps them inside its rings.
 ``picard_loop`` and ``seed_iteration_loop`` are the decoupling iteration and
 the seed-preconditioned level iteration written out as two separate loops,
 each with its own forward pass, node views and Anderson bookkeeping; the
@@ -218,6 +221,57 @@ class LstsqAndersonMixer:
             [self.us[j + 1] - self.us[j] for j in range(len(self.us) - 1)]
         )
         return (u - d_u @ gamma) + self.relax * (res[-1] - d_res @ gamma)
+
+
+class PrevPairAndersonMixer:
+    """The package mixer's Gram-updated ring step with the previous
+    residual and map output kept as two [L] arrays of their own, and each
+    difference formed as r - r_prev: the reference, to the bit, for the
+    package mixer, which parks -r and -g in its rings instead."""
+
+    def __init__(self, memory, relax=1.0):
+        self.memory = int(memory)
+        self.relax = float(relax)
+        self.count = 0
+        self.prev_r = None
+        self.prev_g = None
+        self.d_r = self.d_g = np.empty((0, 0))
+        self.gram = np.empty((self.memory, self.memory))
+
+    def _unmixed(self, u, r, g):
+        return g if self.relax == 1.0 else u + self.relax * r
+
+    def step(self, u, g):
+        r = g - u
+        if self.prev_r is None:
+            self.d_r = np.empty((self.memory, r.size))
+            self.d_g = np.empty((self.memory, r.size))
+            self.prev_r, self.prev_g = r, g
+            return self._unmixed(u, r, g)
+        slot = self.count % self.memory
+        self.count += 1
+        k = min(self.count, self.memory)
+        d_r, d_g = self.d_r[:k], self.d_g[:k]
+        np.subtract(r, self.prev_r, out=self.d_r[slot])
+        np.subtract(g, self.prev_g, out=self.d_g[slot])
+        self.prev_r, self.prev_g = r, g
+        self.gram[slot, :k] = self.gram[:k, slot] = d_r @ self.d_r[slot]
+        gram, rhs = self.gram[:k, :k], d_r @ r
+        if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+            return self._unmixed(u, r, g)
+        try:
+            gamma, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+        except np.linalg.LinAlgError:
+            return self._unmixed(u, r, g)
+        if not np.all(np.isfinite(gamma)):
+            return self._unmixed(u, r, g)
+        out = gamma @ d_g
+        np.subtract(g, out, out=out)
+        if self.relax != 1.0:
+            r_bar = gamma @ d_r
+            np.subtract(r, r_bar, out=r_bar)
+            out -= (1.0 - self.relax) * r_bar
+        return out
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,7 @@ from mfcontrol.mf_bsde import BackwardModel, default_polynomial_basis, solve_mf_
 
 from oracles import (
     LstsqAndersonMixer,
+    PrevPairAndersonMixer,
     homotopy_coefficients,
     linear_seed_mean_oracle,
     picard_loop,
@@ -426,6 +428,103 @@ def test_anderson_mixer_returns_map_output_on_nonfinite_gamma(monkeypatch):
     mixer = _AndersonMixer(3)
     mixer.step(u0, g0)
     assert mixer.step(u1, g1) is g1
+
+
+@pytest.mark.parametrize("memory", [1, 4, 6])
+@pytest.mark.parametrize("relax", [1.0, 0.7])
+@pytest.mark.parametrize("repeat_at", [None, 3])
+def test_anderson_mixer_matches_separate_previous_pair_bit_for_bit(memory, relax, repeat_at):
+    # 15 steps wrap every ring; parking -r and -g in the next slot and
+    # adding there gives r - r_prev and g - g_prev to the bit.  Both mixers
+    # see the same (iterate, map output) pairs; at ``repeat_at`` a step
+    # sees its iterate a second time
+    fmap = _slow_affine_map(seed=8)
+    mixer = _AndersonMixer(memory, relax=relax)
+    reference = PrevPairAndersonMixer(memory, relax=relax)
+    u = np.zeros(300)
+    for i in range(15):
+        for _ in range(2 if i == repeat_at else 1):
+            g = fmap(u)
+            got, want = mixer.step(u, g), reference.step(u, g)
+            assert np.array_equal(got, want)
+        u = got
+
+
+@pytest.mark.parametrize("fault", ["overflow", "nan_gamma", "linalg_error"])
+def test_anderson_mixer_unmixed_exits_park_the_same_history(monkeypatch, fault):
+    # an unmixed step in the middle of a run still leaves the history the
+    # next steps read: every later step matches the reference to the bit
+    rng = np.random.default_rng(9)
+    inputs = [tuple(rng.normal(size=(2, 50))) for _ in range(9)]
+    if fault == "overflow":
+        inputs[4] = (inputs[4][0] * 1e200, inputs[4][1] * 1e200)
+    lstsq, calls = np.linalg.lstsq, []
+
+    def faulty_lstsq(a, b, rcond=None):
+        calls.append(1)
+        if len(calls) in (3, 4):  # one step of each mixer
+            if fault == "nan_gamma":
+                return np.full(a.shape[1], np.nan), None, 0, None
+            if fault == "linalg_error":
+                raise np.linalg.LinAlgError("stub")
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", faulty_lstsq)
+    for relax in (1.0, 0.7):
+        calls.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            mixer, reference = _AndersonMixer(3, relax=relax), PrevPairAndersonMixer(3, relax=relax)
+            for u, g in inputs:
+                got, want = mixer.step(u, g), reference.step(u, g)
+                assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_anderson_mixer_holds_no_iterate_sized_array_outside_its_rings():
+    fmap = _slow_affine_map(seed=3)
+    mixer = _AndersonMixer(4)
+    u = np.zeros(300)
+    for _ in range(9):
+        u = mixer.step(u, fmap(u))
+        held = {
+            name: value.shape for name, value in vars(mixer).items()
+            if isinstance(value, np.ndarray) and value.size >= 300
+        }
+        assert held == {"d_r": (4, 300), "d_g": (4, 300)}
+
+
+@pytest.mark.parametrize("slots", [("x", "y", "z"), ("y", "z")])
+def test_fixed_point_drops_the_previous_output_before_each_sweep(monkeypatch, slots):
+    # nothing holds a sweep's output once its slots are flattened: neither
+    # the mixer step nor the next sweep sees it alive
+    from mfcontrol import fbsde_solver
+    from mfcontrol.fbsde_solver import _fixed_point
+
+    rng = np.random.default_rng(4)
+    shift = SolutionTriple(*rng.normal(size=(3, 5, 40)))
+    outputs, alive = [], []
+
+    class SpyMixer(_AndersonMixer):
+        def step(self, u, g):
+            alive.append([ref() is not None for ref in outputs])
+            return super().step(u, g)
+
+    monkeypatch.setattr(fbsde_solver, "_AndersonMixer", SpyMixer)
+
+    def sweep(cur):
+        alive.append([ref() is not None for ref in outputs])
+        out = SolutionTriple(*(0.5 * getattr(cur, s) + getattr(shift, s) for s in "xyz"))
+        outputs.append(weakref.ref(out))
+        return out
+
+    start = SolutionTriple(*np.zeros((3, 5, 40)))
+    sol, history = _fixed_point(sweep, start, slots, 1e-8, 60, 3, "test")
+    assert sol is outputs[-1]() and len(alive) == 2 * len(history) - 1 > 4
+    assert not any(any(seen) for seen in alive)
+    outputs.clear(), alive.clear()
+    with pytest.raises(NonConvergenceError) as err:
+        _fixed_point(sweep, start, slots, 1e-12, 2, 3, "test")
+    assert err.value.last is outputs[-1]() and len(err.value.history) == 2
+    assert not any(any(seen) for seen in alive)
 
 
 # ----------------------------------------------------------------------

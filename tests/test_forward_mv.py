@@ -209,3 +209,19 @@ def test_forward_layer_rejects_malformed_inputs(case, match):
     }
     with pytest.raises(ConfigError, match=match):
         calls[case]()
+
+
+@pytest.mark.parametrize("initial", [np.zeros(3), np.zeros((16, 1)), np.zeros((1, 16))])
+def test_wrong_length_initial_array_fails_typed_before_broadcasting(initial):
+    # the shape is checked before np.broadcast_to, which would raise
+    # numpy's ValueError (or, for [1, N], pass the wrong shape on)
+    g = make_time_grid(1.0, 8)
+    w = sample_brownian(g, EnsembleConfig(particles=16, seed=1))
+    model = ForwardModel(_linear_mean_model().drift, _linear_mean_model().diffusion, initial=initial)
+    with pytest.raises(ConfigError, match=r"initial condition has shape .*expected \(16,\)"):
+        simulate_forward(model, g, w)
+
+
+@pytest.mark.parametrize("initial", [0.4, np.array(0.4), np.array([0.4]), np.full(16, 0.4)])
+def test_scalar_and_full_initial_conditions_still_broadcast(initial):
+    assert np.array_equal(forward_mv.resolve_initial(initial, 16, 0), np.full(16, 0.4))

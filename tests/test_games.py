@@ -479,6 +479,56 @@ def test_nash_certificate_reads_the_rounds_shared_state(monkeypatch):
     assert len(solved) == res.rounds and handed[0] is solved[-1]
 
 
+def _armijo_trials(history):
+    # rejected trials, plus one for each accepted step (a record without status)
+    return sum(rec.get("backtracks", 0) + ("status" not in rec) for rec in history)
+
+
+def test_later_rounds_start_both_best_responses_from_the_round_state(monkeypatch):
+    # round 0 solves both descents' start states; every later round starts
+    # them from the state it solved at the blended pair, so its best
+    # responses solve only their Armijo trials
+    from mfcontrol import smp_control
+
+    solves, per_response = [], []
+    solve, respond = smp_control.solve_state, games.best_response
+
+    def counted_solve(*args, **kw):
+        solves.append(1)
+        return solve(*args, **kw)
+
+    def counted_response(*args, **kw):
+        start = len(solves)
+        out = respond(*args, **kw)
+        per_response.append(len(solves) - start)
+        return out
+
+    monkeypatch.setattr(smp_control, "solve_state", counted_solve)
+    monkeypatch.setattr(games, "best_response", counted_response)
+    refuted = {"passed": False, "player_1": {"worst_margin": -1.0},
+               "player_2": {"worst_margin": -1.0}}
+    monkeypatch.setattr(games, "deviation_test", lambda *args, **kw: refuted)
+    grid, noise = _setup(8, 64, 0)
+    res = nash_iterate(lq_game(coupling=0.2), (0.0, 0.0), grid, noise, rounds=3,
+                       br_steps=2, n_trials=2)
+    assert res.rounds == 3 and len(per_response) == 6
+    for rnd, row in enumerate(res.history):
+        trials = [_armijo_trials(row["response_1"]), _armijo_trials(row["response_2"])]
+        start = 1 if rnd == 0 else 0
+        assert per_response[2 * rnd: 2 * rnd + 2] == [t + start for t in trials]
+
+
+@pytest.mark.parametrize("player", [1, 2])
+def test_best_response_from_the_shared_state_matches_a_fresh_solve(player):
+    game = lq_game(coupling=0.2)
+    grid, noise = _setup(8, 64, 3)
+    pair = (0.3, -0.2)
+    fresh = best_response(game, player, pair, grid, noise, steps=3)
+    state = solve_state(induced_model(game, 1, np.full((8, 64), -0.2), grid), 0.3, grid, noise)
+    given = best_response(game, player, pair, grid, noise, steps=3, state=state)
+    assert np.array_equal(given[0], fresh[0]) and given[1] == fresh[1]
+
+
 def test_deviation_test_with_the_callers_state_matches_a_fresh_solve(monkeypatch):
     game = lq_game(coupling=0.2)
     grid, noise = _setup(8, 64, 3)

@@ -268,3 +268,19 @@ def test_backward_layer_rejects_malformed_inputs(case, match):
     }
     with pytest.raises(ConfigError, match=match):
         calls[case]()
+
+
+@pytest.mark.parametrize("terminal", [np.zeros(3), np.zeros((16, 1)), np.zeros((2, 16))])
+def test_wrong_length_terminal_array_fails_typed_before_broadcasting(terminal):
+    g = make_time_grid(1.0, 8)
+    w = sample_brownian(g, EnsembleConfig(particles=16, seed=1))
+    with pytest.raises(ConfigError, match=r"terminal values have shape .*expected \(16,\)"):
+        solve_mf_bsde(BackwardModel(None, terminal), g, w, w.cumulative())
+
+
+@pytest.mark.parametrize("terminal", [0.4, np.array([0.4]), np.full(16, 0.4)])
+def test_constant_and_full_terminal_arrays_still_broadcast(terminal):
+    g = make_time_grid(1.0, 8)
+    w = sample_brownian(g, EnsembleConfig(particles=16, seed=1))
+    y, z = solve_mf_bsde(BackwardModel(None, terminal), g, w, w.cumulative())
+    assert np.array_equal(y[-1], np.full(16, 0.4))

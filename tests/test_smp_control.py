@@ -1,5 +1,6 @@
 """Tests for the stochastic-maximum-principle control layer."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -416,6 +417,116 @@ def test_single_systems_match_sequential_routes_bit_for_bit(case):
     assert np.all(np.isfinite(adj.p)) and np.any(var.k[1:] != 0.0)
     if case == "lq1":  # the driver's y and z partials make Q move
         assert np.any(adj.Q != adj.Q[0])
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(1) or fn(*args, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("case, passes", [
+    ("lq1_default", 0), ("player1", 0), ("player2", 0), ("lq1", 1),
+])
+def test_decoupled_adjoint_runs_the_euler_pass_only_when_x_tilde_moves(monkeypatch, case, passes):
+    # without a y or z partial H_y = H_z = 0, X~ stays at X~_0 and the
+    # adjoint runs no Euler pass; the driver's y and z partials of the
+    # "lq1" case make it move, so that one still runs it
+    grid, noise = _grid_noise(m=8, n=256, horizon=0.5, seed=3)
+    if case == "lq1_default":
+        model, u = lq1_model(LQ1Params()), as_control(0.2, grid, noise.particles)
+    else:
+        model, u = _sequential_case(case, grid, noise)
+    state = solve_state(model, u, grid, noise)
+    forward = _counting(monkeypatch, smp_control, "simulate_forward")
+    adj = solve_adjoint(model, u, state, grid, noise)
+    assert len(forward) == passes
+    ref = sequential_adjoint(model, u, state, grid, noise)
+    for got, want in ((adj.p, ref.p), (adj.q, ref.q), (adj.Q, ref.Q)):
+        assert np.array_equal(got, want)
+    assert np.any(adj.Q != adj.Q[0]) == bool(passes)
+
+
+def test_constant_x_tilde_keeps_the_guard_check_on_its_initial_node():
+    grid, noise = _grid_noise(m=8, n=64)
+    model = replace(_tracking_model(lambda t: 0.0),
+                    initial_cost_slope=lambda y: np.full_like(y, 1e13))
+    state = solve_state(model, 0.0, grid, noise)
+    with pytest.raises(DivergenceError) as err:
+        solve_adjoint(model, 0.0, state, grid, noise)
+    assert err.value.step == 0 and err.value.guard == 1e12
+
+
+def test_descent_from_the_callers_state_skips_only_the_start_solve(monkeypatch):
+    grid, noise = _grid_noise(m=8, n=128, seed=5)
+    model = _affine_model()
+    fresh = projected_gradient_descent(model, 0.1, grid, noise, steps=4)
+    state = solve_state(model, 0.1, grid, noise)
+    solves = _counting(monkeypatch, smp_control, "solve_state")
+    given = projected_gradient_descent(model, 0.1, grid, noise, steps=4, state=state)
+    assert np.array_equal(given[0], fresh[0]) and given[1] == fresh[1]
+    trials = sum(rec.get("backtracks", 0) + ("status" not in rec) for rec in given[1])
+    assert len(solves) == trials
+
+
+def test_decoupled_descent_lets_go_of_its_state_before_each_search(monkeypatch):
+    # each search's first trial solves with no earlier state alive: the
+    # iterate's state and adjoint are dropped once the gradient is formed
+    grid, noise = _grid_noise(m=8, n=128, seed=5)
+    states, seen = [], []
+    solve_state_, solve_adjoint_ = smp_control.solve_state, smp_control.solve_adjoint
+
+    def solve_state_spy(*args, **kw):
+        if seen and seen[-1] is None:
+            seen[-1] = sum(ref() is not None for ref in states)
+        out = solve_state_(*args, **kw)
+        states.append(weakref.ref(out))
+        return out
+
+    def solve_adjoint_spy(*args, **kw):
+        seen.append(None)  # a search follows this iteration's gradient
+        return solve_adjoint_(*args, **kw)
+
+    monkeypatch.setattr(smp_control, "solve_state", solve_state_spy)
+    monkeypatch.setattr(smp_control, "solve_adjoint", solve_adjoint_spy)
+    _, history = projected_gradient_descent(_affine_model(), 0.1, grid, noise, steps=4)
+    searched = [s for s in seen if s is not None]
+    assert len(searched) >= 3 and searched == [0] * len(searched)
+
+
+def test_paired_deviations_release_each_state_before_the_next_solve(monkeypatch):
+    grid, noise = _grid_noise(m=8, n=128, seed=5)
+    model = _affine_model()
+    u = as_control(0.1, grid, noise.particles)
+    base = solve_state(model, u, grid, noise)
+    states, alive = [], []
+    solve = smp_control.solve_state
+
+    def spy(*args, **kw):
+        alive.append(sum(ref() is not None for ref in states))
+        out = solve(*args, **kw)
+        states.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(smp_control, "solve_state", spy)
+    rng = np.random.Generator(np.random.Philox(key=3))
+    records = smp_control._paired_deviations(model, u, base, grid, noise, rng, 4, 0.5)
+    assert len(records) == 4 and alive == [0, 0, 0, 0]
+
+
+def test_vi_residual_reads_a_generator_of_trials_one_at_a_time(monkeypatch):
+    grid, noise = _grid_noise(m=8, n=64)
+    model = _affine_model()
+    rng = np.random.default_rng(2)
+    trials = [rng.uniform(-1.0, 1.0, size=(grid.steps, noise.particles)) for _ in range(5)]
+    listed = variational_inequality_residual(model, 0.2, trials, grid, noise)
+    assert variational_inequality_residual(model, 0.2, iter(trials), grid, noise) == listed
+    # an empty iterable fails before the gradient's solves
+    gradients = _counting(monkeypatch, smp_control, "smp_gradient")
+    with pytest.raises(ConfigError, match="at least one trial"):
+        variational_inequality_residual(model, 0.2, (t for t in ()), grid, noise)
+    assert gradients == []
 
 
 def _law_cost_model(slope):
