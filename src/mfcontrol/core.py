@@ -1,6 +1,6 @@
-"""Shared infrastructure: typed errors, time grids, Brownian drivers, the
-state views through which coefficients read the ensemble, and the Anderson
-mixer of the package's fixed-point iterations.
+"""Shared infrastructure: typed errors, the input contract, time grids,
+Brownian drivers, the state views through which coefficients read the
+ensemble, and the Anderson mixer of the package's fixed-point iterations.
 
 Conventions used across the package
 -----------------------------------
@@ -14,13 +14,28 @@ Conventions used across the package
   :class:`StateView` of per-particle arrays.  The independent-copy average
   E'[phi] is the same-ensemble empirical mean (self term included; the
   O(1/N) bias this introduces is accepted at desk scale).
+
+Input contract
+--------------
+Every array or number a caller passes is checked by one rule here, and a
+failed check raises :class:`ConfigError` naming the argument:
+
+* a noise block must have the grid's step count (:func:`_check_noise`);
+* an array must have its expected shape (:func:`_check_shape`), and a
+  solution triple [M+1, N] paths (:func:`_check_paths`);
+* a constant input (an initial condition, a terminal value, a source) is
+  a float or an array of its shape, and a one-element array counts as the
+  float (:func:`_broadcast`);
+* tolerances are finite and > 0 (:func:`_check_tol`), thresholds finite
+  and >= 0 (:func:`_check_nonneg`), steps and relaxation factors in
+  (0, 1] (:func:`_check_fraction`), counts integers (:func:`_check_cap`).
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -89,15 +104,60 @@ class RegressionError(RuntimeError):
         super().__init__(message)
 
 
+# ======================================================================
+# Input contract
+# ======================================================================
+
+
 def _check_tol(name: str, tol: float) -> None:
     if not (np.isfinite(tol) and tol > 0):
         raise ConfigError(f"{name} must be finite and > 0, got {tol}")
+
+
+def _check_nonneg(name: str, value: float) -> None:
+    """A threshold must be finite and >= 0: a NaN or infinite one hides
+    every violation, a negative one counts exact ties."""
+    if not (np.isfinite(value) and value >= 0.0):
+        raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _check_fraction(name: str, value: float) -> None:
+    if not (0.0 < value <= 1.0):
+        raise ConfigError(f"{name} must lie in (0, 1], got {value}")
 
 
 def _check_cap(name: str, cap: int, low: int) -> None:
     """A count must be an integer (``bool`` excluded) and at least ``low``."""
     if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < low:
         raise ConfigError(f"{name} must be an integer >= {low}, got {cap!r}")
+
+
+def _shape_error(subject: str, shape, expected) -> ConfigError:
+    verb = "have" if subject.endswith("s") else "has"  # "terminal values have"
+    return ConfigError(f"{subject} {verb} shape {shape}, expected {expected}")
+
+
+def _check_shape(subject: str, arr, shape: Tuple[int, ...]) -> None:
+    if np.shape(arr) != shape:
+        raise _shape_error(subject, np.shape(arr), shape)
+
+
+def _check_paths(subject: str, arrays: Sequence, shape: Tuple[int, ...]) -> None:
+    """Every array of a solution triple must have the path shape ``shape``."""
+    shapes = [np.shape(a) for a in arrays]
+    if any(s != shape for s in shapes):
+        raise ConfigError(f"{subject} has shapes {shapes}, expected {shape} each")
+
+
+def _broadcast(subject: str, value, shape: Tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float array of ``shape``: an array of that shape as it
+    is, a float or a one-element array [1] as a fresh constant array."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape == shape:
+        return arr
+    if arr.ndim <= 1 and arr.size == 1:  # checked before broadcasting
+        return np.broadcast_to(arr, shape).copy()
+    raise _shape_error(subject, arr.shape, shape)
 
 
 # ======================================================================
@@ -207,6 +267,14 @@ def sample_brownian(grid: TimeGrid, cfg: EnsembleConfig) -> BrownianPaths:
     return BrownianPaths(increments=incr, seed=cfg.seed)
 
 
+def _check_noise(grid: TimeGrid, noise: BrownianPaths) -> Tuple[int, int]:
+    """(M, N) of a noise block, which must have the grid's step count."""
+    m, n = noise.increments.shape
+    if m != grid.steps:
+        raise ConfigError(f"noise has {m} steps but grid has {grid.steps}")
+    return m, n
+
+
 # ======================================================================
 # State views (law statistics / per-particle slots)
 # ======================================================================
@@ -226,6 +294,11 @@ class StateView:
     z: Any = None
     u: Any = None
 
+
+#: a coefficient ``(t, law, own) -> array [N]`` (a scalar broadcasts)
+Coefficient = Callable[[float, StateView, StateView], np.ndarray]
+#: a terminal condition: a float, an array [N], or a map of the terminal state
+TerminalMap = Union[float, np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 _F64 = np.dtype(np.float64)
 

@@ -45,14 +45,20 @@ import numpy as np
 
 from mfcontrol.core import (
     BrownianPaths,
-    ConfigError,
+    Coefficient,
     DivergenceError,
     NonConvergenceError,
     RegressionError,
     StateView,
+    TerminalMap,
     TimeGrid,
     _AndersonMixer,
+    _broadcast,
     _check_cap,
+    _check_fraction,
+    _check_noise,
+    _check_paths,
+    _check_shape,
     _check_tol,
 )
 from mfcontrol.forward_mv import (
@@ -76,9 +82,6 @@ __all__ = [
     "solve_continuation",
     "residual",
 ]
-
-Coefficient = Callable[[float, StateView, StateView], np.ndarray]
-TerminalMap = Union[float, np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 #: solver failures a caller recovers from (a continuation rung halves its
 #: step, a polish is rejected, a warm solve falls back to the continuation)
@@ -153,8 +156,10 @@ class LinearInhomogeneity:
       (integrand ``f - phi``),
     * ``terminal_shift``   adds ``+xi`` to the terminal value.
 
-    Sources may be ``None`` (zero), floats, callables of t, or step arrays
-    [M, N]; the terminal shift may be ``None``, a float, or an array [N].
+    Sources may be ``None`` (zero), floats, one-element arrays, callables
+    of t, or step arrays [M, N]; the terminal shift may be ``None``, a
+    float, a one-element array, or an array [N].  A one-element array is
+    the float it holds.
     """
 
     drift_source: Source = None
@@ -166,27 +171,11 @@ class LinearInhomogeneity:
 def _source_array(src: Source, grid: TimeGrid, n: int) -> np.ndarray:
     m = grid.steps
     if src is None:
-        return np.zeros((m, n))
+        return np.zeros((m, n))  # its zero pages are not committed until written
     if callable(src):
         vals = np.asarray([src(k * grid.dt) for k in range(m)], dtype=float)
         return np.broadcast_to(vals[:, None], (m, n)).copy()
-    arr = np.asarray(src, dtype=float)
-    if arr.ndim == 0:
-        return np.full((m, n), float(arr))
-    if arr.shape == (m, n):
-        return arr
-    raise ConfigError(f"source has shape {arr.shape}, expected scalar, callable or {(m, n)}")
-
-
-def _terminal_array(shift, n: int) -> np.ndarray:
-    if shift is None:
-        return np.zeros(n)
-    arr = np.asarray(shift, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    if arr.shape == (n,):
-        return arr
-    raise ConfigError(f"terminal shift has shape {arr.shape}, expected scalar or ({n},)")
+    return _broadcast("source", src, (m, n))
 
 
 # ======================================================================
@@ -246,17 +235,15 @@ def solve_linear_seed(
         (key ``"auxiliary_y"``).
     """
     dw = noise.increments
-    m, n = dw.shape
-    if m != grid.steps:
-        raise ConfigError(f"noise has {m} steps but grid has {grid.steps}")
+    m, n = _check_noise(grid, noise)
 
     gam = _source_array(inhom.drift_source, grid, n)
     vphi = _source_array(inhom.diffusion_source, grid, n)
     phi = _source_array(inhom.driver_source, grid, n)
-    xi = _terminal_array(inhom.terminal_shift, n)
+    shift = inhom.terminal_shift
+    xi = np.zeros(n) if shift is None else _broadcast("terminal shift", shift, (n,))
     cond = noise.cumulative() if conditioning is None else conditioning
-    if cond.shape != (m + 1, n):
-        raise ConfigError(f"conditioning has shape {cond.shape}, expected {(m + 1, n)}")
+    _check_shape("conditioning", cond, (m + 1, n))
 
     def aux_driver(t, law, own):
         k = grid.node_index(t)
@@ -377,22 +364,15 @@ def solve_picard(
     """
     _check_cap("max_iter", max_iter, 1)
     _check_tol("tol", tol)
-    dw = noise.increments
-    m, n = dw.shape
-    if m != grid.steps:
-        raise ConfigError(f"noise has {m} steps but grid has {grid.steps}")
+    m, n = _check_noise(grid, noise)
 
     if initial_guess is None:
         cur = SolutionTriple(
             x=np.zeros((m + 1, n)), y=np.zeros((m + 1, n)), z=np.zeros((m + 1, n))
         )
     else:
-        shapes = [np.shape(a) for a in (initial_guess.x, initial_guess.y, initial_guess.z)]
-        if any(shape != (m + 1, n) for shape in shapes):
-            raise ConfigError(
-                f"initial guess has (x, y, z) shapes {shapes}, expected {(m + 1, n)} each"
-            )
         cur = initial_guess
+        _check_paths("initial guess", (cur.x, cur.y, cur.z), (m + 1, n))
     backward = BackwardModel(driver=model.driver, terminal=model.terminal_map)
 
     def sweep(it: SolutionTriple) -> SolutionTriple:
@@ -436,8 +416,7 @@ class ContinuationSchedule:
     polish_max_iter: int = 100
 
     def __post_init__(self):
-        if not (0.0 < self.step <= 1.0):
-            raise ConfigError(f"continuation step must lie in (0, 1], got {self.step}")
+        _check_fraction("continuation step", self.step)
         for name in ("inner_tol", "picard_tol"):
             _check_tol(name, getattr(self, name))
         for name, low in (("picard_max_iter", 1), ("max_halvings", 0),

@@ -19,11 +19,15 @@ import numpy as np
 
 from mfcontrol.core import (
     BrownianPaths,
+    Coefficient,
     ConfigError,
     DivergenceError,
     EnsembleConfig,
     StateView,
     TimeGrid,
+    _broadcast,
+    _check_noise,
+    _check_shape,
     _mean,
     make_time_grid,
     sample_brownian,
@@ -40,7 +44,6 @@ __all__ = [
 #: guard radius: a path beyond this magnitude counts as divergent
 DEFAULT_GUARD = 1e12
 
-Coefficient = Callable[[float, StateView, StateView], np.ndarray]
 Initial = Union[float, np.ndarray, Callable[[np.random.Generator, int], np.ndarray]]
 
 
@@ -58,17 +61,14 @@ class ForwardModel:
 
 
 def resolve_initial(initial: Initial, n: int, seed: int) -> np.ndarray:
-    """Materialize an initial condition (float / array / sampler) as [N]."""
+    """Materialize an initial condition (float / array / sampler) as [N].
+
+    A float array [N], or a sampler's, is returned as it is; a float or a
+    one-element array becomes a fresh constant array.  Any other shape
+    raises :class:`ConfigError`."""
     if callable(initial):
-        rng = np.random.Generator(np.random.Philox(key=seed + 0x5EED))
-        x0 = np.asarray(initial(rng, n), dtype=float)
-    else:
-        x0 = np.asarray(initial, dtype=float)
-        if x0.shape == (n,) or (x0.ndim <= 1 and x0.size == 1):  # checked before broadcasting
-            x0 = np.broadcast_to(x0, (n,)).copy()
-    if x0.shape != (n,):
-        raise ConfigError(f"initial condition has shape {x0.shape}, expected ({n},)")
-    return x0
+        initial = initial(np.random.Generator(np.random.Philox(key=seed + 0x5EED)), n)
+    return _broadcast("initial condition", initial, (n,))
 
 
 def _check_guard(row: np.ndarray, k: int, guard: float) -> None:
@@ -161,12 +161,9 @@ def simulate_forward(
     -------
     ndarray, shape [M+1, N]
     """
-    dw = noise.increments
-    m, n = dw.shape
-    if m != grid.steps:
-        raise ConfigError(f"noise has {m} steps but grid has {grid.steps}")
-    if control is not None and control.shape != (m, n):
-        raise ConfigError(f"control has shape {control.shape}, expected {(m, n)}")
+    m, n = _check_noise(grid, noise)
+    if control is not None:
+        _check_shape("control", control, (m, n))
     return _euler(model, grid, noise, control, guard)
 
 

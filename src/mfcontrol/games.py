@@ -37,7 +37,7 @@ from typing import Callable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from mfcontrol.core import BrownianPaths, ConfigError, TimeGrid, _check_cap
+from mfcontrol.core import BrownianPaths, ConfigError, TimeGrid, _check_cap, _check_fraction
 from mfcontrol.fbsde_solver import SolutionTriple
 from mfcontrol.smp_control import (
     AdjointTriple,
@@ -49,6 +49,7 @@ from mfcontrol.smp_control import (
     _per_particle_cost,
     _profile,
     _rms,
+    _state_at,
     as_control,
     identity_projection,
     projected_gradient_descent,
@@ -303,16 +304,16 @@ def deviation_test(
     clears when mean(cost change) + 3*SE >= 0; the per-player summary
     records the minimum sampled cost change and the worst margin, and the
     test passes when every deviation of both players clears.  ``state``
-    is the shared state at ``controls`` when the caller has it (solved
-    there otherwise).  ``n_deviations < 1``, or a ``radius`` that is not
-    finite and > 0, raise :class:`ConfigError`.
+    is the shared state at ``controls`` when the caller has it, as
+    [M+1, N] paths (solved there otherwise).  ``n_deviations < 1``, or a
+    ``radius`` that is not finite and > 0, raise :class:`ConfigError`.
     """
 
     _check_sampling(n_deviations, radius)
     u1, u2 = _pair(controls, grid, noise.particles)
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x6A3E_DE7))
     reductions = {i: _player(game, i, u1, u2, grid) for i in (1, 2)}
-    base_state = solve_state(*reductions[1], grid, noise) if state is None else state
+    base_state = _state_at(*reductions[1], grid, noise, state)
     players = {}
     for i, (model, own) in reductions.items():
         records = _paired_deviations(
@@ -455,8 +456,7 @@ def nash_iterate(
     """
 
     _check_cap("rounds", rounds, 1)
-    if not (0.0 < damping <= 1.0):
-        raise ConfigError(f"damping must lie in (0, 1], got {damping}")
+    _check_fraction("damping", damping)
     _check_cap("br_steps", br_steps, 1)
     _check_sampling(n_trials, trial_radius)
     _check_sampling(n_deviations, trial_radius)

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from mfcontrol.core import ConfigError, StateView, _check_cap
+from mfcontrol.core import StateView, _check_cap, _check_nonneg, _check_tol
 from mfcontrol.fbsde_solver import CoupledModel, _coefficients
 from mfcontrol.mf_bsde import _terminal_values
 
@@ -73,8 +73,7 @@ class UniformPairSampler:
 
     def __post_init__(self):
         # a zero or NaN radius draws no effective sample, so every check passes
-        if not (np.isfinite(self.radius) and self.radius > 0.0):
-            raise ConfigError(f"sampler radius must be finite and > 0, got {self.radius}")
+        _check_tol("sampler radius", self.radius)
 
     def draw(self, rng: np.random.Generator, *shape: int) -> np.ndarray:
         return self.radius * (2.0 * rng.random(shape) - 1.0)
@@ -372,13 +371,6 @@ def check_H6(
 # ======================================================================
 
 
-def _check_slack(slack: float) -> None:
-    """A violation threshold must be finite and >= 0: a NaN or infinite one
-    hides every violation, a negative one counts exact ties."""
-    if not (np.isfinite(slack) and slack >= 0.0):
-        raise ConfigError(f"slack must be finite and >= 0, got {slack}")
-
-
 def check_convexity(
     fn: Callable[[np.ndarray], np.ndarray],
     dim: int,
@@ -396,7 +388,7 @@ def check_convexity(
     state-and-control tuple at frozen multipliers, which is what the
     sufficiency results assume.
     """
-    _check_slack(slack)
+    _check_nonneg("slack", slack)
     _check_cap("n_samples", n_samples, 1)
     _check_cap("dim", dim, 1)
     sampler = sampler or UniformPairSampler()

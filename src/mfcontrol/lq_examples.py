@@ -31,21 +31,23 @@ parameter given as a time function stays in, even where it returns 0.
 Both problems admit explicit candidate optimal controls obtained by
 minimizing the control Hamiltonian pointwise in v.  Its slope is
 ``H_v = p*drift_control + q*diff_control - Q*driver_control + l*v``
-with ``l`` the running-cost weight (1 for the decoupled problem), so
-both candidates are the one shared feedback
-``u = -(p*drift_control + q*diff_control - Q*driver_control) / l``.
+with ``l`` the running-cost weight (1 for the decoupled problem), which
+is affine in v, so its zero at frozen multipliers is the step
+``u <- P(u - H_v / l)`` from any control u.  H_v is evaluated once, by
+:func:`mfcontrol.smp_control.smp_gradient` from the model's declared
+partials, for the candidate and for the stationarity check alike.
 
 The candidate is implicit -- the multipliers are solved along the very
 trajectory the candidate generates -- so :func:`lq1_candidate` and
-:func:`lq2_candidate` solve the fixed point u = formula(adjoints(u)) by
+:func:`lq2_candidate` solve the fixed point u = P(u - H_v(u) / l) by
 Anderson mixing on the flattened control (memory 3, relaxation factor
-``damping``, 0.5 by default).  The Hamiltonian slope here is ``H_v =
-l*(u - formula)``, so the plain damped step is a preconditioned gradient
-step on the (strongly convex) cost; on these fixtures the map is affine,
-where Anderson mixing acts like GMRES and needs a few iterations where
-the damped step needs about twenty.  The loop returns the control whose
-gap it measured, together with the state and adjoint it solved there,
-and :func:`verify_example` certifies the candidate on those solutions.
+``damping``, 0.5 by default).  The plain damped step is then a
+preconditioned gradient step on the (strongly convex) cost; on these
+fixtures the map is affine, where Anderson mixing acts like GMRES and
+needs a few iterations where the damped step needs about twenty.  The
+loop returns the control whose gap it measured, together with the state
+and adjoint it solved there, and :func:`verify_example` certifies the
+candidate on those solutions.
 
 :func:`verify_example` bundles the whole optimality story into one
 report: hypothesis certification (coupled problem), candidate
@@ -74,6 +76,7 @@ from mfcontrol.core import (
     TimeGrid,
     _AndersonMixer,
     _check_cap,
+    _check_fraction,
     _check_tol,
     make_time_grid,
     sample_brownian,
@@ -89,6 +92,7 @@ from mfcontrol.smp_control import (
     _paired_deviations,
     _profile,
     _rms,
+    _state_at,
     as_control,
     check_sufficiency,
     cost,
@@ -382,10 +386,8 @@ class LQ2Params:
                    (1.0, "v", "driver_control")),
     }
 
-    def validate(self, check_signs: bool = True) -> None:
+    def validate(self) -> None:
         samples = _check_params(self)
-        if not check_signs:
-            return
         for name in self._POSITIVE:
             _check_sign(name, samples[name], positive=True)
         for name in self._NEGATIVE:
@@ -480,7 +482,7 @@ def lq2_model(params: LQ2Params) -> ControlModel:
         message names the offending coefficient.
     """
 
-    params.validate(check_signs=True)
+    params.validate()
     return _lq_model(
         params, True, params.terminal_gain, params.terminal_weight, params.initial_weight,
         params.control_weight,
@@ -497,7 +499,7 @@ def lq2_fbsde(params: LQ2Params, control: ScalarFn = 0.0) -> CoupledModel:
     sets that *violate* the sign pattern -- detecting that is their job.
     """
 
-    params.validate(check_signs=False)
+    _check_params(params)
     ctrl = _as_fn(control)
     _check_bounded("control", ctrl, params.horizon)
     fns = _coef_fns(params)
@@ -528,7 +530,7 @@ def lq2_adjoint_fbsde(params: LQ2Params) -> CoupledModel:
     ``-terminal_gain`` slope that difference-based probes see.
     """
 
-    params.validate(check_signs=False)
+    _check_params(params)
     fns = _coef_fns(params)
     gain = float(params.terminal_gain)
     return CoupledModel(
@@ -542,23 +544,6 @@ def lq2_adjoint_fbsde(params: LQ2Params) -> CoupledModel:
 # ======================================================================
 # Candidate fixed points
 # ======================================================================
-
-
-def _feedback(params, weight: ScalarFn):
-    """The candidate feedback of both LQ problems at node ``k``: the zero in
-    v of the Hamiltonian slope ``H_v = p*drift_control + q*diff_control
-    - Q*driver_control + weight*v``, where ``weight`` is the running
-    cost's curvature in v."""
-
-    b_v, s_v, f_v, w = (
-        _as_fn(c)
-        for c in (params.drift_control, params.diff_control, params.driver_control, weight)
-    )
-
-    def formula(k: int, t: float, adj: AdjointTriple) -> np.ndarray:
-        return -(adj.p[k] * b_v(t) + adj.q[k] * s_v(t) - adj.Q[k] * f_v(t)) / w(t)
-
-    return formula
 
 
 #: Anderson memory of the candidate iteration
@@ -577,7 +562,7 @@ class _CandidateHistory(list):
 
 def _candidate_fixed_point(
     model: ControlModel,
-    formula,
+    weight: ScalarFn,
     grid: TimeGrid,
     noise: BrownianPaths,
     damping: float,
@@ -585,20 +570,23 @@ def _candidate_fixed_point(
     max_iter: int,
     schedule: Optional[ContinuationSchedule],
 ):
-    """Anderson iteration on u = formula(adjoints(u)) from u = 0.
+    """Anderson iteration on u = P(u - H_v(u) / weight) from u = 0.
 
     Each iteration solves the state and adjoint at the current control u,
-    evaluates the feedback ``proposal = project(formula(...))`` and measures
-    the gap |proposal - u| in ensemble RMS.  When the gap is at most ``tol``
-    it returns u, whose state and adjoint are then already solved.  Else the
-    next control is the projection of the Anderson step on the flattened
+    takes the Hamiltonian's control slope H_v from :func:`smp_gradient`,
+    proposes ``project(u - H_v / w)``, with w the running cost's curvature
+    ``weight`` in v at the node times ``k * dt``, and measures the gap
+    |proposal - u| in ensemble RMS.  On the LQ problems H_v = b_v p +
+    sigma_v q - f_v Q + w v is affine in v, so the proposal is the
+    Hamiltonian's pointwise minimizer at the frozen multipliers.  When the
+    gap is at most ``tol`` it returns u, whose state and adjoint are then
+    already solved.  Else the next control is the projection of the Anderson step on the flattened
     control (memory ``CANDIDATE_MEMORY``) with relaxation factor
     ``damping`` (:class:`mfcontrol.core._AndersonMixer`): u_bar + damping *
     r_bar in the mixed iterate and residual.  The first step has no history
     to mix, so it is the damped step (1 - damping) u + damping * proposal.
     On the LQ fixtures the map is affine, where Anderson mixing acts like
-    GMRES (Walker & Ni 2011; Toth & Kelley 2015).  ``formula(k, t,
-    adjoint) -> [N]`` evaluates the feedback at node k.
+    GMRES (Walker & Ni 2011; Toth & Kelley 2015).
 
     The first iteration solves the state and adjoint cold; each later one
     warm-starts both from the previous iteration's solutions, so a coupled
@@ -612,10 +600,10 @@ def _candidate_fixed_point(
     next control the iteration would have tried.
     """
 
-    if not (0.0 < damping <= 1.0):
-        raise ConfigError(f"damping must lie in (0, 1], got {damping}")
+    _check_fraction("damping", damping)
     _check_tol("tol", tol)
     _check_cap("max_iter", max_iter, 1)
+    w = np.array([[float(_as_fn(weight)(k * grid.dt))] for k in range(grid.steps)])
     u = np.zeros((grid.steps, noise.particles))
     mixer = _AndersonMixer(CANDIDATE_MEMORY, relax=damping)
     history: List[dict] = []
@@ -624,10 +612,8 @@ def _candidate_fixed_point(
     for it in range(max_iter):
         state = solve_state(model, u, grid, noise, schedule, warm=state)
         adj = solve_adjoint(model, u, state, grid, noise, schedule, warm=adj)
-        proposal = np.empty_like(u)
-        for k in range(grid.steps):
-            proposal[k] = formula(k, k * grid.dt, adj)
-        proposal = model.project(proposal)
+        grad = smp_gradient(model, u, grid, noise, state=state, adjoint=adj)
+        proposal = model.project(u - grad / w)
         gap = _rms(proposal - u)
         history.append({"iteration": it, "target_gap": float(gap)})
         if gap <= tol:
@@ -673,7 +659,7 @@ def lq1_candidate(
     """
 
     return _candidate_fixed_point(
-        lq1_model(params), _feedback(params, 1.0), grid, noise, damping, tol, max_iter, schedule,
+        lq1_model(params), 1.0, grid, noise, damping, tol, max_iter, schedule,
     )
 
 
@@ -697,8 +683,7 @@ def lq2_candidate(
     """
 
     return _candidate_fixed_point(
-        lq2_model(params), _feedback(params, params.control_weight), grid, noise,
-        damping, tol, max_iter, schedule,
+        lq2_model(params), params.control_weight, grid, noise, damping, tol, max_iter, schedule,
     )
 
 
@@ -743,7 +728,8 @@ def deviation_check(
     i.e. the perturbed control may beat the candidate only within three
     paired standard errors.  The report records every margin; ``passed``
     requires all of them to clear.  ``state`` is the candidate's state
-    solution when the caller has it (solved cold otherwise).  Raises
+    solution when the caller has it, as [M+1, N] paths (solved cold
+    otherwise).  Raises
     :class:`ConfigError` for ``n_deviations < 1`` or a ``radius`` that is
     not finite and positive.
     """
@@ -751,8 +737,7 @@ def deviation_check(
     _check_sampling(n_deviations, radius)
     u = as_control(u, grid, noise.particles)
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x5EED_0DE))
-    if state is None:
-        state = solve_state(model, u, grid, noise, schedule)
+    state = _state_at(model, u, grid, noise, state, schedule)
     records = _paired_deviations(
         model, u, state, grid, noise, rng, n_deviations, radius, schedule
     )

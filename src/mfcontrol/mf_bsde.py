@@ -34,18 +34,23 @@ sweep equals the per-node fits exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from mfcontrol.core import (
     BrownianPaths,
+    Coefficient,
     ConfigError,
     RegressionError,
     StateView,
+    TerminalMap,
     TimeGrid,
+    _broadcast,
+    _check_noise,
+    _check_nonneg,
+    _check_shape,
     _mean,
 )
 
@@ -61,11 +66,6 @@ __all__ = [
 MAX_RIDGE_ESCALATIONS = 8
 #: normal-equation condition number beyond which a fit is rejected
 COND_LIMIT = 1e12
-
-
-def _check_ridge(value: float, what: str) -> None:
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ConfigError(f"{what} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class RegressionBasis:
     def __post_init__(self):
         if not self.size >= 1:
             raise ConfigError(f"basis size must be >= 1, got {self.size}")
-        _check_ridge(self.ridge_scale, "ridge_scale")
+        _check_nonneg("ridge_scale", self.ridge_scale)
 
 
 def default_polynomial_basis(degree: int = 3, ridge_scale: float = 1e-8) -> RegressionBasis:
@@ -187,16 +187,14 @@ def regress_conditional_expectation(
     plan builds it); the fit then only forms F' targets and solves, with the
     same result as without it.
     """
-    _check_ridge(ridge, "ridge")
+    _check_nonneg("ridge", ridge)
     f = np.asarray(features, dtype=float)
     if f.ndim != 2:
         raise ConfigError(f"features must be 2-d, got shape {f.shape}")
     if normal is None:
         normal = _ridge_escalated_normals(f.T @ f, ridge)
-    elif normal.shape != (f.shape[1], f.shape[1]):
-        raise ConfigError(
-            f"normal has shape {normal.shape}, expected {(f.shape[1], f.shape[1])}"
-        )
+    else:
+        _check_shape("normal", normal, (f.shape[1], f.shape[1]))
     try:
         return np.linalg.solve(normal, f.T @ np.asarray(targets, dtype=float))
     except np.linalg.LinAlgError as exc:
@@ -204,9 +202,6 @@ def regress_conditional_expectation(
             f"conditional-expectation regression failed: {exc}",
             condition_number=np.inf,
         ) from exc
-
-
-Terminal = Union[np.ndarray, float, Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -219,23 +214,16 @@ class BackwardModel:
     conditioning state.
     """
 
-    driver: Optional[Callable[[float, StateView, StateView], np.ndarray]]
-    terminal: Terminal
+    driver: Optional[Coefficient]
+    terminal: TerminalMap
 
 
-def _terminal_values(terminal: Terminal, x_last: np.ndarray) -> np.ndarray:
+def _terminal_values(terminal: TerminalMap, x_last: np.ndarray) -> np.ndarray:
     """Terminal values at the states ``x_last``: a map applied to them, or
-    a constant or array broadcast to their shape, which a map's output
-    must match."""
-    if callable(terminal):
-        vals = np.asarray(terminal(x_last), dtype=float)
-    else:
-        vals = np.asarray(terminal, dtype=float)
-        if vals.shape == x_last.shape or (vals.ndim <= 1 and vals.size == 1):
-            vals = np.broadcast_to(vals, x_last.shape).astype(float)
-    if vals.shape != x_last.shape:
-        raise ConfigError(f"terminal values have shape {vals.shape}, expected {x_last.shape}")
-    return vals
+    a constant; either must be an array of their shape, a float or a
+    one-element array (:func:`mfcontrol.core._broadcast`)."""
+    vals = terminal(x_last) if callable(terminal) else terminal
+    return _broadcast("terminal values", vals, x_last.shape)
 
 
 def solve_mf_bsde(
@@ -277,19 +265,14 @@ def solve_mf_bsde(
     if basis is None:
         basis = default_polynomial_basis()
     dw = noise.increments
-    m, n = dw.shape
-    if m != grid.steps:
-        raise ConfigError(f"noise has {m} steps but grid has {grid.steps}")
-    if conditioning.shape != (m + 1, n):
-        raise ConfigError(
-            f"conditioning has shape {conditioning.shape}, expected {(m + 1, n)}"
-        )
-    if control is not None and control.shape != (m, n):
-        raise ConfigError(f"control has shape {control.shape}, expected {(m, n)}")
+    m, n = _check_noise(grid, noise)
+    _check_shape("conditioning", conditioning, (m + 1, n))
+    if control is not None:
+        _check_shape("control", control, (m, n))
     if carrier is None:
         carrier = conditioning
-    elif carrier.shape != (m + 1, n):
-        raise ConfigError(f"carrier has shape {carrier.shape}, expected {(m + 1, n)}")
+    else:
+        _check_shape("carrier", carrier, (m + 1, n))
 
     dt = grid.dt
     lam = basis.ridge_scale * n

@@ -54,10 +54,15 @@ import numpy as np
 
 from mfcontrol.core import (
     BrownianPaths,
+    Coefficient,
     ConfigError,
     StateView,
+    TerminalMap,
     TimeGrid,
     _check_cap,
+    _check_nonneg,
+    _check_paths,
+    _check_tol,
     _mean,
     view_means,
 )
@@ -69,12 +74,7 @@ from mfcontrol.forward_mv import (
     _views,
     simulate_forward,
 )
-from mfcontrol.hypothesis_check import (
-    UniformPairSampler,
-    _atom_pairing,
-    _check_slack,
-    check_convexity,
-)
+from mfcontrol.hypothesis_check import UniformPairSampler, _atom_pairing, check_convexity
 from mfcontrol.mf_bsde import BackwardModel, _terminal_values, solve_mf_bsde
 from mfcontrol.fbsde_solver import (
     _RETRYABLE,
@@ -105,9 +105,6 @@ __all__ = [
     "duality_gap",
     "check_sufficiency",
 ]
-
-Coefficient = Callable[[float, StateView, StateView], np.ndarray]
-TerminalMap = Union[float, np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 #: coefficient names that may carry partial derivatives
 _COEF_KEYS = ("drift", "diffusion", "driver", "running_cost")
@@ -240,6 +237,8 @@ def as_control(u, grid: TimeGrid, particles: int) -> np.ndarray:
     Accepts a scalar (constant policy), an [M] array (deterministic in
     time), an [M, 1] column, or a full [M, N] array, all finite
     (:class:`ConfigError` names the first non-finite node and particle).
+    A float [M, N] array is returned as it is, not copied; the others
+    become a fresh array.
     """
     arr = np.asarray(u, dtype=float)
     m = grid.steps
@@ -253,6 +252,8 @@ def as_control(u, grid: TimeGrid, particles: int) -> np.ndarray:
         node, particle = (*np.argwhere(~finite)[0], 0, 0)[:2]
         value = arr.flat[np.argmin(finite)]
         raise ConfigError(f"control is not finite at node {node}, particle {particle}: {value}")
+    if arr.shape == (m, particles):
+        return arr
     return np.broadcast_to(arr[:, None] if arr.ndim == 1 else arr, (m, particles)).copy()
 
 
@@ -438,10 +439,7 @@ def _solve_system(
     divergence guard.
     """
     if warm is not None:
-        shapes = [np.shape(a) for a in (warm.x, warm.y, warm.z)]
-        expected = (grid.steps + 1, noise.particles)
-        if any(shape != expected for shape in shapes):
-            raise ConfigError(f"warm start has shapes {shapes}, expected {expected} each")
+        _check_paths("warm start", (warm.x, warm.y, warm.z), (grid.steps + 1, noise.particles))
     if not coupled:
         if x is None:
             fwd = ForwardModel(drift=model.drift, diffusion=model.diffusion, initial=model.initial)
@@ -514,6 +512,22 @@ def solve_state(
     return _solve_system(model, model.coupled, grid, noise, schedule, warm, control=u)
 
 
+def _check_state(state: SolutionTriple, grid: TimeGrid, noise: BrownianPaths) -> None:
+    _check_paths("state", (state.x, state.y, state.z), (grid.steps + 1, noise.particles))
+
+
+def _state_at(model: ControlModel, u, grid: TimeGrid, noise: BrownianPaths,
+              state: Optional[SolutionTriple],
+              schedule: Optional[ContinuationSchedule] = None) -> SolutionTriple:
+    """The state at ``u``: the caller's ``state``, whose paths must be
+    [M+1, N] (:class:`ConfigError` naming ``state`` otherwise), or, when it
+    is ``None``, a fresh solve."""
+    if state is None:
+        return solve_state(model, u, grid, noise, schedule)
+    _check_state(state, grid, noise)
+    return state
+
+
 # ======================================================================
 # Adjoint system
 # ======================================================================
@@ -530,13 +544,13 @@ def _h5_probe(model: CoupledModel, grid: TimeGrid, seed: int, n: int, trials=8, 
     normalized -pairing observed.
     """
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0xAD01))
+    sampler = UniformPairSampler(radius)
     m = grid.steps
     nodes = sorted({0, m // 3, (2 * m) // 3, m - 1})
     worst = np.inf
     for k in nodes:
         for _ in range(trials):
-            a = radius * (2.0 * rng.random((3, n)) - 1.0)
-            b = radius * (2.0 * rng.random((3, n)) - 1.0)
+            a, b = sampler.draw(rng, 3, n), sampler.draw(rng, 3, n)
             atoms, sq = _atom_pairing(
                 model, k * grid.dt, a.T, view_means(StateView(*a)), b.T, view_means(StateView(*b)),
             )
@@ -587,7 +601,8 @@ def solve_adjoint(
     ----------
     model, u, grid, noise
         As in :func:`solve_state`; ``state`` must solve the state system
-        for ``u`` on the same noise.
+        for ``u`` on the same noise, as [M+1, N] paths
+        (:class:`ConfigError` naming ``state`` otherwise).
     schedule : ContinuationSchedule, optional
         Coupled-route solver schedule, as in :func:`solve_state`.
     certify : bool
@@ -605,6 +620,7 @@ def solve_adjoint(
     AdjointTriple
     """
     u = as_control(u, grid, noise.particles)
+    _check_state(state, grid, noise)
     path = _FrozenPath(model, u, state, grid)
     x_last = state.x[grid.steps]
     terminal_cost_slope = np.asarray(model.terminal_cost_slope(x_last), dtype=float)
@@ -647,6 +663,17 @@ def solve_adjoint(
     return AdjointTriple(p=sol.y, q=sol.z, Q=-sol.x, warning=warning)
 
 
+def _adjoint_at(model: ControlModel, u, state: SolutionTriple, grid: TimeGrid,
+                noise: BrownianPaths, adjoint: Optional[AdjointTriple]) -> AdjointTriple:
+    """The adjoint along ``state``: the caller's ``adjoint``, whose paths
+    must be [M+1, N] (:class:`ConfigError` naming ``adjoint`` otherwise),
+    or, when it is ``None``, a fresh solve."""
+    if adjoint is None:
+        return solve_adjoint(model, u, state, grid, noise)
+    _check_paths("adjoint", (adjoint.p, adjoint.q, adjoint.Q), (grid.steps + 1, noise.particles))
+    return adjoint
+
+
 # ======================================================================
 # Hamiltonian
 # ======================================================================
@@ -687,10 +714,11 @@ def solve_variational(
     is written once; as in :func:`solve_state`, ``model.coupled`` chooses
     only the solver (one forward and one backward pass, or the
     continuation at its default schedule).  The backward passes regress on
-    the state path.
+    the state path, which must be [M+1, N] as in :func:`solve_adjoint`.
     """
     u = as_control(u, grid, noise.particles)
     d = as_control(direction, grid, noise.particles)
+    _check_state(state, grid, noise)
     m_steps = grid.steps
     path = _FrozenPath(model, u, state, grid)
     slope = np.asarray(model.terminal_slope(state.x[m_steps]), dtype=float)
@@ -728,10 +756,9 @@ def cost(
     """Monte Carlo cost J(u) = E[integral of h dt + g(X_T) + gamma(Y_0)]:
     the mean of :func:`_per_particle_cost`, the running cost integrated by
     left-endpoint quadrature.  The state is solved at ``u`` unless
-    supplied."""
+    supplied, and a supplied one must be [M+1, N] paths."""
     u = as_control(u, grid, noise.particles)
-    if state is None:
-        state = solve_state(model, u, grid, noise)
+    state = _state_at(model, u, grid, noise, state)
     return float(_per_particle_cost(model, u, state, grid).mean())
 
 
@@ -745,7 +772,8 @@ def smp_gradient(
 ) -> np.ndarray:
     """Per-node cost gradient: the law-averaged Hamiltonian control slope.
 
-    Solves the state and adjoint systems (unless supplied) and evaluates
+    Solves the state and adjoint systems (unless supplied, as [M+1, N]
+    paths) and evaluates
 
         grad[k, i] = b_v p + sigma_v q - f_v Q + h_v
 
@@ -759,10 +787,8 @@ def smp_gradient(
     ndarray, shape [M, N]
     """
     u = as_control(u, grid, noise.particles)
-    if state is None:
-        state = solve_state(model, u, grid, noise)
-    if adjoint is None:
-        adjoint = solve_adjoint(model, u, state, grid, noise)
+    state = _state_at(model, u, grid, noise, state)
+    adjoint = _adjoint_at(model, u, state, grid, noise, adjoint)
     path = _FrozenPath(model, u, state, grid)
     grad = np.empty((grid.steps, noise.particles))
     names = ("drift", "diffusion", "driver", "running_cost")
@@ -887,8 +913,7 @@ def projected_gradient_descent(
         raise ConfigError(f"need 0 < min_eta <= eta0 < inf, got min_eta={min_eta}, eta0={eta0}")
     if not (0.0 <= slope < 1.0):
         raise ConfigError(f"slope must lie in [0, 1), got {slope}")
-    if state is None:
-        state = solve_state(model, u, grid, noise, schedule=schedule)
+    state = _state_at(model, u, grid, noise, state, schedule)
     per = _per_particle_cost(model, u, state, grid)
     value = float(per.mean())
     history: list = []
@@ -935,6 +960,7 @@ def projected_gradient_descent(
                 accepted = True
                 break
             backtracks += 1
+            cand_state = cand_per = None  # released before the next trial solves
             flat_trials = flat_trials + 1 if unresolved else 0
             if flat_trials == 2:
                 break
@@ -1006,8 +1032,7 @@ def duality_gap(
     """
     u = as_control(u, grid, noise.particles)
     d = as_control(direction, grid, noise.particles)
-    if state is None:
-        state = solve_state(model, u, grid, noise)
+    state = _state_at(model, u, grid, noise, state)
     var = solve_variational(model, u, d, state, grid, noise)
     lin = SolutionTriple(x=var.k, y=var.m, z=var.n)
     path = _FrozenPath(model, u, state, grid)
@@ -1067,13 +1092,11 @@ def check_sufficiency(
     """
     _check_cap("n_samples", n_samples, 1)
     _check_cap("control_trials", control_trials, 1)
-    _check_slack(slack)
+    _check_nonneg("slack", slack)
     sampler = UniformPairSampler(radius=radius)
     u = as_control(u, grid, noise.particles)
-    if state is None:
-        state = solve_state(model, u, grid, noise)
-    if adjoint is None:
-        adjoint = solve_adjoint(model, u, state, grid, noise)
+    state = _state_at(model, u, grid, noise, state)
+    adjoint = _adjoint_at(model, u, state, grid, noise, adjoint)
     boundary = {
         "terminal_cost": model.terminal_cost,
         "initial_cost": model.initial_cost,
@@ -1108,24 +1131,18 @@ def check_sufficiency(
             seed=seed + 10 + s,
         )
 
-    path = _FrozenPath(model, u, state, grid)
-    bases = []  # the candidate's Hamiltonian per node, shared by every trial
-    for k in range(m):
-        own, law = path.views(k)
-        bases.append(hamiltonian(model, k * grid.dt, law, own, adjoint.p[k], adjoint.q[k], adjoint.Q[k]))
+    def ham(k, control):  # the Hamiltonian at node k along the state
+        own, law = _views(state, k, control)
+        return hamiltonian(model, k * grid.dt, law, own, adjoint.p[k], adjoint.q[k], adjoint.Q[k])
+
+    bases = [ham(k, u) for k in range(m)]  # the candidate's, shared by every trial
     violations = 0
     worst = None
     worst_gap = 0.0
     for _ in range(control_trials):
-        v = np.asarray(
-            model.project(radius * (2.0 * rng.random((m, n)) - 1.0)), dtype=float
-        )
+        v = np.asarray(model.project(sampler.draw(rng, m, n)), dtype=float)
         for k in range(m):
-            own, law = path.views(k)
-            own_v = StateView(x=own.x, y=own.y, z=own.z, u=v[k])
-            law_v = StateView(x=law.x, y=law.y, z=law.z, u=float(v[k].mean()))
-            trial = hamiltonian(model, k * grid.dt, law_v, own_v, adjoint.p[k], adjoint.q[k], adjoint.Q[k])
-            gap = bases[k] - trial
+            gap = bases[k] - ham(k, v)
             bad = gap > slack
             violations += int(np.sum(bad))
             if np.any(bad):
@@ -1209,8 +1226,7 @@ def _check_sampling(n: int, radius: float) -> None:
     positive finite radius."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ConfigError(f"need at least one sampled perturbation (an integer), got {n!r}")
-    if not (np.isfinite(radius) and radius > 0.0):
-        raise ConfigError(f"perturbation radius must be finite and > 0, got {radius}")
+    _check_tol("perturbation radius", radius)
 
 
 def _paired_deviations(

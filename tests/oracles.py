@@ -17,7 +17,10 @@ each with its own forward pass, node views and Anderson bookkeeping; the
 package runs both through one fixed-point loop and must match them to the
 bit.
 ``cold_candidate_fixed_point`` is the candidate loop with every state and
-adjoint solved cold, the reference for the warm-started package loop.
+adjoint solved cold, the reference for the warm-started package loop, and
+``lq_feedback`` is the LQ candidate feedback written out from the raw
+parameters, the reference for the package's step on the Hamiltonian's
+control slope.
 ``sequential_adjoint`` and ``sequential_variational`` are the decoupled
 adjoint and variational routes written out by hand (a forward loop, then a
 backward sweep with its own driver), the references, to the bit, for the
@@ -748,3 +751,28 @@ def directional_fd(cost_fn, u, direction, theta):
     return (cost_fn(u + theta * direction) - cost_fn(u - theta * direction)) / (
         2.0 * theta
     )
+
+
+# ----------------------------------------------------------------------
+# LQ candidate feedback
+# ----------------------------------------------------------------------
+
+
+def lq_feedback(params, weight):
+    """The candidate feedback of both LQ problems at node ``k``, written out
+    from the raw parameters: the zero in v of the Hamiltonian slope
+    ``H_v = p*drift_control + q*diff_control - Q*driver_control + weight*v``,
+    where ``weight`` is the running cost's curvature in v (a float or a
+    function of t, as are the parameters)."""
+
+    def fn(c):
+        return c if callable(c) else (lambda t, val=float(c): val)
+
+    b_v, s_v, f_v, w = (
+        fn(c) for c in (params.drift_control, params.diff_control, params.driver_control, weight)
+    )
+
+    def formula(k, t, adj):
+        return -(adj.p[k] * b_v(t) + adj.q[k] * s_v(t) - adj.Q[k] * f_v(t)) / w(t)
+
+    return formula

@@ -849,3 +849,15 @@ def test_coupled_solvers_reject_malformed_inputs(case, match):
     }
     with pytest.raises(ConfigError, match=match):
         calls[case]()
+
+
+def test_one_element_sources_and_shift_are_the_floats_they_hold():
+    # every constant input takes a one-element array as its float: the
+    # sources and the terminal shift now, as the initial condition did
+    g, w = _grid_noise(8, n=64)
+    floats = dict(drift_source=0.3, diffusion_source=-0.2, driver_source=0.1, terminal_shift=0.5)
+    ref, _ = solve_linear_seed(LinearInhomogeneity(**floats), g, w, x0=0.4)
+    arrays = {name: np.array([value]) for name, value in floats.items()}
+    got, _ = solve_linear_seed(LinearInhomogeneity(**arrays), g, w, x0=np.array([0.4]))
+    for a, b in ((got.x, ref.x), (got.y, ref.y), (got.z, ref.z)):
+        assert np.array_equal(a, b)

@@ -52,6 +52,7 @@ from mfcontrol.smp_control import (
 from oracles import (
     cold_candidate_fixed_point,
     lq2_coefficients,
+    lq_feedback,
     unpruned_linear,
     unpruned_slopes,
 )
@@ -214,6 +215,43 @@ def test_lq2_candidate_formula_scales_with_control_weight():
         return err.value.last
 
     assert np.array_equal(one_sweep(2.0), one_sweep(1.0) / 2.0)
+
+
+#: a time-dependent control weight and drift slope, so that H_v / weight
+#: differs from node to node
+_TIMED_CONTROL = replace(
+    LQ2Params(), horizon=0.25, control_weight=lambda t: 1.0 + t,
+    drift_control=lambda t: 0.1 + 0.05 * t,
+)
+
+
+def test_candidate_step_is_the_written_feedback():
+    # the candidate steps to u - H_v / weight with H_v from smp_gradient;
+    # from u = 0 that is the feedback written out from the raw parameters,
+    # bit for bit, and one undamped step returns it
+    grid, noise = _grid_noise(8, 128, horizon=0.25)
+    model = lq2_model(_TIMED_CONTROL)
+    state = solve_state(model, 0.0, grid, noise)
+    adj = solve_adjoint(model, 0.0, state, grid, noise)
+    formula = lq_feedback(_TIMED_CONTROL, _TIMED_CONTROL.control_weight)
+    proposal = np.stack([formula(k, k * grid.dt, adj) for k in range(grid.steps)])
+    with pytest.raises(NonConvergenceError) as err:
+        lq2_candidate(_TIMED_CONTROL, grid, noise, damping=1.0, tol=1e-300, max_iter=1)
+    assert np.array_equal(err.value.last, proposal)
+
+
+def test_candidate_converges_to_the_written_feedbacks_fixed_point():
+    # with every solve cold and tight (no polish, so a warm start is unused)
+    # the Anderson loop on H_v and the plain loop on the written feedback
+    # solve one map of the control, and meet at its fixed point
+    grid, noise = _grid_noise(8, 64, horizon=0.25)
+    sched = ContinuationSchedule(polish_max_iter=0, picard_tol=1e-12)
+    formula = lq_feedback(_TIMED_CONTROL, _TIMED_CONTROL.control_weight)
+    ref, _ = cold_candidate_fixed_point(
+        lq2_model(_TIMED_CONTROL), formula, grid, noise, damping=1.0, tol=1e-11, schedule=sched,
+    )
+    u, _ = lq2_candidate(_TIMED_CONTROL, grid, noise, tol=1e-11, schedule=sched)
+    assert _rms(u - ref) <= 1e-10
 
 
 # ======================================================================

@@ -26,9 +26,17 @@ from mfcontrol.fbsde_solver import (
     solve_continuation,
     solve_picard,
 )
-from mfcontrol.games import induced_model
+from mfcontrol.games import best_response, deviation_test, induced_model, player_adjoint
 from mfcontrol.hypothesis_check import check_convexity
-from mfcontrol.lq_examples import LQ1Params, LQ2Params, lq1_model, lq2_fbsde, lq2_model, lq_game
+from mfcontrol.lq_examples import (
+    LQ1Params,
+    LQ2Params,
+    deviation_check,
+    lq1_model,
+    lq2_fbsde,
+    lq2_model,
+    lq_game,
+)
 from mfcontrol.forward_mv import ForwardModel, simulate_forward
 from mfcontrol.mf_bsde import BackwardModel, solve_mf_bsde
 from mfcontrol.smp_control import (
@@ -1240,3 +1248,110 @@ def test_frozen_path_keeps_a_0d_array_partial_as_a_float():
     )
     got = path._partial("drift", "x", 1)
     assert type(got) is float and got == -0.3
+
+
+def test_as_control_returns_a_conforming_array_as_it_is():
+    grid = make_time_grid(1.0, 4)
+    full = np.arange(12.0).reshape(4, 3)
+    assert as_control(full, grid, 3) is full
+    ints = np.arange(12).reshape(4, 3)  # not float: converted, a fresh array
+    assert as_control(ints, grid, 3).dtype == np.float64
+
+
+def test_decoupled_descent_releases_each_rejected_trial(monkeypatch):
+    # a rejected Armijo trial's state is let go before the next trial solves,
+    # so no solve of a decoupled descent sees an earlier state alive, in
+    # searches of two trials and more too (a long first step backtracks)
+    grid, noise = _grid_noise(m=8, n=128, seed=5)
+    states, alive = [], []
+    solve = smp_control.solve_state
+
+    def spy(*args, **kw):
+        alive.append(sum(ref() is not None for ref in states))
+        out = solve(*args, **kw)
+        states.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(smp_control, "solve_state", spy)
+    _, history = projected_gradient_descent(_affine_model(), 0.1, grid, noise, steps=3, eta0=8.0)
+    assert max(rec["backtracks"] for rec in history) >= 1
+    assert len(alive) >= 3 and alive == [0] * len(alive)
+
+
+# ======================================================================
+# a caller's state and adjoint
+# ======================================================================
+
+
+_STATE_ENTRIES = {
+    "cost": lambda model, grid, noise, state: cost(model, 0.1, grid, noise, state=state),
+    "smp_gradient": lambda model, grid, noise, state: smp_gradient(
+        model, 0.1, grid, noise, state=state),
+    "descent": lambda model, grid, noise, state: projected_gradient_descent(
+        model, 0.1, grid, noise, steps=1, state=state),
+    "vi_residual": lambda model, grid, noise, state: variational_inequality_residual(
+        model, 0.1, [0.0], grid, noise, state=state),
+    "duality_gap": lambda model, grid, noise, state: duality_gap(
+        model, 0.1, 1.0, grid, noise, state=state),
+    "sufficiency": lambda model, grid, noise, state: check_sufficiency(
+        model, 0.1, grid, noise, state=state, n_samples=100, control_trials=1),
+    "solve_adjoint": lambda model, grid, noise, state: solve_adjoint(
+        model, 0.1, state, grid, noise),
+    "solve_variational": lambda model, grid, noise, state: solve_variational(
+        model, 0.1, 1.0, state, grid, noise),
+    "deviation_check": lambda model, grid, noise, state: deviation_check(
+        model, 0.1, grid, noise, n_deviations=1, state=state),
+    "best_response": lambda model, grid, noise, state: best_response(
+        lq_game(), 1, (0.1, 0.0), grid, noise, steps=1, state=state),
+    "deviation_test": lambda model, grid, noise, state: deviation_test(
+        lq_game(), (0.1, 0.0), grid, noise, n_deviations=1, state=state),
+    "player_adjoint": lambda model, grid, noise, state: player_adjoint(
+        lq_game(), 1, (0.1, 0.0), state, grid, noise),
+}
+
+_ADJOINT_ENTRIES = {
+    "smp_gradient": lambda model, grid, noise, state, adjoint: smp_gradient(
+        model, 0.1, grid, noise, state=state, adjoint=adjoint),
+    "sufficiency": lambda model, grid, noise, state, adjoint: check_sufficiency(
+        model, 0.1, grid, noise, state=state, adjoint=adjoint, n_samples=100, control_trials=1),
+}
+
+
+def _misshaped_solutions(case, model, grid, noise):
+    """The state and adjoint at u = 0.1 solved on a grid of twice the steps
+    ([2M+1, N] paths), or the right ones cut to their first column
+    ([M+1, 1])."""
+    if case == "finer_grid":
+        grid = make_time_grid(grid.horizon, 2 * grid.steps)
+        noise = sample_brownian(grid, EnsembleConfig(particles=noise.particles, seed=0))
+    state = solve_state(model, 0.1, grid, noise)
+    adj = solve_adjoint(model, 0.1, state, grid, noise)
+    if case == "finer_grid":
+        return state, adj
+    return (SolutionTriple(x=state.x[:, :1], y=state.y[:, :1], z=state.z[:, :1]),
+            AdjointTriple(p=adj.p[:, :1], q=adj.q[:, :1], Q=adj.Q[:, :1]))
+
+
+@pytest.mark.parametrize("case", ["finer_grid", "one_column"])
+@pytest.mark.parametrize("entry", sorted(_STATE_ENTRIES))
+def test_a_callers_state_of_the_wrong_shape_fails_typed(entry, case):
+    # a state of another grid or ensemble used to be priced as it was (cost
+    # read 0.8443 on a 16-step state where 0.7547 is right), to fail in
+    # numpy's broadcasting (the descent), or to be named "warm start" or
+    # "carrier" (deviation_check, smp_gradient)
+    grid, noise = _grid_noise(m=8, n=64, seed=0)
+    model = lq1_model(LQ1Params())
+    state, _ = _misshaped_solutions(case, model, grid, noise)
+    with pytest.raises(ConfigError, match=r"^state has shapes .*expected \(9, 64\) each"):
+        _STATE_ENTRIES[entry](model, grid, noise, state)
+
+
+@pytest.mark.parametrize("case", ["finer_grid", "one_column"])
+@pytest.mark.parametrize("entry", sorted(_ADJOINT_ENTRIES))
+def test_a_callers_adjoint_of_the_wrong_shape_fails_typed(entry, case):
+    grid, noise = _grid_noise(m=8, n=64, seed=0)
+    model = lq1_model(LQ1Params())
+    state = solve_state(model, 0.1, grid, noise)
+    _, adjoint = _misshaped_solutions(case, model, grid, noise)
+    with pytest.raises(ConfigError, match=r"^adjoint has shapes .*expected \(9, 64\) each"):
+        _ADJOINT_ENTRIES[entry](model, grid, noise, state, adjoint)
