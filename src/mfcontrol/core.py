@@ -1,6 +1,7 @@
-"""Shared infrastructure: typed errors, the input contract, time grids,
-Brownian drivers, the state views through which coefficients read the
-ensemble, and the Anderson mixer of the package's fixed-point iterations.
+"""Shared infrastructure: typed errors, the input and output contract, time
+grids, Brownian drivers, the state views through which coefficients read
+the ensemble, and the Anderson mixer of the package's fixed-point
+iterations.
 
 Conventions used across the package
 -----------------------------------
@@ -15,17 +16,22 @@ Conventions used across the package
   E'[phi] is the same-ensemble empirical mean (self term included; the
   O(1/N) bias this introduces is accepted at desk scale).
 
-Input contract
---------------
-Every array or number a caller passes is checked by one rule here, and a
-failed check raises :class:`ConfigError` naming the argument:
+Input and output contract
+-------------------------
+Every array or number a caller passes, and every value a model's callable
+returns, is checked by one rule here, and a failed check raises
+:class:`ConfigError` naming the argument or the callable:
 
 * a noise block must have the grid's step count (:func:`_check_noise`);
 * an array must have its expected shape (:func:`_check_shape`), and a
   solution triple [M+1, N] paths (:func:`_check_paths`);
-* a constant input (an initial condition, a terminal value, a source) is
-  a float or an array of its shape, and a one-element array counts as the
-  float (:func:`_broadcast`);
+* a value -- a constant input (an initial condition, a terminal value, a
+  source) or the output of a model's callable (a coefficient, a partial,
+  a cost, a slope, a terminal map, a projection) -- is a float or an
+  array of its expected shape ([N] per particle, [M, N] for a control),
+  and a 0-d or one-element array counts as the float (:func:`_value`);
+  a float is exact wherever a value enters arithmetic with an array, and
+  a caller that needs an array fills it (:func:`_broadcast`);
 * tolerances are finite and > 0 (:func:`_check_tol`), thresholds finite
   and >= 0 (:func:`_check_nonneg`), steps and relaxation factors in
   (0, 1] (:func:`_check_fraction`), counts integers (:func:`_check_cap`).
@@ -105,7 +111,7 @@ class RegressionError(RuntimeError):
 
 
 # ======================================================================
-# Input contract
+# Input and output contract
 # ======================================================================
 
 
@@ -149,15 +155,26 @@ def _check_paths(subject: str, arrays: Sequence, shape: Tuple[int, ...]) -> None
         raise ConfigError(f"{subject} has shapes {shapes}, expected {shape} each")
 
 
-def _broadcast(subject: str, value, shape: Tuple[int, ...]) -> np.ndarray:
-    """``value`` as a float array of ``shape``: an array of that shape as it
-    is, a float or a one-element array [1] as a fresh constant array."""
+def _value(subject: str, value, shape: Tuple[int, ...]) -> Union[float, np.ndarray]:
+    """``value`` read by the contract: an array of ``shape`` as a float array
+    (itself when it is one), a float, a 0-d array or a one-element array
+    [1] as a Python float; any other shape raises :class:`ConfigError`
+    naming ``subject``."""
+    if type(value) is float:
+        return value
     arr = np.asarray(value, dtype=float)
     if arr.shape == shape:
         return arr
-    if arr.ndim <= 1 and arr.size == 1:  # checked before broadcasting
-        return np.broadcast_to(arr, shape).copy()
+    if arr.ndim <= 1 and arr.size == 1:  # checked before any broadcasting
+        return arr.item()
     raise _shape_error(subject, arr.shape, shape)
+
+
+def _broadcast(subject: str, value, shape: Tuple[int, ...]) -> np.ndarray:
+    """:func:`_value` as a float array of ``shape``: a float becomes a fresh
+    constant array."""
+    val = _value(subject, value, shape)
+    return np.full(shape, val) if type(val) is float else val
 
 
 # ======================================================================
@@ -295,7 +312,7 @@ class StateView:
     u: Any = None
 
 
-#: a coefficient ``(t, law, own) -> array [N]`` (a scalar broadcasts)
+#: a coefficient ``(t, law, own) -> array [N]`` or a float (:func:`_value`)
 Coefficient = Callable[[float, StateView, StateView], np.ndarray]
 #: a terminal condition: a float, an array [N], or a map of the terminal state
 TerminalMap = Union[float, np.ndarray, Callable[[np.ndarray], np.ndarray]]

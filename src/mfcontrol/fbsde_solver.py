@@ -60,6 +60,7 @@ from mfcontrol.core import (
     _check_paths,
     _check_shape,
     _check_tol,
+    _value,
 )
 from mfcontrol.forward_mv import (
     DEFAULT_GUARD,
@@ -94,7 +95,8 @@ class CoupledModel:
 
     All coefficient callables are vectorized ``(t, law, own) -> array [N]``
     with (x, y, z) slots populated in both views (plus ``u`` when a control
-    is threaded through by a caller).  ``driver=None`` means f = 0.
+    is threaded through by a caller); what they return is read by the
+    output contract of :mod:`mfcontrol.core`.  ``driver=None`` means f = 0.
     """
 
     drift: Coefficient
@@ -128,13 +130,14 @@ def _triple_rms(a: SolutionTriple, b: SolutionTriple) -> float:
 
 
 def _coefficients(model, t: float, law: StateView, own: StateView, shape):
-    """(b, sigma, f) of ``model`` at one node, each broadcast to ``shape``;
-    f = 0 when the model has no driver."""
-    b = np.broadcast_to(np.asarray(model.drift(t, law, own), dtype=float), shape)
-    s = np.broadcast_to(np.asarray(model.diffusion(t, law, own), dtype=float), shape)
+    """(b, sigma, f) of ``model`` at one node, each a float or an array of
+    ``shape`` (:func:`mfcontrol.core._value`); f = 0.0 when the model has no
+    driver."""
+    b = _value("drift", model.drift(t, law, own), shape)
+    s = _value("diffusion", model.diffusion(t, law, own), shape)
     if model.driver is None:
-        return b, s, np.zeros(shape)
-    return b, s, np.broadcast_to(np.asarray(model.driver(t, law, own), dtype=float), shape)
+        return b, s, 0.0
+    return b, s, _value("driver", model.driver(t, law, own), shape)
 
 
 # ======================================================================

@@ -6,7 +6,8 @@ The forward state follows
 
 with the law argument realized as the snapshot empirical mean taken at the
 beginning of each step.  Coefficients are vectorized callables
-``(t, law, own) -> array [N]`` (scalars broadcast); the optional control slot
+``(t, law, own) -> array [N]`` (or a float, by the output contract of
+:mod:`mfcontrol.core`); the optional control slot
 ``own.u`` is filled when a control array is threaded in.
 """
 
@@ -29,6 +30,7 @@ from mfcontrol.core import (
     _check_noise,
     _check_shape,
     _mean,
+    _value,
     make_time_grid,
     sample_brownian,
 )
@@ -52,7 +54,8 @@ class ForwardModel:
     """Forward SDE coefficients plus the initial condition.
 
     ``initial`` may be a float (deterministic start), an array [N], or a
-    sampler ``(rng, n) -> array [n]``.
+    sampler ``(rng, n) -> array [n]``; the coefficients' values and the
+    sampler's are read by the output contract of :mod:`mfcontrol.core`.
     """
 
     drift: Coefficient
@@ -130,8 +133,8 @@ def _euler(model, grid: TimeGrid, noise: BrownianPaths, control, guard: float,
     for k in range(m):
         own, law = _views(path, k, control)
         t = k * dt
-        b = model.drift(t, law, own)
-        s = model.diffusion(t, law, own)
+        b = _value("drift", model.drift(t, law, own), (n,))
+        s = _value("diffusion", model.diffusion(t, law, own), (n,))
         x[k + 1] = x[k] + b * dt + s * dw[k]
         _check_guard(x[k + 1], k + 1, guard)
     return x

@@ -48,6 +48,7 @@ from mfcontrol.smp_control import (
     _paired_deviations,
     _per_particle_cost,
     _profile,
+    _projected,
     _rms,
     _state_at,
     as_control,
@@ -94,7 +95,9 @@ class GameModel:
     are identically zero.  ``project_1``/``project_2`` are the players'
     idempotent projections onto their action sets.  ``coupled=False``
     declares that drift and diffusion read only x and the controls,
-    enabling the cheap sequential state solve.
+    enabling the cheap sequential state solve.  Every callable's value is
+    read by the output contract of :mod:`mfcontrol.core` (a float or an
+    array of the expected shape).
     """
 
     drift: Callable
@@ -465,7 +468,8 @@ def nash_iterate(
 
     def residual_and_eps(model, own, state):
         # drawn one at a time as the residual reads them, in the same order
-        trials = (model.project(own + _profile(grid, rng, trial_radius)) for _ in range(n_trials))
+        trials = (_projected(model, own + _profile(grid, rng, trial_radius))
+                  for _ in range(n_trials))
         res = variational_inequality_residual(model, own, trials, grid, noise, state=state)
         _, se = _mean_se(_per_particle_cost(model, own, state, grid))
         eps = 3.0 * se + atol

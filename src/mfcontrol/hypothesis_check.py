@@ -171,9 +171,9 @@ def _terminal_lipschitz_pass(model, sampler, n_samples, rng, scale):
     best = 0.0
     for a, b in _pairs(sampler, rng, n_samples):
         x1, x2 = scale * a, scale * b
-        num = np.abs(
+        num = np.broadcast_to(np.abs(  # a constant map gives floats
             _terminal_values(model.terminal_map, x1) - _terminal_values(model.terminal_map, x2)
-        )
+        ), x1.shape)
         den = np.abs(x1 - x2)
         ok = den >= _MIN_DISTANCE
         if np.any(ok):

@@ -91,6 +91,7 @@ from mfcontrol.smp_control import (
     _mean_se,
     _paired_deviations,
     _profile,
+    _projected,
     _rms,
     _state_at,
     as_control,
@@ -205,8 +206,8 @@ def _slopes(terms, fns: dict) -> dict:
     """The partials of a term table's coefficient: each live term's
     signed parameter (:func:`_live`; a zero constant is dropped at
     construction, as an undeclared partial is zero), constant in the
-    state, under its slot, returned as a float (the coefficient contract
-    broadcasts it)."""
+    state, under its slot, returned as a float (which the output contract
+    of :mod:`mfcontrol.core` accepts)."""
 
     def flat(c):
         if type(c) is float:
@@ -435,7 +436,7 @@ def _lq_model(params, coupled: bool, gain: float, terminal_weight: float,
         terminal_cost=lambda x: wt * x**2,
         initial_cost=lambda y: wi * y**2,
         partials=partials,
-        terminal_slope=lambda x: gain * np.ones_like(x),
+        terminal_slope=lambda x: gain,
         terminal_cost_slope=lambda x: 2.0 * wt * x,
         initial_cost_slope=lambda y: 2.0 * wi * y,
         project=identity_projection,
@@ -613,12 +614,12 @@ def _candidate_fixed_point(
         state = solve_state(model, u, grid, noise, schedule, warm=state)
         adj = solve_adjoint(model, u, state, grid, noise, schedule, warm=adj)
         grad = smp_gradient(model, u, grid, noise, state=state, adjoint=adj)
-        proposal = model.project(u - grad / w)
+        proposal = _projected(model, u - grad / w)
         gap = _rms(proposal - u)
         history.append({"iteration": it, "target_gap": float(gap)})
         if gap <= tol:
             return u, _CandidateHistory(history, state, adj)
-        u = model.project(mixer.step(u.ravel(), proposal.ravel()).reshape(u.shape))
+        u = _projected(model, mixer.step(u.ravel(), proposal.ravel()).reshape(u.shape))
     raise NonConvergenceError(
         f"candidate fixed point did not reach rms tolerance {tol:g} in "
         f"{max_iter} iterations (last gap {gap:.3e})",
@@ -788,7 +789,7 @@ def variational_margin(
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x5EED_01F))
     worst = {"margin": np.inf}
     for i in range(n_trials):
-        v = model.project(u + _profile(grid, rng, radius))
+        v = _projected(model, u + _profile(grid, rng, radius))
         mean, se = _mean_se(grid.dt * np.sum(gradient * (v - u), axis=0))
         margin = mean + 3.0 * se
         if margin < worst["margin"]:
@@ -1039,22 +1040,22 @@ def lq_game(
     partials["running_cost_1"] = {"v1": lambda t, law, own, v1, v2: v1}
     partials["running_cost_2"] = {"v2": lambda t, law, own, v1, v2: v2 - tgt(t)}
 
-    zeros = lambda arr: np.zeros_like(arr)  # noqa: E731
+    zero = lambda arr: 0.0  # noqa: E731
     return GameModel(
         **coefs,
-        terminal_map=lambda x: np.asarray(x, dtype=float),
+        terminal_map=lambda x: x,
         running_cost_1=lambda t, law, own, v1, v2: 0.5 * v1**2,
         running_cost_2=lambda t, law, own, v1, v2: 0.5 * (v2 - tgt(t)) ** 2,
         terminal_cost_1=lambda x: 0.5 * x**2,
-        terminal_cost_2=(lambda x: kw * x**2) if kw else zeros,
+        terminal_cost_2=(lambda x: kw * x**2) if kw else zero,
         initial_cost_1=lambda y: 0.5 * y**2,
-        initial_cost_2=zeros,
+        initial_cost_2=zero,
         partials=partials,
-        terminal_slope=lambda x: np.ones_like(x),
-        terminal_cost_slope_1=lambda x: np.asarray(x, dtype=float),
-        terminal_cost_slope_2=(lambda x: 2.0 * kw * x) if kw else zeros,
-        initial_cost_slope_1=lambda y: np.asarray(y, dtype=float),
-        initial_cost_slope_2=zeros,
+        terminal_slope=lambda x: 1.0,
+        terminal_cost_slope_1=lambda x: x,
+        terminal_cost_slope_2=(lambda x: 2.0 * kw * x) if kw else zero,
+        initial_cost_slope_1=lambda y: y,
+        initial_cost_slope_2=zero,
         initial=params.x0,
         coupled=False,
     )

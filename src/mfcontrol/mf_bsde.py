@@ -47,11 +47,11 @@ from mfcontrol.core import (
     StateView,
     TerminalMap,
     TimeGrid,
-    _broadcast,
     _check_noise,
     _check_nonneg,
     _check_shape,
     _mean,
+    _value,
 )
 
 __all__ = [
@@ -211,19 +211,20 @@ class BackwardModel:
     ``driver(t, law, own)`` is vectorized over particles with slots
     (x, y, z, u) populated in both views; ``None`` means a zero driver.
     ``terminal`` is an array [N], a float, or a map of the terminal
-    conditioning state.
+    conditioning state.  Values are read by the output contract of
+    :mod:`mfcontrol.core`.
     """
 
     driver: Optional[Coefficient]
     terminal: TerminalMap
 
 
-def _terminal_values(terminal: TerminalMap, x_last: np.ndarray) -> np.ndarray:
+def _terminal_values(terminal: TerminalMap, x_last: np.ndarray):
     """Terminal values at the states ``x_last``: a map applied to them, or
-    a constant; either must be an array of their shape, a float or a
-    one-element array (:func:`mfcontrol.core._broadcast`)."""
+    a constant, read as a float or an array of their shape
+    (:func:`mfcontrol.core._value`)."""
     vals = terminal(x_last) if callable(terminal) else terminal
-    return _broadcast("terminal values", vals, x_last.shape)
+    return _value("terminal values", vals, x_last.shape)
 
 
 def solve_mf_bsde(
@@ -316,7 +317,7 @@ def solve_mf_bsde(
         for _ in range(2):  # the predictor, then one corrector
             law = StateView(x=x_mean, y=_mean(y_val), z=z_mean, u=u_mean)
             own = StateView(x=x_k, y=y_val, z=z[k], u=u_k)
-            y_val = ey + model.driver(t, law, own) * dt
+            y_val = ey + _value("driver", model.driver(t, law, own), (n,)) * dt
         y[k] = y_val
 
     z[m] = z[m - 1]  # terminal integrand is not identified by the scheme

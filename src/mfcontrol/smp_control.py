@@ -59,11 +59,13 @@ from mfcontrol.core import (
     StateView,
     TerminalMap,
     TimeGrid,
+    _broadcast,
     _check_cap,
     _check_nonneg,
     _check_paths,
     _check_tol,
     _mean,
+    _value,
     view_means,
 )
 from mfcontrol.forward_mv import (
@@ -152,6 +154,10 @@ class ControlModel:
 
     Coefficients are vectorized ``(t, law, own) -> array [N]`` with the
     control read from ``own.u`` (its ensemble mean sits in ``law.u``).
+    Every callable's value -- coefficient, partial, cost, slope, terminal
+    map, projection -- is read by the output contract of
+    :mod:`mfcontrol.core`: a float or an array of the expected shape, any
+    other shape a :class:`ConfigError` naming the callable.
     ``coupled=False`` declares that ``drift``/``diffusion`` read only the
     x and u slots, which unlocks the sequential solve of the state,
     adjoint and variational systems; a ``partials`` entry of ``drift`` or
@@ -162,8 +168,7 @@ class ControlModel:
     inner key per slot ("law_x", "law_y", "law_z", "x", "y", "z", "v");
     absent entries are identically zero.  Partials use the same
     ``(t, law, own)`` signature as the coefficients; a partial that is
-    constant in the state may return a float, which broadcasts as a
-    coefficient's scalar does.
+    constant in the state may return a float.
 
     ``project`` must be idempotent; a control u is admissible when
     ``project(u) == u`` elementwise.
@@ -257,11 +262,16 @@ def as_control(u, grid: TimeGrid, particles: int) -> np.ndarray:
     return np.broadcast_to(arr[:, None] if arr.ndim == 1 else arr, (m, particles)).copy()
 
 
+def _projected(model: ControlModel, v: np.ndarray) -> np.ndarray:
+    """``model.project(v)`` read as a control of ``v``'s shape (a float
+    fills it, :func:`mfcontrol.core._broadcast`)."""
+    return _broadcast("project", model.project(v), v.shape)
+
+
 def _require_admissible(model: ControlModel, u: np.ndarray) -> None:
     if model.project is identity_projection:  # as_control made u finite, so it is fixed
         return
-    proj = np.asarray(model.project(u), dtype=float)
-    if proj.shape != u.shape or not np.allclose(proj, u, rtol=0.0, atol=1e-9):
+    if not np.allclose(_projected(model, u), u, rtol=0.0, atol=1e-9):
         raise ConfigError("control is not admissible: projection moves it")
 
 
@@ -281,15 +291,15 @@ class _FrozenPath:
     variational system's linearization of one coefficient.
 
     The first call at a node compiles its form: the declared partials it
-    reads, each evaluated once -- a 0-d value (a partial constant in the
-    state) kept as a Python float, a value of the ensemble's shape kept as
-    it is, any other broadcast to that shape -- paired with the position
-    of the multiplier it scales.  Undeclared partials (identically zero)
-    are left out.  A transposed form is cached under (node, slot, term
-    names) and a linearized one under (node, coefficient), so a different
-    term list never reads another's form.  Every later call at the node --
-    each sweep of a coupled solve, the predictor and the corrector of a
-    sequential one -- does only the left-to-right arithmetic.
+    reads, each evaluated once and read by the output contract (a float or
+    an array of the ensemble's shape, :func:`mfcontrol.core._value`),
+    paired with the position of the multiplier it scales.  Undeclared
+    partials (identically zero) are left out.  A transposed form is cached
+    under (node, slot, term names) and a linearized one under (node,
+    coefficient), so a different term list never reads another's form.
+    Every later call at the node -- each sweep of a coupled solve, the
+    predictor and the corrector of a sequential one -- does only the
+    left-to-right arithmetic.
     """
 
     def __init__(self, model: ControlModel, u: np.ndarray, state: SolutionTriple, grid: TimeGrid):
@@ -320,13 +330,7 @@ class _FrozenPath:
         if fn is None:
             return None
         own, law = self.views(k)
-        val = fn(k * self.grid.dt, law, own)
-        if type(val) is float:
-            return val
-        val = np.asarray(val, dtype=float)
-        if val.ndim == 0:
-            return float(val)
-        return val if val.shape == self._shape else np.broadcast_to(val, self._shape)
+        return _value(f"partials[{name!r}][{slot!r}]", fn(k * self.grid.dt, law, own), self._shape)
 
     def transposed(self, k: int, slot: str, names: tuple, ws: tuple) -> Union[float, np.ndarray]:
         """The Hamiltonian's partial in ``slot`` at node k: the left-to-right
@@ -622,10 +626,10 @@ def solve_adjoint(
     u = as_control(u, grid, noise.particles)
     _check_state(state, grid, noise)
     path = _FrozenPath(model, u, state, grid)
-    x_last = state.x[grid.steps]
-    terminal_cost_slope = np.asarray(model.terminal_cost_slope(x_last), dtype=float)
-    terminal_slope = np.asarray(model.terminal_slope(x_last), dtype=float)
-    x0 = np.asarray(model.initial_cost_slope(state.y[0]), dtype=float)
+    x_last, n = state.x[grid.steps], (noise.particles,)
+    terminal_cost_slope = _value("terminal_cost_slope", model.terminal_cost_slope(x_last), n)
+    terminal_slope = _value("terminal_slope", model.terminal_slope(x_last), n)
+    x0 = _value("initial_cost_slope", model.initial_cost_slope(state.y[0]), n)
 
     def h_partial(slot):
         # the summation order fixes the result's bits: the driver adds its
@@ -643,7 +647,7 @@ def solve_adjoint(
         diffusion=h_partial("z"),
         driver=h_partial("x"),
         terminal_map=lambda x_last: terminal_cost_slope + terminal_slope * x_last,
-        initial=np.broadcast_to(x0, (noise.particles,)).copy(),
+        initial=x0,
     )
     warning = None
     if certify and model.coupled:
@@ -683,11 +687,13 @@ def hamiltonian(model: ControlModel, t, law, own, p, q, Q) -> np.ndarray:
     """Hamiltonian H = b p + sigma q - f Q + h at per-particle arguments.
 
     ``law``/``own`` are StateViews with the control in the u slots;
-    (p, q, Q) are the multiplier values (arrays or scalars).
+    (p, q, Q) are the multiplier values (arrays or scalars).  The result
+    has the shape of ``own.x``, also where every term is a float.
     """
-    b, s, f = _coefficients(model, t, law, own, np.shape(own.x))
-    h = np.asarray(model.running_cost(t, law, own), dtype=float)
-    return b * p + s * q - f * Q + h
+    shape = np.shape(own.x)
+    b, s, f = _coefficients(model, t, law, own, shape)
+    h = _value("running_cost", model.running_cost(t, law, own), shape)
+    return _broadcast("hamiltonian", b * p + s * q - f * Q + h, shape)
 
 
 # ======================================================================
@@ -721,7 +727,7 @@ def solve_variational(
     _check_state(state, grid, noise)
     m_steps = grid.steps
     path = _FrozenPath(model, u, state, grid)
-    slope = np.asarray(model.terminal_slope(state.x[m_steps]), dtype=float)
+    slope = _value("terminal_slope", model.terminal_slope(state.x[m_steps]), (noise.particles,))
 
     def lin(name):
         def coef(t, law, own):
@@ -931,7 +937,7 @@ def projected_gradient_descent(
         grad = smp_gradient(model, u, grid, noise, state=state, adjoint=adjoint)
         if not model.coupled:  # no warm start reads them again
             state = cand_state = adjoint = None
-        residual = _rms(u - np.asarray(model.project(u - eta0 * grad), dtype=float))
+        residual = _rms(u - _projected(model, u - eta0 * grad))
         record = {
             "iteration": it,
             "cost": value,
@@ -949,7 +955,7 @@ def projected_gradient_descent(
         flat_trials = 0  # consecutive rejected trials with an unresolved change
         accepted = False
         while eta >= min_eta:
-            candidate = np.asarray(model.project(u - eta * grad), dtype=float)
+            candidate = _projected(model, u - eta * grad)
             decrease = slope * _pairing(grid, grad, u - candidate)
             cand_state = solve_state(model, candidate, grid, noise, schedule=schedule, warm=state)
             cand_per = _per_particle_cost(model, candidate, cand_state, grid)
@@ -1036,10 +1042,10 @@ def duality_gap(
     var = solve_variational(model, u, d, state, grid, noise)
     lin = SolutionTriple(x=var.k, y=var.m, z=var.n)
     path = _FrozenPath(model, u, state, grid)
-    m = grid.steps
-    lhs = float(
-        np.mean(np.asarray(model.terminal_cost_slope(state.x[m]), dtype=float) * var.k[m])
-    ) + float(np.mean(np.asarray(model.initial_cost_slope(state.y[0]), dtype=float) * var.m[0]))
+    m, n = grid.steps, (noise.particles,)
+    g_x = _value("terminal_cost_slope", model.terminal_cost_slope(state.x[m]), n)
+    gamma_y = _value("initial_cost_slope", model.initial_cost_slope(state.y[0]), n)
+    lhs = float(np.mean(g_x * var.k[m])) + float(np.mean(gamma_y * var.m[0]))
     for k in range(m):
         own, law = _views(lin, k, None)
         lhs += grid.dt * float(np.mean(path.linearized(k, "running_cost", law, own, d[k])))
@@ -1104,8 +1110,8 @@ def check_sufficiency(
     }
     convexity = {
         name: check_convexity(
-            lambda pts, fn=fn: fn(pts[:, 0]), dim=1, sampler=sampler, n_samples=n_samples,
-            seed=seed + j,
+            lambda pts, fn=fn, name=name: _broadcast(name, fn(pts[:, 0]), (len(pts),)),
+            dim=1, sampler=sampler, n_samples=n_samples, seed=seed + j,
         )
         for j, (name, fn) in enumerate(boundary.items())
     }
@@ -1140,7 +1146,7 @@ def check_sufficiency(
     worst = None
     worst_gap = 0.0
     for _ in range(control_trials):
-        v = np.asarray(model.project(sampler.draw(rng, m, n)), dtype=float)
+        v = _projected(model, sampler.draw(rng, m, n))
         for k in range(m):
             gap = bases[k] - ham(k, v)
             bad = gap > slack
@@ -1185,16 +1191,13 @@ def _per_particle_cost(
     is the standard plug-in approximation.
     """
 
-    particles = state.x.shape[1]
-    total = np.zeros(particles)
+    n = state.x.shape[1:]
+    total = np.zeros(n)
     for k in range(grid.steps):
         own, law = _views(state, k, u)
-        total += grid.dt * np.broadcast_to(
-            np.asarray(model.running_cost(k * grid.dt, law, own), dtype=float),
-            (particles,),
-        )
-    total = total + np.asarray(model.terminal_cost(state.x[-1]), dtype=float)
-    total = total + np.asarray(model.initial_cost(state.y[0]), dtype=float)
+        total += grid.dt * _value("running_cost", model.running_cost(k * grid.dt, law, own), n)
+    total = total + _value("terminal_cost", model.terminal_cost(state.x[-1]), n)
+    total = total + _value("initial_cost", model.initial_cost(state.y[0]), n)
     return total
 
 
@@ -1252,7 +1255,7 @@ def _paired_deviations(
     base_j = _per_particle_cost(model, u, base_state, grid)
     records = []
     for i in range(n):
-        v = model.project(u + _profile(grid, rng, radius))
+        v = _projected(model, u + _profile(grid, rng, radius))
         state_v = solve_state(model, v, grid, noise, schedule, warm=base_state)
         mean, se = _mean_se(_per_particle_cost(model, v, state_v, grid) - base_j)
         del v, state_v  # released before the next deviation solves

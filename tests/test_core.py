@@ -107,6 +107,33 @@ def test_mean_is_numpy_mean_bit_for_bit():
     assert core._mean(2.5) == 2.5
 
 
+@pytest.mark.parametrize("value", [0.4, np.float64(0.4), np.array(0.4), np.array([0.4])],
+                         ids=["float", "numpy_float", "0d", "one_element"])
+def test_value_reads_a_constant_as_a_python_float(value):
+    got = core._value("terminal_cost", value, (5,))
+    assert type(got) is float and got == 0.4
+    filled = core._broadcast("terminal_cost", value, (5,))
+    assert filled.shape == (5,) and np.array_equal(filled, np.full(5, 0.4))
+
+
+def test_value_returns_an_array_of_the_shape_as_it_is():
+    arr = np.arange(5.0)
+    assert core._value("drift", arr, (5,)) is arr
+    assert core._broadcast("drift", arr, (5,)) is arr
+    ints = core._value("drift", np.arange(5), (5,))  # not float: converted
+    assert ints.dtype == np.float64 and np.array_equal(ints, arr)
+
+
+@pytest.mark.parametrize("value, shape", [
+    (np.zeros((5, 1)), r"\(5, 1\)"), (np.zeros(3), r"\(3,\)"), (np.zeros((1, 1)), r"\(1, 1\)"),
+], ids=["column", "short", "one_element_2d"])
+def test_value_of_any_other_shape_fails_typed_naming_its_subject(value, shape):
+    message = rf"^terminal_cost has shape {shape}, expected \(5,\)$"
+    for rule in (core._value, core._broadcast):
+        with pytest.raises(ConfigError, match=message):
+            rule("terminal_cost", value, (5,))
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
     steps=st.integers(min_value=1, max_value=20),

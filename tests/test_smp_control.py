@@ -1,5 +1,6 @@
 """Tests for the stochastic-maximum-principle control layer."""
 
+import re
 import weakref
 from dataclasses import replace
 
@@ -1202,6 +1203,18 @@ def test_sufficiency_passes_on_convex_tracking():
     assert set(report.convexity) >= {"terminal_cost", "initial_cost", "terminal_map"}
 
 
+def test_sufficiency_fills_float_valued_boundary_functions():
+    # zero costs and constant coefficients returned as floats are filled to
+    # ensemble arrays before the midpoint tests index them
+    grid, noise = _grid_noise(m=4, n=32)
+    model = replace(_tracking_model(lambda t: 0.25), drift=lambda t, law, own: 0.0,
+                    diffusion=lambda t, law, own: 0.3, terminal_cost=lambda x: 0.0,
+                    initial_cost=lambda y: 0.0)
+    report = check_sufficiency(model, 0.25, grid, noise, n_samples=1000, control_trials=2)
+    assert report.passed and report.minimality_violations == 0
+    assert {"terminal_cost", "initial_cost", "terminal_map"} <= set(report.convexity)
+
+
 def test_sufficiency_flags_nonminimal_candidate():
     grid, noise = _grid_noise(m=4, n=32)
     model = _tracking_model(lambda t: 0.25)
@@ -1355,3 +1368,124 @@ def test_a_callers_adjoint_of_the_wrong_shape_fails_typed(entry, case):
     _, adjoint = _misshaped_solutions(case, model, grid, noise)
     with pytest.raises(ConfigError, match=r"^adjoint has shapes .*expected \(9, 64\) each"):
         _ADJOINT_ENTRIES[entry](model, grid, noise, state, adjoint)
+
+
+# ======================================================================
+# model outputs read by the output contract
+# ======================================================================
+
+#: wrong-shaped values at N = 64: a column [N, 1] and three values [3]
+_MISSHAPED = {"column": np.zeros((64, 1)), "short": np.zeros(3)}
+
+
+def _first_then(value):
+    """A projection that returns its input on its first call (the start's
+    admissibility check) and ``value`` on every later one."""
+    calls = []
+
+    def project(u):
+        calls.append(u)
+        return u if len(calls) == 1 else value
+
+    return project
+
+
+def _misshaped(model, name, value):
+    """(``model`` with the callable ``name`` returning ``value``, the
+    subject the error must name)."""
+    if name == "partial":
+        drift = {**model.partials["drift"], "v": lambda t, law, own: value}
+        return replace(model, partials={**model.partials, "drift": drift}), "partials['drift']['v']"
+    if name == "project":
+        return replace(model, project=_first_then(value)), name
+    return replace(model, **{name: lambda *args: value}), name
+
+
+_OUTPUT_CALLS = {
+    "solve_state": lambda model, bad, grid, noise: solve_state(bad, 0.1, grid, noise),
+    "cost": lambda model, bad, grid, noise: cost(bad, 0.1, grid, noise),
+    "solve_adjoint": lambda model, bad, grid, noise: solve_adjoint(
+        bad, 0.1, solve_state(model, 0.1, grid, noise), grid, noise),
+    "solve_variational": lambda model, bad, grid, noise: solve_variational(
+        bad, 0.1, 1.0, solve_state(model, 0.1, grid, noise), grid, noise),
+    "smp_gradient": lambda model, bad, grid, noise: smp_gradient(bad, 0.1, grid, noise),
+    "projected_gradient_descent": lambda model, bad, grid, noise: projected_gradient_descent(
+        bad, 0.1, grid, noise, steps=1),
+}
+
+_OUTPUT_CASES = [
+    *((which, name, "solve_state") for which in ("lq1", "lq2")
+      for name in ("drift", "diffusion", "driver")),
+    *(("lq1", name, "cost") for name in ("running_cost", "terminal_cost", "initial_cost")),
+    *(("lq1", name, "solve_adjoint")
+      for name in ("terminal_cost_slope", "terminal_slope", "initial_cost_slope")),
+    ("lq1", "terminal_slope", "solve_variational"),
+    ("lq1", "partial", "smp_gradient"),
+    ("lq1", "project", "projected_gradient_descent"),
+]
+
+
+@pytest.mark.parametrize("kind", sorted(_MISSHAPED))
+@pytest.mark.parametrize("which, name, entry", _OUTPUT_CASES)
+def test_a_misshaped_model_output_fails_typed_naming_its_callable(which, name, entry, kind):
+    # a model's callable returning a column or too few values used to raise
+    # numpy's ValueError, a ConfigError blaming "terminal values", or
+    # nothing at all (a column cost was priced as an [N, N] array)
+    grid, noise = _grid_noise(m=8, n=64, seed=0)
+    model = lq1_model(LQ1Params()) if which == "lq1" else lq2_model(LQ2Params())
+    bad, subject = _misshaped(model, name, _MISSHAPED[kind])
+    shape = re.escape(str(_MISSHAPED[kind].shape))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(subject)} has shape {shape}, expected"):
+        _OUTPUT_CALLS[entry](model, bad, grid, noise)
+
+
+def test_a_column_terminal_cost_fails_the_deviation_check_typed():
+    # a terminal cost [N, 1] used to price each particle's cost as a row of
+    # an [N, N] array: the cost kept its value, but every paired SE came
+    # out sqrt(N) = 8 times too small, so every margin 8 times too tight
+    grid, noise = _grid_noise(m=8, n=64, seed=0)
+    model = lq1_model(LQ1Params())
+    column = replace(model, terminal_cost=lambda x: model.terminal_cost(x)[:, None])
+    with pytest.raises(ConfigError, match=r"^terminal_cost has shape \(64, 1\), expected \(64,\)$"):
+        deviation_check(column, 0.1, grid, noise, n_deviations=3)
+
+
+def _constant_twins(which):
+    """(grid, noise, model, twin): an LQ model whose diffusion, initial
+    cost slope and terminal slope are constants returned as floats, and
+    its twin returning the same constants as ``c * np.ones_like(x)``."""
+    if which == "lq1":
+        grid, noise = _grid_noise(m=8, n=128, horizon=0.5, seed=3)
+        base, gain = lq1_model(LQ1Params(horizon=0.5)), 1.0
+    else:
+        grid, noise = _grid_noise(m=8, n=128, horizon=0.25, seed=4)
+        params = LQ2Params(horizon=0.25)
+        base, gain = lq2_model(params), params.terminal_gain
+    partials = {name: block for name, block in base.partials.items() if name != "diffusion"}
+    model = replace(base, diffusion=lambda t, law, own: 0.3, partials=partials,
+                    initial_cost=lambda y: 0.4 * y, initial_cost_slope=lambda y: 0.4)
+    twin = replace(model, diffusion=lambda t, law, own: 0.3 * np.ones_like(own.x),
+                   initial_cost_slope=lambda y: 0.4 * np.ones_like(y),
+                   terminal_slope=lambda x: gain * np.ones_like(x))
+    return grid, noise, model, twin
+
+
+@pytest.mark.parametrize("which", ["lq1", "lq2"])
+def test_float_outputs_match_their_array_form_bit_for_bit(which):
+    # a float and a constant array enter the same arithmetic, so the state,
+    # the adjoint, the gradient and the per-particle cost must not differ
+    grid, noise, model, twin = _constant_twins(which)
+    assert type(model.terminal_slope(np.ones(3))) is float  # the fixture's own slope
+    u = as_control(0.2 + 0.1 * np.cos(3.0 * np.linspace(0.0, 1.0, 8))[:, None], grid, 128)
+
+    def solved(m):
+        state = solve_state(m, u, grid, noise)
+        adj = solve_adjoint(m, u, state, grid, noise)
+        grad = smp_gradient(m, u, grid, noise, state=state, adjoint=adj)
+        per = smp_control._per_particle_cost(m, u, state, grid)
+        return state.x, state.y, state.z, adj.p, adj.q, adj.Q, grad, per
+
+    got = solved(model)
+    for a, b in zip(got, solved(twin)):
+        assert np.array_equal(a, b)
+    assert np.any(got[6] != 0.0) and np.any(got[0][1] != got[0][1, 0])  # the noise enters
