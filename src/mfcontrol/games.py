@@ -40,6 +40,9 @@ import numpy as np
 from mfcontrol.core import BrownianPaths, ConfigError, TimeGrid, _check_cap, _check_fraction
 from mfcontrol.fbsde_solver import SolutionTriple
 from mfcontrol.smp_control import (
+    _COEF_KEYS,
+    _NUMERICAL_ZERO,
+    _RESOLUTION_SES,
     AdjointTriple,
     ControlModel,
     _check_partials,
@@ -72,6 +75,10 @@ __all__ = [
 _GAME_COEFS = ("drift", "diffusion", "driver", "running_cost_1", "running_cost_2")
 _GAME_SLOTS = ("law_x", "law_y", "law_z", "x", "y", "z", "v1", "v2")
 
+#: a player's own fields, ``<name>_1`` and ``<name>_2`` on :class:`GameModel`
+_PLAYER_FIELDS = ("running_cost", "terminal_cost", "initial_cost", "terminal_cost_slope",
+                  "initial_cost_slope", "project")
+
 
 # ======================================================================
 # Game description
@@ -95,9 +102,11 @@ class GameModel:
     are identically zero.  ``project_1``/``project_2`` are the players'
     idempotent projections onto their action sets.  ``coupled=False``
     declares that drift and diffusion read only x and the controls,
-    enabling the cheap sequential state solve.  Every callable's value is
-    read by the output contract of :mod:`mfcontrol.core` (a float or an
-    array of the expected shape).
+    enabling the cheap sequential state solve; a ``drift`` or
+    ``diffusion`` partial in a y or z slot contradicts it
+    (:class:`ConfigError`, as for the single-player model).  Every
+    callable's value is read by the output contract of
+    :mod:`mfcontrol.core` (a float or an array of the expected shape).
     """
 
     drift: Callable
@@ -122,10 +131,7 @@ class GameModel:
     coupled: bool = False
 
     def __post_init__(self):
-        _check_partials(self.partials, _GAME_COEFS, _GAME_SLOTS)
-
-    def project(self, i: int) -> Callable[[np.ndarray], np.ndarray]:
-        return self.project_1 if i == 1 else self.project_2
+        _check_partials(self.partials, _GAME_COEFS, _GAME_SLOTS, self.coupled)
 
 
 def _check_player(i: int) -> None:
@@ -157,17 +163,26 @@ def induced_model(
     ``own.u``, the opponent's is looked up by node index.  Partials with
     respect to the frozen control are dropped; everything else passes
     through unchanged, so the full single-player toolchain (state,
-    adjoint, gradient, descent) applies verbatim.
+    adjoint, gradient, descent) applies verbatim.  The frozen control
+    exists only at the ensemble's particles: a coefficient or running cost
+    evaluated at own values of another shape (sampled atoms, say) raises
+    :class:`ConfigError`.
     """
 
     _check_player(i)
     last = opponent.shape[0] - 1
+    width = opponent.shape[1:]
 
-    def lift(fn2):
+    def lift(fn2, checked=True):
         if fn2 is None:
             return None
 
         def fn(t, law, own):
+            if checked and np.shape(own.x) != width:
+                raise ConfigError(
+                    f"player {i}'s model evaluated at own values of shape {np.shape(own.x)}, "
+                    f"but the frozen opponent control has shape {width} at each node"
+                )
             k = min(grid.node_index(t), last)
             if i == 1:
                 return fn2(t, law, own, own.u, opponent[k])
@@ -175,39 +190,26 @@ def induced_model(
 
         return fn
 
-    own_slot = f"v{i}"
-    partials = {}
-    for coef, game_coef in (("drift", "drift"), ("diffusion", "diffusion"),
-                            ("driver", "driver"), ("running_cost", f"running_cost_{i}")):
-        block = {}
-        for slot, fn2 in game.partials.get(game_coef, {}).items():
-            if slot == own_slot:
-                block["v"] = lift(fn2)
-            elif not slot.startswith("v"):
-                block[slot] = lift(fn2)
-        if block:
-            partials[coef] = block
-
-    one = i == 1
+    mine = {name: getattr(game, f"{name}_{i}") for name in _PLAYER_FIELDS}
+    mine["running_cost"] = lift(mine["running_cost"])
+    # the own control's slot becomes v, the frozen control's is dropped; a
+    # partial constant in the state may be read at any shape, so unchecked
+    own_slot, frozen_slot = f"v{i}", f"v{3 - i}"
+    blocks = {
+        coef: {("v" if slot == own_slot else slot): lift(fn2, checked=False)
+               for slot, fn2 in game.partials.get(name, {}).items() if slot != frozen_slot}
+        for coef, name in zip(_COEF_KEYS, ("drift", "diffusion", "driver", f"running_cost_{i}"))
+    }
     return ControlModel(
         drift=lift(game.drift),
         diffusion=lift(game.diffusion),
         driver=lift(game.driver),
         terminal_map=game.terminal_map,
-        running_cost=lift(game.running_cost_1 if one else game.running_cost_2),
-        terminal_cost=game.terminal_cost_1 if one else game.terminal_cost_2,
-        initial_cost=game.initial_cost_1 if one else game.initial_cost_2,
-        partials=partials,
+        partials={coef: block for coef, block in blocks.items() if block},
         terminal_slope=game.terminal_slope,
-        terminal_cost_slope=(
-            game.terminal_cost_slope_1 if one else game.terminal_cost_slope_2
-        ),
-        initial_cost_slope=(
-            game.initial_cost_slope_1 if one else game.initial_cost_slope_2
-        ),
-        project=game.project(i),
         initial=game.initial,
         coupled=game.coupled,
+        **mine,
     )
 
 
@@ -416,7 +418,7 @@ def nash_iterate(
     trial_radius: float = 0.5,
     n_deviations: int = 50,
     seed: int = 0,
-    atol: float = 1e-6,
+    atol: float = _NUMERICAL_ZERO,
 ) -> NashResult:
     """Search for an equilibrium pair by damped simultaneous best
     responses, then certify or report why not.
@@ -472,7 +474,7 @@ def nash_iterate(
                   for _ in range(n_trials))
         res = variational_inequality_residual(model, own, trials, grid, noise, state=state)
         _, se = _mean_se(_per_particle_cost(model, own, state, grid))
-        eps = 3.0 * se + atol
+        eps = _RESOLUTION_SES * se + atol
         return res, eps
 
     history: List[dict] = []

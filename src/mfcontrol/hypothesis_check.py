@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from mfcontrol.core import StateView, _check_cap, _check_nonneg, _check_tol
+from mfcontrol.core import StateView, _broadcast, _check_cap, _check_nonneg, _check_tol
 from mfcontrol.fbsde_solver import CoupledModel, _coefficients
 from mfcontrol.mf_bsde import _terminal_values
 
@@ -147,16 +147,16 @@ def _atom_pairing(model, t: float, atoms1: np.ndarray, law1: StateView,
 # ======================================================================
 
 
-def _lipschitz_pass(model, sampler, n_samples, rng, scale):
-    """Max ratio |dF|/|dTheta| over pairs of free six-coordinate points."""
+def _lipschitz_pass(components, dim, sampler, n_samples, rng, scale):
+    """Max ratio |dF|/|dTheta| over pairs of free points [c, dim], F's
+    components (arrays [c] or floats) given by ``components(points)``: the
+    coefficients (f, b, sigma) of six coordinates, or Phi of one, where both
+    norms are |d| (sqrt(fl(d*d)) == |d| in binary64)."""
     best = 0.0
     witness = None
-    for a, b in _pairs(sampler, rng, n_samples, 6):
+    for a, b in _pairs(sampler, rng, n_samples, dim):
         th1, th2 = scale * a, scale * b
-        c = len(th1)
-        b1, s1, f1 = _coefficients(model, 0.0, _view(th1[:, :3]), _view(th1[:, 3:]), (c,))
-        b2, s2, f2 = _coefficients(model, 0.0, _view(th2[:, :3]), _view(th2[:, 3:]), (c,))
-        num = np.sqrt((f1 - f2) ** 2 + (b1 - b2) ** 2 + (s1 - s2) ** 2)
+        num = np.sqrt(sum((g1 - g2) ** 2 for g1, g2 in zip(components(th1), components(th2))))
         den = np.sqrt(np.sum((th1 - th2) ** 2, axis=1))
         ok = den >= _MIN_DISTANCE
         ratios = np.where(ok, num / np.maximum(den, _MIN_DISTANCE), -np.inf)
@@ -165,20 +165,6 @@ def _lipschitz_pass(model, sampler, n_samples, rng, scale):
             best = float(ratios[i])
             witness = {"kind": "coefficients", "point1": th1[i].copy(), "point2": th2[i].copy(), "ratio": best}
     return best, witness
-
-
-def _terminal_lipschitz_pass(model, sampler, n_samples, rng, scale):
-    best = 0.0
-    for a, b in _pairs(sampler, rng, n_samples):
-        x1, x2 = scale * a, scale * b
-        num = np.broadcast_to(np.abs(  # a constant map gives floats
-            _terminal_values(model.terminal_map, x1) - _terminal_values(model.terminal_map, x2)
-        ), x1.shape)
-        den = np.abs(x1 - x2)
-        ok = den >= _MIN_DISTANCE
-        if np.any(ok):
-            best = max(best, float((num[ok] / den[ok]).max()))
-    return best
 
 
 def check_H4(
@@ -218,10 +204,18 @@ def check_H4(
     _check_cap("n_samples", n_samples, 1)
     sampler = sampler or UniformPairSampler()
     rng = _rng(seed)
-    full, witness = _lipschitz_pass(model, sampler, n_samples, rng, 1.0)
-    half, _ = _lipschitz_pass(model, sampler, n_samples, rng, 0.5)
-    t_full = _terminal_lipschitz_pass(model, sampler, n_samples, rng, 1.0)
-    t_half = _terminal_lipschitz_pass(model, sampler, n_samples, rng, 0.5)
+
+    def coefficients(th):  # (f, b, sigma), in the order their squares add
+        b, s, f = _coefficients(model, 0.0, _view(th[:, :3]), _view(th[:, 3:]), (len(th),))
+        return f, b, s
+
+    def terminal(x):
+        return (_terminal_values(model.terminal_map, x[:, 0]),)
+
+    (full, witness), (half, _), (t_full, _), (t_half, _) = (
+        _lipschitz_pass(components, dim, sampler, n_samples, rng, scale)
+        for components, dim in ((coefficients, 6), (terminal, 1)) for scale in (1.0, 0.5)
+    )
     trend = bool(full > _TREND_MARGIN * half + 1e-12) or bool(
         t_full > _TREND_MARGIN * t_half + 1e-12
     )
@@ -381,7 +375,9 @@ def check_convexity(
 ) -> MonotonicityReport:
     """Midpoint convexity test for a scalar function of a state tuple.
 
-    ``fn`` maps an array [n, dim] of points to values [n].  A sampled pair
+    ``fn`` maps an array [n, dim] of points to values [n], read by the
+    output contract of :mod:`mfcontrol.core` (a float fills [n]; any other
+    shape raises :class:`ConfigError`).  A sampled pair
     (a, b) is a violation when fn((a+b)/2) > (fn(a)+fn(b))/2 + slack, with
     ``slack`` finite and >= 0 (:class:`ConfigError` otherwise).
     Used on terminal costs and on the Hamiltonian as a function of the
@@ -397,9 +393,10 @@ def check_convexity(
     worst = None
     worst_gap = -np.inf
     for a, b in _pairs(sampler, rng, n_samples, dim):
-        gap = np.asarray(fn(0.5 * (a + b)), dtype=float) - 0.5 * (
-            np.asarray(fn(a), dtype=float) + np.asarray(fn(b), dtype=float)
-        )
+        c = (len(a),)
+        mid, fa, fb = (_broadcast("check_convexity's fn values", fn(pts), c)
+                       for pts in (0.5 * (a + b), a, b))
+        gap = mid - 0.5 * (fa + fb)
         violations += int(np.sum(gap > slack))
         i = int(np.argmax(gap))
         if gap[i] > worst_gap:

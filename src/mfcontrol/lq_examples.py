@@ -85,6 +85,8 @@ from mfcontrol.fbsde_solver import ContinuationSchedule, CoupledModel, SolutionT
 from mfcontrol.games import GameModel
 from mfcontrol.hypothesis_check import check_H4, check_H5, check_H6
 from mfcontrol.smp_control import (
+    _NUMERICAL_ZERO,
+    _RESOLUTION_SES,
     AdjointTriple,
     ControlModel,
     _check_sampling,
@@ -217,8 +219,9 @@ def _slopes(terms, fns: dict) -> dict:
     return {slot: flat(c) for c, slot in _live(terms, fns)}
 
 
-def _negate(terms, var: str) -> tuple:
-    """``terms`` with the signs of the ``var`` and ``law_var`` slots flipped."""
+def _negate(terms, var: Optional[str]) -> tuple:
+    """``terms`` with the signs of the ``var`` and ``law_var`` slots flipped
+    (none when ``var`` is ``None``)."""
 
     return tuple(
         (-sign if slot.removeprefix("law_") == var else sign, slot, name)
@@ -500,17 +503,7 @@ def lq2_fbsde(params: LQ2Params, control: ScalarFn = 0.0) -> CoupledModel:
     sets that *violate* the sign pattern -- detecting that is their job.
     """
 
-    _check_params(params)
-    ctrl = _as_fn(control)
-    _check_bounded("control", ctrl, params.horizon)
-    fns = _coef_fns(params)
-    gain = float(params.terminal_gain)
-    return CoupledModel(
-        **{name: _linear(name, terms, fns, lambda t, own: ctrl(t))
-           for name, terms in params._TERMS.items()},
-        terminal_map=lambda x: gain * x,
-        initial=params.x0,
-    )
+    return _lq2_encoding(params, control, {}, 1.0, params.x0)
 
 
 #: the slot negated in each coefficient of the (H6) multiplier encoding
@@ -531,14 +524,27 @@ def lq2_adjoint_fbsde(params: LQ2Params) -> CoupledModel:
     ``-terminal_gain`` slope that difference-based probes see.
     """
 
+    return _lq2_encoding(params, 0.0, _ADJOINT_NEGATED, -1.0, 0.0)
+
+
+def _lq2_encoding(params: LQ2Params, control: ScalarFn, negated: dict, sign: float,
+                  initial: float) -> CoupledModel:
+    """``params._TERMS`` as a plain coupled model at the deterministic
+    ``control`` (checked finite on the horizon), each coefficient with its
+    ``negated`` slot's sign flipped (:func:`_negate`; none when absent), the
+    terminal map ``sign * terminal_gain * x`` and the initial value
+    ``initial``.  The parameters are checked, but not their signs."""
+
     _check_params(params)
+    ctrl = _as_fn(control)
+    _check_bounded("control", ctrl, params.horizon)
     fns = _coef_fns(params)
-    gain = float(params.terminal_gain)
+    gain = sign * float(params.terminal_gain)
     return CoupledModel(
-        **{name: _linear(name, _negate(terms, _ADJOINT_NEGATED[name]), fns, lambda t, own: 0.0)
+        **{name: _linear(name, _negate(terms, negated.get(name)), fns, lambda t, own: ctrl(t))
            for name, terms in params._TERMS.items()},
-        terminal_map=lambda x: -gain * x,
-        initial=0.0,
+        terminal_map=lambda x: gain * x,
+        initial=initial,
     )
 
 
@@ -760,7 +766,7 @@ def variational_margin(
     n_trials: int = 50,
     radius: float = 0.5,
     seed: int = 0,
-    atol: float = 1e-6,
+    atol: float = _NUMERICAL_ZERO,
 ) -> dict:
     """Variational-inequality margin with Monte Carlo error bars.
 
@@ -791,7 +797,7 @@ def variational_margin(
     for i in range(n_trials):
         v = _projected(model, u + _profile(grid, rng, radius))
         mean, se = _mean_se(grid.dt * np.sum(gradient * (v - u), axis=0))
-        margin = mean + 3.0 * se
+        margin = mean + _RESOLUTION_SES * se
         if margin < worst["margin"]:
             worst = {"trial": i, "residual": mean, "se": se, "margin": margin}
     worst["passed"] = bool(worst["margin"] >= -atol)

@@ -117,6 +117,12 @@ _SLOT_KEYS = ("law_x", "law_y", "law_z", "x", "y", "z", "v")
 #: the slots a decoupled model's drift and diffusion must not read
 _YZ_SLOTS = ("law_y", "y", "law_z", "z")
 
+#: Monte Carlo resolution: a mean within this many standard errors of zero is unresolved
+_RESOLUTION_SES = 3.0
+
+#: the numerical zero under a sampled tolerance (a noise-free cost has SE 0)
+_NUMERICAL_ZERO = 1e-6
+
 
 def identity_projection(control: np.ndarray) -> np.ndarray:
     """Projection onto an unconstrained action space (the identity)."""
@@ -134,10 +140,11 @@ def box_projection(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
     return project
 
 
-def _check_partials(partials: Mapping, coefs: tuple, slots: tuple) -> None:
+def _check_partials(partials: Mapping, coefs: tuple, slots: tuple, coupled: bool) -> None:
     """Every key of a ``partials`` table names one of ``coefs`` and every
-    inner key one of ``slots`` (:class:`ConfigError` names the first that
-    does not)."""
+    inner key one of ``slots``, and a decoupled model (``coupled`` False)
+    declares no ``drift`` or ``diffusion`` partial in a y or z slot
+    (:class:`ConfigError` names the first entry that breaks a rule)."""
     for name, block in partials.items():
         if name not in coefs:
             raise ConfigError(f"unknown coefficient {name!r} in partials; expected one of {coefs}")
@@ -145,6 +152,11 @@ def _check_partials(partials: Mapping, coefs: tuple, slots: tuple) -> None:
             if slot not in slots:
                 raise ConfigError(
                     f"unknown slot {slot!r} in partials[{name!r}]; expected one of {slots}"
+                )
+            if not coupled and name in ("drift", "diffusion") and slot in _YZ_SLOTS:
+                raise ConfigError(
+                    f"partials[{name!r}][{slot!r}] contradicts coupled=False: "
+                    f"a decoupled {name} reads only the x and control slots"
                 )
 
 
@@ -190,16 +202,7 @@ class ControlModel:
     coupled: bool = False
 
     def __post_init__(self):
-        _check_partials(self.partials, _COEF_KEYS, _SLOT_KEYS)
-        if self.coupled:
-            return
-        for name in ("drift", "diffusion"):
-            for slot in self.partials.get(name, ()):
-                if slot in _YZ_SLOTS:
-                    raise ConfigError(
-                        f"partials[{name!r}][{slot!r}] contradicts coupled=False: "
-                        f"a decoupled {name} reads only the x and u slots"
-                    )
+        _check_partials(self.partials, _COEF_KEYS, _SLOT_KEYS, self.coupled)
 
 
 @dataclass(frozen=True)
@@ -961,7 +964,7 @@ def projected_gradient_descent(
             cand_per = _per_particle_cost(model, candidate, cand_state, grid)
             cand_value = float(cand_per.mean())
             change, se = _mean_se(cand_per - per)
-            unresolved = abs(change) <= 3.0 * se
+            unresolved = abs(change) <= _RESOLUTION_SES * se
             if cand_value <= value - decrease:
                 accepted = True
                 break
@@ -1260,6 +1263,6 @@ def _paired_deviations(
         mean, se = _mean_se(_per_particle_cost(model, v, state_v, grid) - base_j)
         del v, state_v  # released before the next deviation solves
         records.append(
-            {"index": i, "cost_delta": mean, "se": se, "margin": mean + 3.0 * se}
+            {"index": i, "cost_delta": mean, "se": se, "margin": mean + _RESOLUTION_SES * se}
         )
     return records

@@ -39,6 +39,8 @@ for the package's float partials.  ``unpruned_linear`` and
 ``unpruned_slopes`` build an LQ term table's coefficient and partials with
 every term in them, zero constants included, the reference for the
 package's tables, which drop those terms at construction.
+``lq1_riccati_cost`` is the exact optimal cost of the decoupled LQ problem
+from its two scalar Riccati ODEs (RK4), no particles involved.
 """
 
 import numpy as np
@@ -776,3 +778,31 @@ def lq_feedback(params, weight):
         return -(adj.p[k] * b_v(t) + adj.q[k] * s_v(t) - adj.Q[k] * f_v(t)) / w(t)
 
     return formula
+
+
+def lq1_riccati_cost(params, steps=1000):
+    """Exact optimal cost of the decoupled LQ problem from its two scalar
+    Riccati equations, read off the ``LQ1Params`` docstring's fields (not the
+    package's term tables): with a = drift_x, abar = drift_mean_x,
+    b = drift_control, c = diff_x, d = diff_control,
+
+        P'  = -[(2a + c^2) P - ((b + c d) P)^2 / (1 + d^2 P)],           P(T) = 1,
+        Pi' = -[2(a + abar) Pi + c^2 P - (b Pi + c d P)^2 / (1 + d^2 P)],  Pi(T) = 2,
+
+    integrated backward by RK4 in ``steps`` steps; J* = Pi(0) x0^2 / 2.  P
+    prices the fluctuation X - E[X] and Pi the mean, whose terminal weight
+    carries the Y_0^2 / 2 = E[X_T]^2 / 2 term as well.  Needs constant
+    coefficients, a zero ``diff_mean_x`` and a zero driver."""
+    names = ("drift_x", "drift_mean_x", "drift_control", "diff_x", "diff_control")
+    a, abar, b, c, d = (float(getattr(params, name)) for name in names)
+    zero = ("diff_mean_x", "driver_mean_x", "driver_x", "driver_mean_y", "driver_y",
+            "driver_mean_z", "driver_z", "driver_control")
+    assert all(getattr(params, name) == 0.0 for name in zero), "outside the oracle's family"
+
+    def reversed_time(s, y):  # d/ds of (P, Pi) at t = T - s
+        p, pi = y
+        return [(2 * a + c * c) * p - ((b + c * d) * p) ** 2 / (1 + d * d * p),
+                2 * (a + abar) * pi + c * c * p - (b * pi + c * d * p) ** 2 / (1 + d * d * p)]
+
+    _, pi0 = rk4_nodes(reversed_time, [1.0, 2.0], params.horizon, 1, substeps=steps)[-1]
+    return float(pi0 * params.x0**2 / 2)

@@ -28,6 +28,7 @@ from mfcontrol.games import (
 from mfcontrol.lq_examples import LQ1Params, lq1_candidate, lq1_model, lq_game
 from mfcontrol.smp_control import (
     _per_particle_cost,
+    check_sufficiency,
     projected_gradient_descent,
     solve_adjoint,
     solve_state,
@@ -210,6 +211,17 @@ def test_partials_rejects_unknown_coefficient():
         replace(lq_game(), partials={"costs": {}})
 
 
+@pytest.mark.parametrize("name, slot", [("drift", "y"), ("diffusion", "law_z")])
+def test_decoupled_game_rejects_y_or_z_partials_at_construction(name, slot):
+    # the rule used to surface only at the first induced_model
+    game = lq_game(coupling=0.2)
+    block = {**game.partials.get(name, {}), slot: lambda t, law, own, v1, v2: 1.0}
+    match = rf"partials\['{name}'\]\['{slot}'\] contradicts coupled=False"
+    with pytest.raises(ConfigError, match=match):
+        replace(game, partials={**game.partials, name: block})
+    assert replace(game, partials={**game.partials, name: block}, coupled=True).coupled
+
+
 def test_partials_rejects_unknown_slot():
     bad = {"drift": {"u": lambda t, law, own, v1, v2: v1}}
     with pytest.raises(ConfigError, match="unknown slot"):
@@ -288,6 +300,16 @@ def test_induced_model_selects_costs_and_drops_opponent_partials():
     # the own-control slot carries each player's drift sensitivity
     assert np.allclose(m1.partials["drift"]["v"](0.0, law, own), 1.0)
     assert np.allclose(m2.partials["drift"]["v"](0.0, law, own), 0.7)
+
+
+def test_induced_model_at_sampled_atoms_raises_a_typed_error():
+    # the lifted coefficients read the frozen opponent's [N] node row, so
+    # the sufficiency check's sampled atoms used to meet numpy's ValueError
+    grid, noise = _setup(16, 256, 0)
+    zero = np.zeros((grid.steps, noise.particles))
+    model, own = games._player(lq_game(coupling=0.2), 1, zero, zero, grid)
+    with pytest.raises(ConfigError, match=r"player 1's .* shape \(1000,\).* shape \(256,\)"):
+        check_sufficiency(model, own, grid, noise, n_samples=2000, control_trials=2)
 
 
 def test_player_costs_through_the_induced_model_match_the_game_costs():

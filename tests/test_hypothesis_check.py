@@ -255,6 +255,18 @@ def test_convexity_affine_passes_within_slack():
     assert rep.passed
 
 
+def test_convexity_reads_a_float_as_a_constant_function():
+    # a float value used to be indexed as an array (numpy's IndexError)
+    rep = check_convexity(lambda p: 0.0, dim=1, n_samples=100)
+    assert rep.passed and rep.violations == 0 and rep.worst_pair["gap"] == 0.0
+
+
+def test_convexity_rejects_a_column_of_values():
+    # a column [n, 1] used to fail in float() on its row (numpy's TypeError)
+    with pytest.raises(ConfigError, match=r"check_convexity's fn values have shape \(100, 1\)"):
+        check_convexity(lambda p: p[:, :1] ** 2, dim=1, n_samples=100)
+
+
 # ----------------------------------------------------------------------
 # validation and properties
 # ----------------------------------------------------------------------

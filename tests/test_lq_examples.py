@@ -51,6 +51,7 @@ from mfcontrol.smp_control import (
 
 from oracles import (
     cold_candidate_fixed_point,
+    lq1_riccati_cost,
     lq2_coefficients,
     lq_feedback,
     unpruned_linear,
@@ -603,6 +604,29 @@ def test_lq1_candidate_is_stationary():
 
     vi = variational_margin(model, u, grid, noise, n_trials=10)
     assert vi["passed"]
+
+
+def test_lq1_riccati_oracle_value():
+    # the optimal cost of the default LQ1 problem, from its two Riccati
+    # equations; a 4x finer RK4 step moves it by under 1e-13
+    assert lq1_riccati_cost(LQ1Params()) == pytest.approx(0.26107009932, abs=1e-11)
+    assert lq1_riccati_cost(LQ1Params(), steps=4000) == pytest.approx(
+        lq1_riccati_cost(LQ1Params()), abs=1e-13)
+
+
+def test_lq1_candidate_cost_matches_the_riccati_optimum():
+    # eight independent ensembles at M=32: the seed-mean cost error sits
+    # within three seed standard errors of the exact optimum (measured
+    # -1.0e-3 against an SE of 6.9e-4; at M=16 the O(dt) bias, -2.8e-3,
+    # is over four SEs and would fail)
+    params, exact = LQ1Params(), lq1_riccati_cost(LQ1Params())
+    errors = []
+    for seed in range(8):
+        grid, noise = _grid_noise(32, 2048, seed=seed)
+        u, history = lq1_candidate(params, grid, noise)
+        errors.append(cost(lq1_model(params), u, grid, noise, state=history.state) - exact)
+    mean, se = np.mean(errors), np.std(errors, ddof=1) / np.sqrt(len(errors))
+    assert abs(mean) <= 3.0 * se
 
 
 def test_lq1_candidate_fixed_point_damping_insensitive():
