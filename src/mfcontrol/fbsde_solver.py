@@ -88,6 +88,14 @@ __all__ = [
 #: step, a polish is rejected, a warm solve falls back to the continuation)
 _RETRYABLE = (NonConvergenceError, DivergenceError, RegressionError)
 
+#: rung tolerance of a continuation whose polish follows.  A rung's answer is
+#: then only a warm start, and the polish's first change, the O(dt) gap
+#: between the two discrete solutions, is 4e-3 to 6e-2 on the LQ2 fixtures.
+#: Of 1e-3, 1e-4 and 1e-5 it is the loosest at which no polish is rejected
+#: that converged from rungs run to 1e-8, and no polish takes more sweeps than
+#: at 1e-5 (the tests, LQ2 benchmark seeds 0-9, verify_example(1) and (2)).
+_HANDOVER_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class CoupledModel:
@@ -398,8 +406,12 @@ class ContinuationSchedule:
 
     ``step`` is the first blend increment; the default 1.0 tries the
     target model in one rung.  Each rung is one seed-preconditioned fixed
-    point, run to ``picard_tol`` within ``picard_max_iter`` sweeps with
-    ``accel_memory`` Anderson history vectors.  A failing rung is retried
+    point, run within ``picard_max_iter`` sweeps with ``accel_memory``
+    Anderson history vectors.  ``picard_tol`` is the tolerance of the rung
+    whose answer is returned: every rung without a polish, and the blend-1
+    rung again after a rejected polish; a rung whose answer only warm-starts
+    the next rung or the polish stops at ``max(picard_tol, 1e-4)`` (see
+    :func:`solve_continuation`).  A failing rung is retried
     with its step halved; a rung accepted at the first try doubles the step
     for the next one (checkpoints hit 1 exactly).  ``max_halvings`` sets the
     minimum step ``step * 2**-max_halvings``: the run fails once a halving
@@ -512,25 +524,33 @@ def solve_continuation(
     Starts from the constructive linear seed at blend 0, then climbs a
     ladder of rungs to blend 1, warm-starting each rung from the previous
     solution.  Each rung is solved directly by one seed-preconditioned fixed
-    point at its blend weight (budget: ``picard_tol`` / ``picard_max_iter``
-    / ``accel_memory``).  The step starts at ``schedule.step`` (by default
-    the whole way, so the target is solved in one fixed point).  If a rung
-    does not converge, or a sweep leaves the guard region, it is retried
-    with the step halved.  A rung accepted at the first try doubles the
-    step for the next one, capped at the distance left; a rung accepted
-    only after a halving keeps its step, so a model that needs short steps
-    does not alternate between growing and failing.  Every route ends on
+    point at its blend weight (budget: ``picard_max_iter`` /
+    ``accel_memory``).  Without a polish every rung runs to ``picard_tol``.
+    With one, a rung's answer is only a warm start, for the next rung or
+    for the polish, and the polish moves it by the O(dt) gap between the two
+    discrete solutions; so every rung stops at the hand-over tolerance
+    ``max(picard_tol, _HANDOVER_TOL)`` (1e-4), as inexact path following
+    solves each step only as far as the next corrector needs.  The step
+    starts at ``schedule.step`` (by default the whole way, so the target is
+    solved in one fixed point).  If a rung does not converge, or a sweep
+    leaves the guard region, it is retried with the step halved.  A rung
+    accepted at the first try doubles the step for the next one, capped at
+    the distance left; a rung accepted only after a halving keeps its step,
+    so a model that needs short steps does not alternate between growing
+    and failing.  Every route ends on
     the blend-1 fixed point (to solver tolerance), so the ladder sets the
-    cost of a solve, not its answer (the step control of Allgower & Georg, *Introduction to
-    Numerical Continuation Methods*, 2003).  The step never goes below
-    ``schedule.step * 2**-max_halvings``; a rung that fails at a step it
-    cannot halve ends the run.
+    cost of a solve, not its answer (the step control and inexact steps of
+    Allgower & Georg, *Introduction to Numerical Continuation Methods*,
+    2003).  The step never goes below ``schedule.step * 2**-max_halvings``;
+    a rung that fails at a step it cannot halve ends the run.
 
     ``guard`` bounds |X| on the seed solution, on every rung sweep and in
     the polish.  A seed outside it raises :class:`DivergenceError` (``blend``
     0.0) at once; a breach at a rung fails that rung, and once the step is
     at its minimum it is the ``__cause__`` of the final
     :class:`NonConvergenceError`, with ``blend`` the weight last attempted.
+    A breach in the re-run after a rejected polish (below) carries ``blend``
+    1.0.
 
     After full blend is reached, a decoupling polish (:func:`solve_picard`
     warm-started at the homotopy output with the schedule's Anderson
@@ -541,13 +561,17 @@ def solve_continuation(
     a globalizer); without the acceleration the plain map's slow modes at
     longer horizons would stall the polish inside its budget and leave the
     O(dt)-different homotopy representation in place.  Where the map
-    diverges outright the polish fails fast and the homotopy
-    representation is returned unchanged; the attempt is recorded in the
-    log either way.  The polish deliberately does not chase tolerances
-    below ``inner_tol``: the decoupling map's regression noise modes
-    carry a weak feedback instability, so it has a resolution-dependent
-    change floor (around 1e-7 at desk scales) below which sweeps no longer
-    contract.
+    diverges outright the polish is rejected and the homotopy
+    representation is returned: the blend-1 rung is run again, to
+    ``picard_tol`` from the warm start it had (for a one-rung ladder this
+    is the polish-off route's answer, bit for bit).  If that re-run fails,
+    a :class:`NonConvergenceError` "failed at blend 1.000" carries the rung
+    histories and the hand-over answer as ``last``, chained from the rung's
+    error.  The attempt is recorded in the log either way.  The polish
+    deliberately does not chase tolerances below ``inner_tol``: the
+    decoupling map's regression noise modes carry a weak feedback
+    instability, so it has a resolution-dependent change floor (around
+    1e-7 at desk scales) below which sweeps no longer contract.
 
     ``conditioning`` supplies an external regression carrier for every
     backward sweep in the run (seed, levels, polish).  The default carrier
@@ -562,9 +586,32 @@ def solve_continuation(
     accepted rung (its sweep change norms), ``{"alpha", "halved_to"}`` per
     failed rung (``alpha`` where it started, ``halved_to`` the retry step),
     and ``{"alpha": 1.0, "polish"}`` holding the polish change norms or
-    ``"rejected"`` when the polish runs.
+    ``"rejected"`` when the polish runs.  After a rejected polish the
+    blend-1 rung's record holds its re-run's norms as ``"changes"`` and its
+    hand-over run's as ``"handover"``.
     """
     sched = schedule or ContinuationSchedule()
+    polish = sched.polish_max_iter > 0
+    handover = max(sched.picard_tol, _HANDOVER_TOL) if polish else sched.picard_tol
+
+    def rung(weight, warm, tol):
+        try:
+            return _seed_iteration(
+                model, grid, noise, weight=weight, warm=warm, tol=tol,
+                max_iter=sched.picard_max_iter, memory=sched.accel_memory,
+                control=control, guard=guard, conditioning=conditioning,
+            )
+        except DivergenceError as exc:
+            exc.blend = weight
+            raise
+
+    def failed(reason):
+        return NonConvergenceError(
+            f"continuation failed at blend {alpha:.3f}: {reason}",
+            history=[rec["changes"] for rec in log if "changes" in rec],
+            last=cur,
+        )
+
     try:
         cur, _ = solve_linear_seed(
             LinearInhomogeneity(), grid, noise, x0=model.initial,
@@ -580,30 +627,15 @@ def solve_continuation(
     retried = False
     while alpha < 1.0 - 1e-12:
         step = min(delta, 1.0 - alpha)
+        start = cur  # the warm start of the last rung, kept for a re-run
         try:
-            nxt, changes = _seed_iteration(
-                model,
-                grid,
-                noise,
-                weight=alpha + step,
-                warm=cur,
-                tol=sched.picard_tol,
-                max_iter=sched.picard_max_iter,
-                memory=sched.accel_memory,
-                control=control,
-                guard=guard,
-                conditioning=conditioning,
-            )
+            nxt, changes = rung(alpha + step, start, handover)
         except _RETRYABLE as exc:
-            if isinstance(exc, DivergenceError):
-                exc.blend = alpha + step
             if step / 2.0 < min_step:
-                raise NonConvergenceError(
-                    f"continuation failed at blend {alpha:.3f}: the step cannot "
-                    f"halve below {min_step:.4g} = step * 2**-{sched.max_halvings} "
-                    f"(last step {step:.4f}); raise max_halvings or picard_max_iter",
-                    history=[rec.get("changes", []) for rec in log if "changes" in rec],
-                    last=cur,
+                raise failed(
+                    f"the step cannot halve below {min_step:.4g} = step * "
+                    f"2**-{sched.max_halvings} (last step {step:.4f}); raise "
+                    f"max_halvings or picard_max_iter"
                 ) from exc
             delta = step / 2.0
             retried = True
@@ -614,24 +646,38 @@ def solve_continuation(
         log.append({"alpha": alpha, "changes": changes})
         delta = step if retried else 2.0 * step
         retried = False
-    if sched.polish_max_iter > 0:
+    if not polish:
+        return cur, log
+    try:
+        polished, polish_hist = solve_picard(
+            model,
+            grid,
+            noise,
+            tol=sched.inner_tol,
+            max_iter=sched.polish_max_iter,
+            initial_guess=cur,
+            accel_memory=sched.accel_memory,
+            control=control,
+            guard=guard,
+            conditioning=conditioning,
+        )
+    except _RETRYABLE:
+        pass  # a re-run starts only once this handler has let the polish's arrays go
+    else:
+        log.append({"alpha": 1.0, "polish": polish_hist})
+        return polished, log
+    if handover > sched.picard_tol:
+        # the blend-1 rung is the answer now: run it again to picard_tol
         try:
-            cur, polish_hist = solve_picard(
-                model,
-                grid,
-                noise,
-                tol=sched.inner_tol,
-                max_iter=sched.polish_max_iter,
-                initial_guess=cur,
-                accel_memory=sched.accel_memory,
-                control=control,
-                guard=guard,
-                conditioning=conditioning,
-            )
-        except _RETRYABLE:
-            log.append({"alpha": 1.0, "polish": "rejected"})
-        else:
-            log.append({"alpha": 1.0, "polish": polish_hist})
+            cur, changes = rung(alpha, start, sched.picard_tol)
+        except _RETRYABLE as exc:
+            raise failed(
+                f"the polish was rejected and the blend-1 rung did not reach "
+                f"picard_tol {sched.picard_tol:.1e} from its warm start"
+            ) from exc
+        log[-1]["handover"] = log[-1]["changes"]
+        log[-1]["changes"] = changes
+    log.append({"alpha": 1.0, "polish": "rejected"})
     return cur, log
 
 

@@ -147,11 +147,12 @@ def _atom_pairing(model, t: float, atoms1: np.ndarray, law1: StateView,
 # ======================================================================
 
 
-def _lipschitz_pass(components, dim, sampler, n_samples, rng, scale):
+def _lipschitz_pass(kind, components, dim, sampler, n_samples, rng, scale):
     """Max ratio |dF|/|dTheta| over pairs of free points [c, dim], F's
     components (arrays [c] or floats) given by ``components(points)``: the
     coefficients (f, b, sigma) of six coordinates, or Phi of one, where both
-    norms are |d| (sqrt(fl(d*d)) == |d| in binary64)."""
+    norms are |d| (sqrt(fl(d*d)) == |d| in binary64).  The witness carries
+    ``kind`` as its label."""
     best = 0.0
     witness = None
     for a, b in _pairs(sampler, rng, n_samples, dim):
@@ -163,7 +164,7 @@ def _lipschitz_pass(components, dim, sampler, n_samples, rng, scale):
         i = int(np.argmax(ratios))
         if ratios[i] > best:
             best = float(ratios[i])
-            witness = {"kind": "coefficients", "point1": th1[i].copy(), "point2": th2[i].copy(), "ratio": best}
+            witness = {"kind": kind, "point1": th1[i].copy(), "point2": th2[i].copy(), "ratio": best}
     return best, witness
 
 
@@ -199,7 +200,10 @@ def check_H4(
     -------
     MonotonicityReport
         With ``lipschitz``, ``lipschitz_terminal``, ``trend_flag`` and the
-        worst (largest-ratio) pair as witness.
+        worst (largest-ratio) pair as witness: the coefficients' pair
+        (``"kind": "coefficients"``, six coordinates), or the terminal
+        map's (``"kind": "terminal"``, one coordinate) when only the
+        terminal estimate trends.
     """
     _check_cap("n_samples", n_samples, 1)
     sampler = sampler or UniformPairSampler()
@@ -212,13 +216,16 @@ def check_H4(
     def terminal(x):
         return (_terminal_values(model.terminal_map, x[:, 0]),)
 
-    (full, witness), (half, _), (t_full, _), (t_half, _) = (
-        _lipschitz_pass(components, dim, sampler, n_samples, rng, scale)
-        for components, dim in ((coefficients, 6), (terminal, 1)) for scale in (1.0, 0.5)
+    (full, witness), (half, _), (t_full, t_witness), (t_half, _) = (
+        _lipschitz_pass(kind, components, dim, sampler, n_samples, rng, scale)
+        for kind, components, dim in (("coefficients", coefficients, 6), ("terminal", terminal, 1))
+        for scale in (1.0, 0.5)
     )
-    trend = bool(full > _TREND_MARGIN * half + 1e-12) or bool(
-        t_full > _TREND_MARGIN * t_half + 1e-12
-    )
+    coefficient_trend = bool(full > _TREND_MARGIN * half + 1e-12)
+    terminal_trend = bool(t_full > _TREND_MARGIN * t_half + 1e-12)
+    trend = coefficient_trend or terminal_trend
+    if terminal_trend and not coefficient_trend:
+        witness = t_witness  # the pair that fails the report
     return MonotonicityReport(
         check="H4",
         passed=not trend,

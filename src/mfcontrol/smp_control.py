@@ -438,11 +438,13 @@ def _solve_system(
     converge from a cold start; from ``warm`` only its final polish is
     needed: the same Anderson-accelerated :func:`solve_picard` call
     (``inner_tol``, ``polish_max_iter``, ``accel_memory``), so both routes
-    land on the same discrete fixed point.  If that pass fails with an
-    error the continuation retries on, the continuation runs from its seed.
-    With ``polish_max_iter == 0`` the cold route returns the unpolished
-    homotopy solution, which a warm pass would not reproduce, so ``warm``
-    is unused.  Both routes run the solvers' default regression basis and
+    land on the same discrete fixed point.  The cold route hands its rungs
+    to that polish at a loose tolerance; the polish's own ``inner_tol``
+    sets where it lands.  If the warm pass fails with an error the
+    continuation retries on, the continuation runs from its seed.  With
+    ``polish_max_iter == 0`` the cold route returns the unpolished homotopy
+    solution, run to ``picard_tol``, which a warm pass would not reproduce,
+    so ``warm`` is unused.  Both routes run the solvers' default regression basis and
     divergence guard.
     """
     if warm is not None:

@@ -17,6 +17,7 @@ from mfcontrol.core import (
     view_means,
 )
 from mfcontrol.fbsde_solver import (
+    _HANDOVER_TOL,
     ContinuationSchedule,
     CoupledModel,
     LinearInhomogeneity,
@@ -24,6 +25,7 @@ from mfcontrol.fbsde_solver import (
     _AndersonMixer,
     _blend_sources,
     _seed_iteration,
+    _triple_rms,
     residual,
     solve_continuation,
     solve_linear_seed,
@@ -697,6 +699,92 @@ def test_continuation_route_does_not_change_the_answer():
     for name in ("x", "y", "z"):
         a, b = getattr(full, name), getattr(short, name)
         assert np.sqrt(np.mean((a - b) ** 2)) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("horizon, m, n", [(0.25, 8, 512), (1.0, 16, 256)])
+def test_handover_route_agrees_with_a_polish_after_the_tight_route(horizon, m, n, seed):
+    # with a polish to follow, the rung stops at the hand-over tolerance;
+    # the polish lands where it lands from the rung run to picard_tol, in
+    # as many sweeps (measured: at most 1.2e-9 triple RMS apart)
+    g, w = _grid_noise(m, n=n, seed=seed, horizon=horizon)
+    model = lq2_fbsde(LQ2Params(horizon=horizon), control=0.3)
+    sched = ContinuationSchedule()
+    sol, log = solve_continuation(model, g, w, schedule=sched)
+    tight, tight_log = solve_continuation(model, g, w, schedule=replace(sched, polish_max_iter=0))
+    ref, polish = solve_picard(model, g, w, tol=sched.inner_tol, max_iter=sched.polish_max_iter,
+                               initial_guess=tight, accel_memory=sched.accel_memory)
+    assert sched.picard_tol < log[1]["changes"][-1] <= _HANDOVER_TOL
+    assert len(log[1]["changes"]) < len(tight_log[1]["changes"])
+    assert len(log[-1]["polish"]) == len(polish)
+    assert _triple_rms(sol, ref) <= 5e-9
+
+
+def test_rejected_polish_reruns_the_blend_one_rung_to_picard_tol():
+    # the model of test_rejected_polish_returns_the_unpolished_solution on a
+    # two-rung ladder: both rungs stop at the hand-over tolerance, the polish
+    # diverges and is rejected, and the blend-1 rung is run again to
+    # picard_tol from its warm start; the log keeps every sweep
+    params = replace(LQ2Params(horizon=8.0), drift_y=-0.6, drift_mean_y=-0.6,
+                     cross=0.9, cross_mean=0.9)
+    model = lq2_fbsde(params, control=0.3)
+    g, w = _grid_noise(16, n=256, seed=0, horizon=8.0)
+    sched = ContinuationSchedule(step=0.5)
+    sol, log = solve_continuation(model, g, w, schedule=sched)
+    assert [rec["alpha"] for rec in log] == [0.0, 0.5, 1.0, 1.0]
+    assert log[-1] == {"alpha": 1.0, "polish": "rejected"}
+    half, full = log[1], log[2]
+    assert sched.picard_tol < half["changes"][-1] <= _HANDOVER_TOL
+    assert sched.picard_tol < full["handover"][-1] <= _HANDOVER_TOL
+    assert full["changes"][-1] <= sched.picard_tol
+    tight, _ = solve_continuation(model, g, w, schedule=replace(sched, polish_max_iter=0))
+    assert _triple_rms(sol, tight) <= 1e-8  # measured 7.4e-11
+    assert residual(model, sol, g, w).forward <= 1e-7
+
+
+def test_failed_rerun_after_a_rejected_polish_is_a_typed_continuation_error():
+    # the non-monotone model of test_continuation_fails_cleanly_on_nonmonotone_model
+    # at the default schedule: the loose rung reaches blend 1, the polish is
+    # rejected, and the re-run to picard_tol fails; the error names blend 1
+    # and chains the rung's own error
+    g, w = _grid_noise(8, n=32)
+    bad = CoupledModel(
+        drift=lambda t, law, own: -law.y - own.y,
+        diffusion=lambda t, law, own: -law.z - own.z,
+        driver=lambda t, law, own: -3.0 * (law.x + own.x),
+        terminal_map=lambda xT: -xT,
+        initial=0.5,
+    )
+    with pytest.raises(NonConvergenceError) as err:
+        solve_continuation(bad, g, w)
+    assert "continuation failed at blend 1.000" in str(err.value)
+    cause = err.value.__cause__
+    assert isinstance(cause, NonConvergenceError)
+    assert "at blend weight 1.000" in str(cause)
+    assert cause.history[-1] > ContinuationSchedule().picard_tol
+    [rung] = err.value.history  # the loose blend-1 rung
+    assert rung[-1] <= _HANDOVER_TOL
+    assert isinstance(err.value.last, SolutionTriple)
+
+
+def test_polished_continuation_solves_a_model_whose_rung_stalls_at_picard_tol():
+    # the canonical pair pushed by a drift of 4: a rung run to picard_tol
+    # stalls at its regression-noise floor (1.4e-8 to 1.7e-8 against 1e-8)
+    # and the ladder fails; stopped at the hand-over tolerance, the rung
+    # hands its answer to the polish, which converges
+    pushed = CoupledModel(
+        drift=lambda t, law, own: 4.0 - law.y - own.y,
+        diffusion=lambda t, law, own: -law.z - own.z,
+        driver=lambda t, law, own: law.x + own.x,
+        terminal_map=lambda xT: xT,
+        initial=0.3,
+    )
+    g, w = _grid_noise(16, n=64)
+    sol, log = solve_continuation(pushed, g, w)
+    assert isinstance(log[-1]["polish"], list)
+    assert not any("halved_to" in rec for rec in log)
+    rep = residual(pushed, sol, g, w)
+    assert rep.forward <= 1e-6 and rep.terminal <= 1e-12
 
 
 def test_continuation_guard_checks_seed():

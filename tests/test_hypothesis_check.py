@@ -131,6 +131,30 @@ def test_h4_flags_quadratic_growth():
     assert rep.lipschitz > 10.0
 
 
+def test_h4_reports_the_terminal_witness_when_only_the_terminal_map_trends():
+    # linear coefficients, quadratic terminal map: the terminal estimate
+    # trends and fails the report, so its pair is the witness, and feeding
+    # it back reproduces the ratio
+    model = CoupledModel(
+        drift=lambda t, law, own: -own.y,
+        diffusion=lambda t, law, own: -own.z,
+        driver=lambda t, law, own: own.x,
+        terminal_map=lambda x: x**2,
+        initial=0.0,
+    )
+    rep = check_H4(model, n_samples=2_000)
+    assert not rep.passed and rep.trend_flag
+    assert rep.lipschitz < 1.0 < 10.0 < rep.lipschitz_terminal
+    w = rep.worst_pair
+    assert w["kind"] == "terminal" and w["point1"].shape == (1,)
+    x1, x2 = w["point1"][0], w["point2"][0]
+    assert abs(x1**2 - x2**2) / abs(x1 - x2) == pytest.approx(w["ratio"], rel=1e-12)
+    assert w["ratio"] == rep.lipschitz_terminal
+    # a coefficient trend keeps the coefficients' witness
+    quad = check_H4(_quadratic_model(), n_samples=2_000, seed=1)
+    assert quad.trend_flag and quad.worst_pair["kind"] == "coefficients"
+
+
 def test_h4_records_sampler_metadata():
     rep = check_H4(_canonical_model(), sampler=UniformPairSampler(radius=2.0), n_samples=2_000)
     assert rep.radius == 2.0
