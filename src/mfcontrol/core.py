@@ -143,6 +143,11 @@ def _shape_error(subject: str, shape, expected) -> ConfigError:
     return ConfigError(f"{subject} {verb} shape {shape}, expected {expected}")
 
 
+def _value_error(subject: str, what: str, expected) -> ConfigError:
+    verb = "are" if subject.endswith("s") else "is"  # "terminal values are None"
+    return ConfigError(f"{subject} {verb} {what}, expected a float or shape {expected}")
+
+
 def _check_shape(subject: str, arr, shape: Tuple[int, ...]) -> None:
     if np.shape(arr) != shape:
         raise _shape_error(subject, np.shape(arr), shape)
@@ -158,11 +163,18 @@ def _check_paths(subject: str, arrays: Sequence, shape: Tuple[int, ...]) -> None
 def _value(subject: str, value, shape: Tuple[int, ...]) -> Union[float, np.ndarray]:
     """``value`` read by the contract: an array of ``shape`` as a float array
     (itself when it is one), a float, a 0-d array or a one-element array
-    [1] as a Python float; any other shape raises :class:`ConfigError`
-    naming ``subject``."""
+    [1] as a Python float; any other shape, ``None`` (which numpy reads as
+    NaN) and anything numpy cannot read as real numbers (a string, a
+    function) raise :class:`ConfigError` naming ``subject``."""
     if type(value) is float:
         return value
-    arr = np.asarray(value, dtype=float)
+    if value is None:
+        raise _value_error(subject, "None", shape)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        what = f"of type {type(value).__name__}, not real numbers"
+        raise _value_error(subject, what, shape) from None
     if arr.shape == shape:
         return arr
     if arr.ndim <= 1 and arr.size == 1:  # checked before any broadcasting

@@ -39,7 +39,7 @@ on the canonical pair at a frozen iterate:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -152,7 +152,7 @@ def _coefficients(model, t: float, law: StateView, own: StateView, shape):
 # Inhomogeneities (additive sources in the Lemma-style placement)
 # ======================================================================
 
-Source = Union[None, float, np.ndarray, Callable[[float], float]]
+Source = Union[None, float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -167,10 +167,10 @@ class LinearInhomogeneity:
       (integrand ``f - phi``),
     * ``terminal_shift``   adds ``+xi`` to the terminal value.
 
-    Sources may be ``None`` (zero), floats, one-element arrays, callables
-    of t, or step arrays [M, N]; the terminal shift may be ``None``, a
-    float, a one-element array, or an array [N].  A one-element array is
-    the float it holds.
+    Sources may be ``None`` (zero), floats, one-element arrays or step
+    arrays [M, N]; the terminal shift may be ``None``, a float, a
+    one-element array, or an array [N].  A one-element array is the float
+    it holds; any other value raises :class:`ConfigError` naming the field.
     """
 
     drift_source: Source = None
@@ -179,14 +179,10 @@ class LinearInhomogeneity:
     terminal_shift: Union[None, float, np.ndarray] = None
 
 
-def _source_array(src: Source, grid: TimeGrid, n: int) -> np.ndarray:
-    m = grid.steps
+def _source_array(name: str, src: Source, m: int, n: int) -> np.ndarray:
     if src is None:
         return np.zeros((m, n))  # its zero pages are not committed until written
-    if callable(src):
-        vals = np.asarray([src(k * grid.dt) for k in range(m)], dtype=float)
-        return np.broadcast_to(vals[:, None], (m, n)).copy()
-    return _broadcast("source", src, (m, n))
+    return _broadcast(name, src, (m, n))
 
 
 # ======================================================================
@@ -248,9 +244,9 @@ def solve_linear_seed(
     dw = noise.increments
     m, n = _check_noise(grid, noise)
 
-    gam = _source_array(inhom.drift_source, grid, n)
-    vphi = _source_array(inhom.diffusion_source, grid, n)
-    phi = _source_array(inhom.driver_source, grid, n)
+    gam = _source_array("drift_source", inhom.drift_source, m, n)
+    vphi = _source_array("diffusion_source", inhom.diffusion_source, m, n)
+    phi = _source_array("driver_source", inhom.driver_source, m, n)
     shift = inhom.terminal_shift
     xi = np.zeros(n) if shift is None else _broadcast("terminal shift", shift, (n,))
     cond = noise.cumulative() if conditioning is None else conditioning

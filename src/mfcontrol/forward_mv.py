@@ -14,16 +14,14 @@ beginning of each step.  Coefficients are vectorized callables
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from mfcontrol.core import (
     BrownianPaths,
     Coefficient,
-    ConfigError,
     DivergenceError,
-    EnsembleConfig,
     StateView,
     TimeGrid,
     _broadcast,
@@ -31,16 +29,12 @@ from mfcontrol.core import (
     _check_shape,
     _mean,
     _value,
-    make_time_grid,
-    sample_brownian,
 )
 
 __all__ = [
     "ForwardModel",
     "simulate_forward",
     "resolve_initial",
-    "MomentScalingReport",
-    "moment_scaling_check",
 ]
 
 #: guard radius: a path beyond this magnitude counts as divergent
@@ -168,58 +162,3 @@ def simulate_forward(
     if control is not None:
         _check_shape("control", control, (m, n))
     return _euler(model, grid, noise, control, guard)
-
-
-# ----------------------------------------------------------------------
-# Small-time moment scaling diagnostic
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MomentScalingReport:
-    """Log-log slope of E[sup_{s<=delta} |X_s - X_0|^p] against delta."""
-
-    exponent: float
-    horizons: tuple
-    moments: tuple
-    slope: Optional[float]
-    expected_slope: float
-    degenerate: bool
-
-
-def moment_scaling_check(
-    model: ForwardModel,
-    exponent: float,
-    horizons: Sequence[float],
-    cfg: EnsembleConfig,
-) -> MomentScalingReport:
-    """Estimate the small-time growth rate of the p-th running-sup moment.
-
-    For each horizon delta the model is simulated on a fresh 32-step
-    grid and E[sup |X - X_0|^p] recorded; the report carries the fitted
-    log-log slope, which should sit near p/2 for a nondegenerate diffusion.
-    A model with identically-zero increments is flagged degenerate instead of
-    producing a fake slope.
-    """
-    if len(horizons) < 2:
-        raise ConfigError("need at least two horizons to fit a slope")
-    moments = []
-    for delta in horizons:
-        g = make_time_grid(float(delta), 32)
-        w = sample_brownian(g, cfg)
-        x = simulate_forward(model, g, w)
-        dev = np.abs(x - x[0]).max(axis=0) ** exponent
-        moments.append(float(dev.mean()))
-    moments_arr = np.asarray(moments)
-    degenerate = bool(np.any(moments_arr <= 0.0))
-    slope = None if degenerate else float(
-        np.polyfit(np.log(np.asarray(horizons, dtype=float)), np.log(moments_arr), 1)[0]
-    )
-    return MomentScalingReport(
-        exponent=float(exponent),
-        horizons=tuple(float(h) for h in horizons),
-        moments=tuple(moments),
-        slope=slope,
-        expected_slope=exponent / 2.0,
-        degenerate=degenerate,
-    )

@@ -10,9 +10,9 @@ lower their cost by deviating unilaterally.
 Freezing one player's control turns the other player's problem into the
 single-player mean-field control problem handled by
 :mod:`mfcontrol.smp_control`; everything here is built on that
-reduction.  :func:`induced_model` performs it explicitly,
-:func:`player_adjoint` and :func:`best_response` delegate through it,
-and :func:`nash_iterate` searches for an equilibrium by damped
+reduction.  :func:`induced_model` performs it explicitly (a player's
+adjoint is ``solve_adjoint`` on it), :func:`best_response` delegates
+through it, and :func:`nash_iterate` searches for an equilibrium by damped
 *simultaneous* best responses: each round both players respond to the
 round-start profile and then blend the response into their control with
 factor ``damping``.  Responding to the round-start profile (rather than
@@ -43,7 +43,6 @@ from mfcontrol.smp_control import (
     _COEF_KEYS,
     _NUMERICAL_ZERO,
     _RESOLUTION_SES,
-    AdjointTriple,
     ControlModel,
     _check_partials,
     _check_sampling,
@@ -57,7 +56,6 @@ from mfcontrol.smp_control import (
     as_control,
     identity_projection,
     projected_gradient_descent,
-    solve_adjoint,
     solve_state,
     variational_inequality_residual,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "GameModel",
     "NashResult",
     "induced_model",
-    "player_adjoint",
     "best_response",
     "deviation_test",
     "nash_iterate",
@@ -222,27 +219,8 @@ def _player(game: GameModel, i: int, u1: np.ndarray, u2: np.ndarray, grid: TimeG
 
 
 # ======================================================================
-# Per-player first-order objects
+# Best response
 # ======================================================================
-
-
-def player_adjoint(
-    game: GameModel,
-    i: int,
-    controls,
-    state,
-    grid: TimeGrid,
-    noise: BrownianPaths,
-) -> AdjointTriple:
-    """Adjoint triple (p, q, Q) of player ``i`` at the control pair.
-
-    ``state`` must solve the shared state system at ``controls``.  The
-    adjoint is the single-player one of :func:`induced_model`, priced
-    with player ``i``'s cost slopes.
-    """
-
-    model, own = _player(game, i, *_pair(controls, grid, noise.particles), grid)
-    return solve_adjoint(model, own, state, grid, noise)
 
 
 def best_response(

@@ -87,6 +87,7 @@ from mfcontrol.hypothesis_check import check_H4, check_H5, check_H6
 from mfcontrol.smp_control import (
     _NUMERICAL_ZERO,
     _RESOLUTION_SES,
+    _YZ_SLOTS,
     AdjointTriple,
     ControlModel,
     _check_sampling,
@@ -419,10 +420,19 @@ def _own_control(t, own):
     return own.u
 
 
-def _lq_model(params, coupled: bool, gain: float, terminal_weight: float,
-              initial_weight: float, control_weight: ScalarFn) -> ControlModel:
+def _coupled(params, fns: dict) -> bool:
+    """Whether the drift or the diffusion of ``params._TERMS`` keeps a term
+    (:func:`_live`) in a y or z slot, so that the state system is coupled."""
+    return any(slot in _YZ_SLOTS for name in ("drift", "diffusion")
+               for _, slot in _live(params._TERMS[name], fns))
+
+
+def _lq_model(params, gain: float, terminal_weight: float, initial_weight: float,
+              control_weight: ScalarFn) -> ControlModel:
     """Control model of ``params._TERMS`` with terminal tie ``Y_T = gain*X_T``
-    and the cost of the :class:`LQ2Params` docstring at these weights."""
+    and the cost of the :class:`LQ2Params` docstring at these weights;
+    coupled when the tables' drift or diffusion reads y or z
+    (:func:`_coupled`)."""
 
     fns = _coef_fns(params)
     gain = float(gain)
@@ -444,7 +454,7 @@ def _lq_model(params, coupled: bool, gain: float, terminal_weight: float,
         initial_cost_slope=lambda y: 2.0 * wi * y,
         project=identity_projection,
         initial=params.x0,
-        coupled=coupled,
+        coupled=_coupled(params, fns),
     )
 
 
@@ -467,7 +477,7 @@ def lq1_model(params: LQ1Params) -> ControlModel:
     """
 
     params.validate()
-    return _lq_model(params, False, 1.0, 0.5, 0.5, 1.0)
+    return _lq_model(params, 1.0, 0.5, 0.5, 1.0)
 
 
 def lq2_model(params: LQ2Params) -> ControlModel:
@@ -488,7 +498,7 @@ def lq2_model(params: LQ2Params) -> ControlModel:
 
     params.validate()
     return _lq_model(
-        params, True, params.terminal_gain, params.terminal_weight, params.initial_weight,
+        params, params.terminal_gain, params.terminal_weight, params.initial_weight,
         params.control_weight,
     )
 
@@ -989,19 +999,21 @@ def verify_example(
 
 
 # ======================================================================
-# Two-player game built on the decoupled problem
+# Two-player game built on an LQ problem
 # ======================================================================
 
 
 def lq_game(
-    params: Optional[LQ1Params] = None,
+    params: Optional[Union[LQ1Params, LQ2Params]] = None,
     coupling: float = 0.0,
     target: ScalarFn = 0.3,
 ) -> GameModel:
-    """Two-player game wrapped around the decoupled LQ problem.
+    """Two-player game wrapped around an LQ problem (the decoupled one by
+    default).
 
-    Player 1 plays the LQ problem unchanged: the shared state follows
-    the LQ dynamics in player 1's control and player 1 pays the LQ cost.
+    Player 1 plays the LQ problem's control: the shared state follows the
+    dynamics of ``params`` in player 1's control, and player 1 pays
+    ``v1^2/2`` running, ``X_T^2/2`` terminal and ``Y_0^2/2`` initial cost.
     Player 2 tracks the deterministic profile ``target`` with running
     cost ``(v2 - target)^2 / 2``.
 
@@ -1015,11 +1027,17 @@ def lq_game(
     genuinely interact while the uncoupled equilibrium remains an
     O(coupling) starting guess.
 
-    The shared coefficients are ``params``' term tables with zero
-    constants dropped at construction, as in :func:`lq1_model`: at the
-    defaults the game's driver is ``None``, and a zero slope, with player
-    2's drift slope when ``drift_control`` is a zero constant, is left out
-    of the partials.
+    The game reads these fields of ``params``: the coefficients of its
+    term tables (the control slopes included), ``x0``, ``horizon`` and,
+    of :class:`LQ2Params`, ``terminal_gain`` (the tie Y_T = terminal_gain
+    X_T; Y_T = X_T for :class:`LQ1Params`).  It does not read LQ2's cost
+    weights, since the players' costs are the ones above.  The shared
+    coefficients are the term tables with zero constants dropped at
+    construction, as in :func:`lq1_model`: at the LQ1 defaults the game's
+    driver is ``None``, and a zero slope, with player 2's drift slope when
+    ``drift_control`` is a zero constant, is left out of the partials.
+    The game is coupled when the tables' drift or diffusion reads y or z,
+    as LQ2's does, and decoupled otherwise.
     """
 
     params = params or LQ1Params()
@@ -1030,6 +1048,7 @@ def lq_game(
     fns = _coef_fns(params)
     tgt = _as_fn(target)
     kw = float(coupling)
+    gain = float(getattr(params, "terminal_gain", 1.0))
     coefs, partials = {}, {}
     for name, terms in params._TERMS.items():
         if name == "drift":  # player 2 pushes the drift only
@@ -1049,7 +1068,7 @@ def lq_game(
     zero = lambda arr: 0.0  # noqa: E731
     return GameModel(
         **coefs,
-        terminal_map=lambda x: x,
+        terminal_map=lambda x: gain * x,
         running_cost_1=lambda t, law, own, v1, v2: 0.5 * v1**2,
         running_cost_2=lambda t, law, own, v1, v2: 0.5 * (v2 - tgt(t)) ** 2,
         terminal_cost_1=lambda x: 0.5 * x**2,
@@ -1057,11 +1076,11 @@ def lq_game(
         initial_cost_1=lambda y: 0.5 * y**2,
         initial_cost_2=zero,
         partials=partials,
-        terminal_slope=lambda x: 1.0,
+        terminal_slope=lambda x: gain,
         terminal_cost_slope_1=lambda x: x,
         terminal_cost_slope_2=(lambda x: 2.0 * kw * x) if kw else zero,
         initial_cost_slope_1=lambda y: y,
         initial_cost_slope_2=zero,
         initial=params.x0,
-        coupled=False,
+        coupled=_coupled(params, fns),
     )

@@ -17,9 +17,8 @@ written as H's transposed state partials in the forward-monotone variables
 same partial evaluator, the linearized (variational) state response to a
 control direction, projected gradient descent with Armijo backtracking
 (stopped once its paired cost changes fall below Monte Carlo resolution), a
-variational-inequality residual over trial controls, a discrete duality
-(integration-by-parts) defect, and a convexity/minimality sufficiency
-check.  The paired cost-deviation sampler behind both the single-player
+variational-inequality residual over trial controls, and a
+convexity/minimality sufficiency check.  The paired cost-deviation sampler behind both the single-player
 deviation check (:mod:`mfcontrol.lq_examples`) and the game's unilateral
 deviation test (:mod:`mfcontrol.games`, one induced model per player)
 lives here too, with the per-particle cost it compares.
@@ -104,7 +103,6 @@ __all__ = [
     "cost",
     "projected_gradient_descent",
     "variational_inequality_residual",
-    "duality_gap",
     "check_sufficiency",
 ]
 
@@ -1019,42 +1017,6 @@ def variational_inequality_residual(
         v = as_control(trial, grid, noise.particles)
         best = min(best, _pairing(grid, grad, v - u))
     return float(best)
-
-
-def duality_gap(
-    model: ControlModel,
-    u,
-    direction,
-    grid: TimeGrid,
-    noise: BrownianPaths,
-    state: Optional[SolutionTriple] = None,
-) -> float:
-    """Defect of the discrete integration-by-parts identity linking the
-    variational and adjoint systems.
-
-    The identity equates the terminal/initial cost linearization
-    E[g_x(X_T) k_T + gamma_y(Y_0) m_0] plus the running cost's
-    linearization E[int (h_x-terms + h_v direction) dt] along the
-    variational triple (k, m, n) with the gradient pairing
-    E[int H_v direction dt], H_v = b_v p + sigma_v q - f_v Q + h_v (the
-    h_v terms cancel).  Both sides are assembled from the solved systems
-    and the absolute difference returned; it vanishes at first order in
-    the step size.
-    """
-    u = as_control(u, grid, noise.particles)
-    d = as_control(direction, grid, noise.particles)
-    state = _state_at(model, u, grid, noise, state)
-    var = solve_variational(model, u, d, state, grid, noise)
-    lin = SolutionTriple(x=var.k, y=var.m, z=var.n)
-    path = _FrozenPath(model, u, state, grid)
-    m, n = grid.steps, (noise.particles,)
-    g_x = _value("terminal_cost_slope", model.terminal_cost_slope(state.x[m]), n)
-    gamma_y = _value("initial_cost_slope", model.initial_cost_slope(state.y[0]), n)
-    lhs = float(np.mean(g_x * var.k[m])) + float(np.mean(gamma_y * var.m[0]))
-    for k in range(m):
-        own, law = _views(lin, k, None)
-        lhs += grid.dt * float(np.mean(path.linearized(k, "running_cost", law, own, d[k])))
-    return abs(lhs - _pairing(grid, smp_gradient(model, u, grid, noise, state=state), d))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,17 @@ every term in them, zero constants included, the reference for the
 package's tables, which drop those terms at construction.
 ``lq1_riccati_cost`` is the exact optimal cost of the decoupled LQ problem
 from its two scalar Riccati ODEs (RK4), no particles involved.
+``linear_mf_fbsde`` solves any linear mean-field FBSDE with constant
+coefficients and a deterministic start exactly (a matrix Riccati field for
+the fluctuations, shooting on the means, a covariance ODE for the costs), in
+the line of the four-step scheme of Ma, Protter & Yong 1994.  ``lq_exact``
+builds its instances from the ``LQ1Params`` and ``LQ2Params`` docstrings and
+the adjoint's transposes (not from the package's term tables):
+``lq_state_y0`` (a state at a constant control), ``lq_optimum`` (the
+optimality system) and ``lq_nash_costs`` (``lq_game``'s Nash system).
 """
+
+import functools
 
 import numpy as np
 
@@ -54,6 +64,7 @@ from mfcontrol.fbsde_solver import (
     solve_linear_seed,
 )
 from mfcontrol.forward_mv import resolve_initial
+from mfcontrol.lq_examples import LQ1Params, LQ2Params
 from mfcontrol.mf_bsde import (
     BackwardModel,
     _terminal_values,
@@ -806,3 +817,235 @@ def lq1_riccati_cost(params, steps=1000):
 
     _, pi0 = rk4_nodes(reversed_time, [1.0, 2.0], params.horizon, 1, substeps=steps)[-1]
     return float(pi0 * params.x0**2 / 2)
+
+
+# ----------------------------------------------------------------------
+# Exact solutions of linear mean-field FBSDEs (Riccati decoupling field)
+# ----------------------------------------------------------------------
+
+
+def linear_mf_fbsde(drift, diffusion, driver, terminal, initial, horizon, running=(),
+                    steps=1000):
+    """Exact first and second moments of a linear mean-field FBSDE with
+    constant coefficients and a deterministic start, no particles involved.
+
+    With v = (xi, eta, zeta), forward xi in R^n, backward eta and integrand
+    zeta in R^m, and a scalar Brownian motion W, the system is
+
+        dxi  = (b v + b_law E[v] + b0) dt + (s v + s_law E[v] + s0) dW,
+        -deta = (f v + f_law E[v] + f0) dt - zeta dW,
+        eta_T = Phi xi_T + phi0,   xi_0 = x0 + Psi E[eta_0],
+
+    each of ``drift``, ``diffusion`` and ``driver`` a triple ``(own, law,
+    const)`` of [rows, n+2m] matrices and a constant, ``terminal`` the pair
+    ``(Phi, phi0)`` and ``initial`` the pair ``(x0, Psi)``.  Since xi_0 is
+    deterministic, the fluctuations solve eta - E[eta] = P (xi - E[xi]) and
+    zeta - E[zeta] = L (xi - E[xi]) with L = (I - P F)^-1 P (D + E P), where
+    (A, B, C), (D, E, F) and (G, H, K) split ``b``, ``s`` and ``f`` over
+    (xi, eta, zeta), and P solves the matrix Riccati equation
+
+        -P' = P A + P B P + P C L + G + H P + K L,   P_T = Phi,
+
+    integrated backward by RK4 in ``steps`` steps.  The means solve a linear
+    ODE with E[zeta] = P E[diffusion] read algebraically; their two-point
+    boundary problem is closed by shooting on E[eta_0] (one RK4 pass of the
+    affine flow, step 2T/steps on P's nodes, and one small linear solve).  A
+    last pass integrates the covariance Sigma of xi,
+
+        Sigma' = M Sigma + Sigma M^T + N Sigma N^T + e e^T,   Sigma_0 = 0,
+
+    with M = b Gamma, N = s Gamma, Gamma = (I; P; L) and e = E[diffusion],
+    and each ``running`` quadratic form W over (v, 1), as the integral over
+    [0, T] of E[(v, 1)^T W (v, 1)].  Returns ``(mean0, meanT, covT,
+    running)``: the means of (xi, eta) at 0 and at T, Sigma_T and the
+    integrals.  ``steps`` must be even."""
+    (b, b_law, b0), (s, s_law, s0), (f, f_law, f0) = (
+        tuple(np.asarray(a, dtype=float) for a in coef) for coef in (drift, diffusion, driver))
+    phi, phi0 = (np.asarray(a, dtype=float) for a in terminal)
+    x0, psi = (np.asarray(a, dtype=float) for a in initial)
+    n, m = len(b), len(f)
+    assert steps % 2 == 0, "the mean passes take two Riccati steps at a time"
+    fwd, bwd, itg = slice(0, n), slice(n, n + m), slice(n + m, n + 2 * m)
+    eye_m = np.eye(m)
+
+    def decoupling(p):  # L of the fluctuations' integrand
+        return np.linalg.solve(eye_m - p @ s[:, itg], p @ (s[:, fwd] + s[:, bwd] @ p))
+
+    def riccati(_r, p):  # d/dr of P at t = T - r
+        p = p.reshape(m, n)
+        lo = decoupling(p)
+        return (p @ b[:, fwd] + p @ b[:, bwd] @ p + p @ b[:, itg] @ lo
+                + f[:, fwd] + f[:, bwd] @ p + f[:, itg] @ lo).ravel()
+
+    # P, and per node, with z = (E xi, E eta, 1): E[v] = E_hat z, dz/dt =
+    # A_hat z, and the fluctuations' v - E[v] = Gamma (xi - E xi)
+    field = rk4_nodes(riccati, phi.ravel(), horizon, steps, substeps=1)[::-1].reshape(-1, m, n)
+    size, count = n + m + 1, steps + 1
+    mean_b, mean_s, mean_f = b + b_law, s + s_law, f + f_law
+    e_hat = np.zeros((count, n + 2 * m, size))
+    e_hat[:, : n + m, : n + m] = np.eye(n + m)
+    e_hat[:, itg] = np.linalg.solve(eye_m - field @ mean_s[:, itg], field) @ np.hstack(
+        [mean_s[:, : n + m], s0[:, None]])
+    a_hat = np.zeros((count, size, size))
+    a_hat[:, fwd] = mean_b @ e_hat
+    a_hat[:, fwd, -1] += b0
+    a_hat[:, bwd] = -(mean_f @ e_hat)
+    a_hat[:, bwd, -1] -= f0
+    gamma = np.concatenate([np.broadcast_to(np.eye(n), (count, n, n)), field,
+                            decoupling(field)], axis=1)
+    h = horizon / steps
+
+    def at(t):
+        j = int(round(t / h))
+        return a_hat[j], e_hat[j], gamma[j]
+
+    def flow(t, y):
+        return (a_hat[int(round(t / h))] @ y.reshape(size, -1)).ravel()
+
+    def integrate(deriv, y0):
+        return rk4_nodes(deriv, y0, horizon, 1, substeps=steps // 2)[-1]
+
+    # shooting: z_0 = base + shot @ E[eta_0], affine in the unknown
+    transition = integrate(flow, np.eye(size).ravel()).reshape(size, size)
+    base = np.concatenate([x0, np.zeros(m), [1.0]])
+    shot = np.vstack([psi, eye_m, np.zeros((1, m))])
+    match = np.hstack([-phi, eye_m, np.zeros((m, 1))]) @ transition
+    eta0 = np.linalg.solve(match @ shot, phi0 - match @ base)
+    z0 = base + shot @ eta0
+    forms = [np.asarray(w, dtype=float) for w in running]
+
+    def moments(t, y):
+        a_j, e_j, gamma_j = at(t)
+        z, sigma = y[:size], y[size: size + n * n].reshape(n, n)
+        ev = e_j @ z
+        mm, nn, e = b @ gamma_j, s @ gamma_j, mean_s @ ev + s0
+        dsigma = mm @ sigma + sigma @ mm.T + nn @ sigma @ nn.T + np.outer(e, e)
+        cov = gamma_j @ sigma @ gamma_j.T
+        ext = np.append(ev, 1.0)
+        dcost = [np.sum(w[:-1, :-1] * cov) + ext @ w @ ext for w in forms]
+        return np.concatenate([a_j @ z, dsigma.ravel(), dcost])
+
+    end = integrate(moments, np.concatenate([z0, np.zeros(n * n + len(forms))]))
+    return (z0[: n + m], end[: n + m], end[size: size + n * n].reshape(n, n),
+            tuple(end[size + n * n:]))
+
+
+def _lq_rows(params):
+    """(own, law, slope) of an LQ parameter set's state coefficients as the
+    ``LQ1Params`` or ``LQ2Params`` docstring writes them (not the package's
+    term tables): rows drift, diffusion, driver; ``own`` and ``law``
+    columns x, y, z; ``slope`` each row's control coefficient.  Constant
+    coefficients only."""
+
+    def c(name):
+        return float(getattr(params, name))
+
+    if isinstance(params, LQ2Params):
+        own = [[c("drift_x"), c("drift_y"), c("cross")],
+               [c("diff_x"), -c("cross"), c("diff_z")],
+               [c("driver_x"), c("drift_x"), c("diff_x")]]
+        law = [[c("drift_mean_x"), c("drift_mean_y"), c("cross_mean")],
+               [c("diff_mean_x"), -c("cross_mean"), c("diff_mean_z")],
+               [c("driver_mean_x"), c("drift_mean_x"), c("diff_mean_x")]]
+    else:
+        own = [[c("drift_x"), 0.0, 0.0], [c("diff_x"), 0.0, 0.0],
+               [c("driver_x"), c("driver_y"), c("driver_z")]]
+        law = [[c("drift_mean_x"), 0.0, 0.0], [c("diff_mean_x"), 0.0, 0.0],
+               [c("driver_mean_x"), c("driver_mean_y"), c("driver_mean_z")]]
+    slope = [c("drift_control"), c("diff_control"), c("driver_control")]
+    return np.array(own), np.array(law), np.array(slope)
+
+
+def lq_exact(params, players=(), control=0.0, gain=1.0, steps=1000):
+    """Exact solution (:func:`linear_mf_fbsde`) of an LQ state system with
+    each player's adjoint and candidate feedback substituted.
+
+    The state (X, Y, Z) has the coefficients of ``params``' docstring with
+    the constant ``control`` on top of the players' controls, and Y_T =
+    ``gain`` X_T.  A player ``(slope, weight, target, wt, wi)`` moves
+    (drift, diffusion, driver) by ``slope`` times their control v and pays
+    E[ integral of weight (v - target)^2 / 2 dt + wt X_T^2 + wi Y_0^2 ].
+    Their adjoint (X~, p, q) = (-Q, p, q) is the state's transposed
+    partials, as ``solve_adjoint`` writes it:
+
+        dX~ = H_y dt + H_z dW,   X~_0 = 2 wi Y_0,
+        -dp = H_x dt - q dW,     p_T = 2 wt X_T + gain X~_T,
+
+    where H_s sums each coefficient's s-slope (its law slope on the
+    multiplier's mean) over the multipliers p (drift), q (diffusion) and
+    X~ (driver), and H_v = 0 gives the feedback v = target - (slope .
+    (p, q, X~)) / weight.  Returns ``(E[Y_0], costs)``, one cost per
+    player."""
+    own, law, slope = _lq_rows(params)
+    k = len(players)
+    n = m = 1 + k
+    width = n + 2 * m
+    state = [0, n, n + m]  # the columns of X, Y and Z in v = (xi, eta, zeta)
+    coefs = [[np.zeros((rows, width)), np.zeros((rows, width)), np.zeros(rows)]
+             for rows in (n, n, m)]  # drift, diffusion, driver
+    for r in range(3):
+        coefs[r][0][0, state] = own[r]
+        coefs[r][1][0, state] = law[r]
+        coefs[r][2][0] = slope[r] * control
+    phi, psi = np.zeros((m, n)), np.zeros((n, m))
+    phi[0, 0] = gain
+    forms = []
+    for i, (moves, weight, target, wt, wi) in enumerate(players, 1):
+        multipliers = [n + i, n + m + i, i]  # p_i, q_i, X~_i of drift, diffusion, driver
+        feedback = np.zeros(width)  # v_i - target = feedback @ v
+        feedback[multipliers] = -np.asarray(moves, dtype=float) / weight
+        for r in range(3):
+            coefs[r][0][0] += moves[r] * feedback
+            coefs[r][2][0] += moves[r] * target
+        for r, s in ((0, 1), (1, 2), (2, 0)):  # X~_i's drift H_y, diffusion H_z; p_i's H_x
+            coefs[r][0][i, multipliers] = own[:, s]
+            coefs[r][1][i, multipliers] = law[:, s]
+        phi[i, 0], phi[i, i], psi[i, 0] = 2.0 * wt, gain, 2.0 * wi
+        forms.append(0.5 * weight * np.outer(np.append(feedback, 0.0), np.append(feedback, 0.0)))
+    x0 = np.zeros(n)
+    x0[0] = params.x0
+    mean0, mean_t, cov_t, running = linear_mf_fbsde(
+        *coefs, (phi, np.zeros(m)), (x0, psi), params.horizon, forms, steps)
+    y0, second_xt = mean0[n], cov_t[0, 0] + mean_t[0] ** 2
+    costs = tuple(float(run + wt * second_xt + wi * y0**2)
+                  for run, (_, _, _, wt, wi) in zip(running, players))
+    return float(y0), costs
+
+
+def _cost_weights(params):
+    """(control weight, terminal weight, initial weight, terminal gain) of an
+    LQ problem's cost and tie; LQ1's are 1, 1/2, 1/2 and 1."""
+    if isinstance(params, LQ2Params):
+        return (float(params.control_weight), params.terminal_weight, params.initial_weight,
+                params.terminal_gain)
+    return 1.0, 0.5, 0.5, 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def lq_state_y0(params, control, steps=1000):
+    """Exact E[Y_0] of an LQ state system at a constant control."""
+    gain = _cost_weights(params)[3]
+    return lq_exact(params, control=control, gain=gain, steps=steps)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def lq_optimum(params, steps=1000):
+    """Exact optimal cost J* and E[Y_0] at the optimum of an LQ problem."""
+    weight, wt, wi, gain = _cost_weights(params)
+    player = (_lq_rows(params)[2], weight, 0.0, wt, wi)
+    y0, (cost,) = lq_exact(params, (player,), gain=gain, steps=steps)
+    return cost, y0
+
+
+@functools.lru_cache(maxsize=None)
+def lq_nash_costs(params=None, coupling=0.2, target=0.3, steps=1000):
+    """Exact equilibrium costs (J1, J2) of ``lq_game(params, coupling,
+    target)`` at a constant target, from the game's docstring: player 1
+    moves the LQ coefficients' control slots and pays v1^2/2, X_T^2/2 and
+    Y_0^2/2; player 2 moves the drift by ``coupling * drift_control`` and
+    pays (v2 - target)^2/2 and ``coupling`` X_T^2; Y_T = terminal_gain X_T
+    (1 for LQ1)."""
+    params = params or LQ1Params()
+    one = (_lq_rows(params)[2], 1.0, 0.0, 0.5, 0.5)
+    two = ((coupling * float(params.drift_control), 0.0, 0.0), 1.0, target, coupling, 0.0)
+    return lq_exact(params, (one, two), gain=_cost_weights(params)[3], steps=steps)[1]

@@ -129,12 +129,15 @@ def test_seed_random_terminal_shift_mean_oracle():
     assert np.abs(sol.y.mean(axis=1) - ref[:, 1]).max() <= 2e-2
 
 
-def test_seed_time_dependent_callable_sources():
+def test_seed_time_dependent_step_array_sources():
+    # a time-dependent source is a step array [M, N]; a callable of t is not
+    # a source form, and is refused naming its field
     g, w = _grid_noise(32)
-    sol, _ = solve_linear_seed(
-        LinearInhomogeneity(drift_source=lambda t: np.sin(t)), g, w, x0=0.0
-    )
+    steps = np.sin(g.nodes[:-1])[:, None] * np.ones((1, w.particles))
+    sol, _ = solve_linear_seed(LinearInhomogeneity(drift_source=steps), g, w, x0=0.0)
     assert np.all(np.isfinite(sol.x))
+    with pytest.raises(ConfigError, match="^drift_source is of type function, not real numbers"):
+        solve_linear_seed(LinearInhomogeneity(drift_source=lambda t: np.sin(t)), g, w, x0=0.0)
 
 
 def test_seed_rejects_bad_source_shape():

@@ -23,9 +23,8 @@ from mfcontrol.games import (
     deviation_test,
     induced_model,
     nash_iterate,
-    player_adjoint,
 )
-from mfcontrol.lq_examples import LQ1Params, lq1_candidate, lq1_model, lq_game
+from mfcontrol.lq_examples import LQ1Params, LQ2Params, lq1_candidate, lq1_model, lq2_model, lq_game
 from mfcontrol.smp_control import (
     _per_particle_cost,
     check_sufficiency,
@@ -329,6 +328,7 @@ def test_player_costs_through_the_induced_model_match_the_game_costs():
 
 
 def test_player_adjoint_matches_single_player_reference():
+    # a player's adjoint is the single-player adjoint of their induced model
     params = LQ1Params()
     game = lq_game(params)
     grid, noise = _setup(8, 128, 4)
@@ -336,7 +336,7 @@ def test_player_adjoint_matches_single_player_reference():
     u2 = np.full((grid.steps, noise.particles), 0.3)
     model = lq1_model(params)
     state = solve_state(model, u1, grid, noise)
-    adj_game = player_adjoint(game, 1, (u1, u2), state, grid, noise)
+    adj_game = solve_adjoint(induced_model(game, 1, u2, grid), u1, state, grid, noise)
     adj_ref = solve_adjoint(model, u1, state, grid, noise)
     assert np.array_equal(adj_game.p, adj_ref.p)
     assert np.array_equal(adj_game.q, adj_ref.q)
@@ -349,7 +349,7 @@ def test_zero_cost_player_has_zero_adjoint():
     u1 = np.full((grid.steps, noise.particles), 0.2)
     u2 = np.full((grid.steps, noise.particles), 0.25)
     state = solve_state(induced_model(game, 1, u2, grid), u1, grid, noise)
-    adj = player_adjoint(game, 2, (u1, u2), state, grid, noise)
+    adj = solve_adjoint(induced_model(game, 2, u1, grid), u2, state, grid, noise)
     assert np.all(adj.p == 0.0)
     assert np.all(adj.q == 0.0)
     assert np.all(adj.Q == 0.0)
@@ -580,6 +580,38 @@ def test_nash_certifies_weakly_coupled_pair():
         assert res.residuals[i] >= -res.epsilons[i]
     for player in ("player_1", "player_2"):
         assert res.deviation[player]["worst_margin"] > 0.0
+
+
+def test_nash_certifies_a_coupled_fbsde_game():
+    # on LQ2 dynamics the game's drift and diffusion read y and z, so the
+    # game is coupled and every state solve runs the continuation; the
+    # game used to be built with coupled=False and rejected its own partials
+    game = lq_game(LQ2Params(horizon=0.25), coupling=0.2)
+    grid, noise = _setup(8, 256, 0, horizon=0.25)
+    assert game.coupled and induced_model(game, 2, np.zeros((8, 256)), grid).coupled
+    res = nash_iterate(
+        game, (0.0, 0.0), grid, noise, rounds=8, damping=1.0,
+        br_steps=20, n_trials=12, trial_radius=0.25, n_deviations=12, seed=0,
+    )
+    assert res.converged and not res.inconsistent
+    assert res.deviation["passed"]
+    for i in (0, 1):
+        assert res.residuals[i] >= -res.epsilons[i]
+
+
+def test_a_game_on_lq2_ties_y_t_to_terminal_gain_times_x_t():
+    # the game used to tie Y_T = X_T whatever terminal_gain said; without
+    # player 2's push, player 1's state is the LQ2 state at the same control
+    params = LQ2Params(horizon=0.25, terminal_gain=2.0)
+    game = lq_game(params)
+    x = np.linspace(-1.0, 1.0, 5)
+    assert np.array_equal(game.terminal_map(x), 2.0 * x) and game.terminal_slope(x) == 2.0
+    grid, noise = _setup(8, 128, 1, horizon=0.25)
+    u1 = np.full((8, 128), 0.3)
+    got = solve_state(induced_model(game, 1, np.zeros((8, 128)), grid), u1, grid, noise)
+    want = solve_state(lq2_model(params), u1, grid, noise)
+    for a, b in ((got.x, want.x), (got.y, want.y), (got.z, want.z)):
+        assert np.array_equal(a, b)
 
 
 def test_stationary_ridge_flags_certificate_disagreement():

@@ -22,7 +22,7 @@ from mfcontrol import games as games_module
 from mfcontrol import lq_examples, smp_control
 from mfcontrol.fbsde_solver import ContinuationSchedule
 from mfcontrol.forward_mv import ForwardModel, simulate_forward
-from mfcontrol.games import deviation_test, induced_model, nash_iterate, player_adjoint
+from mfcontrol.games import deviation_test, induced_model, nash_iterate
 from mfcontrol.hypothesis_check import check_H4, check_H5, check_H6
 from mfcontrol.lq_examples import (
     DeviationReport,
@@ -51,9 +51,14 @@ from mfcontrol.smp_control import (
 
 from oracles import (
     cold_candidate_fixed_point,
+    linear_mf_fbsde,
+    linear_seed_mean_oracle,
     lq1_riccati_cost,
     lq2_coefficients,
     lq_feedback,
+    lq_nash_costs,
+    lq_optimum,
+    lq_state_y0,
     unpruned_linear,
     unpruned_slopes,
 )
@@ -530,9 +535,9 @@ def test_player_adjoints_compile_no_driver_and_no_zero_partial(monkeypatch):
     u2 = np.full((8, 64), -0.1)
     state = solve_state(induced_model(game, 1, u2, grid), u1, grid, noise)
     for i, own, other in ((1, u1, u2), (2, u2, u1)):
-        adj = player_adjoint(game, i, (u1, u2), state, grid, noise)
-        smp_gradient(induced_model(game, i, other, grid), own, grid, noise, state=state,
-                     adjoint=adj)
+        model = induced_model(game, i, other, grid)
+        adj = solve_adjoint(model, own, state, grid, noise)
+        smp_gradient(model, own, grid, noise, state=state, adjoint=adj)
     assert len(paths) == 4
     for path in paths:
         assert path._transposed and all(name != "driver" for name, _ in path._fns)
@@ -625,6 +630,70 @@ def test_lq1_candidate_cost_matches_the_riccati_optimum():
         grid, noise = _grid_noise(32, 2048, seed=seed)
         u, history = lq1_candidate(params, grid, noise)
         errors.append(cost(lq1_model(params), u, grid, noise, state=history.state) - exact)
+    mean, se = np.mean(errors), np.std(errors, ddof=1) / np.sqrt(len(errors))
+    assert abs(mean) <= 3.0 * se
+
+
+#: exact values of the LQ2 fixture at u = 0.3 and at the optimum, by horizon:
+#: (state E[Y_0], optimal cost J*, E[Y_0] at the optimum)
+_LQ2_EXACT = {0.25: (1.047374, 0.932705, 1.006307), 1.0: (1.133762, 0.778665, 1.011921)}
+
+
+@pytest.mark.parametrize("horizon", sorted(_LQ2_EXACT))
+def test_exact_lq2_values(horizon):
+    # the Riccati decoupling field, shooting on the means and the
+    # covariance ODE, from the LQ2Params docstring and the adjoint's
+    # transposes, reproduce every tabulated value
+    params = LQ2Params(horizon=horizon)
+    state_y0, cost_opt, y0_opt = _LQ2_EXACT[horizon]
+    assert lq_state_y0(params, 0.3) == pytest.approx(state_y0, abs=1e-6)
+    assert lq_optimum(params) == pytest.approx((cost_opt, y0_opt), abs=1e-6)
+
+
+def test_exact_nash_costs_of_the_game():
+    assert lq_nash_costs(LQ1Params(), coupling=0.2) == pytest.approx((0.294203, 0.027445), abs=1e-6)
+
+
+def test_exact_lq1_optimum_is_the_scalar_riccati_one():
+    # the same optimum by other algebra: two scalar Riccati ODEs
+    cost, _ = lq_optimum(LQ1Params())
+    assert cost == pytest.approx(lq1_riccati_cost(LQ1Params()), abs=1e-10)
+    assert cost == pytest.approx(0.2610701, abs=1e-7)
+
+
+def test_exact_solver_matches_the_linear_seed_mean_oracle():
+    # the canonical pair with constant sources (gamma = phi = 0.7, terminal
+    # shift 0.2, x0 = 0.4): its means by a shooting on the mean pair alone
+    drift = ([[0.0, -1.0, 0.0]], [[0.0, -1.0, 0.0]], [0.7])
+    diffusion = ([[0.0, 0.0, -1.0]], [[0.0, 0.0, -1.0]], [0.0])
+    driver = ([[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], [-0.7])
+    mean0, mean_t, _, _ = linear_mf_fbsde(drift, diffusion, driver, ([[1.0]], [0.2]),
+                                          ([0.4], [[0.0]]), 1.0)
+    ref = linear_seed_mean_oracle(0.7, 0.7, 0.2, 0.4, 1.0, 8)
+    assert mean0 == pytest.approx(ref[0], abs=1e-9)
+    assert mean_t == pytest.approx(ref[-1], abs=1e-9)
+
+
+def test_exact_values_converge_under_rk4_refinement():
+    # n = 1000 and n = 4000 steps agree to 1e-8 (measured: under 1e-14)
+    params = LQ2Params()
+    assert lq_state_y0(params, 0.3, steps=4000) == pytest.approx(
+        lq_state_y0(params, 0.3), abs=1e-8)
+    assert lq_optimum(params, steps=4000) == pytest.approx(lq_optimum(params), abs=1e-8)
+    assert lq_nash_costs(steps=4000) == pytest.approx(lq_nash_costs(), abs=1e-8)
+
+
+def test_lq2_polished_state_mean_y0_matches_the_exact_value():
+    # the lq2_solve_wide setting (T=0.25, M=8, u=0.3) at N=2048 over seeds
+    # 0-15: the seed-mean error of the polished E[Y_0] lies within three
+    # seed standard errors of the exact value (measured -8.0e-4 against an
+    # SE of 6.6e-4; sd over seeds 2.6e-3 at N=2048, 4.3e-3 at N=1024)
+    params = LQ2Params(horizon=0.25)
+    exact, model = lq_state_y0(params, 0.3), lq2_model(params)
+    errors = []
+    for seed in range(16):
+        grid, noise = _grid_noise(8, 2048, horizon=0.25, seed=seed)
+        errors.append(float(solve_state(model, 0.3, grid, noise).y[0].mean()) - exact)
     mean, se = np.mean(errors), np.std(errors, ddof=1) / np.sqrt(len(errors))
     assert abs(mean) <= 3.0 * se
 
@@ -959,8 +1028,10 @@ def test_sampling_certificates_reject_before_solving(monkeypatch, check, kwargs)
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before validating the sampling options")
 
-    for module in (lq_examples, smp_control, games_module):
-        for name in ("solve_state", "solve_adjoint"):
+    both = ("solve_state", "solve_adjoint")
+    for module, names in ((lq_examples, both), (smp_control, both),
+                          (games_module, ("solve_state",))):  # games solves no adjoint itself
+        for name in names:
             monkeypatch.setattr(module, name, no_solve)
     grid, noise = _grid_noise(4, 64, seed=3)
     model = lq1_model(LQ1Params())

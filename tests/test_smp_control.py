@@ -17,6 +17,7 @@ from mfcontrol.core import (
     NonConvergenceError,
     RegressionError,
     StateView,
+    _value,
     make_time_grid,
     sample_brownian,
 )
@@ -27,7 +28,7 @@ from mfcontrol.fbsde_solver import (
     solve_continuation,
     solve_picard,
 )
-from mfcontrol.games import best_response, deviation_test, induced_model, player_adjoint
+from mfcontrol.games import best_response, deviation_test, induced_model
 from mfcontrol.hypothesis_check import check_convexity
 from mfcontrol.lq_examples import (
     LQ1Params,
@@ -38,7 +39,7 @@ from mfcontrol.lq_examples import (
     lq2_model,
     lq_game,
 )
-from mfcontrol.forward_mv import ForwardModel, simulate_forward
+from mfcontrol.forward_mv import ForwardModel, _views, simulate_forward
 from mfcontrol.mf_bsde import BackwardModel, solve_mf_bsde
 from mfcontrol.smp_control import (
     AdjointTriple,
@@ -47,7 +48,6 @@ from mfcontrol.smp_control import (
     box_projection,
     cost,
     check_sufficiency,
-    duality_gap,
     hamiltonian,
     projected_gradient_descent,
     smp_gradient,
@@ -1141,6 +1141,36 @@ def test_vi_residual_nonnegative_at_optimum():
         variational_inequality_residual(model, u, [], grid, noise)
 
 
+def duality_gap(model, u, direction, grid, noise, state=None):
+    """Defect of the discrete integration-by-parts identity linking the
+    variational and adjoint systems.
+
+    The identity equates the terminal/initial cost linearization
+    E[g_x(X_T) k_T + gamma_y(Y_0) m_0] plus the running cost's
+    linearization E[int (h_x-terms + h_v direction) dt] along the
+    variational triple (k, m, n) with the gradient pairing
+    E[int H_v direction dt], H_v = b_v p + sigma_v q - f_v Q + h_v (the
+    h_v terms cancel).  Both sides are assembled from the solved systems
+    and the absolute difference returned; it vanishes at first order in
+    the step size.
+    """
+    u = as_control(u, grid, noise.particles)
+    d = as_control(direction, grid, noise.particles)
+    state = smp_control._state_at(model, u, grid, noise, state)
+    var = solve_variational(model, u, d, state, grid, noise)
+    lin = SolutionTriple(x=var.k, y=var.m, z=var.n)
+    path = smp_control._FrozenPath(model, u, state, grid)
+    m, n = grid.steps, (noise.particles,)
+    g_x = _value("terminal_cost_slope", model.terminal_cost_slope(state.x[m]), n)
+    gamma_y = _value("initial_cost_slope", model.initial_cost_slope(state.y[0]), n)
+    lhs = float(np.mean(g_x * var.k[m])) + float(np.mean(gamma_y * var.m[0]))
+    for k in range(m):
+        own, law = _views(lin, k, None)
+        lhs += grid.dt * float(np.mean(path.linearized(k, "running_cost", law, own, d[k])))
+    grad = smp_gradient(model, u, grid, noise, state=state)
+    return abs(lhs - smp_control._pairing(grid, grad, d))
+
+
 def test_duality_gap_small_affine():
     # With regression-fitted multipliers the defect is dominated by the
     # conditional-expectation fit noise (shrinks like 1/sqrt(particles),
@@ -1318,8 +1348,9 @@ _STATE_ENTRIES = {
         lq_game(), 1, (0.1, 0.0), grid, noise, steps=1, state=state),
     "deviation_test": lambda model, grid, noise, state: deviation_test(
         lq_game(), (0.1, 0.0), grid, noise, n_deviations=1, state=state),
-    "player_adjoint": lambda model, grid, noise, state: player_adjoint(
-        lq_game(), 1, (0.1, 0.0), state, grid, noise),
+    "player_adjoint": lambda model, grid, noise, state: solve_adjoint(
+        induced_model(lq_game(), 1, np.zeros((grid.steps, noise.particles)), grid), 0.1, state,
+        grid, noise),
 }
 
 _ADJOINT_ENTRIES = {
@@ -1398,7 +1429,8 @@ def _misshaped(model, name, value):
         return replace(model, partials={**model.partials, "drift": drift}), "partials['drift']['v']"
     if name == "project":
         return replace(model, project=_first_then(value)), name
-    return replace(model, **{name: lambda *args: value}), name
+    subject = {"terminal_map": "terminal values", "initial": "initial condition"}.get(name, name)
+    return replace(model, **{name: lambda *args: value}), subject
 
 
 _OUTPUT_CALLS = {
@@ -1437,6 +1469,48 @@ def test_a_misshaped_model_output_fails_typed_naming_its_callable(which, name, e
     shape = re.escape(str(_MISSHAPED[kind].shape))
     with pytest.raises(ConfigError, match=rf"^{re.escape(subject)} has shape {shape}, expected"):
         _OUTPUT_CALLS[entry](model, bad, grid, noise)
+
+
+#: values that are not real numbers: None (which numpy reads as NaN), a
+#: string and a function (which numpy cannot read as floats)
+_NOT_REAL = {"none": None, "string": "abc", "function": len}
+
+#: one case per kind of value: coefficient, partial, cost, slope, terminal
+#: map, projection and initial condition (a sampler's value)
+_NOT_REAL_CASES = [
+    ("drift", "solve_state"),
+    ("partial", "smp_gradient"),
+    ("running_cost", "cost"),
+    ("terminal_cost", "cost"),
+    ("terminal_cost_slope", "solve_adjoint"),
+    ("terminal_map", "solve_state"),
+    ("project", "projected_gradient_descent"),
+    ("initial", "solve_state"),
+]
+
+
+@pytest.mark.parametrize("kind", sorted(_NOT_REAL))
+@pytest.mark.parametrize("name, entry", _NOT_REAL_CASES)
+def test_a_model_output_that_is_not_real_numbers_fails_typed_naming_its_callable(
+        name, entry, kind):
+    # None used to be read as NaN: a cost without its return priced nan, a
+    # partial gave an all-NaN gradient, a drift or initial condition a
+    # DivergenceError "|nan| > guard"; a string or a function raised
+    # numpy's ValueError or TypeError
+    grid, noise = _grid_noise(m=8, n=64, seed=0)
+    model = lq1_model(LQ1Params())
+    bad, subject = _misshaped(model, name, _NOT_REAL[kind])
+    what = "None" if kind == "none" else f"of type {type(_NOT_REAL[kind]).__name__}, not real"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(subject)} (is|are) {what}"):
+        _OUTPUT_CALLS[entry](model, bad, grid, noise)
+
+
+@pytest.mark.parametrize("kind", ["none", "string"])  # a function is a sampler
+def test_a_constant_initial_condition_that_is_not_real_numbers_fails_typed(kind):
+    grid, noise = _grid_noise(m=8, n=64, seed=0)
+    bad = replace(lq1_model(LQ1Params()), initial=_NOT_REAL[kind])
+    with pytest.raises(ConfigError, match="^initial condition is "):
+        solve_state(bad, 0.1, grid, noise)
 
 
 def test_a_column_terminal_cost_fails_the_deviation_check_typed():

@@ -11,7 +11,7 @@ prints one JSON line: the gate verdict, rounds, state solves, the descent
 counts (with the most backtracks of any one search), the wall time of the
 traced call, and both players' costs at the final pair next to the exact
 equilibrium of ``lq_game(coupling=0.2)`` (J1 = 0.294203, J2 = 0.027445,
-from its Riccati decoupling field).  A last JSON line sums the sweep up:
+from the Riccati decoupling field of ``tests/oracles.py::lq_nash_costs``).  A last JSON line sums the sweep up:
 runs, gate failures, a histogram of rounds, state solves (min, mean, max)
 and the ranges of both relative errors.  The exit status is 1 when any run
 fails its gate.  BLAS and OpenMP are pinned to one thread before numpy is
@@ -30,15 +30,16 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 from mfcontrol import games, lq_examples, smp_control  # noqa: E402
 from mfcontrol.core import EnsembleConfig, make_time_grid, sample_brownian  # noqa: E402
+from oracles import lq_nash_costs  # noqa: E402
 
 #: exact equilibrium costs of lq_game(coupling=0.2) at T=1
-EXACT_J = (0.294203, 0.027445)
+EXACT_J = lq_nash_costs(lq_examples.LQ1Params(), coupling=0.2)
 
 
 def _seeds(text: str):

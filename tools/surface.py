@@ -4,13 +4,18 @@ Run from the repository root:
 
     python3 tools/surface.py [DIRECTORY]
 
+    python3 tools/surface.py --names [DIRECTORY]
+
 ``DIRECTORY`` defaults to ``src/mfcontrol``.  For each ``*.py`` file in it
 this prints one line: the module, its total lines, its code lines (lines
-that are not blank, not only a comment and not part of a docstring) and its
+that are not blank, not only a comment and not part of a docstring), its
 options, the optional parameters of its public functions and methods plus
-the defaulted fields of its dataclasses.  A last line sums the columns.
-A name is public when it does not start with an underscore; a method counts
-when its class is public too.
+the defaulted fields of its dataclasses, and its public names, the length
+of its ``__all__``.  A last line sums the columns.  A function or class is
+public when its name does not start with an underscore; a method counts
+when its class is public too.  With ``--names`` it prints instead one line
+``module name`` per entry of each ``__all__``, for a diff against another
+tree.
 """
 
 import argparse
@@ -76,24 +81,41 @@ def _options(tree: ast.Module) -> int:
     return count
 
 
+def _public_names(tree: ast.Module) -> list:
+    """The entries of the module's ``__all__`` (none when it has none)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
 def surface(path: Path) -> tuple:
-    """(total lines, code lines, options) of one module."""
+    """(total lines, code lines, options, public names) of one module."""
     source = path.read_text()
     tree = ast.parse(source)
-    return len(source.splitlines()), _code_lines(source, tree), _options(tree)
+    return (len(source.splitlines()), _code_lines(source, tree), _options(tree),
+            len(_public_names(tree)))
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("directory", nargs="?", type=Path, default=ROOT / "src" / "mfcontrol")
+    ap.add_argument("--names", action="store_true", help="print each module's __all__ entries")
     args = ap.parse_args(argv)
-    rows = [(path.name, *surface(path)) for path in sorted(args.directory.glob("*.py"))]
-    if not rows:
+    paths = sorted(args.directory.glob("*.py"))
+    if not paths:
         ap.error(f"no Python modules in {args.directory}")
+    if args.names:
+        for path in paths:
+            for name in _public_names(ast.parse(path.read_text())):
+                print(path.stem, name)
+        return 0
+    rows = [(path.name, *surface(path)) for path in paths]
     rows.append(("total", *(sum(col) for col in list(zip(*rows))[1:])))
-    print(f"{'module':<20} {'lines':>6} {'code':>6} {'options':>7}")
-    for name, total, code, options in rows:
-        print(f"{name:<20} {total:>6} {code:>6} {options:>7}")
+    print(f"{'module':<20} {'lines':>6} {'code':>6} {'options':>7} {'public':>6}")
+    for name, total, code, options, public in rows:
+        print(f"{name:<20} {total:>6} {code:>6} {options:>7} {public:>6}")
     return 0
 
 
