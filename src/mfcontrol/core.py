@@ -94,11 +94,16 @@ class DivergenceError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """An iterative solver exhausted its budget; carries the change history."""
+    """An iterative solver stopped short of its tolerance; carries the change
+    history, the last iterate and why it stopped: ``reason`` is
+    ``"budget"`` (its iterations ran out), ``"stalled"`` (its change made no
+    new best for a while), ``"diverging"`` (its change grew far past the
+    best) or ``"non-finite"`` (a change was NaN or infinite)."""
 
-    def __init__(self, message: str, history=None, last=None):
+    def __init__(self, message: str, history=None, last=None, reason: str = "budget"):
         self.history = list(history) if history is not None else []
         self.last = last
+        self.reason = reason
         super().__init__(message)
 
 
@@ -113,6 +118,9 @@ class RegressionError(RuntimeError):
 # ======================================================================
 # Input and output contract
 # ======================================================================
+
+
+_F64 = np.dtype(np.float64)
 
 
 def _check_tol(name: str, tol: float) -> None:
@@ -164,22 +172,38 @@ def _value(subject: str, value, shape: Tuple[int, ...]) -> Union[float, np.ndarr
     """``value`` read by the contract: an array of ``shape`` as a float array
     (itself when it is one), a float, a 0-d array or a one-element array
     [1] as a Python float; any other shape, ``None`` (which numpy reads as
-    NaN) and anything numpy cannot read as real numbers (a string, a
-    function) raise :class:`ConfigError` naming ``subject``."""
+    NaN) and anything that is not real numbers raise :class:`ConfigError`
+    naming ``subject``.  Real numbers are floats, integers and booleans; a
+    complex value (whose imaginary part a cast to float drops), a string, a
+    function, or a list or object array (such as one holding ``None``) is
+    not, even where numpy could cast it."""
     if type(value) is float:
         return value
-    if value is None:
-        raise _value_error(subject, "None", shape)
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        what = f"of type {type(value).__name__}, not real numbers"
-        raise _value_error(subject, what, shape) from None
+    if type(value) is np.ndarray and value.dtype is _F64:
+        arr = value
+    else:
+        arr = _real_array(subject, value, shape)
     if arr.shape == shape:
         return arr
     if arr.ndim <= 1 and arr.size == 1:  # checked before any broadcasting
         return arr.item()
     raise _shape_error(subject, arr.shape, shape)
+
+
+def _real_array(subject: str, value, shape: Tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float array, if numpy reads it as an array of real
+    numbers (boolean, integer or float dtype); else :class:`ConfigError`."""
+    if value is None:
+        raise _value_error(subject, "None", shape)
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged list
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf":
+        dtype = "" if arr is None else f" (dtype {arr.dtype})"
+        what = f"of type {type(value).__name__}, not real numbers{dtype}"
+        raise _value_error(subject, what, shape)
+    return arr.astype(float, copy=False)
 
 
 def _broadcast(subject: str, value, shape: Tuple[int, ...]) -> np.ndarray:
@@ -328,8 +352,6 @@ class StateView:
 Coefficient = Callable[[float, StateView, StateView], np.ndarray]
 #: a terminal condition: a float, an array [N], or a map of the terminal state
 TerminalMap = Union[float, np.ndarray, Callable[[np.ndarray], np.ndarray]]
-
-_F64 = np.dtype(np.float64)
 
 
 def _mean(v) -> float:

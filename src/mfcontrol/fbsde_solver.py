@@ -16,8 +16,10 @@ Three solver routes are provided:
   recombination Y = Y_aux + X.
 * :func:`solve_picard` — decoupling iteration (forward sweep with frozen
   backward paths, then a fresh backward sweep), with optional Anderson
-  acceleration.  Contractive only for short horizons or weak coupling;
-  serves as the baseline and as the final polish of the continuation.
+  acceleration.  The plain map is contractive only for short horizons or
+  weak coupling.  With acceleration it is the polish: the primary route of
+  the control layer's coupled solves, run from a warm triple or from the
+  blend-0 linear seed, and the last step of the continuation.
 * :func:`solve_continuation` — homotopy in the blend parameter alpha from
   the canonical pair to the target model (the method of continuation),
   with warm starts and an adaptive step (the full blend first, halved on
@@ -25,7 +27,13 @@ Three solver routes are provided:
   seed-preconditioned fixed point: every sweep freezes the weighted
   difference between the model and the canonical pair at the current
   iterate as additive sources and applies the linear seed, so the stiff
-  canonical core is always handled constructively.
+  canonical core is always handled constructively.  It is the globalizer
+  where the polish alone does not converge.
+
+Every fixed point ends at its tolerance or with a typed
+:class:`NonConvergenceError` whose ``reason`` says why it stopped short:
+its budget ran out, its change stalled or grew far past its best, or a
+change was not finite.
 
 The blend family, which :func:`_blend_sources` turns into additive sources
 on the canonical pair at a frozen iterate:
@@ -85,7 +93,8 @@ __all__ = [
 ]
 
 #: solver failures a caller recovers from (a continuation rung halves its
-#: step, a polish is rejected, a warm solve falls back to the continuation)
+#: step, the continuation's polish is rejected, the control layer's polish
+#: hands its solve to the continuation)
 _RETRYABLE = (NonConvergenceError, DivergenceError, RegressionError)
 
 #: rung tolerance of a continuation whose polish follows.  A rung's answer is
@@ -95,6 +104,18 @@ _RETRYABLE = (NonConvergenceError, DivergenceError, RegressionError)
 #: that converged from rungs run to 1e-8, and no polish takes more sweeps than
 #: at 1e-5 (the tests, LQ2 benchmark seeds 0-9, verify_example(1) and (2)).
 _HANDOVER_TOL = 1e-4
+
+#: a fixed point whose change has set no new best in this many sweeps in a
+#: row has stalled.  Anderson-mixed changes do not fall monotonically, but
+#: of every fixed point that converged in the tests, the LQ2 benchmark
+#: workloads (seeds 0-9) and verify_example(1) and (2), none went more than
+#: 5 sweeps without a new best (a continuation rung in the tests; at most 1
+#: on the workloads and verify_example).
+_PATIENCE = 15
+#: a fixed point whose change exceeds this multiple of its best change so
+#: far is diverging (checked from the third sweep on); on the same runs no
+#: converging change exceeded 3.2 times the best before it
+_GROWTH = 1e3
 
 
 @dataclass(frozen=True)
@@ -290,10 +311,14 @@ def _fixed_point(sweep, start: SolutionTriple, slots, tol: float, max_iter: int,
     With ``memory`` > 0 the next iterate Anderson-mixes the ``slots`` of the
     iterate and of the sweep's output and takes the other slots from the
     output; without, it is the output.  Returns ``(SolutionTriple,
-    history)``, the history being the change norms.  A non-finite change,
-    or ``max_iter`` sweeps without reaching ``tol``, raises
-    :class:`NonConvergenceError` carrying the history and the last output;
-    ``what`` names the iteration in its message.
+    history)``, the history being the change norms.  A sweep that misses
+    ``tol`` ends the iteration with :class:`NonConvergenceError`, carrying
+    the history and the last output, when its change is not finite
+    (``reason`` ``"non-finite"``), when from the third sweep on its change
+    exceeds ``_GROWTH`` times the best change so far (``"diverging"``), when
+    ``_PATIENCE`` sweeps in a row have set no new best (``"stalled"``), and
+    after ``max_iter`` sweeps (``"budget"``).  ``what`` names the iteration
+    in its message.
 
     A sweep's output is let go once its mixed slots are flattened for the
     mixer, so neither the mixer step nor the next sweep holds it twice; its
@@ -304,16 +329,34 @@ def _fixed_point(sweep, start: SolutionTriple, slots, tol: float, max_iter: int,
     history: list = []
     cur = start
     flat = None  # the iterate's mixed slots, once a mixer step has made them
+    best, since_best = np.inf, 0
     for _ in range(max_iter):
         out = sweep(cur)
         change = _triple_rms(out, cur)
         history.append(change)
         if not np.isfinite(change):
             raise NonConvergenceError(
-                f"{what} produced non-finite iterates", history=history, last=out
+                f"{what} produced non-finite iterates", history=history, last=out,
+                reason="non-finite",
             )
         if change <= tol:
             return out, history
+        if change < best:
+            best, since_best = change, 0
+        else:
+            since_best += 1
+        if len(history) >= 3 and change > _GROWTH * best:
+            raise NonConvergenceError(
+                f"{what} is diverging: change {change:.3e} at sweep {len(history)} "
+                f"exceeds {_GROWTH:g} times the best {best:.3e}",
+                history=history, last=out, reason="diverging",
+            )
+        if since_best >= _PATIENCE:
+            raise NonConvergenceError(
+                f"{what} stalled: no change below the best {best:.3e} in "
+                f"{_PATIENCE} sweeps (tol {tol:.1e}, last change {change:.3e})",
+                history=history, last=out, reason="stalled",
+            )
         if len(history) == max_iter:
             break
         if mixer is None:
@@ -364,10 +407,11 @@ def solve_picard(
 
     Returns ``(SolutionTriple, history)`` where history is the list of
     change norms; raises :class:`NonConvergenceError` (carrying the history
-    and last iterate) on budget exhaustion or at a sweep whose change is
-    not finite, and :class:`DivergenceError` if a forward sweep leaves the
-    guard region.  ``max_iter`` must be an integer >= 1 and ``tol`` finite
-    and > 0 (:class:`ConfigError` otherwise).
+    and last iterate) on budget exhaustion, at a sweep whose change is not
+    finite, or once the change stalls or grows far past its best (its
+    ``reason`` says which), and :class:`DivergenceError` if a forward
+    sweep leaves the guard region.  ``max_iter`` must be an integer >= 1
+    and ``tol`` finite and > 0 (:class:`ConfigError` otherwise).
     """
     _check_cap("max_iter", max_iter, 1)
     _check_tol("tol", tol)
@@ -463,6 +507,23 @@ def _blend_sources(model, tri, grid, weight, control) -> LinearInhomogeneity:
         driver_source=drv_src,
         terminal_shift=term_src,
     )
+
+
+def _cold_start(model: CoupledModel, grid: TimeGrid, noise: BrownianPaths,
+                conditioning: Optional[np.ndarray], guard: float) -> SolutionTriple:
+    """The blend-0 solution every cold coupled solve starts from: the linear
+    seed of the canonical pair from ``model.initial``, with no sources.  A
+    seed outside ``guard`` raises :class:`DivergenceError` with ``blend``
+    0.0."""
+    try:
+        sol, _ = solve_linear_seed(
+            LinearInhomogeneity(), grid, noise, x0=model.initial,
+            conditioning=conditioning, guard=guard,
+        )
+    except DivergenceError as exc:
+        exc.blend = 0.0
+        raise
+    return sol
 
 
 def _seed_iteration(
@@ -608,14 +669,7 @@ def solve_continuation(
             last=cur,
         )
 
-    try:
-        cur, _ = solve_linear_seed(
-            LinearInhomogeneity(), grid, noise, x0=model.initial,
-            conditioning=conditioning, guard=guard,
-        )
-    except DivergenceError as exc:
-        exc.blend = 0.0
-        raise
+    cur = _cold_start(model, grid, noise, conditioning, guard)
     log: list = [{"alpha": 0.0, "seed": True}]
     alpha = 0.0
     delta = sched.step

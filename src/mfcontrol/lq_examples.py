@@ -606,8 +606,9 @@ def _candidate_fixed_point(
     GMRES (Walker & Ni 2011; Toth & Kelley 2015).
 
     The first iteration solves the state and adjoint cold; each later one
-    warm-starts both from the previous iteration's solutions, so a coupled
-    model runs the continuation's polish instead of a full homotopy (see
+    warm-starts both from the previous iteration's solutions.  A coupled
+    model runs the continuation's polish either way, from the linear seed
+    in the first iteration and from the previous solution after it (see
     :func:`mfcontrol.smp_control.solve_state`).  Returns ``(u, history)``;
     the history is a list of ``{"iteration", "target_gap"}`` records whose
     ``state`` and ``adjoint`` attributes hold the solutions at u.  It needs
@@ -694,9 +695,10 @@ def lq2_candidate(
     Evaluates ``u = -(p*drift_control + q*diff_control
     - Q*driver_control) / control_weight`` by the same Anderson
     iteration as :func:`lq1_candidate`, with the same returns; the first
-    iteration solves the coupled state and multiplier systems by
-    continuation, the later ones warm-start them from the previous
-    iteration's solutions.
+    iteration solves the coupled state and multiplier systems cold, by the
+    continuation's polish from the linear seed (the continuation itself
+    runs only if that polish fails), the later ones warm-start the polish
+    from the previous iteration's solutions.
     """
 
     return _candidate_fixed_point(

@@ -83,6 +83,7 @@ from mfcontrol.fbsde_solver import (
     CoupledModel,
     SolutionTriple,
     _coefficients,
+    _cold_start,
     solve_continuation,
     solve_picard,
 )
@@ -432,18 +433,21 @@ def _solve_system(
     path is known without the Euler pass (the adjoint's constant X~) passes
     it as ``x``.
 
-    A coupled system is solved by the continuation, which is what makes it
-    converge from a cold start; from ``warm`` only its final polish is
-    needed: the same Anderson-accelerated :func:`solve_picard` call
-    (``inner_tol``, ``polish_max_iter``, ``accel_memory``), so both routes
-    land on the same discrete fixed point.  The cold route hands its rungs
-    to that polish at a loose tolerance; the polish's own ``inner_tol``
-    sets where it lands.  If the warm pass fails with an error the
-    continuation retries on, the continuation runs from its seed.  With
-    ``polish_max_iter == 0`` the cold route returns the unpolished homotopy
-    solution, run to ``picard_tol``, which a warm pass would not reproduce,
-    so ``warm`` is unused.  Both routes run the solvers' default regression basis and
-    divergence guard.
+    A coupled system with a polish scheduled (``polish_max_iter > 0``)
+    runs the continuation's polish, the Anderson-accelerated
+    :func:`solve_picard` call (``inner_tol``, ``polish_max_iter``,
+    ``accel_memory``), from ``warm``, or on a cold solve from the blend-0
+    linear seed the continuation starts from; every start lands on the same
+    discrete fixed point.  Only if that polish fails with an error the
+    continuation retries on (non-convergence, divergence, a failed
+    regression) does :func:`solve_continuation` run, as the globalizer; it
+    ends on the same polish, or on the unpolished homotopy solution where
+    its polish is rejected too.  A seed outside the guard raises
+    :class:`DivergenceError` with ``blend`` 0.0, as the continuation's own
+    seed would.  With ``polish_max_iter == 0`` the continuation returns the
+    unpolished homotopy solution, run to ``picard_tol``, which a polish
+    would not reproduce, so ``warm`` is unused.  Every route runs the
+    solvers' default regression basis and divergence guard.
     """
     if warm is not None:
         _check_paths("warm start", (warm.x, warm.y, warm.z), (grid.steps + 1, noise.particles))
@@ -457,7 +461,9 @@ def _solve_system(
         )
         return SolutionTriple(x=x, y=y, z=z)
     sched = schedule or ContinuationSchedule()
-    if warm is not None and sched.polish_max_iter > 0:
+    if sched.polish_max_iter > 0:
+        if warm is None:
+            warm = _cold_start(model, grid, noise, conditioning, DEFAULT_GUARD)
         try:
             sol, _ = solve_picard(
                 model, grid, noise, tol=sched.inner_tol, max_iter=sched.polish_max_iter,
@@ -487,7 +493,10 @@ def solve_state(
     coefficient's ``own.u`` slot; ``model.coupled`` chooses only the
     solver.  Decoupled models are solved sequentially: an Euler particle
     pass for X, then a regression backward pass for (Y, Z).  Coupled
-    models go to the homotopy continuation solver.
+    models are solved by the continuation's polish, an Anderson-accelerated
+    decoupling iteration to ``inner_tol``, from ``warm`` or else from the
+    blend-0 linear seed; only if it fails to converge, diverges or hits a
+    failed regression does the homotopy continuation solver run.
 
     Parameters
     ----------
@@ -500,12 +509,11 @@ def solve_state(
         Coupled-route solver schedule.
     warm : SolutionTriple, optional
         State solution at a nearby control on the same noise.  A coupled
-        solve then runs only the continuation's polish from there (an
-        Anderson-accelerated decoupling iteration to ``inner_tol``) and
-        falls back to the full continuation if that fails to converge,
-        diverges or hits a failed regression.  ``warm`` is unused for
+        solve then starts the polish there instead of at the linear seed,
+        so both land on the same fixed point, and falls back to the full
+        continuation as a cold solve does.  ``warm`` is unused for
         decoupled models, which the sequential pass solves exactly, and
-        when ``schedule.polish_max_iter == 0``, where the cold route
+        when ``schedule.polish_max_iter == 0``, where the continuation
         returns the unpolished homotopy solution; its arrays must be
         [M+1, N] on every route (:class:`ConfigError` otherwise).
 
@@ -616,11 +624,12 @@ def solve_adjoint(
         Run the monotonicity probe (off by default).
     warm : AdjointTriple, optional
         Adjoint at a nearby control (or along a nearby state) on the same
-        noise.  As in :func:`solve_state`, a coupled solve then runs only
-        the continuation's polish from it, with the continuation as the
-        fallback; it is unused for decoupled models (solved exactly by the
-        sequential pass) and when ``schedule.polish_max_iter == 0``, and
-        its arrays must be [M+1, N] on every route, as there.
+        noise.  As in :func:`solve_state`, a coupled solve then starts the
+        polish from it instead of from the linear seed, with the
+        continuation as the fallback; it is unused for decoupled models
+        (solved exactly by the sequential pass) and when
+        ``schedule.polish_max_iter == 0``, and its arrays must be [M+1, N]
+        on every route, as there.
 
     Returns
     -------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -132,6 +134,42 @@ def test_value_of_any_other_shape_fails_typed_naming_its_subject(value, shape):
     for rule in (core._value, core._broadcast):
         with pytest.raises(ConfigError, match=message):
             rule("terminal_cost", value, (5,))
+
+
+@pytest.mark.parametrize("value", [
+    [0.1, 0.2, 0.3, 0.4, 0.5], [1, 2, 3, 4, 5], np.arange(5), np.arange(5.0, dtype=np.float32),
+    np.array([True, False, True, True, False]), 3, np.float32(0.1), np.arange(5.0)[::-1],
+], ids=["float_list", "int_list", "int_array", "float32", "bool", "int", "float32_scalar",
+        "reversed_view"])
+def test_value_reads_real_numbers_as_a_cast_to_float_does(value):
+    # refusing what is not real numbers leaves every real value's bits alone
+    want = np.asarray(value, dtype=float)
+    got = core._value("drift", value, (5,))
+    if want.size == 1:
+        assert type(got) is float and got == want.item()
+    else:
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
+#: values numpy casts to floats although they are not real numbers: a list
+#: holding None (read as NaN), a complex value (its imaginary part dropped
+#: with only a ComplexWarning), an object array and a numeric string
+_CAST_NOT_REAL = {
+    "none_in_list": ([0.5, None, 0.5, 0.5, 0.5], "list", "object"),
+    "complex": (np.full(5, 0.5 + 1j), "ndarray", "complex128"),
+    "complex_scalar": (0.5 + 1j, "complex", "complex128"),
+    "object_array": (np.full(5, 0.5, dtype=object), "ndarray", "object"),
+    "numeric_string": ("0.5", "str", "<U3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CAST_NOT_REAL))
+def test_value_that_a_cast_would_read_as_floats_fails_typed(case):
+    value, kind, dtype = _CAST_NOT_REAL[case]
+    message = rf"^drift is of type {kind}, not real numbers \(dtype {re.escape(dtype)}\)"
+    for rule in (core._value, core._broadcast):
+        with pytest.raises(ConfigError, match=message):
+            rule("drift", value, (5,))
 
 
 @given(

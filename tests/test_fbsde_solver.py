@@ -17,13 +17,16 @@ from mfcontrol.core import (
     view_means,
 )
 from mfcontrol.fbsde_solver import (
+    _GROWTH,
     _HANDOVER_TOL,
+    _PATIENCE,
     ContinuationSchedule,
     CoupledModel,
     LinearInhomogeneity,
     SolutionTriple,
     _AndersonMixer,
     _blend_sources,
+    _fixed_point,
     _seed_iteration,
     _triple_rms,
     residual,
@@ -277,7 +280,7 @@ def test_picard_reports_history_on_budget_exhaustion():
     g, w = _grid_noise(16, n=64)
     with pytest.raises(NonConvergenceError) as err:
         solve_picard(_scaled_model(), g, w, max_iter=3)
-    assert len(err.value.history) == 3
+    assert len(err.value.history) == 3 and err.value.reason == "budget"
     assert err.value.last is not None
 
 
@@ -357,7 +360,7 @@ def test_picard_stops_at_a_non_finite_sweep():
     model = replace(_decoupled_model(), terminal_map=lambda xT: np.full_like(xT, np.nan))
     with pytest.raises(NonConvergenceError, match="non-finite") as err:
         solve_picard(model, g, w, max_iter=10)
-    assert len(err.value.history) == 1
+    assert len(err.value.history) == 1 and err.value.reason == "non-finite"
 
 
 # ----------------------------------------------------------------------
@@ -530,6 +533,56 @@ def test_fixed_point_drops_the_previous_output_before_each_sweep(monkeypatch, sl
         _fixed_point(sweep, start, slots, 1e-12, 2, 3, "test")
     assert err.value.last is outputs[-1]() and len(err.value.history) == 2
     assert not any(any(seen) for seen in alive)
+
+
+def _scripted(changes):
+    """A sweep whose k-th change is ``changes[k]``: it adds that constant to
+    every slot (exact in floating point for the values used here)."""
+    steps = iter(changes)
+
+    def sweep(cur):
+        d = next(steps)
+        return SolutionTriple(cur.x + d, cur.y + d, cur.z + d)
+
+    return sweep
+
+
+_ZEROS = SolutionTriple(*np.zeros((3, 2, 4)))
+
+
+def test_fixed_point_stops_when_its_change_stalls():
+    # the first change is the best; the run stops once _PATIENCE sweeps in a
+    # row have not beaten it, long before its budget
+    with pytest.raises(NonConvergenceError, match="stalled") as err:
+        _fixed_point(_scripted([0.5] + [1.0, 2.0] * 50), _ZEROS, ("x",), 1e-9, 100, 0, "test")
+    assert err.value.reason == "stalled"
+    assert err.value.history == [0.5] + [1.0, 2.0] * (_PATIENCE // 2) + [1.0] * (_PATIENCE % 2)
+    assert np.all(err.value.last.x == sum(err.value.history))  # the last output
+
+
+def test_fixed_point_stops_when_its_change_grows_past_the_best():
+    # a change beyond _GROWTH times the best ends the run from sweep 3 on;
+    # the second sweep may still jump (an Anderson step's first mix can)
+    changes = [1.0, 2.0 * _GROWTH, 1.5, _GROWTH - 1.0, _GROWTH + 1.0, 0.0]
+    with pytest.raises(NonConvergenceError, match="diverging") as err:
+        _fixed_point(_scripted(changes), _ZEROS, ("x",), 1e-9, 100, 0, "test")
+    assert err.value.reason == "diverging" and err.value.history == changes[:5]
+
+
+def test_fixed_point_that_beats_its_best_in_time_is_not_cut():
+    # a new best every _PATIENCE sweeps keeps the run alive, and so does a
+    # plain contraction too slow to reach tol in a few dozen sweeps
+    changes = [1.0] + [2.0] * (_PATIENCE - 1) + [0.5] + [2.0] * (_PATIENCE - 1) + [0.0]
+    _, history = _fixed_point(_scripted(changes), _ZEROS, ("x",), 1e-9, 100, 0, "test")
+    assert history == changes
+
+    shift = SolutionTriple(*np.full((3, 2, 4), 1.0))
+
+    def slow(cur):  # rate 0.97: the change falls 3% a sweep
+        return SolutionTriple(*(0.97 * getattr(cur, s) + getattr(shift, s) for s in "xyz"))
+
+    _, history = _fixed_point(slow, _ZEROS, ("x", "y", "z"), 1e-8, 1000, 0, "test")
+    assert len(history) > 40 * _PATIENCE
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from mfcontrol.core import (
     sample_brownian,
 )
 from mfcontrol import games as games_module
-from mfcontrol import lq_examples, smp_control
+from mfcontrol import fbsde_solver, lq_examples, smp_control
 from mfcontrol.fbsde_solver import ContinuationSchedule
 from mfcontrol.forward_mv import ForwardModel, simulate_forward
 from mfcontrol.games import deviation_test, induced_model, nash_iterate
@@ -761,9 +761,10 @@ def test_deviation_check_accepts_candidate_rejects_offset():
 
 
 def test_deviation_check_falls_back_to_continuation_on_regression_error(monkeypatch):
-    # the warm decoupling pass of a coupled deviation fails with a
-    # RegressionError: the continuation must take over, as it does for
-    # non-convergence and divergence, and the pass uses the schedule's memory
+    # the decoupling pass fails with a RegressionError, from the seed for
+    # the base state and from it for each deviation: the continuation must
+    # take over, as it does for non-convergence and divergence, and every
+    # pass uses the schedule's memory
     grid, noise = _grid_noise(4, 256, horizon=0.25, seed=3)
     model = lq2_model(LQ2Params())
     schedule = ContinuationSchedule(accel_memory=3)
@@ -777,7 +778,7 @@ def test_deviation_check_falls_back_to_continuation_on_regression_error(monkeypa
     rep = deviation_check(
         model, 0.1, grid, noise, n_deviations=2, schedule=schedule
     )
-    assert seen == [3, 3]
+    assert seen == [3, 3, 3]  # the base state, then the two deviations
     assert len(rep.records) == 2
     assert np.isfinite(rep.worst_margin)
 
@@ -925,15 +926,22 @@ def test_verify_example_lq2_passes_end_to_end():
 
 def test_verify_example_lq2_reuses_the_candidate_solutions(monkeypatch):
     # the candidate loop solves cold only in its first iteration (state and
-    # adjoint); every later stage reuses or warm-starts from its solutions
-    real = smp_control.solve_continuation
-    calls = []
+    # adjoint, each polished from one linear seed); every later stage reuses
+    # or warm-starts from its solutions, and no polish fails over to the
+    # continuation
+    seeds, continuations = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(solver, calls):
+        def count(*args, **kwargs):
+            calls.append(1)
+            return solver(*args, **kwargs)
 
-    monkeypatch.setattr(smp_control, "solve_continuation", counting)
+        return count
+
+    monkeypatch.setattr(fbsde_solver, "solve_linear_seed",
+                        counting(fbsde_solver.solve_linear_seed, seeds))
+    monkeypatch.setattr(smp_control, "solve_continuation",
+                        counting(smp_control.solve_continuation, continuations))
     report = verify_example(
         2,
         params=replace(LQ2Params(), horizon=0.25),
@@ -943,7 +951,7 @@ def test_verify_example_lq2_reuses_the_candidate_solutions(monkeypatch):
         ),
     )
     assert report.passed
-    assert len(calls) == 2
+    assert len(seeds) == 2 and len(continuations) == 0
 
 
 def test_verify_example_lq2_sign_violation_fails_at_hypothesis():

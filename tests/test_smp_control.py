@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcontrol import smp_control
+from mfcontrol import fbsde_solver, smp_control
 from mfcontrol.core import (
     ConfigError,
     DivergenceError,
@@ -23,9 +23,11 @@ from mfcontrol.core import (
 )
 from mfcontrol.fbsde_solver import (
     ContinuationSchedule,
+    LinearInhomogeneity,
     SolutionTriple,
     residual,
     solve_continuation,
+    solve_linear_seed,
     solve_picard,
 )
 from mfcontrol.games import best_response, deviation_test, induced_model
@@ -672,6 +674,36 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("unexpected solver call")
 
 
+def _recording(solver, outputs):
+    """``solver`` with each solution it returns appended to ``outputs``."""
+
+    def record(*args, **kwargs):
+        sol, log = solver(*args, **kwargs)
+        outputs.append(sol)
+        return sol, log
+
+    return record
+
+
+def _failing(error, starts):
+    """A ``solve_picard`` that raises ``error``, each start appended to
+    ``starts``."""
+
+    def fail(*args, **kwargs):
+        starts.append(kwargs["initial_guess"])
+        raise error
+
+    return fail
+
+
+_RETRYABLE_ERRORS = [
+    NonConvergenceError("no contraction", history=[1.0]),
+    DivergenceError(3, 0, 1e13, 1e12),
+    RegressionError("ill-conditioned", condition_number=np.inf),
+]
+_RETRYABLE_IDS = ["nonconvergence", "divergence", "regression"]
+
+
 def test_warm_coupled_solves_agree_with_cold(monkeypatch):
     # The warm pass and the continuation's polish stop at the same change
     # tolerance (inner_tol = 1e-6) from different sides of the fixed point.
@@ -689,30 +721,106 @@ def test_warm_coupled_solves_agree_with_cold(monkeypatch):
     assert _rms(state1.y - state0.y) > 1e-3  # the warm start is not the answer
 
 
-@pytest.mark.parametrize(
-    "error",
-    [
-        NonConvergenceError("no contraction", history=[1.0]),
-        DivergenceError(3, 0, 1e13, 1e12),
-        RegressionError("ill-conditioned", condition_number=np.inf),
-    ],
-    ids=["nonconvergence", "divergence", "regression"],
-)
+@pytest.mark.parametrize("error", _RETRYABLE_ERRORS, ids=_RETRYABLE_IDS)
 def test_failed_warm_start_falls_back_to_cold_continuation(monkeypatch, error):
-    grid, noise, model, (state0, adj0), (state1, adj1) = _lq2_pair()
-    calls = []
-
-    def failing_picard(*args, **kwargs):
-        calls.append(kwargs["initial_guess"])
-        raise error
-
-    monkeypatch.setattr(smp_control, "solve_picard", failing_picard)
+    # the fallback is solve_continuation (with its own polish), bit for bit:
+    # the state against a direct call, the adjoint against what it returned
+    grid, noise, model, (state0, adj0), (state1, _) = _lq2_pair()
+    calls, outputs = [], []
+    monkeypatch.setattr(smp_control, "solve_picard", _failing(error, calls))
+    monkeypatch.setattr(smp_control, "solve_continuation",
+                        _recording(solve_continuation, outputs))
     state = solve_state(model, 0.35, grid, noise, warm=state0)
     adj = solve_adjoint(model, 0.35, state1, grid, noise, warm=adj0)
-    assert len(calls) == 2
-    for warm, cold in ((state.x, state1.x), (state.y, state1.y), (state.z, state1.z),
-                       (adj.p, adj1.p), (adj.q, adj1.q), (adj.Q, adj1.Q)):
-        assert np.array_equal(warm, cold)
+    assert len(calls) == 2 and calls[0] is state0  # the adjoint's is built from adj0
+    u = as_control(0.35, grid, noise.particles)
+    cold, _ = solve_continuation(model, grid, noise, control=u)
+    assert len(outputs) == 2
+    for got, want in ((state.x, cold.x), (state.y, cold.y), (state.z, cold.z),
+                      (adj.p, outputs[1].y), (adj.q, outputs[1].z), (adj.Q, -outputs[1].x)):
+        assert np.array_equal(got, want)
+
+
+def test_cold_coupled_solves_polish_from_the_seed(monkeypatch):
+    # A cold coupled solve runs the polish from the blend-0 linear seed and
+    # never climbs the continuation.  It lands on the polish's fixed point,
+    # as the continuation plus its polish does, from another start: measured
+    # over noise seeds 0-9 the two differ by at most 5.8e-7 RMS (state) and
+    # 2.1e-7 RMS (adjoint), 1.4e-7 and 6.7e-8 at seed 3, against an
+    # inner_tol of 1e-6.
+    grid, noise = _grid_noise(m=8, n=256, horizon=0.25, seed=3)
+    model = lq2_model(LQ2Params(horizon=0.25))
+    fails = NonConvergenceError("no contraction", history=[1.0])
+    monkeypatch.setattr(smp_control, "solve_picard", _failing(fails, []))
+    ref = solve_state(model, 0.35, grid, noise)  # by the continuation and its polish
+    ref_adj = solve_adjoint(model, 0.35, ref, grid, noise)
+    starts = []
+
+    def seeded_picard(*args, **kwargs):
+        starts.append(kwargs["initial_guess"])
+        return solve_picard(*args, **kwargs)
+
+    monkeypatch.setattr(smp_control, "solve_picard", seeded_picard)
+    monkeypatch.setattr(smp_control, "solve_continuation", _must_not_run)
+    state = solve_state(model, 0.35, grid, noise)
+    adj = solve_adjoint(model, 0.35, ref, grid, noise)
+    seed, _ = solve_linear_seed(LinearInhomogeneity(), grid, noise, x0=model.initial)
+    adj_seed, _ = solve_linear_seed(LinearInhomogeneity(), grid, noise, x0=-ref_adj.Q[0],
+                                    conditioning=ref.x)
+    assert len(starts) == 2
+    for start, want in zip(starts, (seed, adj_seed)):
+        for a, b in ((start.x, want.x), (start.y, want.y), (start.z, want.z)):
+            assert np.array_equal(a, b)
+    for got, want in ((state.x, ref.x), (state.y, ref.y), (state.z, ref.z)):
+        assert _rms(got - want) <= 1e-6
+    for got, want in ((adj.p, ref_adj.p), (adj.q, ref_adj.q), (adj.Q, ref_adj.Q)):
+        assert _rms(got - want) <= 3e-7
+    assert _rms(state.y - seed.y) > 1e-2  # the seed is not the answer
+
+
+@pytest.mark.parametrize("error", _RETRYABLE_ERRORS, ids=_RETRYABLE_IDS)
+def test_failed_seed_polish_falls_back_to_the_continuation(monkeypatch, error):
+    grid, noise = _grid_noise(m=8, n=256, horizon=0.25, seed=3)
+    model = lq2_model(LQ2Params(horizon=0.25))
+    calls, outputs = [], []
+    monkeypatch.setattr(smp_control, "solve_picard", _failing(error, calls))
+    monkeypatch.setattr(smp_control, "solve_continuation",
+                        _recording(solve_continuation, outputs))
+    state = solve_state(model, 0.35, grid, noise)
+    adj = solve_adjoint(model, 0.35, state, grid, noise)
+    assert len(calls) == 2 and len(outputs) == 2
+    u = as_control(0.35, grid, noise.particles)
+    cold, _ = solve_continuation(model, grid, noise, control=u)
+    for got, want in ((state.x, cold.x), (state.y, cold.y), (state.z, cold.z),
+                      (adj.p, outputs[1].y), (adj.q, outputs[1].z), (adj.Q, -outputs[1].x)):
+        assert np.array_equal(got, want)
+
+
+def test_cold_solve_without_polish_is_the_continuation(monkeypatch):
+    # polish_max_iter = 0: no polish runs, from the seed or anywhere, and the
+    # answer is the unpolished homotopy solution, bit for bit
+    grid, noise = _grid_noise(m=8, n=256, horizon=0.25, seed=3)
+    model = lq2_model(LQ2Params(horizon=0.25))
+    sched = ContinuationSchedule(polish_max_iter=0)
+    u = as_control(0.35, grid, noise.particles)
+    want, log = solve_continuation(model, grid, noise, schedule=sched, control=u)
+    assert "polish" not in log[-1]
+    monkeypatch.setattr(smp_control, "solve_picard", _must_not_run)
+    state = solve_state(model, 0.35, grid, noise, schedule=sched)
+    for got, ref in ((state.x, want.x), (state.y, want.y), (state.z, want.z)):
+        assert np.array_equal(got, ref)
+
+
+def test_cold_seed_outside_the_guard_fails_at_blend_zero(monkeypatch):
+    # the seed that starts the polish is checked against the guard as the
+    # continuation's own seed is; neither solver runs after a breach
+    grid, noise = _grid_noise(m=8, n=64, horizon=0.25, seed=3)
+    model = replace(lq2_model(LQ2Params(horizon=0.25)), initial=2e12)
+    monkeypatch.setattr(smp_control, "solve_picard", _must_not_run)
+    monkeypatch.setattr(smp_control, "solve_continuation", _must_not_run)
+    with pytest.raises(DivergenceError) as err:
+        solve_state(model, 0.3, grid, noise)
+    assert err.value.blend == 0.0 and err.value.step == 0 and err.value.value == 2e12
 
 
 def test_warm_start_unused_without_polish(monkeypatch):
@@ -731,13 +839,26 @@ def test_warm_start_unused_without_polish(monkeypatch):
 
 
 def test_rejected_polish_returns_the_unpolished_solution(monkeypatch):
-    # A long horizon and a strong y-coupling: the continuation reaches blend
-    # 1, but the polish from there diverges (all 100 sweeps, last change
-    # 3.3e8 at seed 0).  The solve must then return the unpolished homotopy
-    # solution as it is, and solve_state with it.
+    # A long horizon and a strong y-coupling: the polish from the seed
+    # fails, the continuation reaches blend 1, but the polish from there
+    # diverges too (its first change, 0.25, is its best; the next is 27).
+    # The solve must then return the unpolished homotopy solution as it
+    # is, and solve_state with it.  Neither polish spends its budget: the
+    # decoupling map has stopped converging long before.
     params = replace(LQ2Params(horizon=8.0), drift_y=-0.6, drift_mean_y=-0.6,
                      cross=0.9, cross_mean=0.9)
     grid, noise = _grid_noise(m=16, n=256, horizon=8.0, seed=0)
+    sched = ContinuationSchedule()
+    stops = []
+
+    def recording_picard(*args, **kwargs):
+        try:
+            return solve_picard(*args, **kwargs)
+        except NonConvergenceError as exc:
+            stops.append((exc.reason, len(exc.history)))
+            raise
+
+    monkeypatch.setattr(smp_control, "solve_picard", recording_picard)
     logs = []
 
     def recording_continuation(*args, **kwargs):
@@ -756,12 +877,15 @@ def test_rejected_polish_returns_the_unpolished_solution(monkeypatch):
     assert "polish" not in log[-1]
     for a, b in ((state.x, unpolished.x), (state.y, unpolished.y), (state.z, unpolished.z)):
         assert np.array_equal(a, b)
-    sched = ContinuationSchedule()
+    [(reason, sweeps)] = stops  # the polish from the seed
+    assert reason in ("stalled", "diverging") and sweeps < sched.polish_max_iter
     with pytest.raises(NonConvergenceError) as err:
         solve_picard(frozen, grid, noise, tol=sched.inner_tol, max_iter=sched.polish_max_iter,
                      initial_guess=unpolished, accel_memory=sched.accel_memory)
-    assert len(err.value.history) == sched.polish_max_iter
-    assert err.value.history[-1] > 1e6
+    history = err.value.history
+    assert err.value.reason == "stalled"
+    assert len(history) == fbsde_solver._PATIENCE + 1 < sched.polish_max_iter
+    assert min(history[1:]) > history[0] and max(history) > 100 * history[0]
     report = residual(frozen, state, grid, noise)
     assert report.forward <= 1e-7 and report.terminal == 0.0
 
@@ -1472,8 +1596,12 @@ def test_a_misshaped_model_output_fails_typed_naming_its_callable(which, name, e
 
 
 #: values that are not real numbers: None (which numpy reads as NaN), a
-#: string and a function (which numpy cannot read as floats)
-_NOT_REAL = {"none": None, "string": "abc", "function": len}
+#: string and a function (which numpy cannot read as floats), and two that
+#: numpy casts to floats: a list holding None (read as NaN: a drift gave a
+#: DivergenceError "|nan| > guard") and a complex array (its imaginary part
+#: dropped: a running cost + 1j priced as the real model)
+_NOT_REAL = {"none": None, "string": "abc", "function": len, "none_in_list": [None] * 64,
+             "complex": np.full(64, 0.5 + 1j)}
 
 #: one case per kind of value: coefficient, partial, cost, slope, terminal
 #: map, projection and initial condition (a sampler's value)
