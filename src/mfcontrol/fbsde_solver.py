@@ -106,15 +106,18 @@ _RETRYABLE = (NonConvergenceError, DivergenceError, RegressionError)
 _HANDOVER_TOL = 1e-4
 
 #: a fixed point whose change has set no new best in this many sweeps in a
-#: row has stalled.  Anderson-mixed changes do not fall monotonically, but
-#: of every fixed point that converged in the tests, the LQ2 benchmark
-#: workloads (seeds 0-9) and verify_example(1) and (2), none went more than
-#: 5 sweeps without a new best (a continuation rung in the tests; at most 1
-#: on the workloads and verify_example).
-_PATIENCE = 15
+#: row has stalled.  Anderson-mixed changes do not fall monotonically: the
+#: polish of a long-horizon LQ2 state can climb above its first change for
+#: dozens of sweeps and still converge.  Of every fixed point that converged
+#: in the tests, the LQ2 benchmark workloads (seeds 0-9), verify_example(1)
+#: and (2), and cold LQ2 states of strong y-coupling (drift_y = drift_mean_y
+#: = -0.6, cross = cross_mean = 0.9, u = 0.3) at T = 2 to 6.5 (M = max(8, 2T),
+#: N = 256 and 1024, seeds 0-4, and 0-9 from T = 5), the longest such run was
+#: 50 sweeps (a polish that converged at sweep 98, T = 6)
+_PATIENCE = 75
 #: a fixed point whose change exceeds this multiple of its best change so
 #: far is diverging (checked from the third sweep on); on the same runs no
-#: converging change exceeded 3.2 times the best before it
+#: converging change exceeded 94 times the best before it
 _GROWTH = 1e3
 
 

@@ -841,10 +841,11 @@ def test_warm_start_unused_without_polish(monkeypatch):
 def test_rejected_polish_returns_the_unpolished_solution(monkeypatch):
     # A long horizon and a strong y-coupling: the polish from the seed
     # fails, the continuation reaches blend 1, but the polish from there
-    # diverges too (its first change, 0.25, is its best; the next is 27).
-    # The solve must then return the unpolished homotopy solution as it
-    # is, and solve_state with it.  Neither polish spends its budget: the
-    # decoupling map has stopped converging long before.
+    # diverges too (its first change, 0.25, is its best; the next is 27,
+    # and sweep 21's is 276).  The solve must then return the unpolished
+    # homotopy solution as it is, and solve_state with it.  Neither polish
+    # spends its budget: the decoupling map has stopped converging long
+    # before.
     params = replace(LQ2Params(horizon=8.0), drift_y=-0.6, drift_mean_y=-0.6,
                      cross=0.9, cross_mean=0.9)
     grid, noise = _grid_noise(m=16, n=256, horizon=8.0, seed=0)
@@ -883,11 +884,39 @@ def test_rejected_polish_returns_the_unpolished_solution(monkeypatch):
         solve_picard(frozen, grid, noise, tol=sched.inner_tol, max_iter=sched.polish_max_iter,
                      initial_guess=unpolished, accel_memory=sched.accel_memory)
     history = err.value.history
-    assert err.value.reason == "stalled"
-    assert len(history) == fbsde_solver._PATIENCE + 1 < sched.polish_max_iter
-    assert min(history[1:]) > history[0] and max(history) > 100 * history[0]
+    assert err.value.reason == "diverging"
+    assert len(history) < sched.polish_max_iter
+    assert min(history[1:]) > history[0]
+    assert history[-1] > fbsde_solver._GROWTH * history[0] >= max(history[2:-1])
     report = residual(frozen, state, grid, noise)
     assert report.forward <= 1e-7 and report.terminal == 0.0
+
+
+def test_slow_polish_after_the_continuation_is_not_cut(monkeypatch):
+    # The model of test_rejected_polish_returns_the_unpolished_solution at
+    # T=6: the polish from the seed fails, and the continuation's polish
+    # climbs above its first change for 39 sweeps before it converges (at
+    # sweep 87).  The stall stop must let it finish, so the cold solve lands
+    # on the polished fixed point, not on the unpolished homotopy solution.
+    params = replace(LQ2Params(horizon=6.0), drift_y=-0.6, drift_mean_y=-0.6,
+                     cross=0.9, cross_mean=0.9)
+    grid, noise = _grid_noise(m=12, n=256, horizon=6.0, seed=0)
+    logs = []
+
+    def recording_continuation(*args, **kwargs):
+        sol, log = solve_continuation(*args, **kwargs)
+        logs.append(log)
+        return sol, log
+
+    monkeypatch.setattr(smp_control, "solve_continuation", recording_continuation)
+    state = solve_state(lq2_model(params), 0.3, grid, noise)
+    [log] = logs
+    polish = log[-1]["polish"]
+    assert isinstance(polish, list) and polish[-1] <= ContinuationSchedule().inner_tol
+    first_best = next(i for i, c in enumerate(polish) if c < polish[0])
+    assert first_best > 30
+    frozen = lq2_fbsde(params, control=0.3)
+    assert residual(frozen, state, grid, noise).terminal == 0.0
 
 
 def test_warm_start_changes_nothing_for_decoupled_models():
