@@ -98,7 +98,9 @@ class NonConvergenceError(RuntimeError):
     history, the last iterate and why it stopped: ``reason`` is
     ``"budget"`` (its iterations ran out), ``"stalled"`` (its change made no
     new best for a while), ``"diverging"`` (its change grew far past the
-    best) or ``"non-finite"`` (a change was NaN or infinite)."""
+    best) or ``"non-finite"`` (a change was NaN or infinite); a
+    continuation whose rung left the guard or failed a regression says
+    ``"guard"`` or ``"regression"``."""
 
     def __init__(self, message: str, history=None, last=None, reason: str = "budget"):
         self.history = list(history) if history is not None else []

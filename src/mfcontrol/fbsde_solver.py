@@ -17,23 +17,24 @@ Three solver routes are provided:
 * :func:`solve_picard` — decoupling iteration (forward sweep with frozen
   backward paths, then a fresh backward sweep), with optional Anderson
   acceleration.  The plain map is contractive only for short horizons or
-  weak coupling.  With acceleration it is the polish: the primary route of
-  the control layer's coupled solves, run from a warm triple or from the
-  blend-0 linear seed, and the last step of the continuation.
-* :func:`solve_continuation` — homotopy in the blend parameter alpha from
+  weak coupling; with acceleration it is the continuation's polish.
+* :func:`solve_continuation` — the route of every coupled solve in the
+  package.  It polishes first (Anderson-accelerated decoupling), from a
+  warm triple or, cold, from the blend-0 linear seed; only where that
+  polish fails does it climb the homotopy in the blend parameter alpha from
   the canonical pair to the target model (the method of continuation),
-  with warm starts and an adaptive step (the full blend first, halved on
-  failure, doubled after success).  Each blend level is one
-  seed-preconditioned fixed point: every sweep freezes the weighted
-  difference between the model and the canonical pair at the current
-  iterate as additive sources and applies the linear seed, so the stiff
-  canonical core is always handled constructively.  It is the globalizer
-  where the polish alone does not converge.
+  from the same seed, with warm starts and an adaptive step (the full blend
+  first, halved on failure, doubled after success), and polish again.
+  Each blend level is one seed-preconditioned fixed point: every sweep
+  freezes the weighted difference between the model and the canonical pair
+  at the current iterate as additive sources and applies the linear seed,
+  so the stiff canonical core is always handled constructively.
 
 Every fixed point ends at its tolerance or with a typed
 :class:`NonConvergenceError` whose ``reason`` says why it stopped short:
 its budget ran out, its change stalled or grew far past its best, or a
-change was not finite.
+change was not finite.  A continuation that fails ends with the reason of
+the rung that ended it.
 
 The blend family, which :func:`_blend_sources` turns into additive sources
 on the canonical pair at a frozen iterate:
@@ -92,9 +93,8 @@ __all__ = [
     "residual",
 ]
 
-#: solver failures a caller recovers from (a continuation rung halves its
-#: step, the continuation's polish is rejected, the control layer's polish
-#: hands its solve to the continuation)
+#: solver failures the continuation recovers from (a rung halves its step, a
+#: polish is rejected: the first one hands the solve to the ladder)
 _RETRYABLE = (NonConvergenceError, DivergenceError, RegressionError)
 
 #: rung tolerance of a continuation whose polish follows.  A rung's answer is
@@ -459,8 +459,9 @@ class ContinuationSchedule:
     for the next one (checkpoints hit 1 exactly).  ``max_halvings`` sets the
     minimum step ``step * 2**-max_halvings``: the run fails once a halving
     would go below it, so halving again after a growth spends nothing.
-    ``inner_tol`` is the tolerance of the final plain decoupling polish at
-    full blend and ``polish_max_iter`` caps its sweeps (0 disables it).
+    ``inner_tol`` is the tolerance of the polish, the accelerated
+    decoupling iteration at full blend, and ``polish_max_iter`` caps its
+    sweeps (0 disables it).
     Caps, halvings and memory are integers; tolerances are finite and
     positive.
     """
@@ -512,23 +513,6 @@ def _blend_sources(model, tri, grid, weight, control) -> LinearInhomogeneity:
     )
 
 
-def _cold_start(model: CoupledModel, grid: TimeGrid, noise: BrownianPaths,
-                conditioning: Optional[np.ndarray], guard: float) -> SolutionTriple:
-    """The blend-0 solution every cold coupled solve starts from: the linear
-    seed of the canonical pair from ``model.initial``, with no sources.  A
-    seed outside ``guard`` raises :class:`DivergenceError` with ``blend``
-    0.0."""
-    try:
-        sol, _ = solve_linear_seed(
-            LinearInhomogeneity(), grid, noise, x0=model.initial,
-            conditioning=conditioning, guard=guard,
-        )
-    except DivergenceError as exc:
-        exc.blend = 0.0
-        raise
-    return sol
-
-
 def _seed_iteration(
     model: CoupledModel,
     grid: TimeGrid,
@@ -570,6 +554,15 @@ def _seed_iteration(
                         f"seed-preconditioned iteration at blend weight {weight:.3f}")
 
 
+def _reason(exc: Exception) -> str:
+    """Why a continuation rung failed: a :class:`NonConvergenceError`'s own
+    ``reason``, ``"guard"`` for a :class:`DivergenceError` and
+    ``"regression"`` for a :class:`RegressionError`."""
+    if isinstance(exc, DivergenceError):
+        return "guard"
+    return getattr(exc, "reason", "regression")
+
+
 def solve_continuation(
     model: CoupledModel,
     grid: TimeGrid,
@@ -578,81 +571,130 @@ def solve_continuation(
     control: Optional[np.ndarray] = None,
     guard: float = DEFAULT_GUARD,
     conditioning: Optional[np.ndarray] = None,
+    warm: Optional[SolutionTriple] = None,
 ):
-    """Homotopy continuation from the canonical pair to the target model.
+    """Solve a coupled model: by the polish where it converges, else by the
+    homotopy continuation from the canonical pair to the model.
 
-    Starts from the constructive linear seed at blend 0, then climbs a
-    ladder of rungs to blend 1, warm-starting each rung from the previous
-    solution.  Each rung is solved directly by one seed-preconditioned fixed
-    point at its blend weight (budget: ``picard_max_iter`` /
-    ``accel_memory``).  Without a polish every rung runs to ``picard_tol``.
-    With one, a rung's answer is only a warm start, for the next rung or
-    for the polish, and the polish moves it by the O(dt) gap between the two
-    discrete solutions; so every rung stops at the hand-over tolerance
-    ``max(picard_tol, _HANDOVER_TOL)`` (1e-4), as inexact path following
-    solves each step only as far as the next corrector needs.  The step
-    starts at ``schedule.step`` (by default the whole way, so the target is
-    solved in one fixed point).  If a rung does not converge, or a sweep
-    leaves the guard region, it is retried with the step halved.  A rung
-    accepted at the first try doubles the step for the next one, capped at
-    the distance left; a rung accepted only after a halving keeps its step,
-    so a model that needs short steps does not alternate between growing
-    and failing.  Every route ends on
-    the blend-1 fixed point (to solver tolerance), so the ladder sets the
-    cost of a solve, not its answer (the step control and inexact steps of
-    Allgower & Georg, *Introduction to Numerical Continuation Methods*,
-    2003).  The step never goes below ``schedule.step * 2**-max_halvings``;
-    a rung that fails at a step it cannot halve ends the run.
+    This is the route of every coupled solve in the package.  With a polish
+    scheduled (``polish_max_iter > 0``, the default) it runs in this order:
 
-    ``guard`` bounds |X| on the seed solution, on every rung sweep and in
-    the polish.  A seed outside it raises :class:`DivergenceError` (``blend``
-    0.0) at once; a breach at a rung fails that rung, and once the step is
-    at its minimum it is the ``__cause__`` of the final
-    :class:`NonConvergenceError`, with ``blend`` the weight last attempted.
-    A breach in the re-run after a rejected polish (below) carries ``blend``
-    1.0.
+    1. The polish: the Anderson-accelerated decoupling iteration
+       (:func:`solve_picard` with the schedule's ``accel_memory``, run to
+       ``inner_tol`` within ``polish_max_iter`` sweeps), from ``warm``, or
+       on a cold solve (``warm=None``) from the seed, the constructive
+       linear seed of the canonical pair (blend 0, no sources) from
+       ``model.initial``.  Every start lands on the same discrete fixed
+       point, to ``inner_tol``, so where this polish converges its answer
+       is returned.
+    2. Only where that polish fails (it does not converge, leaves the
+       guard, or a regression fails) does the ladder below climb from the
+       seed to blend 1.  The seed is solved at most once per call: a cold
+       solve's ladder starts from the seed its polish started from.
+    3. The polish again, from the ladder's answer (the homotopy acting as
+       a globalizer).
+    4. Where that polish fails too, it is rejected and the homotopy
+       representation is returned: the blend-1 rung is run again, to
+       ``picard_tol`` from the warm start it had (for a one-rung ladder
+       this is the polish-off route's answer, bit for bit).  If that re-run
+       fails, a :class:`NonConvergenceError` "failed at blend 1.000"
+       carries the rung histories and the hand-over answer as ``last``,
+       chained from the rung's error.
 
-    After full blend is reached, a decoupling polish (:func:`solve_picard`
-    warm-started at the homotopy output with the schedule's Anderson
-    memory, run to the schedule's ``inner_tol``) is attempted.  Where
-    the — possibly accelerated — decoupling map converges, this lands the
-    answer on the fixed point of the standard discrete scheme, so the two
-    solver routes agree to solver tolerance there (the homotopy acting as
-    a globalizer); without the acceleration the plain map's slow modes at
-    longer horizons would stall the polish inside its budget and leave the
-    O(dt)-different homotopy representation in place.  Where the map
-    diverges outright the polish is rejected and the homotopy
-    representation is returned: the blend-1 rung is run again, to
-    ``picard_tol`` from the warm start it had (for a one-rung ladder this
-    is the polish-off route's answer, bit for bit).  If that re-run fails,
-    a :class:`NonConvergenceError` "failed at blend 1.000" carries the rung
-    histories and the hand-over answer as ``last``, chained from the rung's
-    error.  The attempt is recorded in the log either way.  The polish
-    deliberately does not chase tolerances below ``inner_tol``: the
+    With ``polish_max_iter == 0`` only the ladder runs, from the seed, and
+    its answer, every rung run to ``picard_tol``, is returned; a polish
+    would not reproduce it, so ``warm`` is unused.
+
+    The ladder warm-starts each rung from the previous solution.  Each rung
+    is solved directly by one seed-preconditioned fixed point at its blend
+    weight (budget: ``picard_max_iter`` / ``accel_memory``).  Without a
+    polish every rung runs to ``picard_tol``.  With one, a rung's answer is
+    only a warm start, for the next rung or for the polish, and the polish
+    moves it by the O(dt) gap between the two discrete solutions; so every
+    rung stops at the hand-over tolerance ``max(picard_tol,
+    _HANDOVER_TOL)`` (1e-4), as inexact path following solves each step
+    only as far as the next corrector needs.  The step starts at
+    ``schedule.step`` (by default the whole way, so the target is solved in
+    one fixed point).  If a rung does not converge, or a sweep leaves the
+    guard region, it is retried with the step halved.  A rung accepted at
+    the first try doubles the step for the next one, capped at the distance
+    left; a rung accepted only after a halving keeps its step, so a model
+    that needs short steps does not alternate between growing and failing.
+    Every route ends on the blend-1 fixed point (to solver tolerance), so
+    the ladder sets the cost of a solve, not its answer (the step control
+    and inexact steps of Allgower & Georg, *Introduction to Numerical
+    Continuation Methods*, 2003).  The step never goes below
+    ``schedule.step * 2**-max_halvings``; a rung that fails at a step it
+    cannot halve ends the run.  The :class:`NonConvergenceError` that ends
+    a run, here or after a failed re-run, has the ``reason`` of the rung
+    that failed: its own ``reason``, ``"guard"`` for a breach of the guard
+    or ``"regression"`` for a failed regression.
+
+    Without the Anderson acceleration the plain decoupling map's slow modes
+    at longer horizons would stall the polish inside its budget.  The
+    polish deliberately does not chase tolerances below ``inner_tol``: the
     decoupling map's regression noise modes carry a weak feedback
     instability, so it has a resolution-dependent change floor (around
     1e-7 at desk scales) below which sweeps no longer contract.
 
+    ``guard`` bounds |X| on the seed, on every rung sweep and in each
+    polish.  A seed outside it raises :class:`DivergenceError` (``blend``
+    0.0) at once; a breach in a polish rejects it; a breach at a rung fails
+    that rung, and once the step is at its minimum it is the ``__cause__``
+    of the final :class:`NonConvergenceError`, with ``blend`` the weight
+    last attempted.  A breach in the re-run after a rejected polish carries
+    ``blend`` 1.0.  A ``warm`` triple whose arrays are not [M+1, N] raises
+    :class:`ConfigError` when the polish starts from it.
+
     ``conditioning`` supplies an external regression carrier for every
-    backward sweep in the run (seed, levels, polish).  The default carrier
+    backward sweep in the run (seed, rungs, polish).  The default carrier
     is the evolving forward path itself, which is right for self-contained
     systems; equations driven by exogenous random data (frozen arrays from
     another trajectory) need the generating path here, since their own
     forward variable cannot explain those data and the carrier-feedback
     noise floor then sits far above the solver tolerances.
 
-    Returns ``(SolutionTriple, log)``.  The log is a list of dicts:
-    ``{"alpha": 0.0, "seed": True}``, then ``{"alpha", "changes"}`` per
-    accepted rung (its sweep change norms), ``{"alpha", "halved_to"}`` per
-    failed rung (``alpha`` where it started, ``halved_to`` the retry step),
-    and ``{"alpha": 1.0, "polish"}`` holding the polish change norms or
-    ``"rejected"`` when the polish runs.  After a rejected polish the
-    blend-1 rung's record holds its re-run's norms as ``"changes"`` and its
-    hand-over run's as ``"handover"``.
+    Returns ``(SolutionTriple, log)``.  The log is a list of dicts, in the
+    order the steps ran: ``{"alpha": 0.0, "seed": True}`` once the seed is
+    solved, ``{"alpha": 1.0, "polish"}`` per polish (the first and the one
+    after the ladder) holding its change norms or ``"rejected"``,
+    ``{"alpha", "changes"}`` per accepted rung (its sweep change norms) and
+    ``{"alpha", "halved_to", "reason"}`` per failed rung (``alpha`` where
+    it started, ``halved_to`` the retry step, ``reason`` as above).  After
+    a rejected last polish the blend-1 rung's record holds its re-run's
+    norms as ``"changes"`` and its hand-over run's as ``"handover"``.
     """
     sched = schedule or ContinuationSchedule()
     polish = sched.polish_max_iter > 0
     handover = max(sched.picard_tol, _HANDOVER_TOL) if polish else sched.picard_tol
+    log: list = []
+
+    def seed():
+        try:
+            sol, _ = solve_linear_seed(
+                LinearInhomogeneity(), grid, noise, x0=model.initial,
+                conditioning=conditioning, guard=guard,
+            )
+        except DivergenceError as exc:
+            exc.blend = 0.0
+            raise
+        log.append({"alpha": 0.0, "seed": True})
+        return sol
+
+    def polished(start):
+        """The polish from ``start``, recorded in the log; ``None`` when it
+        is rejected, with its arrays let go."""
+        try:
+            sol, changes = solve_picard(
+                model, grid, noise, tol=sched.inner_tol, max_iter=sched.polish_max_iter,
+                initial_guess=start, accel_memory=sched.accel_memory, control=control,
+                guard=guard, conditioning=conditioning,
+            )
+        except _RETRYABLE:
+            log.append({"alpha": 1.0, "polish": "rejected"})
+            return None
+        log.append({"alpha": 1.0, "polish": changes})
+        return sol
 
     def rung(weight, warm, tol):
         try:
@@ -665,15 +707,20 @@ def solve_continuation(
             exc.blend = weight
             raise
 
-    def failed(reason):
+    def failed(message, exc):
         return NonConvergenceError(
-            f"continuation failed at blend {alpha:.3f}: {reason}",
+            f"continuation failed at blend {alpha:.3f}: {message}",
             history=[rec["changes"] for rec in log if "changes" in rec],
-            last=cur,
+            last=cur, reason=_reason(exc),
         )
 
-    cur = _cold_start(model, grid, noise, conditioning, guard)
-    log: list = [{"alpha": 0.0, "seed": True}]
+    cur = warm if polish and warm is not None else seed()
+    if polish:
+        sol = polished(cur)
+        if sol is not None:
+            return sol, log
+        if cur is warm:
+            cur = seed()
     alpha = 0.0
     delta = sched.step
     min_step = sched.step * 2.0 ** -sched.max_halvings
@@ -688,37 +735,23 @@ def solve_continuation(
                 raise failed(
                     f"the step cannot halve below {min_step:.4g} = step * "
                     f"2**-{sched.max_halvings} (last step {step:.4f}); raise "
-                    f"max_halvings or picard_max_iter"
+                    f"max_halvings or picard_max_iter", exc,
                 ) from exc
             delta = step / 2.0
             retried = True
-            log.append({"alpha": alpha, "halved_to": delta})
+            log.append({"alpha": alpha, "halved_to": delta, "reason": _reason(exc)})
             continue
         alpha = alpha + step
         cur = nxt
-        log.append({"alpha": alpha, "changes": changes})
+        last_rung = {"alpha": alpha, "changes": changes}
+        log.append(last_rung)
         delta = step if retried else 2.0 * step
         retried = False
     if not polish:
         return cur, log
-    try:
-        polished, polish_hist = solve_picard(
-            model,
-            grid,
-            noise,
-            tol=sched.inner_tol,
-            max_iter=sched.polish_max_iter,
-            initial_guess=cur,
-            accel_memory=sched.accel_memory,
-            control=control,
-            guard=guard,
-            conditioning=conditioning,
-        )
-    except _RETRYABLE:
-        pass  # a re-run starts only once this handler has let the polish's arrays go
-    else:
-        log.append({"alpha": 1.0, "polish": polish_hist})
-        return polished, log
+    sol = polished(cur)
+    if sol is not None:
+        return sol, log
     if handover > sched.picard_tol:
         # the blend-1 rung is the answer now: run it again to picard_tol
         try:
@@ -726,11 +759,10 @@ def solve_continuation(
         except _RETRYABLE as exc:
             raise failed(
                 f"the polish was rejected and the blend-1 rung did not reach "
-                f"picard_tol {sched.picard_tol:.1e} from its warm start"
+                f"picard_tol {sched.picard_tol:.1e} from its warm start", exc,
             ) from exc
-        log[-1]["handover"] = log[-1]["changes"]
-        log[-1]["changes"] = changes
-    log.append({"alpha": 1.0, "polish": "rejected"})
+        last_rung["handover"] = last_rung["changes"]
+        last_rung["changes"] = changes
     return cur, log
 
 

@@ -606,16 +606,15 @@ def _candidate_fixed_point(
     GMRES (Walker & Ni 2011; Toth & Kelley 2015).
 
     The first iteration solves the state and adjoint cold; each later one
-    warm-starts both from the previous iteration's solutions.  A coupled
-    model runs the continuation's polish either way, from the linear seed
-    in the first iteration and from the previous solution after it (see
-    :func:`mfcontrol.smp_control.solve_state`).  Returns ``(u, history)``;
-    the history is a list of ``{"iteration", "target_gap"}`` records whose
-    ``state`` and ``adjoint`` attributes hold the solutions at u.  It needs
-    ``0 < damping <= 1``, a finite ``tol`` > 0 and an integer ``max_iter``
-    >= 1 (:class:`ConfigError` otherwise); running out of iterations raises
-    :class:`NonConvergenceError` with the history and, as ``last``, the
-    next control the iteration would have tried.
+    warm-starts both from the previous iteration's solutions (a coupled
+    model's ``warm`` of :func:`mfcontrol.fbsde_solver.solve_continuation`).
+    Returns ``(u, history)``; the history is a list of ``{"iteration",
+    "target_gap"}`` records whose ``state`` and ``adjoint`` attributes hold
+    the solutions at u.  It needs ``0 < damping <= 1``, a finite ``tol`` >
+    0 and an integer ``max_iter`` >= 1 (:class:`ConfigError` otherwise);
+    running out of iterations raises :class:`NonConvergenceError` with the
+    history and, as ``last``, the next control the iteration would have
+    tried.
     """
 
     _check_fraction("damping", damping)
@@ -694,11 +693,9 @@ def lq2_candidate(
 
     Evaluates ``u = -(p*drift_control + q*diff_control
     - Q*driver_control) / control_weight`` by the same Anderson
-    iteration as :func:`lq1_candidate`, with the same returns; the first
-    iteration solves the coupled state and multiplier systems cold, by the
-    continuation's polish from the linear seed (the continuation itself
-    runs only if that polish fails), the later ones warm-start the polish
-    from the previous iteration's solutions.
+    iteration as :func:`lq1_candidate`, with the same returns; the coupled
+    state and multiplier systems are solved cold in the first iteration
+    and warm-started after it, as there.
     """
 
     return _candidate_fixed_point(

@@ -26,7 +26,8 @@ lives here too, with the per-particle cost it compares.
 Each of the three systems -- state, adjoint, variational -- is written
 once, as one FBSDE, and the model's ``coupled`` flag chooses only the
 solver: one Euler pass forward and one regression pass backward when b and
-sigma read only the x and u slots, the homotopy continuation otherwise.
+sigma read only the x and u slots, the coupled route of
+:func:`mfcontrol.fbsde_solver.solve_continuation` otherwise.
 
 Law arguments are statistics of the ensemble (empirical means), so every
 law-coupling linearizes to "coefficient times mean of the perturbation".
@@ -65,7 +66,6 @@ from mfcontrol.core import (
     _check_tol,
     _mean,
     _value,
-    view_means,
 )
 from mfcontrol.forward_mv import (
     DEFAULT_GUARD,
@@ -75,17 +75,14 @@ from mfcontrol.forward_mv import (
     _views,
     simulate_forward,
 )
-from mfcontrol.hypothesis_check import UniformPairSampler, _atom_pairing, check_convexity
+from mfcontrol.hypothesis_check import UniformPairSampler, check_convexity
 from mfcontrol.mf_bsde import BackwardModel, _terminal_values, solve_mf_bsde
 from mfcontrol.fbsde_solver import (
-    _RETRYABLE,
     ContinuationSchedule,
     CoupledModel,
     SolutionTriple,
     _coefficients,
-    _cold_start,
     solve_continuation,
-    solve_picard,
 )
 
 __all__ = [
@@ -209,15 +206,12 @@ class AdjointTriple:
     """Adjoint processes: backward pair (p, q) and forward multiplier Q.
 
     All arrays [M+1, N].  By construction ``Q[0] = -gamma_y(Y_0)`` and
-    ``p[M] = g_x(X_M) - Phi_x(X_M) Q[M]``.  ``warning`` carries the
-    message of a failed monotonicity probe when certification was
-    requested (``None`` otherwise).
+    ``p[M] = g_x(X_M) - Phi_x(X_M) Q[M]``.
     """
 
     p: np.ndarray
     q: np.ndarray
     Q: np.ndarray
-    warning: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -433,21 +427,9 @@ def _solve_system(
     path is known without the Euler pass (the adjoint's constant X~) passes
     it as ``x``.
 
-    A coupled system with a polish scheduled (``polish_max_iter > 0``)
-    runs the continuation's polish, the Anderson-accelerated
-    :func:`solve_picard` call (``inner_tol``, ``polish_max_iter``,
-    ``accel_memory``), from ``warm``, or on a cold solve from the blend-0
-    linear seed the continuation starts from; every start lands on the same
-    discrete fixed point.  Only if that polish fails with an error the
-    continuation retries on (non-convergence, divergence, a failed
-    regression) does :func:`solve_continuation` run, as the globalizer; it
-    ends on the same polish, or on the unpolished homotopy solution where
-    its polish is rejected too.  A seed outside the guard raises
-    :class:`DivergenceError` with ``blend`` 0.0, as the continuation's own
-    seed would.  With ``polish_max_iter == 0`` the continuation returns the
-    unpolished homotopy solution, run to ``picard_tol``, which a polish
-    would not reproduce, so ``warm`` is unused.  Every route runs the
-    solvers' default regression basis and divergence guard.
+    A coupled system takes the package's one coupled route,
+    :func:`solve_continuation`, from ``warm`` or cold.  Every route runs
+    the solvers' default regression basis and divergence guard.
     """
     if warm is not None:
         _check_paths("warm start", (warm.x, warm.y, warm.z), (grid.steps + 1, noise.particles))
@@ -460,21 +442,9 @@ def _solve_system(
             control=control, carrier=conditioning,
         )
         return SolutionTriple(x=x, y=y, z=z)
-    sched = schedule or ContinuationSchedule()
-    if sched.polish_max_iter > 0:
-        if warm is None:
-            warm = _cold_start(model, grid, noise, conditioning, DEFAULT_GUARD)
-        try:
-            sol, _ = solve_picard(
-                model, grid, noise, tol=sched.inner_tol, max_iter=sched.polish_max_iter,
-                initial_guess=warm, accel_memory=sched.accel_memory, control=control,
-                conditioning=conditioning,
-            )
-            return sol
-        except _RETRYABLE:
-            pass
     sol, _ = solve_continuation(
         model, grid, noise, schedule=schedule, control=control, conditioning=conditioning,
+        warm=warm,
     )
     return sol
 
@@ -493,10 +463,8 @@ def solve_state(
     coefficient's ``own.u`` slot; ``model.coupled`` chooses only the
     solver.  Decoupled models are solved sequentially: an Euler particle
     pass for X, then a regression backward pass for (Y, Z).  Coupled
-    models are solved by the continuation's polish, an Anderson-accelerated
-    decoupling iteration to ``inner_tol``, from ``warm`` or else from the
-    blend-0 linear seed; only if it fails to converge, diverges or hits a
-    failed regression does the homotopy continuation solver run.
+    models are solved by :func:`solve_continuation`, from ``warm`` or
+    cold.
 
     Parameters
     ----------
@@ -508,14 +476,12 @@ def solve_state(
     schedule : ContinuationSchedule, optional
         Coupled-route solver schedule.
     warm : SolutionTriple, optional
-        State solution at a nearby control on the same noise.  A coupled
-        solve then starts the polish there instead of at the linear seed,
-        so both land on the same fixed point, and falls back to the full
-        continuation as a cold solve does.  ``warm`` is unused for
-        decoupled models, which the sequential pass solves exactly, and
-        when ``schedule.polish_max_iter == 0``, where the continuation
-        returns the unpolished homotopy solution; its arrays must be
-        [M+1, N] on every route (:class:`ConfigError` otherwise).
+        State solution at a nearby control on the same noise, the
+        ``warm`` of :func:`solve_continuation` on a coupled solve (unused
+        when ``schedule.polish_max_iter == 0``).  It is unused for
+        decoupled models, which the sequential pass solves exactly; its
+        arrays must be [M+1, N] on every route (:class:`ConfigError`
+        otherwise).
 
     Returns
     -------
@@ -548,31 +514,6 @@ def _state_at(model: ControlModel, u, grid: TimeGrid, noise: BrownianPaths,
 # ======================================================================
 
 
-def _h5_probe(model: CoupledModel, grid: TimeGrid, seed: int, n: int, trials=8, radius=1.0):
-    """Empirical forward-monotonicity (H5) probe of an assembled adjoint.
-
-    Draws random ensemble perturbation pairs (sized to the trajectory
-    ensemble so frozen coefficient arrays broadcast) at a few nodes, each
-    with its ensemble means as its law, and averages the per-atom pairing
-    <dF, du> of :func:`mfcontrol.hypothesis_check._atom_pairing` over the
-    ensemble; (H5) requires it to be nonpositive.  Returns the smallest
-    normalized -pairing observed.
-    """
-    rng = np.random.Generator(np.random.Philox(key=seed ^ 0xAD01))
-    sampler = UniformPairSampler(radius)
-    m = grid.steps
-    nodes = sorted({0, m // 3, (2 * m) // 3, m - 1})
-    worst = np.inf
-    for k in nodes:
-        for _ in range(trials):
-            a, b = sampler.draw(rng, 3, n), sampler.draw(rng, 3, n)
-            atoms, sq = _atom_pairing(
-                model, k * grid.dt, a.T, view_means(StateView(*a)), b.T, view_means(StateView(*b)),
-            )
-            worst = min(worst, -float(np.mean(atoms)) / float(np.mean(sq)))
-    return worst
-
-
 def solve_adjoint(
     model: ControlModel,
     u,
@@ -580,7 +521,6 @@ def solve_adjoint(
     grid: TimeGrid,
     noise: BrownianPaths,
     schedule: Optional[ContinuationSchedule] = None,
-    certify: bool = False,
     warm: Optional[AdjointTriple] = None,
 ) -> AdjointTriple:
     """Solve the adjoint system (p, q, Q) along a solved trajectory.
@@ -606,12 +546,6 @@ def solve_adjoint(
     0 a -0.0 becomes +0.0, as the pass's x + 0.0 makes it).  X~_0 is still
     checked against the divergence guard.
 
-    With ``certify=True`` an empirical (H5) probe runs on the assembled
-    coupled adjoint before solving; a violation does not raise but is
-    attached to the result's ``warning`` field.  Decoupled adjoints are
-    solved sequentially and need no monotonicity, so the probe is skipped
-    there.
-
     Parameters
     ----------
     model, u, grid, noise
@@ -620,16 +554,9 @@ def solve_adjoint(
         (:class:`ConfigError` naming ``state`` otherwise).
     schedule : ContinuationSchedule, optional
         Coupled-route solver schedule, as in :func:`solve_state`.
-    certify : bool
-        Run the monotonicity probe (off by default).
     warm : AdjointTriple, optional
         Adjoint at a nearby control (or along a nearby state) on the same
-        noise.  As in :func:`solve_state`, a coupled solve then starts the
-        polish from it instead of from the linear seed, with the
-        continuation as the fallback; it is unused for decoupled models
-        (solved exactly by the sequential pass) and when
-        ``schedule.polish_max_iter == 0``, and its arrays must be [M+1, N]
-        on every route, as there.
+        noise, read as ``warm`` is in :func:`solve_state`.
 
     Returns
     -------
@@ -661,11 +588,6 @@ def solve_adjoint(
         terminal_map=lambda x_last: terminal_cost_slope + terminal_slope * x_last,
         initial=x0,
     )
-    warning = None
-    if certify and model.coupled:
-        worst = _h5_probe(adj_model, grid, noise.seed, noise.particles)
-        if worst < -1e-9:
-            warning = f"adjoint monotonicity probe found pairing ratio {worst:.3e}"
     guess = None if warm is None else SolutionTriple(x=-warm.Q, y=warm.p, z=warm.q)
     x_tilde = None
     if not model.coupled and not any(slot in _YZ_SLOTS for _, slot in path._fns):
@@ -676,7 +598,7 @@ def solve_adjoint(
     sol = _solve_system(
         adj_model, model.coupled, grid, noise, schedule, guess, conditioning=state.x, x=x_tilde,
     )
-    return AdjointTriple(p=sol.y, q=sol.z, Q=-sol.x, warning=warning)
+    return AdjointTriple(p=sol.y, q=sol.z, Q=-sol.x)
 
 
 def _adjoint_at(model: ControlModel, u, state: SolutionTriple, grid: TimeGrid,

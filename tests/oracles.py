@@ -49,6 +49,8 @@ builds its instances from the ``LQ1Params`` and ``LQ2Params`` docstrings and
 the adjoint's transposes (not from the package's term tables):
 ``lq_state_y0`` (a state at a constant control), ``lq_optimum`` (the
 optimality system) and ``lq_nash_costs`` (``lq_game``'s Nash system).
+``first_polish_fails`` is no reference but a stand-in for the package's
+polish that makes ``solve_continuation`` climb its ladder.
 """
 
 import functools
@@ -62,6 +64,7 @@ from mfcontrol.fbsde_solver import (
     _AndersonMixer,
     _blend_sources,
     solve_linear_seed,
+    solve_picard,
 )
 from mfcontrol.forward_mv import resolve_initial
 from mfcontrol.lq_examples import LQ1Params, LQ2Params
@@ -561,7 +564,7 @@ def sequential_adjoint(model, u, state, grid, noise, basis=None):
     p, q = solve_mf_bsde(
         BackwardModel(driver=p_driver, terminal=p_terminal), grid, noise, state.x, basis=basis
     )
-    return AdjointTriple(p=p, q=q, Q=big_q, warning=None)
+    return AdjointTriple(p=p, q=q, Q=big_q)
 
 
 def sequential_variational(model, u, direction, state, grid, noise, basis=None):
@@ -1049,3 +1052,20 @@ def lq_nash_costs(params=None, coupling=0.2, target=0.3, steps=1000):
     one = (_lq_rows(params)[2], 1.0, 0.0, 0.5, 0.5)
     two = ((coupling * float(params.drift_control), 0.0, 0.0), 1.0, target, coupling, 0.0)
     return lq_exact(params, (one, two), gain=_cost_weights(params)[3], steps=steps)[1]
+
+
+def first_polish_fails(error, calls):
+    """A stand-in for ``fbsde_solver.solve_picard`` that raises ``error`` on
+    every other call, from the first, and runs ``solve_picard`` on the
+    others; the keyword arguments of each call are appended to ``calls``.
+    Every ``solve_continuation`` call with a polish scheduled whose ladder
+    succeeds calls it twice, so in each such call the polish before the
+    ladder fails and the one after the ladder runs."""
+
+    def polish(*args, **kwargs):
+        calls.append(kwargs)
+        if len(calls) % 2:
+            raise error
+        return solve_picard(*args, **kwargs)
+
+    return polish

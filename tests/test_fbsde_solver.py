@@ -16,6 +16,7 @@ from mfcontrol.core import (
     sample_brownian,
     view_means,
 )
+from mfcontrol import fbsde_solver
 from mfcontrol.fbsde_solver import (
     _GROWTH,
     _HANDOVER_TOL,
@@ -41,11 +42,19 @@ from mfcontrol.mf_bsde import BackwardModel, default_polynomial_basis, solve_mf_
 from oracles import (
     LstsqAndersonMixer,
     PrevPairAndersonMixer,
+    first_polish_fails,
     homotopy_coefficients,
     linear_seed_mean_oracle,
     picard_loop,
     seed_iteration_loop,
 )
+
+
+def _ladder_only_after_a_polish(monkeypatch):
+    """Make the polish before the ladder of every continuation call fail, so
+    that the ladder climbs and the polish after it runs."""
+    fails = NonConvergenceError("no contraction", history=[1.0])
+    monkeypatch.setattr(fbsde_solver, "solve_picard", first_polish_fails(fails, []))
 
 
 def _grid_noise(m=32, n=512, seed=2, horizon=1.0):
@@ -504,9 +513,6 @@ def test_anderson_mixer_holds_no_iterate_sized_array_outside_its_rings():
 def test_fixed_point_drops_the_previous_output_before_each_sweep(monkeypatch, slots):
     # nothing holds a sweep's output once its slots are flattened: neither
     # the mixer step nor the next sweep sees it alive
-    from mfcontrol import fbsde_solver
-    from mfcontrol.fbsde_solver import _fixed_point
-
     rng = np.random.default_rng(4)
     shift = SolutionTriple(*rng.normal(size=(3, 5, 40)))
     outputs, alive = [], []
@@ -591,9 +597,10 @@ def test_fixed_point_that_beats_its_best_in_time_is_not_cut():
 # ----------------------------------------------------------------------
 
 
-def test_continuation_on_canonical_model_returns_seed_solution():
+def test_continuation_on_canonical_model_returns_seed_solution(monkeypatch):
     # agreement at the inner tolerance: the level iterations are exact here,
     # and the final polish only moves the answer by ridge-shrinkage bias
+    _ladder_only_after_a_polish(monkeypatch)
     g, w = _grid_noise(32)
     model = _canonical_model()
     sol, log = solve_continuation(model, g, w)
@@ -611,14 +618,15 @@ def test_continuation_scaled_model_matches_mean_oracle():
     assert np.abs(sol.x.mean(axis=1) - ref[:, 0]).max() <= 0.02 * max(scale, 1.0)
 
 
-def test_continuation_agrees_with_picard_on_short_horizon():
-    # where the decoupling map contracts, the polish lands the continuation
-    # on the same discrete fixed point as solve_picard: agreement at solver
-    # tolerance, far below any Monte Carlo scale
+def test_continuation_agrees_with_picard_on_short_horizon(monkeypatch):
+    # where the decoupling map contracts, the polish lands the ladder's
+    # answer on the same discrete fixed point as solve_picard: agreement at
+    # solver tolerance, far below any Monte Carlo scale
     g, w = _grid_noise(16, n=256, horizon=0.25)
     model = _mild_model()
-    sol_c, log = solve_continuation(model, g, w)
     sol_p, _ = solve_picard(model, g, w, tol=1e-6, max_iter=80)
+    _ladder_only_after_a_polish(monkeypatch)
+    sol_c, log = solve_continuation(model, g, w)
     rms = np.sqrt(
         np.mean(
             np.concatenate(
@@ -635,7 +643,8 @@ def test_continuation_agrees_with_picard_on_short_horizon():
     assert isinstance(log[-1]["polish"], list)  # polish engaged, not rejected
 
 
-def test_continuation_checkpoints_hit_one_exactly():
+def test_continuation_checkpoints_hit_one_exactly(monkeypatch):
+    _ladder_only_after_a_polish(monkeypatch)
     g, w = _grid_noise(8, n=64)
     sol, log = solve_continuation(
         _canonical_model(), g, w, schedule=ContinuationSchedule(step=0.3)
@@ -645,15 +654,21 @@ def test_continuation_checkpoints_hit_one_exactly():
     assert max(alphas) <= 1.0 + 1e-12
 
 
-def test_continuation_fails_cleanly_on_nonmonotone_model():
-    g, w = _grid_noise(8, n=32)
-    bad = CoupledModel(
+def _nonmonotone_model():
+    # the canonical pair with its driver and terminal map of the wrong sign:
+    # not monotone, and no ladder reaches blend 1 at picard_tol
+    return CoupledModel(
         drift=lambda t, law, own: -law.y - own.y,
         diffusion=lambda t, law, own: -law.z - own.z,
         driver=lambda t, law, own: -3.0 * (law.x + own.x),
         terminal_map=lambda xT: -xT,
         initial=0.5,
     )
+
+
+def test_continuation_fails_cleanly_on_nonmonotone_model():
+    g, w = _grid_noise(8, n=32)
+    bad = _nonmonotone_model()
     sched = ContinuationSchedule(
         step=0.5, picard_max_iter=8, max_halvings=2
     )
@@ -743,16 +758,20 @@ def test_continuation_max_halvings_sets_the_minimum_step():
     assert err.value.__cause__.blend == 0.25
 
 
-def test_continuation_route_does_not_change_the_answer():
+def test_continuation_route_does_not_change_the_answer(monkeypatch):
     # the full first step and a ladder started at 0.1 (grown to 0.2 and 0.4,
-    # then capped at the 0.3 left) reach the same polished fixed point
+    # then capped at the 0.3 left) reach the same polished fixed point; the
+    # polish before the ladder is made to fail, so that both ladders run
     g, w = _grid_noise(8, n=256, horizon=0.25)
     model = lq2_fbsde(LQ2Params(horizon=0.25), control=0.3)
+    _ladder_only_after_a_polish(monkeypatch)
     full, log_full = solve_continuation(model, g, w)
     short, log_short = solve_continuation(model, g, w, schedule=ContinuationSchedule(step=0.1))
     assert [length for _, length in _rungs(log_full)] == [1.0]
     assert [length for _, length in _rungs(log_short)] == pytest.approx([0.1, 0.2, 0.4, 0.3])
-    assert all(isinstance(log[-1]["polish"], list) for log in (log_full, log_short))
+    for log in (log_full, log_short):
+        assert log[1] == {"alpha": 1.0, "polish": "rejected"}
+        assert isinstance(log[-1]["polish"], list)
     for name in ("x", "y", "z"):
         a, b = getattr(full, name), getattr(short, name)
         assert np.sqrt(np.mean((a - b) ** 2)) <= 1e-9
@@ -760,19 +779,23 @@ def test_continuation_route_does_not_change_the_answer():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("horizon, m, n", [(0.25, 8, 512), (1.0, 16, 256)])
-def test_handover_route_agrees_with_a_polish_after_the_tight_route(horizon, m, n, seed):
+def test_handover_route_agrees_with_a_polish_after_the_tight_route(
+        monkeypatch, horizon, m, n, seed):
     # with a polish to follow, the rung stops at the hand-over tolerance;
     # the polish lands where it lands from the rung run to picard_tol, in
-    # as many sweeps (measured: at most 1.2e-9 triple RMS apart)
+    # as many sweeps (measured: at most 1.2e-9 triple RMS apart).  The
+    # polish before the ladder is made to fail, so that the ladder runs.
     g, w = _grid_noise(m, n=n, seed=seed, horizon=horizon)
     model = lq2_fbsde(LQ2Params(horizon=horizon), control=0.3)
     sched = ContinuationSchedule()
+    _ladder_only_after_a_polish(monkeypatch)
     sol, log = solve_continuation(model, g, w, schedule=sched)
     tight, tight_log = solve_continuation(model, g, w, schedule=replace(sched, polish_max_iter=0))
     ref, polish = solve_picard(model, g, w, tol=sched.inner_tol, max_iter=sched.polish_max_iter,
                                initial_guess=tight, accel_memory=sched.accel_memory)
-    assert sched.picard_tol < log[1]["changes"][-1] <= _HANDOVER_TOL
-    assert len(log[1]["changes"]) < len(tight_log[1]["changes"])
+    assert log[1] == {"alpha": 1.0, "polish": "rejected"}
+    assert sched.picard_tol < log[2]["changes"][-1] <= _HANDOVER_TOL
+    assert len(log[2]["changes"]) < len(tight_log[1]["changes"])
     assert len(log[-1]["polish"]) == len(polish)
     assert _triple_rms(sol, ref) <= 5e-9
 
@@ -788,9 +811,10 @@ def test_rejected_polish_reruns_the_blend_one_rung_to_picard_tol():
     g, w = _grid_noise(16, n=256, seed=0, horizon=8.0)
     sched = ContinuationSchedule(step=0.5)
     sol, log = solve_continuation(model, g, w, schedule=sched)
-    assert [rec["alpha"] for rec in log] == [0.0, 0.5, 1.0, 1.0]
-    assert log[-1] == {"alpha": 1.0, "polish": "rejected"}
-    half, full = log[1], log[2]
+    assert [rec["alpha"] for rec in log] == [0.0, 1.0, 0.5, 1.0, 1.0]
+    # the polish from the seed and the one after the ladder are rejected
+    assert log[1] == log[-1] == {"alpha": 1.0, "polish": "rejected"}
+    half, full = log[2], log[3]
     assert sched.picard_tol < half["changes"][-1] <= _HANDOVER_TOL
     assert sched.picard_tol < full["handover"][-1] <= _HANDOVER_TOL
     assert full["changes"][-1] <= sched.picard_tol
@@ -805,13 +829,7 @@ def test_failed_rerun_after_a_rejected_polish_is_a_typed_continuation_error():
     # rejected, and the re-run to picard_tol fails; the error names blend 1
     # and chains the rung's own error
     g, w = _grid_noise(8, n=32)
-    bad = CoupledModel(
-        drift=lambda t, law, own: -law.y - own.y,
-        diffusion=lambda t, law, own: -law.z - own.z,
-        driver=lambda t, law, own: -3.0 * (law.x + own.x),
-        terminal_map=lambda xT: -xT,
-        initial=0.5,
-    )
+    bad = _nonmonotone_model()
     with pytest.raises(NonConvergenceError) as err:
         solve_continuation(bad, g, w)
     assert "continuation failed at blend 1.000" in str(err.value)
@@ -824,11 +842,70 @@ def test_failed_rerun_after_a_rejected_polish_is_a_typed_continuation_error():
     assert isinstance(err.value.last, SolutionTriple)
 
 
-def test_polished_continuation_solves_a_model_whose_rung_stalls_at_picard_tol():
+def test_continuation_failures_carry_the_failed_rung_reason(monkeypatch):
+    # the final error says why the rung that ended the run stopped, as its
+    # __cause__ does, and each halving record says why its rung failed
+    g, w = _grid_noise(8, n=32)
+    for sched, reason in ((ContinuationSchedule(), "stalled"),
+                          (ContinuationSchedule(step=0.5, picard_max_iter=8, max_halvings=2),
+                           "budget")):
+        with pytest.raises(NonConvergenceError) as err:
+            solve_continuation(_nonmonotone_model(), g, w, schedule=sched)
+        assert err.value.reason == err.value.__cause__.reason == reason
+    g, w = _grid_noise(8, n=256)
+    sched = ContinuationSchedule(polish_max_iter=0)
+    _, log = solve_continuation(_stiff_drift_model(), g, w, schedule=sched, guard=0.34)
+    assert [rec["reason"] for rec in log if "halved_to" in rec] == ["guard"] * 4
+    with pytest.raises(NonConvergenceError) as err:
+        solve_continuation(_stiff_drift_model(), g, w, schedule=replace(sched, max_halvings=2),
+                           guard=0.34)
+    assert err.value.reason == "guard" and isinstance(err.value.__cause__, DivergenceError)
+    g, w = _grid_noise(16, n=256)
+    budget = ContinuationSchedule(picard_max_iter=8, polish_max_iter=0)
+    _, log = solve_continuation(_scaled_model(), g, w, schedule=budget)
+    assert [rec["reason"] for rec in log if "halved_to" in rec] == ["budget"] * 2
+
+    def failed_regression(*args, **kwargs):
+        raise RegressionError("ill-conditioned", condition_number=np.inf)
+
+    monkeypatch.setattr(fbsde_solver, "_seed_iteration", failed_regression)
+    with pytest.raises(NonConvergenceError) as err:
+        solve_continuation(_scaled_model(), g, w, schedule=replace(budget, max_halvings=0))
+    assert err.value.reason == "regression"
+
+
+def test_first_polish_is_logged_and_hands_a_failure_to_the_ladder():
+    # accepted from the seed, the polish is the whole solve; from a warm
+    # start, no seed is solved either.  A warm start whose polish leaves the
+    # guard at once is rejected, and the ladder climbs from the seed.
+    g, w = _grid_noise(8, n=256, horizon=0.25)
+    model = lq2_fbsde(LQ2Params(horizon=0.25), control=0.3)
+    sched = ContinuationSchedule()
+    sol, log = solve_continuation(model, g, w, schedule=sched)
+    assert log[0] == {"alpha": 0.0, "seed": True}
+    [polish] = log[1:]
+    assert polish["alpha"] == 1.0 and polish["polish"][-1] <= sched.inner_tol
+    again, log = solve_continuation(model, g, w, schedule=sched, warm=sol)
+    [polish] = log
+    assert polish["alpha"] == 1.0 and polish["polish"][-1] <= sched.inner_tol
+    far = replace(sol, y=sol.y + 1e14)
+    _, log = solve_continuation(model, g, w, schedule=sched, warm=far)
+    assert log[:2] == [{"alpha": 1.0, "polish": "rejected"}, {"alpha": 0.0, "seed": True}]
+    assert [rec["alpha"] for rec in log[2:]] == [1.0, 1.0]
+    assert "changes" in log[2] and isinstance(log[3]["polish"], list)
+    # without a polish the warm start is unused: the polish-off route, bit for bit
+    off = replace(sched, polish_max_iter=0)
+    cold, cold_log = solve_continuation(model, g, w, schedule=off)
+    warm, warm_log = solve_continuation(model, g, w, schedule=off, warm=far)
+    assert warm_log == cold_log and _triple_rms(warm, cold) == 0.0
+
+
+def test_polished_continuation_solves_a_model_whose_rung_stalls_at_picard_tol(monkeypatch):
     # the canonical pair pushed by a drift of 4: a rung run to picard_tol
     # stalls at its regression-noise floor (1.4e-8 to 1.7e-8 against 1e-8)
     # and the ladder fails; stopped at the hand-over tolerance, the rung
     # hands its answer to the polish, which converges
+    _ladder_only_after_a_polish(monkeypatch)
     pushed = CoupledModel(
         drift=lambda t, law, own: 4.0 - law.y - own.y,
         diffusion=lambda t, law, own: -law.z - own.z,
@@ -839,6 +916,7 @@ def test_polished_continuation_solves_a_model_whose_rung_stalls_at_picard_tol():
     g, w = _grid_noise(16, n=64)
     sol, log = solve_continuation(pushed, g, w)
     assert isinstance(log[-1]["polish"], list)
+    assert "changes" in log[-2]
     assert not any("halved_to" in rec for rec in log)
     rep = residual(pushed, sol, g, w)
     assert rep.forward <= 1e-6 and rep.terminal <= 1e-12

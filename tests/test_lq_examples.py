@@ -51,6 +51,7 @@ from mfcontrol.smp_control import (
 
 from oracles import (
     cold_candidate_fixed_point,
+    first_polish_fails,
     linear_mf_fbsde,
     linear_seed_mean_oracle,
     lq1_riccati_cost,
@@ -761,24 +762,22 @@ def test_deviation_check_accepts_candidate_rejects_offset():
 
 
 def test_deviation_check_falls_back_to_continuation_on_regression_error(monkeypatch):
-    # the decoupling pass fails with a RegressionError, from the seed for
-    # the base state and from it for each deviation: the continuation must
-    # take over, as it does for non-convergence and divergence, and every
-    # pass uses the schedule's memory
+    # the first polish fails with a RegressionError, from the seed for the
+    # base state and from it for each deviation: the ladder must take over,
+    # as it does for non-convergence and divergence, and every polish uses
+    # the schedule's memory
     grid, noise = _grid_noise(4, 256, horizon=0.25, seed=3)
     model = lq2_model(LQ2Params())
     schedule = ContinuationSchedule(accel_memory=3)
-    seen = []
-
-    def failing_picard(*args, **kwargs):
-        seen.append(kwargs["accel_memory"])
-        raise RegressionError("ill-conditioned", condition_number=np.inf)
-
-    monkeypatch.setattr(smp_control, "solve_picard", failing_picard)
+    fails = RegressionError("ill-conditioned", condition_number=np.inf)
+    calls = []
+    monkeypatch.setattr(fbsde_solver, "solve_picard", first_polish_fails(fails, calls))
     rep = deviation_check(
         model, 0.1, grid, noise, n_deviations=2, schedule=schedule
     )
-    assert seen == [3, 3, 3]  # the base state, then the two deviations
+    # the base state, then the two deviations: each a failed polish and the
+    # one after the ladder
+    assert [kw["accel_memory"] for kw in calls] == [3] * 6
     assert len(rep.records) == 2
     assert np.isfinite(rep.worst_margin)
 
@@ -928,8 +927,8 @@ def test_verify_example_lq2_reuses_the_candidate_solutions(monkeypatch):
     # the candidate loop solves cold only in its first iteration (state and
     # adjoint, each polished from one linear seed); every later stage reuses
     # or warm-starts from its solutions, and no polish fails over to the
-    # continuation
-    seeds, continuations = [], []
+    # ladder
+    seeds, rungs = [], []
 
     def counting(solver, calls):
         def count(*args, **kwargs):
@@ -940,8 +939,8 @@ def test_verify_example_lq2_reuses_the_candidate_solutions(monkeypatch):
 
     monkeypatch.setattr(fbsde_solver, "solve_linear_seed",
                         counting(fbsde_solver.solve_linear_seed, seeds))
-    monkeypatch.setattr(smp_control, "solve_continuation",
-                        counting(smp_control.solve_continuation, continuations))
+    monkeypatch.setattr(fbsde_solver, "_seed_iteration",
+                        counting(fbsde_solver._seed_iteration, rungs))
     report = verify_example(
         2,
         params=replace(LQ2Params(), horizon=0.25),
@@ -951,7 +950,7 @@ def test_verify_example_lq2_reuses_the_candidate_solutions(monkeypatch):
         ),
     )
     assert report.passed
-    assert len(seeds) == 2 and len(continuations) == 0
+    assert len(seeds) == 2 and len(rungs) == 0
 
 
 def test_verify_example_lq2_sign_violation_fails_at_hypothesis():

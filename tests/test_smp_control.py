@@ -59,7 +59,13 @@ from mfcontrol.smp_control import (
     variational_inequality_residual,
 )
 
-from oracles import array_slopes, directional_fd, sequential_adjoint, sequential_variational
+from oracles import (
+    array_slopes,
+    directional_fd,
+    first_polish_fails,
+    sequential_adjoint,
+    sequential_variational,
+)
 
 
 def _grid_noise(m=16, n=256, horizon=1.0, seed=7):
@@ -301,7 +307,6 @@ def test_adjoint_boundary_identities_decoupled():
     u = as_control(0.1, grid, noise.particles)
     state = solve_state(model, u, grid, noise)
     adj = solve_adjoint(model, u, state, grid, noise)
-    assert adj.warning is None
     assert np.allclose(adj.Q[0], -state.y[0], atol=1e-14)
     m = grid.steps
     expected_pm = state.x[m] - 0.0 * adj.Q[m]
@@ -319,40 +324,15 @@ def test_adjoint_zero_costs_zero_multipliers():
     assert np.allclose(adj.Q, 0.0, atol=1e-12)
 
 
-def test_coupled_adjoint_boundaries_and_certification():
+def test_coupled_adjoint_boundaries():
     grid, noise = _grid_noise(m=8, n=256, horizon=0.5, seed=3)
     model = _coupled_canonical()
     u = as_control(0.2, grid, noise.particles)
     state = solve_state(model, u, grid, noise)
-    adj = solve_adjoint(model, u, state, grid, noise, certify=True)
-    assert adj.warning is None
+    adj = solve_adjoint(model, u, state, grid, noise)
     assert np.allclose(adj.Q[0], -state.y[0], atol=1e-12)
     m = grid.steps
     assert np.allclose(adj.p[m], state.x[m] - adj.Q[m], atol=1e-10)
-
-
-def test_certification_warns_on_nonmonotone_adjoint():
-    grid, noise = _grid_noise(m=8, n=64, horizon=0.25)
-    # wrong-sign driver: the assembled adjoint violates mirrored
-    # monotonicity regardless of the (zero) trajectory
-    model = ControlModel(
-        drift=_zeros,
-        diffusion=_const(0.3),
-        driver=lambda t, law, own: -own.x,
-        terminal_map=lambda x: x,
-        running_cost=_zeros,
-        terminal_cost=lambda x: np.zeros_like(x),
-        initial_cost=lambda y: np.zeros_like(y),
-        partials={"driver": {"x": _const(-1.0)}},
-        terminal_slope=lambda x: np.ones_like(x),
-        terminal_cost_slope=lambda x: np.zeros_like(x),
-        initial_cost_slope=lambda y: np.zeros_like(y),
-        coupled=True,
-    )
-    zeros = np.zeros((grid.steps + 1, noise.particles))
-    state = SolutionTriple(x=zeros, y=zeros, z=zeros)
-    adj = solve_adjoint(model, 0.0, state, grid, noise, certify=True)
-    assert adj.warning is not None and "monotonicity" in adj.warning
 
 
 def test_coupled_and_decoupled_adjoints_agree():
@@ -685,17 +665,6 @@ def _recording(solver, outputs):
     return record
 
 
-def _failing(error, starts):
-    """A ``solve_picard`` that raises ``error``, each start appended to
-    ``starts``."""
-
-    def fail(*args, **kwargs):
-        starts.append(kwargs["initial_guess"])
-        raise error
-
-    return fail
-
-
 _RETRYABLE_ERRORS = [
     NonConvergenceError("no contraction", history=[1.0]),
     DivergenceError(3, 0, 1e13, 1e12),
@@ -711,7 +680,9 @@ def test_warm_coupled_solves_agree_with_cold(monkeypatch):
     # RMS (state) and 3.2e-8 RMS (adjoint), while the 0.05 control step
     # moves them by ~2.6e-3 and ~4.5e-3.
     grid, noise, model, (state0, adj0), (state1, adj1) = _lq2_pair()
-    monkeypatch.setattr(smp_control, "solve_continuation", _must_not_run)
+    # the warm polish converges: no seed is solved and no rung climbed
+    monkeypatch.setattr(fbsde_solver, "solve_linear_seed", _must_not_run)
+    monkeypatch.setattr(fbsde_solver, "_seed_iteration", _must_not_run)
     state = solve_state(model, 0.35, grid, noise, warm=state0)
     adj = solve_adjoint(model, 0.35, state1, grid, noise, warm=adj0)
     for warm, cold in ((state.x, state1.x), (state.y, state1.y), (state.z, state1.z)):
@@ -723,19 +694,22 @@ def test_warm_coupled_solves_agree_with_cold(monkeypatch):
 
 @pytest.mark.parametrize("error", _RETRYABLE_ERRORS, ids=_RETRYABLE_IDS)
 def test_failed_warm_start_falls_back_to_cold_continuation(monkeypatch, error):
-    # the fallback is solve_continuation (with its own polish), bit for bit:
-    # the state against a direct call, the adjoint against what it returned
+    # the fallback is the cold ladder and its polish, bit for bit: the state
+    # against a direct cold call whose first polish fails too, the adjoint
+    # against what its continuation returned
     grid, noise, model, (state0, adj0), (state1, _) = _lq2_pair()
     calls, outputs = [], []
-    monkeypatch.setattr(smp_control, "solve_picard", _failing(error, calls))
+    monkeypatch.setattr(fbsde_solver, "solve_picard", first_polish_fails(error, calls))
     monkeypatch.setattr(smp_control, "solve_continuation",
                         _recording(solve_continuation, outputs))
     state = solve_state(model, 0.35, grid, noise, warm=state0)
     adj = solve_adjoint(model, 0.35, state1, grid, noise, warm=adj0)
-    assert len(calls) == 2 and calls[0] is state0  # the adjoint's is built from adj0
+    # the failed warm polishes, each followed by the polish after the ladder;
+    # the adjoint's warm start is built from adj0
+    assert len(calls) == 4 and calls[0]["initial_guess"] is state0
     u = as_control(0.35, grid, noise.particles)
     cold, _ = solve_continuation(model, grid, noise, control=u)
-    assert len(outputs) == 2
+    assert len(calls) == 6 and len(outputs) == 2
     for got, want in ((state.x, cold.x), (state.y, cold.y), (state.z, cold.z),
                       (adj.p, outputs[1].y), (adj.q, outputs[1].z), (adj.Q, -outputs[1].x)):
         assert np.array_equal(got, want)
@@ -751,8 +725,8 @@ def test_cold_coupled_solves_polish_from_the_seed(monkeypatch):
     grid, noise = _grid_noise(m=8, n=256, horizon=0.25, seed=3)
     model = lq2_model(LQ2Params(horizon=0.25))
     fails = NonConvergenceError("no contraction", history=[1.0])
-    monkeypatch.setattr(smp_control, "solve_picard", _failing(fails, []))
-    ref = solve_state(model, 0.35, grid, noise)  # by the continuation and its polish
+    monkeypatch.setattr(fbsde_solver, "solve_picard", first_polish_fails(fails, []))
+    ref = solve_state(model, 0.35, grid, noise)  # by the ladder and the polish after it
     ref_adj = solve_adjoint(model, 0.35, ref, grid, noise)
     starts = []
 
@@ -760,8 +734,8 @@ def test_cold_coupled_solves_polish_from_the_seed(monkeypatch):
         starts.append(kwargs["initial_guess"])
         return solve_picard(*args, **kwargs)
 
-    monkeypatch.setattr(smp_control, "solve_picard", seeded_picard)
-    monkeypatch.setattr(smp_control, "solve_continuation", _must_not_run)
+    monkeypatch.setattr(fbsde_solver, "solve_picard", seeded_picard)
+    monkeypatch.setattr(fbsde_solver, "_seed_iteration", _must_not_run)
     state = solve_state(model, 0.35, grid, noise)
     adj = solve_adjoint(model, 0.35, ref, grid, noise)
     seed, _ = solve_linear_seed(LinearInhomogeneity(), grid, noise, x0=model.initial)
@@ -783,17 +757,64 @@ def test_failed_seed_polish_falls_back_to_the_continuation(monkeypatch, error):
     grid, noise = _grid_noise(m=8, n=256, horizon=0.25, seed=3)
     model = lq2_model(LQ2Params(horizon=0.25))
     calls, outputs = [], []
-    monkeypatch.setattr(smp_control, "solve_picard", _failing(error, calls))
+    monkeypatch.setattr(fbsde_solver, "solve_picard", first_polish_fails(error, calls))
     monkeypatch.setattr(smp_control, "solve_continuation",
                         _recording(solve_continuation, outputs))
     state = solve_state(model, 0.35, grid, noise)
     adj = solve_adjoint(model, 0.35, state, grid, noise)
-    assert len(calls) == 2 and len(outputs) == 2
+    assert len(calls) == 4 and len(outputs) == 2
     u = as_control(0.35, grid, noise.particles)
-    cold, _ = solve_continuation(model, grid, noise, control=u)
+    cold, _ = solve_continuation(model, grid, noise, control=u)  # its first polish fails too
     for got, want in ((state.x, cold.x), (state.y, cold.y), (state.z, cold.z),
                       (adj.p, outputs[1].y), (adj.q, outputs[1].z), (adj.Q, -outputs[1].x)):
         assert np.array_equal(got, want)
+
+
+def _counting_seeds(monkeypatch):
+    """Count the source-free ``solve_linear_seed`` calls, the seeds (a
+    rung's calls carry its blend sources)."""
+    seeds = []
+
+    def seed(inhom, *args, **kwargs):
+        if all(src is None for src in vars(inhom).values()):
+            seeds.append(1)
+        return solve_linear_seed(inhom, *args, **kwargs)
+
+    monkeypatch.setattr(fbsde_solver, "solve_linear_seed", seed)
+    return seeds
+
+
+def test_failed_warm_polish_climbs_the_ladder_from_one_seed(monkeypatch):
+    # a warm start far from the answer: its polish leaves the guard at the
+    # first sweep, so the solve climbs the ladder from the seed, with no
+    # polish from the seed in between, and polishes the ladder's answer
+    grid, noise, model, (state0, _), _ = _lq2_pair()
+    far = replace(state0, y=state0.y + 1e14)
+    starts, rungs = [], []
+
+    def recording_picard(*args, **kwargs):
+        starts.append(kwargs["initial_guess"])
+        return solve_picard(*args, **kwargs)
+
+    def counting_rung(*args, **kwargs):
+        rungs.append(kwargs["weight"])
+        return seed_iteration(*args, **kwargs)
+
+    seed_iteration = fbsde_solver._seed_iteration
+    monkeypatch.setattr(fbsde_solver, "solve_picard", recording_picard)
+    monkeypatch.setattr(fbsde_solver, "_seed_iteration", counting_rung)
+    seeds = _counting_seeds(monkeypatch)
+    state = solve_state(model, 0.35, grid, noise, warm=far)
+    assert len(starts) == 2 and starts[0] is far
+    assert len(seeds) == 1 and rungs == [1.0]
+    seed, _ = solve_linear_seed(LinearInhomogeneity(), grid, noise, x0=model.initial)
+    assert not np.array_equal(starts[1].y, seed.y)  # the ladder's answer
+    # where a cold solve whose polish from the seed fails lands, bit for bit
+    fails = NonConvergenceError("no contraction", history=[1.0])
+    monkeypatch.setattr(fbsde_solver, "solve_picard", first_polish_fails(fails, []))
+    cold = solve_state(model, 0.35, grid, noise)
+    for a, b in ((state.x, cold.x), (state.y, cold.y), (state.z, cold.z)):
+        assert np.array_equal(a, b)
 
 
 def test_cold_solve_without_polish_is_the_continuation(monkeypatch):
@@ -805,7 +826,7 @@ def test_cold_solve_without_polish_is_the_continuation(monkeypatch):
     u = as_control(0.35, grid, noise.particles)
     want, log = solve_continuation(model, grid, noise, schedule=sched, control=u)
     assert "polish" not in log[-1]
-    monkeypatch.setattr(smp_control, "solve_picard", _must_not_run)
+    monkeypatch.setattr(fbsde_solver, "solve_picard", _must_not_run)
     state = solve_state(model, 0.35, grid, noise, schedule=sched)
     for got, ref in ((state.x, want.x), (state.y, want.y), (state.z, want.z)):
         assert np.array_equal(got, ref)
@@ -816,8 +837,8 @@ def test_cold_seed_outside_the_guard_fails_at_blend_zero(monkeypatch):
     # continuation's own seed is; neither solver runs after a breach
     grid, noise = _grid_noise(m=8, n=64, horizon=0.25, seed=3)
     model = replace(lq2_model(LQ2Params(horizon=0.25)), initial=2e12)
-    monkeypatch.setattr(smp_control, "solve_picard", _must_not_run)
-    monkeypatch.setattr(smp_control, "solve_continuation", _must_not_run)
+    monkeypatch.setattr(fbsde_solver, "solve_picard", _must_not_run)
+    monkeypatch.setattr(fbsde_solver, "_seed_iteration", _must_not_run)
     with pytest.raises(DivergenceError) as err:
         solve_state(model, 0.3, grid, noise)
     assert err.value.blend == 0.0 and err.value.step == 0 and err.value.value == 2e12
@@ -830,7 +851,7 @@ def test_warm_start_unused_without_polish(monkeypatch):
     sched = ContinuationSchedule(polish_max_iter=0)
     cold = solve_state(model, 0.35, grid, noise, schedule=sched)
     adj_cold = solve_adjoint(model, 0.35, cold, grid, noise, schedule=sched)
-    monkeypatch.setattr(smp_control, "solve_picard", _must_not_run)
+    monkeypatch.setattr(fbsde_solver, "solve_picard", _must_not_run)
     state = solve_state(model, 0.35, grid, noise, schedule=sched, warm=state0)
     adj = solve_adjoint(model, 0.35, cold, grid, noise, schedule=sched, warm=adj0)
     for a, b in ((state.x, cold.x), (state.y, cold.y), (state.z, cold.z),
@@ -859,7 +880,7 @@ def test_rejected_polish_returns_the_unpolished_solution(monkeypatch):
             stops.append((exc.reason, len(exc.history)))
             raise
 
-    monkeypatch.setattr(smp_control, "solve_picard", recording_picard)
+    monkeypatch.setattr(fbsde_solver, "solve_picard", recording_picard)
     logs = []
 
     def recording_continuation(*args, **kwargs):
@@ -870,6 +891,7 @@ def test_rejected_polish_returns_the_unpolished_solution(monkeypatch):
     monkeypatch.setattr(smp_control, "solve_continuation", recording_continuation)
     state = solve_state(lq2_model(params), 0.3, grid, noise)
     assert [log[-1] for log in logs] == [{"alpha": 1.0, "polish": "rejected"}]
+    assert logs[0][1] == {"alpha": 1.0, "polish": "rejected"}  # the polish from the seed
 
     frozen = lq2_fbsde(params, control=0.3)
     unpolished, log = solve_continuation(
@@ -878,8 +900,10 @@ def test_rejected_polish_returns_the_unpolished_solution(monkeypatch):
     assert "polish" not in log[-1]
     for a, b in ((state.x, unpolished.x), (state.y, unpolished.y), (state.z, unpolished.z)):
         assert np.array_equal(a, b)
-    [(reason, sweeps)] = stops  # the polish from the seed
-    assert reason in ("stalled", "diverging") and sweeps < sched.polish_max_iter
+    # the polish from the seed, then the one after the ladder
+    for reason, sweeps in stops:
+        assert reason in ("stalled", "diverging") and sweeps < sched.polish_max_iter
+    assert len(stops) == 2
     with pytest.raises(NonConvergenceError) as err:
         solve_picard(frozen, grid, noise, tol=sched.inner_tol, max_iter=sched.polish_max_iter,
                      initial_guess=unpolished, accel_memory=sched.accel_memory)
@@ -890,6 +914,28 @@ def test_rejected_polish_returns_the_unpolished_solution(monkeypatch):
     assert history[-1] > fbsde_solver._GROWTH * history[0] >= max(history[2:-1])
     report = residual(frozen, state, grid, noise)
     assert report.forward <= 1e-7 and report.terminal == 0.0
+
+
+def test_cold_fallback_solves_the_seed_once(monkeypatch):
+    # the model of test_rejected_polish_returns_the_unpolished_solution: the
+    # polish from the seed fails and the ladder starts from that same seed
+    params = replace(LQ2Params(horizon=8.0), drift_y=-0.6, drift_mean_y=-0.6,
+                     cross=0.9, cross_mean=0.9)
+    grid, noise = _grid_noise(m=16, n=256, horizon=8.0, seed=0)
+    seeds = _counting_seeds(monkeypatch)
+    logs = []
+
+    def recording_continuation(*args, **kwargs):
+        sol, log = solve_continuation(*args, **kwargs)
+        logs.append(log)
+        return sol, log
+
+    monkeypatch.setattr(smp_control, "solve_continuation", recording_continuation)
+    solve_state(lq2_model(params), 0.3, grid, noise)
+    assert len(seeds) == 1
+    [log] = logs
+    assert log[:2] == [{"alpha": 0.0, "seed": True}, {"alpha": 1.0, "polish": "rejected"}]
+    assert "changes" in log[2]
 
 
 def test_slow_polish_after_the_continuation_is_not_cut(monkeypatch):
