@@ -105,6 +105,11 @@ _RETRYABLE = (NonConvergenceError, DivergenceError, RegressionError)
 #: at 1e-5 (the tests, LQ2 benchmark seeds 0-9, verify_example(1) and (2)).
 _HANDOVER_TOL = 1e-4
 
+#: tolerance of the polish, the accelerated decoupling iteration at full
+#: blend.  It sits above the decoupling map's change floor, around 1e-7 at
+#: desk scales (see :func:`solve_continuation`)
+_POLISH_TOL = 1e-6
+
 #: a fixed point whose change has set no new best in this many sweeps in a
 #: row has stalled.  Anderson-mixed changes do not fall monotonically: the
 #: polish of a long-horizon LQ2 state can climb above its first change for
@@ -459,15 +464,14 @@ class ContinuationSchedule:
     for the next one (checkpoints hit 1 exactly).  ``max_halvings`` sets the
     minimum step ``step * 2**-max_halvings``: the run fails once a halving
     would go below it, so halving again after a growth spends nothing.
-    ``inner_tol`` is the tolerance of the polish, the accelerated
-    decoupling iteration at full blend, and ``polish_max_iter`` caps its
-    sweeps (0 disables it).
+    ``polish_max_iter`` caps the sweeps of the polish, the accelerated
+    decoupling iteration at full blend, which runs to the fixed tolerance
+    ``_POLISH_TOL`` = 1e-6; 0 disables it.
     Caps, halvings and memory are integers; tolerances are finite and
     positive.
     """
 
     step: float = 1.0
-    inner_tol: float = 1e-6
     max_halvings: int = 8
     picard_tol: float = 1e-8
     picard_max_iter: int = 120
@@ -476,8 +480,7 @@ class ContinuationSchedule:
 
     def __post_init__(self):
         _check_fraction("continuation step", self.step)
-        for name in ("inner_tol", "picard_tol"):
-            _check_tol(name, getattr(self, name))
+        _check_tol("picard_tol", self.picard_tol)
         for name, low in (("picard_max_iter", 1), ("max_halvings", 0),
                           ("accel_memory", 0), ("polish_max_iter", 0)):
             _check_cap(name, getattr(self, name), low)
@@ -581,12 +584,12 @@ def solve_continuation(
 
     1. The polish: the Anderson-accelerated decoupling iteration
        (:func:`solve_picard` with the schedule's ``accel_memory``, run to
-       ``inner_tol`` within ``polish_max_iter`` sweeps), from ``warm``, or
-       on a cold solve (``warm=None``) from the seed, the constructive
-       linear seed of the canonical pair (blend 0, no sources) from
-       ``model.initial``.  Every start lands on the same discrete fixed
-       point, to ``inner_tol``, so where this polish converges its answer
-       is returned.
+       ``_POLISH_TOL`` = 1e-6 within ``polish_max_iter`` sweeps), from
+       ``warm``, or on a cold solve (``warm=None``) from the seed, the
+       constructive linear seed of the canonical pair (blend 0, no
+       sources) from ``model.initial``.  Every start lands on the same
+       discrete fixed point, to ``_POLISH_TOL``, so where this polish
+       converges its answer is returned.
     2. Only where that polish fails (it does not converge, leaves the
        guard, or a regression fails) does the ladder below climb from the
        seed to blend 1.  The seed is solved at most once per call: a cold
@@ -632,7 +635,7 @@ def solve_continuation(
 
     Without the Anderson acceleration the plain decoupling map's slow modes
     at longer horizons would stall the polish inside its budget.  The
-    polish deliberately does not chase tolerances below ``inner_tol``: the
+    polish deliberately does not chase tolerances below ``_POLISH_TOL``: the
     decoupling map's regression noise modes carry a weak feedback
     instability, so it has a resolution-dependent change floor (around
     1e-7 at desk scales) below which sweeps no longer contract.
@@ -686,7 +689,7 @@ def solve_continuation(
         is rejected, with its arrays let go."""
         try:
             sol, changes = solve_picard(
-                model, grid, noise, tol=sched.inner_tol, max_iter=sched.polish_max_iter,
+                model, grid, noise, tol=_POLISH_TOL, max_iter=sched.polish_max_iter,
                 initial_guess=start, accel_memory=sched.accel_memory, control=control,
                 guard=guard, conditioning=conditioning,
             )

@@ -42,6 +42,7 @@ from mfcontrol.fbsde_solver import SolutionTriple
 from mfcontrol.smp_control import (
     _COEF_KEYS,
     _NUMERICAL_ZERO,
+    _PROFILE_RADIUS,
     _RESOLUTION_SES,
     ControlModel,
     _check_partials,
@@ -248,7 +249,8 @@ def best_response(
     the paired Monte Carlo resolution (two consecutive rejected trials,
     or two consecutive accepted steps, whose paired change is within
     three standard errors of zero), so near the equilibrium a response
-    costs a few state solves instead of a search down to ``min_eta``.
+    costs a few state solves instead of a search down to the descent's
+    minimum step.
     ``state`` is the shared state at ``controls`` when the caller has it
     (the descent solves it otherwise).  Returns ``(control, history)`` as
     the descent does; a zero own-control gradient returns the starting
@@ -272,7 +274,7 @@ def deviation_test(
     grid: TimeGrid,
     noise: BrownianPaths,
     n_deviations: int = 50,
-    radius: float = 0.5,
+    radius: float = _PROFILE_RADIUS,
     seed: int = 0,
     state: Optional[SolutionTriple] = None,
 ) -> dict:
@@ -299,16 +301,15 @@ def deviation_test(
     base_state = _state_at(*reductions[1], grid, noise, state)
     players = {}
     for i, (model, own) in reductions.items():
-        records = _paired_deviations(
+        report = _paired_deviations(
             model, own, base_state, grid, noise, rng, n_deviations, radius
         )
-        worst = min(records, key=lambda rec: rec["margin"])
         players[i] = {
-            "min_cost_change": min(rec["cost_delta"] for rec in records),
-            "worst_margin": float(worst["margin"]),
-            "worst_index": worst["index"],
+            "min_cost_change": min(rec["cost_delta"] for rec in report.records),
+            "worst_margin": report.worst_margin,
+            "worst_index": report.worst_index,
             "n_deviations": n_deviations,
-            "passed": bool(worst["margin"] >= 0.0),
+            "passed": report.passed,
         }
     return {
         "passed": bool(players[1]["passed"] and players[2]["passed"]),
@@ -393,10 +394,9 @@ def nash_iterate(
     damping: float = 0.5,
     br_steps: int = 10,
     n_trials: int = 16,
-    trial_radius: float = 0.5,
+    trial_radius: float = _PROFILE_RADIUS,
     n_deviations: int = 50,
     seed: int = 0,
-    atol: float = _NUMERICAL_ZERO,
 ) -> NashResult:
     """Search for an equilibrium pair by damped simultaneous best
     responses, then certify or report why not.
@@ -411,9 +411,10 @@ def nash_iterate(
     sampled pairing <grad_i, v - u_i> over ``n_trials`` admissible profile
     perturbations -- is compared against that player's Monte Carlo
     tolerance of three standard errors of their cost estimate plus the
-    numerical-zero floor ``atol`` (a player whose cost estimate carries
-    no sampling noise, e.g. pure deterministic tracking, would otherwise
-    face a zero tolerance against the descent's truncation residual).
+    numerical-zero floor ``_NUMERICAL_ZERO`` = 1e-6 (a player whose cost
+    estimate carries no sampling noise, e.g. pure deterministic tracking,
+    would otherwise face a zero tolerance against the descent's truncation
+    residual).
     Once both residuals clear, the unilateral :func:`deviation_test`
     runs as the second, sharper certificate (paired sampling cancels
     most of the common-noise cost variance, so its error bars are much
@@ -452,7 +453,7 @@ def nash_iterate(
                   for _ in range(n_trials))
         res = variational_inequality_residual(model, own, trials, grid, noise, state=state)
         _, se = _mean_se(_per_particle_cost(model, own, state, grid))
-        eps = _RESOLUTION_SES * se + atol
+        eps = _RESOLUTION_SES * se + _NUMERICAL_ZERO
         return res, eps
 
     history: List[dict] = []

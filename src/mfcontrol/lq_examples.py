@@ -63,7 +63,7 @@ suite rather than in separate data files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -86,10 +86,12 @@ from mfcontrol.games import GameModel
 from mfcontrol.hypothesis_check import check_H4, check_H5, check_H6
 from mfcontrol.smp_control import (
     _NUMERICAL_ZERO,
+    _PROFILE_RADIUS,
     _RESOLUTION_SES,
     _YZ_SLOTS,
     AdjointTriple,
     ControlModel,
+    DeviationReport,
     _check_sampling,
     _mean_se,
     _paired_deviations,
@@ -708,24 +710,12 @@ def lq2_candidate(
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class DeviationReport:
-    """Outcome of paired cost-deviation sampling around a candidate."""
-
-    passed: bool
-    n_deviations: int
-    worst_margin: float
-    worst_index: int
-    records: List[dict] = field(repr=False, default_factory=list)
-
-
 def deviation_check(
     model: ControlModel,
     u,
     grid: TimeGrid,
     noise: BrownianPaths,
     n_deviations: int = 100,
-    radius: float = 0.5,
     seed: int = 0,
     schedule: Optional[ContinuationSchedule] = None,
     state: Optional[SolutionTriple] = None,
@@ -734,10 +724,10 @@ def deviation_check(
     the candidate beyond Monte Carlo resolution.
 
     Each deviation adds a random deterministic time profile (constant
-    plus one Fourier mode, amplitude up to ``radius``) to the candidate,
-    projects back onto the admissible set, re-solves the state (warm-started
-    from the candidate's state), and compares costs *particle by particle*
-    on the shared noise.  The deviation passes when
+    plus one Fourier mode, amplitude up to ``_PROFILE_RADIUS`` = 0.5) to
+    the candidate, projects back onto the admissible set, re-solves the
+    state (warm-started from the candidate's state), and compares costs
+    *particle by particle* on the shared noise.  The deviation passes when
 
         mean(cost_dev - cost_cand) + 3 * SE >= 0,
 
@@ -745,25 +735,15 @@ def deviation_check(
     paired standard errors.  The report records every margin; ``passed``
     requires all of them to clear.  ``state`` is the candidate's state
     solution when the caller has it, as [M+1, N] paths (solved cold
-    otherwise).  Raises
-    :class:`ConfigError` for ``n_deviations < 1`` or a ``radius`` that is
-    not finite and positive.
+    otherwise).  Raises :class:`ConfigError` for ``n_deviations < 1``.
     """
 
-    _check_sampling(n_deviations, radius)
+    _check_sampling(n_deviations)
     u = as_control(u, grid, noise.particles)
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x5EED_0DE))
     state = _state_at(model, u, grid, noise, state, schedule)
-    records = _paired_deviations(
-        model, u, state, grid, noise, rng, n_deviations, radius, schedule
-    )
-    worst = min(records, key=lambda rec: rec["margin"])
-    return DeviationReport(
-        passed=bool(worst["margin"] >= 0.0),
-        n_deviations=n_deviations,
-        worst_margin=float(worst["margin"]),
-        worst_index=worst["index"],
-        records=records,
+    return _paired_deviations(
+        model, u, state, grid, noise, rng, n_deviations, _PROFILE_RADIUS, schedule
     )
 
 
@@ -773,43 +753,41 @@ def variational_margin(
     grid: TimeGrid,
     noise: BrownianPaths,
     n_trials: int = 50,
-    radius: float = 0.5,
-    seed: int = 0,
-    atol: float = _NUMERICAL_ZERO,
 ) -> dict:
     """Variational-inequality margin with Monte Carlo error bars.
 
-    For random admissible trials v, the optimality condition requires
-    the pairing <gradient, v - u> to be nonnegative.  Each pairing is an
-    ensemble mean of per-particle values, so the test passes when
+    For random admissible trials v, profiles like the deviations of
+    :func:`deviation_check` (amplitude up to ``_PROFILE_RADIUS`` = 0.5)
+    drawn from one fixed stream, the optimality condition requires the
+    pairing <gradient, v - u> to be nonnegative.  Each pairing is an ensemble mean
+    of per-particle values, so the test passes when
 
-        pairing + 3 * SE >= -atol    for every trial.
+        pairing + 3 * SE >= -_NUMERICAL_ZERO    for every trial.
 
-    The absolute floor matters at interior optima: there the candidate
-    carries a deterministic truncation residual of order the fixed-point
-    tolerance, shared by every particle, so the paired standard error
-    collapses with it and ``+ 3 * SE`` alone cannot absorb it.  ``atol``
-    is the numerical zero separating that from a genuine descent
+    The absolute floor (1e-6) matters at interior optima: there the
+    candidate carries a deterministic truncation residual of order the
+    fixed-point tolerance, shared by every particle, so the paired
+    standard error collapses with it and ``+ 3 * SE`` alone cannot absorb
+    it.  The numerical zero separates that from a genuine descent
     direction.
 
     Returns a dict with the worst trial's ``residual``, its ``se``, the
     worst ``margin`` (residual + 3*SE), and ``passed``.  Raises
-    :class:`ConfigError` for ``n_trials < 1`` or a ``radius`` that is not
-    finite and positive.
+    :class:`ConfigError` for ``n_trials < 1``.
     """
 
-    _check_sampling(n_trials, radius)
+    _check_sampling(n_trials)
     u = as_control(u, grid, noise.particles)
     gradient = smp_gradient(model, u, grid, noise)
-    rng = np.random.Generator(np.random.Philox(key=seed ^ 0x5EED_01F))
+    rng = np.random.Generator(np.random.Philox(key=0x5EED_01F))
     worst = {"margin": np.inf}
     for i in range(n_trials):
-        v = _projected(model, u + _profile(grid, rng, radius))
+        v = _projected(model, u + _profile(grid, rng, _PROFILE_RADIUS))
         mean, se = _mean_se(grid.dt * np.sum(gradient * (v - u), axis=0))
         margin = mean + _RESOLUTION_SES * se
         if margin < worst["margin"]:
             worst = {"trial": i, "residual": mean, "se": se, "margin": margin}
-    worst["passed"] = bool(worst["margin"] >= -atol)
+    worst["passed"] = bool(worst["margin"] >= -_NUMERICAL_ZERO)
     worst["n_trials"] = n_trials
     return worst
 
@@ -894,7 +872,7 @@ def verify_example(
     4. ``sufficiency``: convexity spot checks plus pointwise Hamiltonian
        minimality (:func:`mfcontrol.smp_control.check_sufficiency`).
     5. ``deviations``: paired cost-deviation sampling
-       (:func:`deviation_check` at its default radius).
+       (:func:`deviation_check`).
     6. ``descent_recovery`` (decoupled example only): ``DESCENT_STEPS``
        of projected gradient descent from zero must land within
        ``DESCENT_RMS_TOL`` of the candidate in control RMS and within

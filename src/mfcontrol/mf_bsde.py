@@ -51,6 +51,7 @@ from mfcontrol.core import (
     _check_nonneg,
     _check_shape,
     _mean,
+    _shape_error,
     _value,
 )
 
@@ -182,21 +183,25 @@ def regress_conditional_expectation(
     finite and >= 0.
 
     ``targets`` may be [N] or [N, R] for several regressions sharing one
-    design matrix.  ``normal`` [B, B], if given, is the escalated matrix
-    F'F + lambda I already built for these features (as a sweep's regression
-    plan builds it); the fit then only forms F' targets and solves, with the
-    same result as without it.
+    design matrix, with N the number of feature rows; any other shape raises
+    :class:`ConfigError`.  ``normal`` [B, B], if given, is the escalated
+    matrix F'F + lambda I already built for these features (as a sweep's
+    regression plan builds it); the fit then only forms F' targets and
+    solves, with the same result as without it.
     """
     _check_nonneg("ridge", ridge)
     f = np.asarray(features, dtype=float)
     if f.ndim != 2:
         raise ConfigError(f"features must be 2-d, got shape {f.shape}")
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim not in (1, 2) or targets.shape[0] != f.shape[0]:
+        raise _shape_error("targets", targets.shape, f"[{f.shape[0]}] or [{f.shape[0]}, R]")
     if normal is None:
         normal = _ridge_escalated_normals(f.T @ f, ridge)
     else:
         _check_shape("normal", normal, (f.shape[1], f.shape[1]))
     try:
-        return np.linalg.solve(normal, f.T @ np.asarray(targets, dtype=float))
+        return np.linalg.solve(normal, f.T @ targets)
     except np.linalg.LinAlgError as exc:
         raise RegressionError(
             f"conditional-expectation regression failed: {exc}",

@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -118,6 +118,17 @@ _RESOLUTION_SES = 3.0
 
 #: the numerical zero under a sampled tolerance (a noise-free cost has SE 0)
 _NUMERICAL_ZERO = 1e-6
+
+#: the descent's Armijo constants (Nocedal & Wright 2006, *Numerical
+#: Optimization*, section 3.1): backtrack factor, sufficient-decrease slope
+#: factor, and the step below which a search has stagnated
+_SHRINK = 0.5
+_ARMIJO_SLOPE = 1e-4
+_MIN_ETA = 1e-12
+
+#: amplitude of the random deviation profiles (:func:`_profile`): the
+#: single-player certificates' radius and the game's default
+_PROFILE_RADIUS = 0.5
 
 
 def identity_projection(control: np.ndarray) -> np.ndarray:
@@ -750,10 +761,7 @@ def projected_gradient_descent(
     noise: BrownianPaths,
     steps: int = 20,
     eta0: float = 0.5,
-    shrink: float = 0.5,
-    slope: float = 1e-4,
     grad_tol: float = 0.0,
-    min_eta: float = 1e-12,
     schedule: Optional[ContinuationSchedule] = None,
     state: Optional[SolutionTriple] = None,
 ):
@@ -761,13 +769,14 @@ def projected_gradient_descent(
     backtracking, stopped at the cost's Monte Carlo resolution.
 
     Each iteration computes the gradient process, proposes
-    ``Project(u - eta * grad)``, and shrinks the step by ``shrink`` until
+    ``Project(u - eta * grad)``, and halves the step (``_SHRINK``) until
     the common-noise cost satisfies the sufficient-decrease test
-    ``J(candidate) <= J(u) - slope * <grad, u - candidate>``.  The first
+    ``J(candidate) <= J(u) - 1e-4 * <grad, u - candidate>``
+    (``_ARMIJO_SLOPE``; both are the textbook Armijo constants).  The first
     search starts at ``eta0``; every later one starts at the
     Barzilai-Borwein step ``<s, s> / <s, y>`` of the last accepted move,
     ``s = u_k - u_{k-1}`` and ``y = grad_k - grad_{k-1}`` in the
-    time-quadrature pairing, clamped to ``[min_eta, 2 * last step]``, and
+    time-quadrature pairing, clamped to ``[_MIN_ETA, 2 * last step]``, and
     at ``eta0`` again when ``<s, y> <= 0`` or the ratio is not finite
     (the spectral projected gradient: Barzilai & Borwein 1988, IMA J.
     Numer. Anal. 8; Birgin, Martinez & Raydan 2000, SIAM J. Optim. 10(4)).
@@ -800,7 +809,7 @@ def projected_gradient_descent(
     an exactly zero change is unresolved there.  The other statuses:
     ``"converged"`` when the projected-gradient residual clears
     ``grad_tol`` and ``"stagnated"`` when a search shrinks the step below
-    ``min_eta``; both end the run without raising.
+    ``_MIN_ETA`` = 1e-12; both end the run without raising.
 
     Parameters
     ----------
@@ -810,15 +819,13 @@ def projected_gradient_descent(
         Admissible starting control.
     steps : int
         Maximum iterations, an integer >= 1.
-    eta0, shrink, slope : float
-        Armijo parameters (first search's initial step, and the fallback
-        of the Barzilai-Borwein start; backtrack factor; slope factor).
+    eta0 : float
+        The first search's initial step, and the fallback of the
+        Barzilai-Borwein start.
     grad_tol : float
         Stop when the projected-gradient residual
         ``rms(u - Project(u - eta0 * grad))`` falls to this level
         (0 disables the test).
-    min_eta : float
-        Step-size underflow threshold.
     schedule : ContinuationSchedule, optional
         Coupled-route solver schedule of the state and adjoint solves.
     state : SolutionTriple, optional
@@ -830,10 +837,8 @@ def projected_gradient_descent(
     formed; its Armijo search reads only the control, the gradient and the
     per-particle costs.
 
-    The Armijo parameters must satisfy ``0 < shrink < 1``,
-    ``0 < min_eta <= eta0`` with ``eta0`` finite, and ``0 <= slope < 1``
-    (:class:`ConfigError` otherwise): any other choice can backtrack
-    forever, try no step, or accept a cost increase.
+    ``eta0`` must be finite and at least ``_MIN_ETA``
+    (:class:`ConfigError` otherwise): a smaller one tries no step.
 
     Returns
     -------
@@ -847,12 +852,8 @@ def projected_gradient_descent(
     u = as_control(u0, grid, noise.particles)
     _require_admissible(model, u)
     _check_cap("steps", steps, 1)
-    if not (0.0 < shrink < 1.0):
-        raise ConfigError(f"shrink must lie in (0, 1), got {shrink}")
-    if not (np.isfinite(eta0) and 0.0 < min_eta <= eta0):
-        raise ConfigError(f"need 0 < min_eta <= eta0 < inf, got min_eta={min_eta}, eta0={eta0}")
-    if not (0.0 <= slope < 1.0):
-        raise ConfigError(f"slope must lie in [0, 1), got {slope}")
+    if not (np.isfinite(eta0) and eta0 >= _MIN_ETA):
+        raise ConfigError(f"eta0 must be finite and >= {_MIN_ETA}, got {eta0}")
     state = _state_at(model, u, grid, noise, state, schedule)
     per = _per_particle_cost(model, u, state, grid)
     value = float(per.mean())
@@ -883,14 +884,14 @@ def projected_gradient_descent(
             history.append(record)
             break
         eta = eta0 if move is None else _bb_step(
-            grid, move[0], grad - move[1], move[2], eta0, min_eta
+            grid, move[0], grad - move[1], move[2], eta0, _MIN_ETA
         )
         backtracks = 0
         flat_trials = 0  # consecutive rejected trials with an unresolved change
         accepted = False
-        while eta >= min_eta:
+        while eta >= _MIN_ETA:
             candidate = _projected(model, u - eta * grad)
-            decrease = slope * _pairing(grid, grad, u - candidate)
+            decrease = _ARMIJO_SLOPE * _pairing(grid, grad, u - candidate)
             cand_state = solve_state(model, candidate, grid, noise, schedule=schedule, warm=state)
             cand_per = _per_particle_cost(model, candidate, cand_state, grid)
             cand_value = float(cand_per.mean())
@@ -904,7 +905,7 @@ def projected_gradient_descent(
             flat_trials = flat_trials + 1 if unresolved else 0
             if flat_trials == 2:
                 break
-            eta *= shrink
+            eta *= _SHRINK
         record.update(step=eta if accepted else 0.0, backtracks=backtracks)
         if not accepted:
             record["status"] = "resolved" if flat_trials == 2 else "stagnated"
@@ -978,7 +979,6 @@ def check_sufficiency(
     adjoint: Optional[AdjointTriple] = None,
     n_samples: int = 20_000,
     control_trials: int = 32,
-    radius: float = 10.0,
     slack: float = 1e-4,
     seed: int = 0,
 ) -> SufficiencyReport:
@@ -989,15 +989,16 @@ def check_sufficiency(
     (law, own, control) tuple at multiplier values sampled along the
     trajectory; then verifies pointwise Hamiltonian minimality of the
     candidate against projected random trial controls, with ``slack``
-    absorbing solver-tolerance suboptimality of the candidate.  It needs
-    integer ``n_samples`` and ``control_trials`` >= 1, a finite ``radius``
-    > 0 and a finite ``slack`` >= 0 (:class:`ConfigError` otherwise, before
-    any solve).
+    absorbing solver-tolerance suboptimality of the candidate.  The
+    convexity points and the trial controls are drawn uniformly on
+    [-10, 10] (the default :class:`UniformPairSampler`).  It needs integer
+    ``n_samples`` and ``control_trials`` >= 1 and a finite ``slack`` >= 0
+    (:class:`ConfigError` otherwise, before any solve).
     """
     _check_cap("n_samples", n_samples, 1)
     _check_cap("control_trials", control_trials, 1)
     _check_nonneg("slack", slack)
-    sampler = UniformPairSampler(radius=radius)
+    sampler = UniformPairSampler()
     u = as_control(u, grid, noise.particles)
     state = _state_at(model, u, grid, noise, state)
     adjoint = _adjoint_at(model, u, state, grid, noise, adjoint)
@@ -1122,12 +1123,24 @@ def _profile(grid: TimeGrid, rng: np.random.Generator, radius: float):
     return radius * prof[:, None]
 
 
-def _check_sampling(n: int, radius: float) -> None:
-    """A certificate needs at least one sample (an integer count) at a
-    positive finite radius."""
+def _check_sampling(n: int, radius: Optional[float] = None) -> None:
+    """A certificate needs at least one sample (an integer count) and, when
+    its caller sets one, a positive finite radius."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ConfigError(f"need at least one sampled perturbation (an integer), got {n!r}")
-    _check_tol("perturbation radius", radius)
+    if radius is not None:
+        _check_tol("perturbation radius", radius)
+
+
+@dataclass(frozen=True)
+class DeviationReport:
+    """Outcome of paired cost-deviation sampling around a candidate."""
+
+    passed: bool
+    n_deviations: int
+    worst_margin: float
+    worst_index: int
+    records: List[dict] = field(repr=False, default_factory=list)
 
 
 def _paired_deviations(
@@ -1140,15 +1153,17 @@ def _paired_deviations(
     n: int,
     radius: float,
     schedule: Optional[ContinuationSchedule] = None,
-) -> list:
+) -> DeviationReport:
     """Paired cost changes of ``n`` random admissible profile deviations.
 
     Each deviation adds a :func:`_profile` drawn from ``rng`` to ``u``,
     projects it, re-solves the state warm-started from ``base_state`` (the
     state at ``u``) and differences the per-particle costs on the shared
-    noise.  Returns one ``{"index", "cost_delta", "se", "margin"}`` record
-    per deviation, with margin = cost_delta + 3*SE.  Callers check ``n`` and
-    ``radius`` (:func:`_check_sampling`) before they solve ``base_state``.
+    noise.  Returns the :class:`DeviationReport`: one ``{"index",
+    "cost_delta", "se", "margin"}`` record per deviation, with margin =
+    cost_delta + 3*SE, the worst margin and its index, and ``passed`` when
+    every margin is >= 0.  Callers check ``n`` and ``radius``
+    (:func:`_check_sampling`) before they solve ``base_state``.
     """
     base_j = _per_particle_cost(model, u, base_state, grid)
     records = []
@@ -1160,4 +1175,11 @@ def _paired_deviations(
         records.append(
             {"index": i, "cost_delta": mean, "se": se, "margin": mean + _RESOLUTION_SES * se}
         )
-    return records
+    worst = min(records, key=lambda rec: rec["margin"])
+    return DeviationReport(
+        passed=bool(worst["margin"] >= 0.0),
+        n_deviations=n,
+        worst_margin=float(worst["margin"]),
+        worst_index=worst["index"],
+        records=records,
+    )

@@ -21,6 +21,7 @@ from mfcontrol.fbsde_solver import (
     _GROWTH,
     _HANDOVER_TOL,
     _PATIENCE,
+    _POLISH_TOL,
     ContinuationSchedule,
     CoupledModel,
     LinearInhomogeneity,
@@ -791,7 +792,7 @@ def test_handover_route_agrees_with_a_polish_after_the_tight_route(
     _ladder_only_after_a_polish(monkeypatch)
     sol, log = solve_continuation(model, g, w, schedule=sched)
     tight, tight_log = solve_continuation(model, g, w, schedule=replace(sched, polish_max_iter=0))
-    ref, polish = solve_picard(model, g, w, tol=sched.inner_tol, max_iter=sched.polish_max_iter,
+    ref, polish = solve_picard(model, g, w, tol=_POLISH_TOL, max_iter=sched.polish_max_iter,
                                initial_guess=tight, accel_memory=sched.accel_memory)
     assert log[1] == {"alpha": 1.0, "polish": "rejected"}
     assert sched.picard_tol < log[2]["changes"][-1] <= _HANDOVER_TOL
@@ -884,10 +885,10 @@ def test_first_polish_is_logged_and_hands_a_failure_to_the_ladder():
     sol, log = solve_continuation(model, g, w, schedule=sched)
     assert log[0] == {"alpha": 0.0, "seed": True}
     [polish] = log[1:]
-    assert polish["alpha"] == 1.0 and polish["polish"][-1] <= sched.inner_tol
+    assert polish["alpha"] == 1.0 and polish["polish"][-1] <= _POLISH_TOL
     again, log = solve_continuation(model, g, w, schedule=sched, warm=sol)
     [polish] = log
-    assert polish["alpha"] == 1.0 and polish["polish"][-1] <= sched.inner_tol
+    assert polish["alpha"] == 1.0 and polish["polish"][-1] <= _POLISH_TOL
     far = replace(sol, y=sol.y + 1e14)
     _, log = solve_continuation(model, g, w, schedule=sched, warm=far)
     assert log[:2] == [{"alpha": 1.0, "polish": "rejected"}, {"alpha": 0.0, "seed": True}]
@@ -996,14 +997,12 @@ def test_schedule_validation():
         ContinuationSchedule(step=0.0)
     with pytest.raises(ConfigError):
         ContinuationSchedule(step=1.5)
-    with pytest.raises(ConfigError):
-        ContinuationSchedule(inner_tol=-1.0)
-    # caps, halvings and memory are integers; tolerances finite and positive
+    # caps, halvings and memory are integers; the tolerance finite and positive
     for bad in (
         dict(accel_memory=-3), dict(accel_memory=2.7), dict(picard_max_iter=2.5),
         dict(picard_max_iter=0), dict(max_halvings=-1), dict(max_halvings=1.5),
-        dict(polish_max_iter=-1), dict(polish_max_iter=3.0), dict(inner_tol=np.nan),
-        dict(inner_tol=0.0), dict(picard_tol=np.inf), dict(picard_tol=-1e-8),
+        dict(polish_max_iter=-1), dict(polish_max_iter=3.0), dict(picard_tol=np.inf),
+        dict(picard_tol=-1e-8),
     ):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             ContinuationSchedule(**bad)

@@ -27,6 +27,7 @@ from mfcontrol.games import (
 from mfcontrol.lq_examples import LQ1Params, LQ2Params, lq1_candidate, lq1_model, lq2_model, lq_game
 from mfcontrol.smp_control import (
     _per_particle_cost,
+    box_projection,
     check_sufficiency,
     projected_gradient_descent,
     solve_adjoint,
@@ -597,6 +598,25 @@ def test_nash_certifies_a_coupled_fbsde_game():
     assert res.deviation["passed"]
     for i in (0, 1):
         assert res.residuals[i] >= -res.epsilons[i]
+
+
+@pytest.mark.parametrize("coupling, rounds", [(0.0, 1), (0.2, 2)])
+def test_nash_keeps_a_player_inside_a_convex_action_set(coupling, rounds):
+    # player 2 tracks 0.3 but may only play in [-1, 0.2]; at coupling 0 its
+    # cost does not read the state, so the exact equilibrium control is
+    # clip(0.3) = 0.2, and at coupling 0.2 the box's upper face still binds
+    game = replace(lq_game(coupling=coupling), project_2=box_projection(-1.0, 0.2))
+    grid, noise = _setup(16, 256, 0)
+    trial = np.linspace(-2.0, 2.0, 16 * 256).reshape(16, 256)
+    induced = induced_model(game, 2, np.zeros((16, 256)), grid)
+    assert np.array_equal(induced.project(trial), np.clip(trial, -1.0, 0.2))
+    res = nash_iterate(
+        game, (0.0, 0.0), grid, noise, rounds=8, damping=1.0,
+        br_steps=20, n_trials=12, trial_radius=0.25, n_deviations=12,
+    )
+    assert res.status == "converged" and res.rounds == rounds
+    assert not res.inconsistent
+    assert np.all(res.u2 == 0.2)
 
 
 def test_a_game_on_lq2_ties_y_t_to_terminal_gain_times_x_t():

@@ -802,23 +802,24 @@ def test_deviation_check_reuses_a_given_state(monkeypatch):
     [
         ("deviation_check", {"n_deviations": 0}, "at least one sampled"),
         ("deviation_check", {"n_deviations": -2}, "at least one sampled"),
-        ("deviation_check", {"radius": 0.0}, "radius"),
-        ("deviation_check", {"radius": float("nan")}, "radius"),
-        ("deviation_check", {"radius": float("inf")}, "radius"),
         ("variational_margin", {"n_trials": 0}, "at least one sampled"),
-        ("variational_margin", {"radius": -0.5}, "radius"),
         ("deviation_test", {"n_deviations": 0}, "at least one sampled"),
         ("deviation_test", {"radius": 0.0}, "radius"),
+        ("deviation_test", {"radius": float("nan")}, "radius"),
+        ("deviation_test", {"radius": float("inf")}, "radius"),
         ("nash_iterate", {"n_deviations": 0}, "at least one sampled"),
         ("nash_iterate", {"n_trials": 0}, "at least one sampled"),
+        ("nash_iterate", {"trial_radius": 0.0}, "radius"),
+        ("nash_iterate", {"trial_radius": -0.5}, "radius"),
+        ("nash_iterate", {"trial_radius": float("nan")}, "radius"),
     ],
     ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else None,
 )
 def test_certificates_refuse_to_pass_without_samples(check, kwargs, match):
     # unchecked, a certificate drawn from no samples or from perturbations
     # of zero size passes vacuously: on this fixture deviation_check reads
-    # margin inf at n_deviations=0 and 0.0 at radius=0, while radius 0.5
-    # rejects u = 5 with margin -4.3
+    # margin inf at n_deviations=0 and 0.0 at a profile radius of 0, while
+    # its radius 0.5 rejects u = 5 with margin -4.3
     grid, noise = _grid_noise(4, 64, seed=3)
     model = lq1_model(LQ1Params())
     calls = {
@@ -1022,9 +1023,10 @@ def test_verify_example_records_a_failed_candidate(monkeypatch):
     "check, kwargs",
     [
         ("deviation_check", {"n_deviations": 0}),
-        ("deviation_check", {"radius": float("nan")}),
         ("deviation_test", {"n_deviations": 0}),
         ("deviation_test", {"radius": -1.0}),
+        ("deviation_test", {"radius": float("nan")}),
+        ("nash_iterate", {"trial_radius": float("nan")}),
         ("sufficiency", {"n_samples": 0}),
     ],
     ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else None,
@@ -1045,6 +1047,7 @@ def test_sampling_certificates_reject_before_solving(monkeypatch, check, kwargs)
     calls = {
         "deviation_check": lambda: deviation_check(model, 0.0, grid, noise, **kwargs),
         "deviation_test": lambda: deviation_test(lq_game(), (0.0, 0.0), grid, noise, **kwargs),
+        "nash_iterate": lambda: nash_iterate(lq_game(), (0.0, 0.0), grid, noise, **kwargs),
         "sufficiency": lambda: check_sufficiency(model, 0.0, grid, noise, **kwargs),
     }
     with pytest.raises(ConfigError):

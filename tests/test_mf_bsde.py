@@ -247,6 +247,9 @@ def test_sweep_fails_typed_on_nonfinite_carrier(bad):
         ("terminal", "terminal values have shape"),
         ("degree", "degree"),
         ("flat_features", "2-d"),
+        # unchecked, these two raised numpy's bare matmul mismatch
+        ("short_targets", "targets have shape"),
+        ("stacked_targets", "targets have shape"),
     ],
 )
 def test_backward_layer_rejects_malformed_inputs(case, match):
@@ -256,6 +259,7 @@ def test_backward_layer_rejects_malformed_inputs(case, match):
     model = BackwardModel(driver=None, terminal=lambda xt: xt)
     cubic = default_polynomial_basis()
     narrow = RegressionBasis(features=lambda c: cubic.features(c)[..., :2], size=cubic.size)
+    feats = cubic.features(np.linspace(-1.0, 1.0, 50))
     calls = {
         "noise_grid": lambda: solve_mf_bsde(model, make_time_grid(1.0, 4), w, x),
         "control": lambda: solve_mf_bsde(model, g, w, x, control=np.zeros((8, 15))),
@@ -265,6 +269,10 @@ def test_backward_layer_rejects_malformed_inputs(case, match):
         "terminal": lambda: solve_mf_bsde(BackwardModel(None, lambda xt: xt[:-1]), g, w, x),
         "degree": lambda: default_polynomial_basis(-1),
         "flat_features": lambda: regress_conditional_expectation(np.ones(10), np.ones(10), 0.0),
+        "short_targets": lambda: regress_conditional_expectation(feats, np.ones(49), 0.0),
+        "stacked_targets": lambda: regress_conditional_expectation(
+            feats, np.ones((50, 2, 2)), 0.0, normal=feats.T @ feats
+        ),
     }
     with pytest.raises(ConfigError, match=match):
         calls[case]()

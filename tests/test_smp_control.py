@@ -502,8 +502,8 @@ def test_paired_deviations_release_each_state_before_the_next_solve(monkeypatch)
 
     monkeypatch.setattr(smp_control, "solve_state", spy)
     rng = np.random.Generator(np.random.Philox(key=3))
-    records = smp_control._paired_deviations(model, u, base, grid, noise, rng, 4, 0.5)
-    assert len(records) == 4 and alive == [0, 0, 0, 0]
+    report = smp_control._paired_deviations(model, u, base, grid, noise, rng, 4, 0.5)
+    assert len(report.records) == 4 and alive == [0, 0, 0, 0]
 
 
 def test_vi_residual_reads_a_generator_of_trials_one_at_a_time(monkeypatch):
@@ -675,7 +675,7 @@ _RETRYABLE_IDS = ["nonconvergence", "divergence", "regression"]
 
 def test_warm_coupled_solves_agree_with_cold(monkeypatch):
     # The warm pass and the continuation's polish stop at the same change
-    # tolerance (inner_tol = 1e-6) from different sides of the fixed point.
+    # tolerance (_POLISH_TOL = 1e-6) from different sides of the fixed point.
     # Measured over noise seeds 0-5: the solutions differ by at most 2.9e-7
     # RMS (state) and 3.2e-8 RMS (adjoint), while the 0.05 control step
     # moves them by ~2.6e-3 and ~4.5e-3.
@@ -721,7 +721,7 @@ def test_cold_coupled_solves_polish_from_the_seed(monkeypatch):
     # as the continuation plus its polish does, from another start: measured
     # over noise seeds 0-9 the two differ by at most 5.8e-7 RMS (state) and
     # 2.1e-7 RMS (adjoint), 1.4e-7 and 6.7e-8 at seed 3, against an
-    # inner_tol of 1e-6.
+    # _POLISH_TOL of 1e-6.
     grid, noise = _grid_noise(m=8, n=256, horizon=0.25, seed=3)
     model = lq2_model(LQ2Params(horizon=0.25))
     fails = NonConvergenceError("no contraction", history=[1.0])
@@ -905,8 +905,9 @@ def test_rejected_polish_returns_the_unpolished_solution(monkeypatch):
         assert reason in ("stalled", "diverging") and sweeps < sched.polish_max_iter
     assert len(stops) == 2
     with pytest.raises(NonConvergenceError) as err:
-        solve_picard(frozen, grid, noise, tol=sched.inner_tol, max_iter=sched.polish_max_iter,
-                     initial_guess=unpolished, accel_memory=sched.accel_memory)
+        solve_picard(frozen, grid, noise, tol=fbsde_solver._POLISH_TOL,
+                     max_iter=sched.polish_max_iter, initial_guess=unpolished,
+                     accel_memory=sched.accel_memory)
     history = err.value.history
     assert err.value.reason == "diverging"
     assert len(history) < sched.polish_max_iter
@@ -958,7 +959,7 @@ def test_slow_polish_after_the_continuation_is_not_cut(monkeypatch):
     state = solve_state(lq2_model(params), 0.3, grid, noise)
     [log] = logs
     polish = log[-1]["polish"]
-    assert isinstance(polish, list) and polish[-1] <= ContinuationSchedule().inner_tol
+    assert isinstance(polish, list) and polish[-1] <= fbsde_solver._POLISH_TOL
     first_best = next(i for i, c in enumerate(polish) if c < polish[0])
     assert first_best > 30
     frozen = lq2_fbsde(params, control=0.3)
@@ -1284,27 +1285,25 @@ def test_bb_step_rule():
 
 
 @pytest.mark.parametrize("bad", [
-    {"shrink": 1.0}, {"shrink": 1.5}, {"shrink": 0.0},
-    {"eta0": -0.5}, {"eta0": np.nan}, {"min_eta": 0.0}, {"min_eta": 1.0},
-    {"slope": -0.1}, {"slope": 1.0},
+    {"eta0": -0.5}, {"eta0": 0.0}, {"eta0": np.nan}, {"eta0": 1e-13}, {"eta0": np.inf},
 ])
 def test_pgd_rejects_armijo_parameters_that_cannot_work(bad):
-    # shrink >= 1 never shrinks the step (from u0 = 0 the search ran on),
-    # eta0 <= 0 or min_eta > eta0 tries no step, min_eta = 0 never ends a
-    # search, and slope < 0 accepts a cost increase; from u0 = 5 the first
-    # trial is accepted, so none of these runs hangs without the check
+    # an eta0 below the minimum step tries no step, and a NaN or infinite
+    # one no finite step; from u0 = 5 the first trial is accepted, so none
+    # of these runs hangs without the check
     grid, noise = _grid_noise(m=8, n=64)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="eta0"):
         projected_gradient_descent(lq1_model(LQ1Params()), 5.0, grid, noise, steps=1, **bad)
 
 
-@pytest.mark.parametrize("bad", [{"control_trials": 0}, {"radius": np.nan}, {"radius": 0.0}])
+@pytest.mark.parametrize("bad", [{"control_trials": 0}, {"control_trials": -1}, {"n_samples": 0}])
 def test_sufficiency_rejects_a_check_without_samples(bad):
-    # with no trial control, or no effective radius, the check passed lq1
-    # at u = 5, where 4 trials at radius 10 find 1534 minimality violations
+    # with no trial control the check passed lq1 at u = 5, where 4 trials
+    # at the sampler's radius 10 find 1534 minimality violations; a check
+    # of no sampled point is refused the same way
     grid, noise = _grid_noise(m=8, n=64)
     with pytest.raises(ConfigError):
-        check_sufficiency(lq1_model(LQ1Params()), 5.0, grid, noise, n_samples=1000, **bad)
+        check_sufficiency(lq1_model(LQ1Params()), 5.0, grid, noise, **{"n_samples": 1000, **bad})
 
 
 @pytest.mark.parametrize("slack", [np.nan, np.inf, -1e-6])

@@ -14,8 +14,9 @@ the defaulted fields of its dataclasses, and its public names, the length
 of its ``__all__``.  A last line sums the columns.  A function or class is
 public when its name does not start with an underscore; a method counts
 when its class is public too.  With ``--names`` it prints instead one line
-``module name`` per entry of each ``__all__``, for a diff against another
-tree.
+``module name`` per entry of each ``__all__``, then one line
+``module owner.option`` per option (``owner`` the function, the
+``Class.method`` or the dataclass), for a diff against another tree.
 """
 
 import argparse
@@ -50,8 +51,12 @@ def _code_lines(source: str, tree: ast.Module) -> int:
     return len(lines - _docstring_lines(tree))
 
 
-def _optional_parameters(fn) -> int:
-    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+def _optional_parameters(fn) -> list:
+    """Names of the parameters of ``fn`` that have a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    defaulted = positional[len(positional) - len(fn.args.defaults):]
+    keyword = [a for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return [a.arg for a in defaulted + keyword]
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -62,23 +67,25 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
     return False
 
 
-def _options(tree: ast.Module) -> int:
-    count = 0
+def _options(tree: ast.Module) -> list:
+    """The module's options, each as ``owner.option``."""
+    options = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if not node.name.startswith("_"):
-                count += _optional_parameters(node)
+                options += [f"{node.name}.{arg}" for arg in _optional_parameters(node)]
         elif isinstance(node, ast.ClassDef):
             if _is_dataclass(node):
-                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
-                             for s in node.body)
+                options += [f"{node.name}.{s.target.id}" for s in node.body
+                            if isinstance(s, ast.AnnAssign) and s.value is not None]
             if node.name.startswith("_"):
                 continue
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not item.name.startswith("_")):
-                    count += _optional_parameters(item)
-    return count
+                    options += [f"{node.name}.{item.name}.{arg}"
+                                for arg in _optional_parameters(item)]
+    return options
 
 
 def _public_names(tree: ast.Module) -> list:
@@ -94,7 +101,7 @@ def surface(path: Path) -> tuple:
     """(total lines, code lines, options, public names) of one module."""
     source = path.read_text()
     tree = ast.parse(source)
-    return (len(source.splitlines()), _code_lines(source, tree), _options(tree),
+    return (len(source.splitlines()), _code_lines(source, tree), len(_options(tree)),
             len(_public_names(tree)))
 
 
@@ -107,9 +114,13 @@ def main(argv=None) -> int:
     if not paths:
         ap.error(f"no Python modules in {args.directory}")
     if args.names:
-        for path in paths:
-            for name in _public_names(ast.parse(path.read_text())):
-                print(path.stem, name)
+        trees = [(path.stem, ast.parse(path.read_text())) for path in paths]
+        for stem, tree in trees:
+            for name in _public_names(tree):
+                print(stem, name)
+        for stem, tree in trees:
+            for option in _options(tree):
+                print(stem, option)
         return 0
     rows = [(path.name, *surface(path)) for path in paths]
     rows.append(("total", *(sum(col) for col in list(zip(*rows))[1:])))
